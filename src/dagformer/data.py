@@ -8,6 +8,7 @@ loaded datasets never do.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +45,10 @@ class Column:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise DataError(f"column {self.name}: values must be one-dimensional")
+        bad = np.nonzero(~np.isfinite(self.values))[0]
+        if bad.size:
+            raise DataError(
+                f"column {self.name}: non-finite value {self.values[bad[0]]} at row {bad[0]}")
         if self.kind == "binary":
             bad = np.nonzero(~np.isin(self.values, (0.0, 1.0)))[0]
             if bad.size:
@@ -154,8 +159,8 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
     """Read an RFC-4180-style CSV (header required) under a column schema.
 
     Schema format: {"columns": [{"name", "kind", "node"}, ...]}; columns in
-    the file but not in the schema are ignored. Unparseable cells are
-    rejected with their file row number (header is row 1).
+    the file but not in the schema are ignored. Unparseable and non-finite
+    cells are rejected with their file row number (header is row 1).
     """
     spec_cols = schema["columns"]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -181,6 +186,9 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
                 except ValueError:
                     raise DataError(
                         f"{path}: row {line_no}, column {name}: cannot parse {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {line_no}, column {name}: non-finite value {cell}")
                 if c["kind"] == "binary" and value not in (0.0, 1.0):
                     raise DataError(
                         f"{path}: row {line_no}, column {name}: non-binary value {cell}")

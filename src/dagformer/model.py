@@ -106,6 +106,20 @@ class DagTransformer:
 
     def _build_params(self):
         cfg = self.config
+        if not cfg.encoder_bypass:
+            self._build_encoder_params()
+        for head in self.head_nodes:
+            widths = [cfg.embedding_dim + len(self.head_parents[head])]
+            widths += [cfg.mlp_width] * cfg.mlp_depth
+            widths.append(1)
+            for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
+                self._init(f"head/{head}/w{j}", (w_in, w_out), 1.0 / np.sqrt(w_in))
+                self._const_param(f"head/{head}/b{j}", np.zeros(w_out))
+
+    def _build_encoder_params(self):
+        """Embedding, identity, encoder and final layer-norm parameters,
+        which only the encoder path reads."""
+        cfg = self.config
         e, f = cfg.embedding_dim, cfg.feedforward_dim
         bound_e = 1.0 / np.sqrt(e)
         for node in self.input_nodes:
@@ -132,13 +146,6 @@ class DagTransformer:
             self._const_param(f"{p}/ffn/b2", np.zeros(e))
         self._const_param("final_ln/gain", np.ones(e))
         self._const_param("final_ln/bias", np.zeros(e))
-        for head in self.head_nodes:
-            widths = [e + len(self.head_parents[head])]
-            widths += [cfg.mlp_width] * cfg.mlp_depth
-            widths.append(1)
-            for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
-                self._init(f"head/{head}/w{j}", (w_in, w_out), 1.0 / np.sqrt(w_in))
-                self._const_param(f"head/{head}/b{j}", np.zeros(w_out))
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -198,25 +205,10 @@ class DagTransformer:
         n = batch.shape[0]
         e = cfg.embedding_dim
 
-        per_node = []
-        for i, node in enumerate(self.input_nodes):
-            ident = T.gather_rows(self.params["node_identity"], np.full(n, i, dtype=np.int64))
-            if node in self.head_nodes:
-                per_node.append(ident)
-            elif self.node_kinds[node] == "binary":
-                value = T.gather_rows(self.params[f"embed/{node}/table"],
-                                      batch[:, i].astype(np.int64))
-                per_node.append(value + ident)
-            else:
-                col = Tensor(std[:, i:i + 1])
-                value = T.matmul(col, self.params[f"embed/{node}/weight"]) \
-                    + self.params[f"embed/{node}/bias"]
-                per_node.append(value + ident)
-        x = T.stack_nodes(per_node)  # (n, d, e)
-
         use_encoder = not cfg.encoder_bypass
         if use_encoder:
-            h = x
+            h = T.embed_nodes(self.params["node_identity"], std,
+                              [self._value_embedding(node) for node in self.input_nodes])
             for i in range(cfg.num_encoder_layers):
                 h = self._encoder_layer(h, i, train, dropout_rng, collect_attention)
             h = T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
@@ -239,6 +231,15 @@ class DagTransformer:
                 out = T.sigmoid(out)
             outputs[head] = out
         return outputs
+
+    def _value_embedding(self, node: str) -> tuple:
+        """The parameters embedding a node's value, in T.embed_nodes' form.
+        Binary columns are 0/1 on the standardized scale too."""
+        if node in self.head_nodes:
+            return ()
+        if self.node_kinds[node] == "binary":
+            return (self.params[f"embed/{node}/table"],)
+        return (self.params[f"embed/{node}/weight"], self.params[f"embed/{node}/bias"])
 
     def _encoder_layer(self, x: Tensor, layer: int, train: bool,
                        dropout_rng, collect_attention) -> Tensor:

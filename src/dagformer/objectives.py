@@ -95,15 +95,40 @@ def loss_aipw_joint(y_hat, y, a_hat, a) -> Tensor:
     return (loss_gformula(y_hat, y) + loss_iptw(a_hat, a)) * 0.5
 
 
+# entries per row band of pairwise distances: bounds the band's temporaries
+# at about 1 MiB each, whatever the number of rows
+_BAND_ENTRIES = 2 ** 17
+
+
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
-    """Median pairwise Euclidean distance of the feature rows."""
+    """Median pairwise Euclidean distance of the feature rows.
+
+    Each pair's squared distance is the float `_pairwise_sq_dists` gives it;
+    the n(n-1)/2 of them are written band by band into one condensed
+    buffer, the middle order statistics are selected in place, and only
+    those are square-rooted. sqrt is monotone, so this is exactly the median
+    of the square-rooted distances.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
     if n < 2:
         raise ContractError("median heuristic needs at least two rows")
-    d2 = _pairwise_sq_dists(rows)
-    upper = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(np.sqrt(np.maximum(upper, 0.0))))
+    sq = (rows * rows).sum(axis=1)
+    dists = np.empty(n * (n - 1) // 2)
+    band = max(1, _BAND_ENTRIES // n)
+    pos = 0
+    for lo in range(0, n - 1, band):
+        hi = min(lo + band, n - 1)
+        d2 = sq[lo:hi, None] + sq[None, lo:] - 2.0 * rows[lo:hi] @ rows[lo:].T
+        for i in range(hi - lo):
+            upper = d2[i, i + 1:]
+            dists[pos:pos + upper.size] = upper
+            pos += upper.size
+    np.maximum(dists, 0.0, out=dists)
+    half = dists.size // 2
+    middle = [half] if dists.size % 2 else [half - 1, half]
+    dists.partition(middle)
+    med = float(np.median(np.sqrt(dists[middle])))
     if med == 0.0:
         raise ContractError("all feature rows identical; bandwidth undefined")
     return med
@@ -121,14 +146,6 @@ def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ContractError(f"bandwidth must be > 0, got {bandwidth}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     return np.exp(-_pairwise_sq_dists(rows) / (2.0 * bandwidth * bandwidth))
-
-
-def penalty_sum_squares(params: list[Tensor]) -> Tensor:
-    """Sum of squares of every trainable parameter entry."""
-    total = Tensor(0.0)
-    for p in params:
-        total = total + T.sum_all(p * p)
-    return total
 
 
 def loss_nmmr(y, h_vals, kernel: np.ndarray, variant: str, lam: float,
@@ -160,5 +177,5 @@ def loss_nmmr(y, h_vals, kernel: np.ndarray, variant: str, lam: float,
     if lam != 0.0:
         if params is None:
             raise ContractError("lam > 0 requires the model parameter list")
-        loss = loss + penalty_sum_squares(params) * lam
+        loss = loss + T.sum_squares(params) * lam
     return loss

@@ -13,9 +13,9 @@ __all__ = [
     "Tensor", "GradientTape", "tensor", "constant", "parameter", "backward",
     "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
-    "concat_lastdim", "stack_nodes", "take_node", "sum_all", "mean_all",
-    "sum_axis", "mean_axis", "softmax_lastdim", "layer_norm", "dropout",
-    "gather_rows",
+    "concat_lastdim", "take_node", "sum_all", "mean_all", "sum_axis",
+    "mean_axis", "sum_squares", "softmax_lastdim", "layer_norm", "dropout",
+    "embed_nodes",
 ]
 
 
@@ -291,6 +291,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrix operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        return _matmul_folded(a, b)
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -300,6 +302,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b._needs_grad():
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             _accumulate(b, _unbroadcast(gb, b.data.shape))
+
+    return _make(out_data, (a, b), bwd)
+
+
+def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
+    """(..., K) @ (K, M) as one (rows, K) @ (K, M) GEMM.
+
+    Folding the leading axes into rows gives one BLAS call per product,
+    where np.matmul loops over the batch and the weight gradient would be
+    summed over it afterwards.
+    """
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (b.data.shape[-1],))
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if a._needs_grad():
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+        if b._needs_grad():
+            _accumulate(b, a2.T @ g2)
 
     return _make(out_data, (a, b), bwd)
 
@@ -337,19 +359,6 @@ def concat_lastdim(parts: list) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p._needs_grad():
                 _accumulate(p, g[..., lo:hi])
-
-    return _make(out_data, tuple(parts), bwd)
-
-
-def stack_nodes(parts: list) -> Tensor:
-    """Stack per-node (N, E) tensors into (N, D, E)."""
-    parts = [_wrap(p) for p in parts]
-    out_data = np.stack([p.data for p in parts], axis=1)
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            if p._needs_grad():
-                _accumulate(p, g[:, i, :])
 
     return _make(out_data, tuple(parts), bwd)
 
@@ -405,6 +414,24 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(gg / n, a.data.shape).copy())
 
     return _make(out_data, (a,), bwd)
+
+
+def sum_squares(parts: list) -> Tensor:
+    """Sum of squares of every entry of every tensor in `parts`, as one node.
+
+    Each tensor's entries are summed first and those sums are added in list
+    order, the same float as chaining sum_all(p * p) terms with add.
+    """
+    total = 0.0
+    for p in parts:
+        total = total + (p.data * p.data).sum()
+
+    def bwd(g):
+        for p in parts:
+            if p._needs_grad():
+                _accumulate(p, 2.0 * g * p.data)
+
+    return _make(np.asarray(total), tuple(parts), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +494,43 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Te
     return _make(out_data, (x,), bwd)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Embedding lookup: rows of (R, E) table selected by an int vector."""
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError("gather indices must be integers")
-    out_data = table.data[idx]
+def embed_nodes(identity: Tensor, values: np.ndarray, embeddings: list) -> Tensor:
+    """Per-node value embeddings plus identity rows, stacked into (N, D, E).
+
+    `identity` is (D, E) and `values` is (N, D). `embeddings[i]` gives node
+    i's value embedding: `()` for none (the node feeds its identity row
+    only), `(table,)` for a lookup of row 0 or 1 of a (2, E) table by the
+    node's 0/1 value, or `(weight, bias)` for value * weight + bias with a
+    (1, E) weight and an (E,) bias.
+    """
+    ident = identity.data
+    out_data = np.empty((values.shape[0],) + ident.shape)
+    rows = {}
+    for i, params in enumerate(embeddings):
+        if len(params) == 2:
+            weight, bias = params
+            out_data[:, i] = values[:, i:i + 1] * weight.data + bias.data + ident[i]
+        elif len(params) == 1:
+            rows[i] = values[:, i].astype(np.int64)
+            out_data[:, i] = params[0].data[rows[i]] + ident[i]
+        else:
+            out_data[:, i] = ident[i]
 
     def bwd(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        _accumulate(table, dt)
+        if identity._needs_grad():
+            _accumulate(identity, g.sum(axis=0))
+        for i, params in enumerate(embeddings):
+            gi = g[:, i]
+            if len(params) == 2:
+                weight, bias = params
+                if weight._needs_grad():
+                    _accumulate(weight, values[:, i:i + 1].T @ gi)
+                if bias._needs_grad():
+                    _accumulate(bias, gi.sum(axis=0))
+            elif len(params) == 1 and params[0]._needs_grad():
+                table = np.zeros_like(params[0].data)
+                np.add.at(table, rows[i], gi)
+                _accumulate(params[0], table)
 
-    return _make(out_data, (table,), bwd)
+    parents = (identity,) + tuple(p for params in embeddings for p in params)
+    return _make(out_data, parents, bwd)

@@ -1,6 +1,7 @@
 import json
 
 from dagformer.cli import main
+from dagformer.data import linear_scm_dag
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -96,6 +97,33 @@ def test_train_divergence_exit_code(tmp_path):
     config = {"method": "gformula", "data": linear_data(n=100), "model": small_model(),
               "optimizer": {"learning_rate": 1e150}, "epochs": 30, "batch_size": 32}
     assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 4
+
+
+def test_train_non_finite_csv_cell_is_data_error(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": "x", "kind": "continuous", "node": "X1"},
+        {"name": "t", "kind": "binary", "node": "A"},
+        {"name": "y", "kind": "continuous", "node": "Y"}]}))
+    rows = [f"{i * 0.1},{i % 2},{i * 0.2}" for i in range(40)]
+    rows[7] = "0.7,1,nan"
+    data = tmp_path / "data.csv"
+    data.write_text("x,t,y\n" + "\n".join(rows) + "\n")
+    config = {"method": "gformula", "dag": linear_scm_dag(1).to_dict(),
+              "data": {"csv": str(data), "schema": str(schema)}, "model": small_model(),
+              "epochs": 2, "batch_size": 16}
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert "row 9, column y: non-finite value nan" in capsys.readouterr().err
+
+
+def test_train_encoder_bypass_exits_zero(tmp_path):
+    out = tmp_path / "bypass"
+    config = {"method": "aipw-joint", "data": linear_data(n=100),
+              "model": dict(small_model(), encoder_bypass=True), "epochs": 2,
+              "batch_size": 32}
+    assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
+    params = json.loads((out / "model.json").read_text())["params"]
+    assert all(name.startswith("head/") for name in params)
 
 
 def test_estimate_missing_csv_is_data_error(tmp_path):

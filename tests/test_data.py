@@ -19,6 +19,22 @@ def test_column_binary_validation():
         Column("t", "binary", np.array([0.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_column_rejects_non_finite_values(bad):
+    for kind in ("continuous", "binary"):
+        with pytest.raises(DataError, match=r"column x: non-finite value .* at row 2"):
+            Column("x", kind, np.array([0.0, 1.0, bad]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_csv_rejects_non_finite_cells(tmp_path, cell):
+    schema = {"columns": [{"name": "x", "kind": "continuous", "node": "X"}]}
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"x\n1.5\n{cell}\n")
+    with pytest.raises(DataError, match=f"row 3, column x: non-finite value {cell}"):
+        load_csv(str(p), schema)
+
+
 def test_dataset_basic_contracts():
     cols = [Column("x", "continuous", np.array([1.0, 2.0])),
             Column("t", "binary", np.array([0.0, 1.0]))]

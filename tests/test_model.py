@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dagformer import rng
+from dagformer import rng, tensor
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.errors import ConfigError, DataError, ShapeError, TrainingDivergedError
 from dagformer.graph import CausalDag, demand_dag
@@ -131,6 +134,74 @@ def test_alpha_zero_equals_encoder_bypass_exactly():
     b = bypass.predict(batch)
     assert np.array_equal(a["Y"], b["Y"])
     assert np.array_equal(a["A"], b["A"])
+
+
+def test_encoder_bypass_builds_head_parameters_only():
+    bypass = DagTransformer(small_config(encoder_bypass=True), triangle_dag(), "aipw",
+                            TRIANGLE_KINDS)
+    full = DagTransformer(small_config(), triangle_dag(), "aipw", TRIANGLE_KINDS)
+    assert list(bypass.params) == [name for name in full.params if name.startswith("head/")]
+
+
+def test_encoder_bypass_training_matches_alpha_zero_training_exactly():
+    ds = _toy_dataset(n=80, seed=4)
+    trained = []
+    for bypass in (False, True):
+        model = DagTransformer(small_config(alpha=0.0, encoder_bypass=bypass), SCM_DAG,
+                               "aipw", SCM_KINDS)
+        train_model(model, ds, AipwJoint(), AdamState(learning_rate=3e-3, l2_penalty=1e-3),
+                    epochs=3, batch_size=16, seed=8)
+        trained.append(model)
+    with_encoder, bypass = trained
+    for name, p in bypass.params.items():
+        assert np.array_equal(p.data, with_encoder.params[name].data), name
+
+
+def _tape_nodes_per_step(monkeypatch, model, dataset, objective, batch_size):
+    counts = []
+    backward = tensor.backward
+
+    def counting_backward(loss):
+        counts.append(len(tensor.GradientTape(loss).order))
+        backward(loss)
+
+    monkeypatch.setattr(tensor, "backward", counting_backward)
+    train_model(model, dataset, objective, AdamState(), epochs=1, batch_size=batch_size)
+    return set(counts)
+
+
+def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
+    cfg = ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=1, feedforward_dim=16,
+                      mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
+    model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
+    assert len(model.params) == 28
+    # 28 parameters and 48 ops: 1 embedding, 31 in the encoder layer, 4 from
+    # the final norm to the head input, 9 in the head MLP, 3 in the loss
+    assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
+                                256) == {76}
+
+
+def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
+    from dagformer.data import simulate_demand
+    cfg = ModelConfig(embedding_dim=40, num_heads=1, num_encoder_layers=1, feedforward_dim=40,
+                      mlp_width=48, mlp_depth=2, dropout_rate=0.0, alpha=0.01, seed=1)
+    kinds = {n: "continuous" for n in ("Z", "W", "A", "Y")}
+    model = DagTransformer(cfg, demand_dag(), "proximal", kinds)
+    assert len(model.params) == 31
+    # the penalty over all 31 parameters is one node
+    assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
+                                Nmmr(variant="U", lam=3e-6), 64) == {86}
+
+
+def test_snapshot_written_by_format_1_code_loads_and_predicts():
+    fixtures = Path(__file__).parent / "fixtures"
+    model = DagTransformer.load(str(fixtures / "snapshot_v1_aipw.json"))
+    stored = json.loads((fixtures / "snapshot_v1_aipw_predictions.json").read_text())
+    assert model.input_nodes == stored["input_nodes"]
+    preds = model.predict(np.asarray(stored["batch"]))
+    for head, want in stored["predictions"].items():
+        want = np.asarray(want)
+        assert np.max(np.abs(preds[head] - want) / np.abs(want)) <= 1e-12, head
 
 
 def test_counterfactual_matching_observed_is_identity():

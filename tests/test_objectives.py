@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from dagformer import rng, tensor as T
 from dagformer.errors import ContractError, DataError
 from dagformer.objectives import (
     AipwJoint, GFormula, Iptw, Nmmr, loss_aipw_joint, loss_gformula, loss_iptw,
-    loss_nmmr, median_heuristic_bandwidth, penalty_sum_squares, rbf_kernel_matrix,
+    loss_nmmr, median_heuristic_bandwidth, rbf_kernel_matrix,
 )
 
 
@@ -102,6 +103,35 @@ def test_median_heuristic_two_points():
     assert abs(median_heuristic_bandwidth(rows) - 5.0) < 1e-12
     with pytest.raises(ContractError):
         median_heuristic_bandwidth(np.ones((4, 2)))
+
+
+def _dense_median_heuristic(rows):
+    """The full n x n distance-matrix form of the median heuristic."""
+    n = rows.shape[0]
+    sq = (rows * rows).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * rows @ rows.T, 0.0)
+    upper = d2[np.triu_indices(n, k=1)]
+    return float(np.median(np.sqrt(np.maximum(upper, 0.0))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300, 1001, 5000])
+def test_median_heuristic_equals_dense_reference(n):
+    g = rng.stream(41, "median", n)
+    for d in (1, 2, 3, 5, 7):
+        rows = g.standard_normal((n, d)) * g.uniform(0.1, 10.0)
+        assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows), d
+
+
+def test_median_heuristic_peak_memory_below_5_n_squared_bytes():
+    n = 3000
+    rows = rng.stream(42, "median-mem").standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        median_heuristic_bandwidth(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n, f"peak {peak / n / n:.2f} n^2 bytes"
 
 
 def test_nmmr_zero_residuals_zero_loss():
@@ -204,4 +234,4 @@ def test_objective_config_validation():
 
 def test_penalty_sum_squares_value():
     params = [T.parameter([1.0, 2.0]), T.parameter([[2.0]])]
-    assert float(penalty_sum_squares(params).data) == 9.0
+    assert float(T.sum_squares(params).data) == 9.0

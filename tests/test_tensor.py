@@ -172,30 +172,76 @@ def test_shape_op_gradients_match_finite_differences():
     g = rng.stream(22, "fd2")
     a = g.standard_normal((2, 3, 4))
     b = g.standard_normal((2, 3, 2))
-    table = g.standard_normal((2, 3))
-    idx = np.array([0, 1, 1, 0])
 
     def build(ps):
-        aa, bb, tt = ps
+        aa, bb = ps
         cat = T.concat_lastdim([aa, bb])                      # (2,3,6)
         piece = T.take_node(T.transpose(cat, (0, 2, 1)), 2)   # (2,3)
-        emb = T.gather_rows(tt, idx)                          # (4,3)
         s = T.sum_axis(cat, axis=1)                           # (2,6)
-        return T.mean_all(piece) + T.mean_all(emb * emb) + T.sum_all(s * 0.1) \
-            + T.mean_all(T.reshape(aa, (6, 4)))
+        return T.mean_all(piece) + T.sum_all(s * 0.1) + T.mean_all(T.reshape(aa, (6, 4)))
 
-    _check_grads(build, [a, b, table], tol=1e-6)
+    _check_grads(build, [a, b], tol=1e-6)
 
 
-def test_stack_nodes_roundtrip_and_grad():
-    g = rng.stream(23, "stack")
-    parts = [g.standard_normal((5, 3)) for _ in range(4)]
+def test_folded_matmul_gradients_match_finite_differences():
+    g = rng.stream(24, "fold")
+    x = g.standard_normal((5, 3, 4))
+    w = g.standard_normal((4, 6))
 
     def build(ps):
-        stacked = T.stack_nodes(list(ps))  # (5,4,3)
-        return T.mean_all(stacked * stacked)
+        xx, ww = ps
+        out = T.matmul(xx, ww)                                # (5,3,6) as one GEMM
+        return T.mean_all(out * out) + T.sum_all(T.matmul(T.swap_last2(xx), xx) * 0.01)
 
-    _check_grads(build, parts, tol=1e-6)
+    _check_grads(build, [x, w], tol=1e-5)
+
+
+def test_folded_matmul_matches_batched_matmul():
+    g = rng.stream(25, "fold")
+    x = g.standard_normal((256, 3, 8))
+    w = g.standard_normal((8, 8))
+    assert np.array_equal(T.matmul(T.tensor(x), T.tensor(w)).data, np.matmul(x, w))
+
+
+def test_embed_nodes_gradients_match_finite_differences():
+    g = rng.stream(23, "embed")
+    n = 6
+    values = np.column_stack([g.standard_normal(n), (g.random(n) < 0.5).astype(float),
+                              g.standard_normal(n), g.standard_normal(n)])
+    values[:2, 1] = (0.0, 1.0)  # both table rows are read
+    arrays = [g.standard_normal((4, 3)), g.standard_normal((1, 3)), g.standard_normal(3),
+              g.standard_normal((2, 3)), g.standard_normal((1, 3)), g.standard_normal(3)]
+
+    def build(ps):
+        ident, w0, b0, table, w2, b2 = ps
+        x = T.embed_nodes(ident, values, [(w0, b0), (table,), (w2, b2), ()])  # (6,4,3)
+        return T.mean_all(x * x) + T.sum_all(T.take_node(x, 3) * 0.3)
+
+    _check_grads(build, arrays, tol=1e-6)
+
+
+def test_embed_nodes_values_per_kind():
+    ident = T.parameter([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    weight, bias = T.parameter([[2.0, -1.0]]), T.parameter([0.5, 0.25])
+    table = T.parameter([[10.0, 20.0], [30.0, 40.0]])
+    values = np.array([[1.5, 1.0, 9.0], [-1.0, 0.0, 9.0]])
+    x = T.embed_nodes(ident, values, [(weight, bias), (table,), ()])
+    assert np.array_equal(x.data[:, 0], [[4.5, 0.75], [-0.5, 3.25]])
+    assert np.array_equal(x.data[:, 1], [[33.0, 44.0], [13.0, 24.0]])
+    assert np.array_equal(x.data[:, 2], [[5.0, 6.0], [5.0, 6.0]])  # identity only
+
+
+def test_sum_squares_is_one_node_with_the_chained_value_and_gradient():
+    g = rng.stream(26, "sumsq")
+    arrays = [g.standard_normal((3, 4)), g.standard_normal(5), g.standard_normal((2, 2))]
+    params = [T.parameter(a) for a in arrays]
+    chained = T.tensor(0.0)
+    for p in params:
+        chained = chained + T.sum_all(p * p)
+    one = T.sum_squares(params)
+    assert one.data == chained.data
+    assert len(T.GradientTape(one).order) == 1 + len(params)
+    _check_grads(lambda ps: T.sum_squares(ps) * 0.7, arrays, tol=1e-6)
 
 
 def test_dropout_semantics():
@@ -257,6 +303,59 @@ def test_adam_step_counter_increments():
         p.grad = np.array([0.1])
         adam_step([p], state)
         assert state.step == want
+
+
+def _reference_adam_step(params, grads, moments, step, lr, beta1, beta2, eps, l2):
+    """The per-tensor Adam update, one parameter at a time."""
+    bias1 = 1.0 - beta1 ** step
+    bias2 = 1.0 - beta2 ** step
+    for p, g, (m, v) in zip(params, grads, moments):
+        if l2 != 0.0:
+            g = g + l2 * p
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_adam_flat_moments_match_per_tensor_reference_bit_for_bit(l2):
+    g = rng.stream(27, "adam")
+    shapes = [(3, 4), (4,), (1, 4), (2, 2), (5,)]
+    params = [T.parameter(g.standard_normal(s)) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    state = AdamState(learning_rate=0.01, l2_penalty=l2)
+    for step in range(1, 8):
+        grads = [g.standard_normal(s) * 10.0 ** g.integers(-3, 3) for s in shapes]
+        for p, grad in zip(params, grads):
+            p.grad = grad
+        adam_step(params, state)
+        _reference_adam_step(ref, grads, moments, step, 0.01, 0.9, 0.999, 1e-8, l2)
+        for p, want in zip(params, ref):
+            assert np.array_equal(p.data, want)
+
+
+def test_adam_contract_errors_leave_parameters_and_state_unchanged():
+    a, b = T.parameter([1.0, 2.0]), T.parameter([[3.0]])
+    state = AdamState(learning_rate=0.1)
+    a.grad = np.array([0.5, 0.5])
+    with pytest.raises(ContractError, match="parameter 1 has no gradient"):
+        adam_step([a, b], state)
+    assert np.array_equal(a.data, [1.0, 2.0]) and state.step == 0
+    b.grad = np.array([1.0])
+    with pytest.raises(ContractError, match=r"parameter 1 gradient shape \(1,\)"):
+        adam_step([a, b], state)
+    b.grad = np.array([[1.0]])
+    adam_step([a, b], state)
+    assert state.step == 1
+    with pytest.raises(ContractError, match="optimizer state tracks 2 parameters, got 1"):
+        adam_step([a], state)
+    c = T.parameter([1.0, 2.0, 3.0])
+    c.grad = np.zeros(3)
+    with pytest.raises(ContractError, match="parameter 1 has 3 entries"):
+        adam_step([a, c], state)
 
 
 # -- rng ----------------------------------------------------------------------
