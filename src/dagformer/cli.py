@@ -18,22 +18,21 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from . import objectives
 from .errors import (
-    ConfigError, DagformerError, DataError, SelectionFailedError, TrainingDivergedError,
+    ConfigError, ContractError, DagformerError, DataError, SelectionFailedError,
+    TrainingDivergedError,
 )
-from .estimators import (
+# not called here; perfbench's tests check that its tracer patches cli's names too
+from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
 from .forest import ForestConfig
-from .graph import CausalDag, demand_dag
-from .model import DagTransformer, ModelConfig, train_model
-from .optim import AdamState
+from .graph import CausalDag, NodeRole, demand_dag
+from .methods import METHODS, Method, build_run
+from .model import DagTransformer, train_model
 from .selection import (
     c_mse, fit_plugin, grid_search, nrmse, nrmse_scalar_replicates, ranking_csv,
 )
-
-METHODS = ("gformula", "ipw", "aipw-joint", "aipw-separate", "proximal-u", "proximal-v")
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +70,11 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _method_of(config: dict) -> str:
+def _method_of(config: dict) -> Method:
     method = _require(config, "method")
     if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
-    return method
+        raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
+    return METHODS[method]
 
 
 def _write_text(path: str, text: str):
@@ -121,6 +120,8 @@ def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
 def _simulate(sim: dict, seed: int) -> data_mod.TabularDataset:
     name = sim.get("name")
     n = int(_require(sim, "n"))
+    if n < 1:
+        raise ConfigError(f"simulator needs n >= 1, got {n}")
     if name == "linear-scm":
         return data_mod.simulate_linear_scm(n, _linear_scm_from(sim), seed)
     if name == "demand":
@@ -138,35 +139,14 @@ def _resolve_data(config: dict, seed: int) -> data_mod.TabularDataset:
     raise ConfigError("data config needs either 'simulator' or 'csv'+'schema'")
 
 
-def _model_config(config: dict, key: str, seed: int) -> ModelConfig:
-    fields = dict(config.get(key) or config.get("model") or {})
-    fields.setdefault("seed", seed)
+def _split(dataset, config: dict, seed: int, offset: int = 0):
+    """(train, validation) by the config's split; `offset` shifts its seed."""
+    split = config.get("split") or {}
     try:
-        return ModelConfig(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
-
-
-def _optimizer(config: dict) -> AdamState:
-    opt = config.get("optimizer", {})
-    return AdamState(learning_rate=float(opt.get("learning_rate", 1e-3)),
-                     beta1=float(opt.get("beta1", 0.9)), beta2=float(opt.get("beta2", 0.999)),
-                     epsilon=float(opt.get("epsilon", 1e-8)),
-                     l2_penalty=float(opt.get("l2_penalty", 0.0)))
-
-
-def _objective_for_method(method: str, config: dict):
-    if method == "gformula":
-        return objectives.GFormula()
-    if method == "ipw":
-        return objectives.Iptw()
-    if method in ("aipw-joint", "aipw-separate"):
-        return objectives.AipwJoint()
-    nmmr = config.get("nmmr", {})
-    return objectives.Nmmr(variant="U" if method.endswith("u") else "V",
-                           kernel_bandwidth=nmmr.get("kernel_bandwidth"),
-                           lam=float(nmmr.get("lambda", config.get(
-                               "optimizer", {}).get("l2_penalty", 0.0))))
+        return dataset.split(float(split.get("train_fraction", 0.7)),
+                             int(split.get("seed", seed)) + offset)
+    except (AttributeError, TypeError, ValueError, ContractError) as exc:
+        raise ConfigError(f"bad split config: {exc}") from None
 
 
 def _forest_config(config: dict, seed: int) -> ForestConfig:
@@ -178,50 +158,25 @@ def _forest_config(config: dict, seed: int) -> ForestConfig:
                         seed=int(plug.get("seed", seed)))
 
 
-def _node_kinds(dataset, dag) -> dict:
-    from .graph import NodeRole
-    nodes = [n for n, r in zip(dag.names, dag.roles) if r is not NodeRole.UNMEASURED]
-    return dataset.node_kinds(nodes)
+def _train_one(row: Method, dag, dataset, config: dict, seed: int):
+    """Train a method's models; returns them in row order and the logs by role."""
+    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
+                                if r is not NodeRole.UNMEASURED])
+    runs = [(spec, build_run(config, spec, seed)) for spec in row.models]
+    models, logs = [], {}
+    for spec, (model_config, optimizer, objective, epochs, batch_size) in runs:
+        model = DagTransformer(model_config, dag, spec.base, kinds)
+        logs[spec.role] = train_model(model, dataset, objective, optimizer, epochs,
+                                      batch_size, seed=seed)
+        models.append(model)
+    return models, logs
 
 
-def _train_one(method: str, dag, dataset, config: dict, seed: int,
-               model_key: str = "model"):
-    """Build and train the model(s) a method needs; returns dict head->model."""
-    kinds = _node_kinds(dataset, dag)
-    epochs = int(config.get("epochs", 100))
-    batch_size = int(config.get("batch_size", 32))
-    if method == "aipw-separate":
-        if "model_outcome" not in config or "model_propensity" not in config:
-            raise ConfigError("aipw-separate needs 'model_outcome' and 'model_propensity' configs")
-        outcome = DagTransformer(_model_config(config, "model_outcome", seed), dag,
-                                 "gformula", kinds)
-        log_o = train_model(outcome, dataset, objectives.GFormula(), _optimizer(config),
-                            epochs, batch_size, seed=seed)
-        propensity = DagTransformer(_model_config(config, "model_propensity", seed), dag,
-                                    "ipw", kinds)
-        log_p = train_model(propensity, dataset, objectives.Iptw(), _optimizer(config),
-                            epochs, batch_size, seed=seed)
-        return {"outcome": outcome, "propensity": propensity,
-                "logs": {"outcome": log_o, "propensity": log_p}}
-    base = {"gformula": "gformula", "ipw": "ipw", "aipw-joint": "aipw",
-            "proximal-u": "proximal", "proximal-v": "proximal"}[method]
-    model = DagTransformer(_model_config(config, model_key, seed), dag, base, kinds)
-    log = train_model(model, dataset, _objective_for_method(method, config),
-                      _optimizer(config), epochs, batch_size, seed=seed)
-    return {"model": model, "logs": {"model": log}}
-
-
-def _estimate_with(method: str, trained: dict, dataset, config: dict, seed: int):
-    if method == "gformula":
-        return estimate_gformula(trained["model"], dataset)
-    if method == "ipw":
-        return estimate_iptw(trained["model"], dataset)
-    if method == "aipw-joint":
-        return estimate_aipw(trained["model"], trained["model"], dataset)
-    if method == "aipw-separate":
-        return estimate_aipw(trained["outcome"], trained["propensity"], dataset)
+def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
+    if not row.proxy:
+        return row.estimate(*models, dataset)
     # proximal: average the bridge over held-out proxy draws
-    model = trained["model"]
+    model = models[0]
     heldout = config.get("heldout", {})
     m = int(heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS))
     draw_seed = int(heldout.get("seed", seed))
@@ -232,7 +187,6 @@ def _estimate_with(method: str, trained: dict, dataset, config: dict, seed: int)
         grid = grid or list(data_mod.DEMAND_PRICE_GRID)
     else:
         # fall back to the dataset's own proxy/confounder rows as the draw set
-        from .graph import NodeRole
         nodes = [n for n in model.input_nodes
                  if model.graph.role_of(n) in (NodeRole.OUTCOME_PROXY, NodeRole.CONFOUNDER)]
         if not nodes:
@@ -240,7 +194,7 @@ def _estimate_with(method: str, trained: dict, dataset, config: dict, seed: int)
         draws = {n: dataset.node_column(n).values for n in nodes}
         if grid is None:
             raise ConfigError("proximal estimation on external data needs 'a_grid'")
-    return estimate_proximal(model, draws, [float(a) for a in grid])
+    return row.estimate(model, draws, [float(a) for a in grid])
 
 
 # ---------------------------------------------------------------------------
@@ -283,61 +237,48 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    method = _method_of(config)
+    row = _method_of(config)
     seed = int(config.get("seed", 0))
     out = args.out or config.get("out") or "."
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
-    split = config.get("split")
-    if split:
-        dataset, _ = dataset.split(float(split.get("train_fraction", 0.7)),
-                                   int(split.get("seed", seed)))
-    trained = _train_one(method, dag, dataset, config, seed)
+    if config.get("split"):
+        dataset, _ = _split(dataset, config, seed)
+    models, logs = _train_one(row, dag, dataset, config, seed)
     os.makedirs(out, exist_ok=True)
-    if method == "aipw-separate":
-        trained["outcome"].save(os.path.join(out, "model_outcome.json"))
-        trained["propensity"].save(os.path.join(out, "model_propensity.json"))
-    else:
-        trained["model"].save(os.path.join(out, "model.json"))
+    for spec, model in zip(row.models, models):
+        model.save(os.path.join(out, f"{spec.key}.json"))
     _write_json(os.path.join(out, "training_log.json"),
-                {"config": config, "seed": seed, "logs": trained["logs"]})
-    print(f"trained {method} model(s); artifacts in {out}")
+                {"config": config, "seed": seed, "logs": logs})
+    print(f"trained {row.name} model(s); artifacts in {out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
     config = _load_config(args)
-    method = _method_of(config)
+    row = _method_of(config)
     seed = int(config.get("seed", 0))
     out = args.out or config.get("out") or "."
     dataset = _resolve_data(config, seed)
-    if method == "aipw-separate":
-        trained = {"outcome": DagTransformer.load(_require(config, "model_outcome")),
-                   "propensity": DagTransformer.load(_require(config, "model_propensity"))}
-    else:
-        trained = {"model": DagTransformer.load(_require(config, "model"))}
-    report = _estimate_with(method, trained, dataset, config, seed)
+    models = [DagTransformer.load(_require(config, spec.key)) for spec in row.models]
+    report = _estimate_with(row, models, dataset, config, seed)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
     if report.cate is not None:
         _write_text(os.path.join(out, "cate.csv"), report.cate_csv())
     ate_text = "n/a" if report.ate is None else f"{report.ate:.6g}"
-    print(f"{method} ate: {ate_text}")
+    print(f"{row.name} ate: {ate_text}")
     return 0
 
 
 def cmd_tune(args) -> int:
     config = _load_config(args)
-    method = _method_of(config)
-    if method == "aipw-separate":
-        raise ConfigError("tune supports joint methods; run two tunes for separate training")
+    row = _method_of(config)
     seed = int(config.get("seed", 0))
     out = args.out or config.get("out") or "."
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
-    split = config.get("split", {})
-    train, validation = dataset.split(float(split.get("train_fraction", 0.7)),
-                                      int(split.get("seed", seed)))
+    train, validation = _split(dataset, config, seed)
     grid_cfg = _require(config, "grid")
     if isinstance(grid_cfg, str):
         with open(grid_cfg, "r", encoding="utf-8") as fh:
@@ -345,10 +286,9 @@ def cmd_tune(args) -> int:
     else:
         grid = grid_cfg
     jobs = args.jobs or int(config.get("jobs", 1))
-    rows, best = grid_search(grid, train, validation, method, dag,
+    rows, best = grid_search(grid, train, validation, row.name, dag,
                              mode=config.get("mode", "cate"), seed=seed,
-                             plugin_config=_forest_config(config, seed),
-                             node_kinds=_node_kinds(dataset, dag), jobs=jobs)
+                             plugin_config=_forest_config(config, seed), jobs=jobs)
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
     best.save(os.path.join(out, "best_model.json"))
@@ -373,22 +313,17 @@ def _replicate_dataset(config: dict, replicate: int, seed: int):
 
 def _effect_replicate(config: dict, replicate: int) -> dict:
     """One ATE/CATE replicate: train candidate, fit plug-in, record effects."""
-    method = _method_of(config)
+    row = _method_of(config)
     seed = int(config.get("seed", 0))
-    experiment = config.get("experiment", "ate")
     dag = _resolve_dag(config)
     dataset = _replicate_dataset(config, replicate, seed)
-    split = config.get("split", {})
-    train, validation = dataset.split(float(split.get("train_fraction", 0.7)),
-                                      int(split.get("seed", seed)) + replicate)
-    trained = _train_one(method, dag, train, config, seed + replicate)
-    report = _estimate_with(method, trained, validation, config, seed + replicate)
+    train, validation = _split(dataset, config, seed, offset=replicate)
+    models, _ = _train_one(row, dag, train, config, seed + replicate)
+    report = _estimate_with(row, models, validation, config, seed + replicate)
     plugin = fit_plugin(validation, dag, _forest_config(config, seed + replicate))
     row = {"replicate": replicate, "candidate_ate": report.ate,
            "plugin_ate": plugin.ate(validation), "true_ate": validation.true_ate}
-    if experiment == "cate":
-        if report.cate is None:
-            raise ConfigError(f"{method} produces no per-unit effects; use experiment 'ate'")
+    if config.get("experiment", "ate") == "cate":
         reference = validation.true_cate if validation.true_cate is not None \
             else plugin.cate(validation)
         row["nrmse"] = nrmse(reference, report.cate)
@@ -396,19 +331,17 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
 
 
 def _demand_replicate(config: dict, replicate: int) -> dict:
-    method = _method_of(config)
-    if not method.startswith("proximal"):
-        raise ConfigError("the demand experiment uses proximal-u or proximal-v")
+    row = _method_of(config)
     seed = int(config.get("seed", 0))
     sim = _require(config, "data")["simulator"]
     n = int(_require(sim, "n"))
     dag = demand_dag()
     dataset = data_mod.simulate_demand(n, seed + replicate).to_dataset()
-    trained = _train_one(method, dag, dataset, config, seed + replicate)
+    models, _ = _train_one(row, dag, dataset, config, seed + replicate)
     heldout = config.get("heldout", {})
     m = int(heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS))
     draws = {"W": data_mod.heldout_w_draws(m, seed + replicate)}
-    report = estimate_proximal(trained["model"], draws, list(data_mod.DEMAND_PRICE_GRID))
+    report = row.estimate(*models, draws, list(data_mod.DEMAND_PRICE_GRID))
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
     naive = float(dataset.node_column("Y").values.mean())
@@ -447,6 +380,11 @@ def cmd_evaluate(args) -> int:
     replicates = int(config.get("replicates", 10))
     experiment = config.get("experiment", "ate")
     jobs = args.jobs or int(config.get("jobs", 1))
+    row = _method_of(config)
+    if experiment == "cate" and not row.cate:
+        raise ConfigError(f"{row.name} produces no per-unit effects; use experiment 'ate'")
+    if experiment == "demand" and not row.proxy:
+        raise ConfigError("the demand experiment needs a proximal method")
     if experiment == "demand":
         rows = _run_replicates(_demand_replicate, config, replicates, jobs)
         values = np.asarray([r["c_mse"] for r in rows])

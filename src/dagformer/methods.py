@@ -1,0 +1,87 @@
+"""The estimation methods, one table row per CLI method name: the model(s)
+each trains with their objectives, its estimator, and how `tune` treats it.
+`cli` and `selection` take every per-method decision from here."""
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from .errors import ConfigError, ContractError
+from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
+from .model import ModelConfig
+from .objectives import AipwJoint, GFormula, Iptw, Nmmr
+from .optim import AdamState
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    base: str  # its base method for `input_nodes_for`
+    objective: Callable  # run config -> objective
+    key: str = "model"  # config key of its model config, and in `estimate` of its snapshot
+    role: str = "model"  # its name in the training log
+
+
+@dataclass(frozen=True)
+class Method:
+    name: str
+    models: tuple
+    # (trained models in `models` order, dataset) -> EstimateReport; a proxy
+    # method takes held-out proxy draws and a treatment grid for the dataset
+    estimate: Callable
+    cate: bool  # the estimate has per-unit effects
+    tunable: bool
+    # the estimator whose per-unit effects (else broadcast ATE) `tune` scores
+    # against the plug-in, if not `estimate`; a proxy method scores by NMMR risk
+    tune_estimate: Optional[Callable] = None
+    proxy: bool = False  # estimates from held-out proxy draws
+
+
+def _nmmr(variant: str) -> Callable:
+    def objective(config: dict) -> Nmmr:
+        nmmr = config.get("nmmr", {})
+        lam = nmmr.get("lambda", config.get("optimizer", {}).get("l2_penalty", 0.0))
+        return Nmmr(variant, nmmr.get("kernel_bandwidth"), float(lam))
+    return objective
+
+
+# the estimators are looked up when called, so a wrapped module function is seen
+METHODS = {row.name: row for row in (
+    Method("gformula", (ModelSpec("gformula", lambda c: GFormula()),),
+           lambda model, data: estimate_gformula(model, data), cate=True, tunable=True),
+    Method("ipw", (ModelSpec("ipw", lambda c: Iptw()),),
+           lambda model, data: estimate_iptw(model, data), cate=False, tunable=True),
+    Method("aipw-joint", (ModelSpec("aipw", lambda c: AipwJoint()),),
+           lambda model, data: estimate_aipw(model, model, data),
+           cate=True, tunable=True,
+           tune_estimate=lambda model, data: estimate_gformula(model, data)),
+    Method("aipw-separate",
+           (ModelSpec("gformula", lambda c: GFormula(), "model_outcome", "outcome"),
+            ModelSpec("ipw", lambda c: Iptw(), "model_propensity", "propensity")),
+           lambda outcome, propensity, data: estimate_aipw(outcome, propensity, data),
+           cate=True, tunable=False),
+    Method("proximal-u", (ModelSpec("proximal", _nmmr("U")),),
+           lambda model, draws, grid: estimate_proximal(model, draws, grid),
+           cate=False, tunable=True, proxy=True),
+    Method("proximal-v", (ModelSpec("proximal", _nmmr("V")),),
+           lambda model, draws, grid: estimate_proximal(model, draws, grid),
+           cate=False, tunable=True, proxy=True),
+)}
+
+
+def build_run(config: dict, spec: ModelSpec, seed: int):
+    """(ModelConfig, AdamState, objective, epochs, batch_size) of one model; a
+    malformed value is a ConfigError. When the objective penalizes the
+    parameters (NMMR's lambda, default `optimizer.l2_penalty`), Adam does not."""
+    if spec.key != "model" and spec.key not in config:
+        raise ConfigError(f"config is missing required key {spec.key!r}")
+    try:
+        fields = dict(config.get(spec.key) or config.get("model") or {})
+        model_config = ModelConfig(**{"seed": seed, **fields})
+        objective = spec.objective(config)
+        opt = config.get("optimizer", {})
+        l2 = 0.0 if objective.penalizes_parameters else float(opt.get("l2_penalty", 0.0))
+        optimizer = AdamState(float(opt.get("learning_rate", 1e-3)), float(opt.get("beta1", 0.9)),
+                              float(opt.get("beta2", 0.999)), float(opt.get("epsilon", 1e-8)), l2)
+        return (model_config, optimizer, objective, int(config.get("epochs", 100)),
+                int(config.get("batch_size", 32)))
+    except (AttributeError, TypeError, ValueError, ContractError) as exc:
+        raise ConfigError(f"bad run config: {exc}") from None

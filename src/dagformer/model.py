@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import objectives, rng, tensor as T
+from . import rng, tensor as T
 from .errors import (
     ConfigError, DataError, DegenerateInputError, ShapeError, TrainingDivergedError,
 )
@@ -49,7 +49,7 @@ class ModelConfig:
                 "feedforward_dim": self.feedforward_dim, "mlp_width": self.mlp_width,
                 "mlp_depth": self.mlp_depth}
         for name, value in dims.items():
-            if int(value) != value or value <= 0:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value}")
         if self.embedding_dim % self.num_heads != 0:
             raise ConfigError(
@@ -392,25 +392,6 @@ class DagTransformer:
 # training
 # ---------------------------------------------------------------------------
 
-def _objective_heads(objective) -> tuple[bool, bool]:
-    """(needs outcome head, needs treatment head)."""
-    if isinstance(objective, objectives.GFormula):
-        return True, False
-    if isinstance(objective, objectives.Iptw):
-        return False, True
-    if isinstance(objective, objectives.AipwJoint):
-        return True, True
-    if isinstance(objective, objectives.Nmmr):
-        return True, False
-    raise ConfigError(f"unknown objective {objective!r}")
-
-
-def kernel_feature_nodes(model: DagTransformer) -> list[str]:
-    """Treatment, treatment proxies and confounders, in model input order."""
-    keep_roles = (NodeRole.TREATMENT, NodeRole.TREATMENT_PROXY, NodeRole.CONFOUNDER)
-    return [n for n in model.input_nodes if model.graph.role_of(n) in keep_roles]
-
-
 def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                 epochs: int, batch_size: int, seed: int | None = None) -> list[dict]:
     """Mini-batch training; returns the per-epoch log. The model is updated
@@ -418,35 +399,21 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
     """
     if epochs < 0 or batch_size < 1:
         raise ConfigError(f"bad training sizes: epochs={epochs}, batch_size={batch_size}")
-    needs_outcome, needs_treatment = _objective_heads(objective)
-    outcome = model.dag.single_node(NodeRole.OUTCOME) if needs_outcome else None
-    treatment = model.treatment_node
-    if needs_outcome and outcome not in model.head_nodes:
-        raise ConfigError(f"objective needs an outcome head; model has {model.head_nodes}")
-    if needs_treatment and treatment not in model.head_nodes:
-        raise ConfigError(f"objective needs a treatment head; model has {model.head_nodes}")
+    heads = [model.dag.single_node(role) for role in objective.head_roles]
+    if sorted(heads) != sorted(model.head_nodes):
+        raise ConfigError(f"{type(objective).__name__} objective trains heads {heads}; "
+                          f"model has heads {model.head_nodes}")
 
     seed = model.config.seed if seed is None else seed
     batch_all = dataset.matrix(model.input_nodes)
-    model.fit_standardizer(batch_all)
-    std_all = model._standardize(batch_all)
     n = batch_all.shape[0]
-
-    y_std = std_all[:, model._node_index(outcome)] if needs_outcome else None
-    a_obs = batch_all[:, model._node_index(treatment)] if needs_treatment else None
-
-    is_nmmr = isinstance(objective, objectives.Nmmr)
-    features = bandwidth = None
-    if is_nmmr:
-        feat_cols = [model._node_index(nd) for nd in kernel_feature_nodes(model)]
-        features = std_all[:, feat_cols]
-        bandwidth = objective.kernel_bandwidth
-        if bandwidth is None:
-            bandwidth = objectives.median_heuristic_bandwidth(features)
+    if n == 0:
+        raise DataError("training dataset has no rows")
+    model.fit_standardizer(batch_all)
+    batch_loss = objective.bind(model, batch_all, model._standardize(batch_all))
 
     params = model.parameters()
     dropout_rng = rng.stream(seed, "dropout")
-    outcome_sd = model.col_sd[model._node_index(outcome)] if needs_outcome else None
     log: list[dict] = []
     # overflow/invalid produce a non-finite loss, which is detected below and
     # escalated to TrainingDivergedError; the interim FP warnings are noise
@@ -457,8 +424,8 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
             mses = []
             for start in range(0, n, batch_size):
                 rows = perm[start:start + batch_size]
-                if is_nmmr and objective.variant == "U" and rows.size < 2:
-                    continue  # a trailing singleton batch has no off-diagonal pairs
+                if rows.size < objective.min_rows:
+                    continue
                 try:
                     preds = model.forward(batch_all[rows], train=True,
                                           dropout_rng=dropout_rng)
@@ -469,21 +436,10 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                         f"attention scores overflowed at epoch {epoch}, "
                         f"batch {start // batch_size}: {exc}",
                         epoch=epoch, batch=start // batch_size) from exc
-                if isinstance(objective, objectives.GFormula):
-                    loss = objectives.loss_gformula(preds[outcome], y_std[rows])
-                    mses.append(float(loss.data))
-                elif isinstance(objective, objectives.Iptw):
-                    loss = objectives.loss_iptw(preds[treatment], a_obs[rows])
-                elif isinstance(objective, objectives.AipwJoint):
-                    mse = objectives.loss_gformula(preds[outcome], y_std[rows])
-                    bce = objectives.loss_iptw(preds[treatment], a_obs[rows])
-                    loss = (mse + bce) * 0.5
-                    mses.append(float(mse.data))
-                else:
-                    kernel = objectives.rbf_kernel_matrix(features[rows], bandwidth)
-                    loss = objectives.loss_nmmr(y_std[rows], preds[outcome], kernel,
-                                                objective.variant, objective.lam, params)
+                loss, mse = batch_loss(preds, rows)
                 value = float(loss.data)
+                if mse is not None:
+                    mses.append(float(mse.data))
                 if not np.isfinite(value):
                     raise TrainingDivergedError(
                         f"non-finite loss {value} at epoch {epoch}, "
@@ -495,6 +451,8 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                 losses.append(value)
             entry = {"epoch": epoch, "loss": float(np.mean(losses))}
             if mses:
-                entry["mse_raw"] = float(np.mean(mses)) * float(outcome_sd) ** 2
+                outcome = model.dag.single_node(NodeRole.OUTCOME)
+                outcome_sd = float(model.col_sd[model._node_index(outcome)])
+                entry["mse_raw"] = float(np.mean(mses)) * outcome_sd ** 2
             log.append(entry)
     return log

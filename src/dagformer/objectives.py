@@ -12,39 +12,78 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DataError
+from .graph import NodeRole
 from .tensor import Tensor
 
 BCE_CLAMP = 1e-12
 
 
+class Objective:
+    """A loss over exactly the heads of `head_roles`. `bind(model, batch, std)`
+    reads a run's targets once and returns the loss of one batch, `(preds,
+    rows) -> (loss, mse)`; `mse` is the outcome MSE the log reports, or None."""
+    head_roles: tuple = ()
+    penalizes_parameters = False  # so Adam adds no L2 of its own
+    min_rows = 1  # smaller batches are skipped
+
+
 @dataclass
-class GFormula:
+class GFormula(Objective):
     """Outcome-regression objective (MSE on the outcome head)."""
+    head_roles = (NodeRole.OUTCOME,)
+
+    def bind(self, model, batch, std):
+        outcome = model.dag.single_node(NodeRole.OUTCOME)
+        y = std[:, model._node_index(outcome)]
+
+        def batch_loss(preds, rows):
+            mse = loss_gformula(preds[outcome], y[rows])
+            return mse, mse
+        return batch_loss
 
 
 @dataclass
-class Iptw:
+class Iptw(Objective):
     """Propensity objective (BCE on the treatment head)."""
+    head_roles = (NodeRole.TREATMENT,)
+
+    def bind(self, model, batch, std):
+        treatment = model.treatment_node
+        a = batch[:, model._node_index(treatment)]
+        return lambda preds, rows: (loss_iptw(preds[treatment], a[rows]), None)
 
 
 @dataclass
-class AipwJoint:
+class AipwJoint(Objective):
     """Joint objective: (MSE + BCE) / 2 over both heads."""
+    head_roles = (NodeRole.TREATMENT, NodeRole.OUTCOME)
+
+    def bind(self, model, batch, std):
+        outcome, treatment = model.dag.single_node(NodeRole.OUTCOME), model.treatment_node
+        y, a = std[:, model._node_index(outcome)], batch[:, model._node_index(treatment)]
+
+        def batch_loss(preds, rows):
+            mse = loss_gformula(preds[outcome], y[rows])
+            bce = loss_iptw(preds[treatment], a[rows])
+            return (mse + bce) * 0.5, mse
+        return batch_loss
 
 
 @dataclass
-class Nmmr:
+class Nmmr(Objective):
     """Kernel moment-restriction objective for the bridge-function head.
 
     variant "U" zeroes the kernel diagonal and normalizes by n(n-1);
     variant "V" keeps it and normalizes by n^2. `lam` scales the sum of
     squared model parameters added to the risk. `kernel_bandwidth` of None
-    means the median pairwise-distance heuristic, computed on the training
-    features once per run.
+    means the median pairwise-distance heuristic, computed once per run on the
+    kernel features: treatment, treatment proxies and confounders.
     """
     variant: str = "U"
     kernel_bandwidth: Optional[float] = None
     lam: float = 0.0
+    head_roles = (NodeRole.OUTCOME,)
+    penalizes_parameters = True
 
     def __post_init__(self):
         if self.variant not in ("U", "V"):
@@ -53,9 +92,25 @@ class Nmmr:
             raise ContractError(f"NMMR lambda must be >= 0, got {self.lam}")
         if self.kernel_bandwidth is not None and self.kernel_bandwidth <= 0:
             raise ContractError(f"kernel bandwidth must be > 0, got {self.kernel_bandwidth}")
+        # a singleton batch has no off-diagonal pairs for the U-statistic
+        self.min_rows = 2 if self.variant == "U" else 1
 
+    def bind(self, model, batch, std):
+        outcome = model.dag.single_node(NodeRole.OUTCOME)
+        y = std[:, model._node_index(outcome)]
+        roles = (NodeRole.TREATMENT, NodeRole.TREATMENT_PROXY, NodeRole.CONFOUNDER)
+        features = std[:, [i for i, node in enumerate(model.input_nodes)
+                           if model.graph.role_of(node) in roles]]
+        bandwidth = self.kernel_bandwidth
+        if bandwidth is None:
+            bandwidth = median_heuristic_bandwidth(features)
+        params = model.parameters()
 
-Objective = GFormula | Iptw | AipwJoint | Nmmr
+        def batch_loss(preds, rows):
+            kernel = rbf_kernel_matrix(features[rows], bandwidth)
+            return loss_nmmr(y[rows], preds[outcome], kernel, self.variant, self.lam,
+                             params), None
+        return batch_loss
 
 
 def _as_tensor(x) -> Tensor:

@@ -8,19 +8,18 @@ proxy-method variants, where no plug-in exists, rank by validation risk.
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import objectives
 from .errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
     TrainingDivergedError,
 )
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .model import DagTransformer, ModelConfig, train_model
-from .optim import AdamState
+from .methods import METHODS, build_run
+from .model import DagTransformer, train_model
 
 
 def nrmse(tau_hat: np.ndarray, tau_tilde: np.ndarray) -> float:
@@ -126,7 +125,7 @@ GRID_KEYS = ("epochs", "batch_size", "learning_rate", "l2_penalty", "mlp_width",
              "mlp_depth", "encoder_layers", "dropout", "embedding_dim",
              "feedforward_dim", "num_heads", "alpha")
 
-SEARCH_METHODS = ("gformula", "ipw", "aipw-joint", "proximal-u", "proximal-v")
+SEARCH_METHODS = tuple(name for name, row in METHODS.items() if row.tunable)
 
 
 def expand_grid(grid: dict) -> list[dict]:
@@ -151,60 +150,22 @@ def config_hash(point: dict) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _model_config(point: dict, seed: int) -> ModelConfig:
-    return ModelConfig(
-        embedding_dim=int(point["embedding_dim"]), num_heads=int(point["num_heads"]),
-        num_encoder_layers=int(point["encoder_layers"]),
-        feedforward_dim=int(point["feedforward_dim"]), mlp_width=int(point["mlp_width"]),
-        mlp_depth=int(point["mlp_depth"]), dropout_rate=float(point["dropout"]),
-        alpha=float(point["alpha"]), seed=seed)
-
-
-def _objective_for(method: str, point: dict):
-    if method == "gformula":
-        return objectives.GFormula()
-    if method == "ipw":
-        return objectives.Iptw()
-    if method == "aipw-joint":
-        return objectives.AipwJoint()
-    if method == "proximal-u":
-        return objectives.Nmmr(variant="U", lam=float(point["l2_penalty"]))
-    return objectives.Nmmr(variant="V", lam=float(point["l2_penalty"]))
-
-
-def _base_method(method: str) -> str:
-    return {"gformula": "gformula", "ipw": "ipw", "aipw-joint": "aipw",
-            "proximal-u": "proximal", "proximal-v": "proximal"}[method]
-
-
-def _candidate_tau(model: DagTransformer, method: str, validation, mode: str):
-    """Candidate effect predictions on the validation rows."""
-    from .estimators import estimate_gformula, estimate_iptw
-
-    if method in ("gformula", "aipw-joint"):
-        report = estimate_gformula(model, validation)
-        if mode == "cate":
-            return report.cate
-        return np.full(validation.n, report.ate)
-    report = estimate_iptw(model, validation)
-    return np.full(validation.n, report.ate)
+def _run_config(point: dict) -> dict:
+    """A grid point as the model, optimizer and training keys of a run config."""
+    model = {k: int(point[k]) for k in ("embedding_dim", "num_heads", "feedforward_dim",
+                                        "mlp_width", "mlp_depth")}
+    model.update(num_encoder_layers=int(point["encoder_layers"]),
+                 dropout_rate=float(point["dropout"]), alpha=float(point["alpha"]))
+    return {"model": model, "epochs": point["epochs"], "batch_size": point["batch_size"],
+            "optimizer": {"learning_rate": point["learning_rate"],
+                          "l2_penalty": point["l2_penalty"]}}
 
 
 def _validation_risk(model: DagTransformer, objective, validation) -> float:
-    """Held-out objective value for proxy-method candidates."""
-    from .model import kernel_feature_nodes
-
+    """Held-out NMMR risk, without the parameter penalty, of a proxy-method candidate."""
     batch = validation.matrix(model.input_nodes)
-    std = model._standardize(batch)
-    outcome = model.dag.single_node(NodeRole.OUTCOME)
-    y = std[:, model._node_index(outcome)]
-    preds = model.forward(batch)
-    h = preds[outcome].data
-    cols = [model._node_index(nd) for nd in kernel_feature_nodes(model)]
-    features = std[:, cols]
-    bandwidth = objective.kernel_bandwidth or objectives.median_heuristic_bandwidth(features)
-    kernel = objectives.rbf_kernel_matrix(features, bandwidth)
-    return float(objectives.loss_nmmr(y, h, kernel, objective.variant, 0.0).data)
+    batch_loss = replace(objective, lam=0.0).bind(model, batch, model._standardize(batch))
+    return float(batch_loss(model.forward(batch), np.arange(validation.n))[0].data)
 
 
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
@@ -212,22 +173,23 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     index, point, train, validation, method, dag, seed, node_kinds, mode, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
-    proximal = method.startswith("proximal")
-    objective = _objective_for(method, point)
-    model = DagTransformer(_model_config(point, seed), dag, _base_method(method), node_kinds)
+    row = METHODS[method]
+    (spec,) = row.models
+    model_config, optimizer, objective, epochs, batch_size = build_run(
+        _run_config(point), spec, seed)
+    model = DagTransformer(model_config, dag, spec.base, node_kinds)
     entry["param_count"] = model.param_count
-    optimizer = AdamState(learning_rate=float(point["learning_rate"]),
-                          l2_penalty=0.0 if proximal else float(point["l2_penalty"]))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            log = train_model(model, train, objective, optimizer,
-                              epochs=int(point["epochs"]),
-                              batch_size=int(point["batch_size"]), seed=seed)
+            log = train_model(model, train, objective, optimizer, epochs=epochs,
+                              batch_size=batch_size, seed=seed)
             entry["train_loss"] = log[-1]["loss"] if log else None
-            if proximal:
+            if row.proxy:
                 entry["score"] = _validation_risk(model, objective, validation)
             else:
-                tau = _candidate_tau(model, method, validation, mode)
+                report = (row.tune_estimate or row.estimate)(model, validation)
+                tau = report.cate if mode == "cate" and report.cate is not None \
+                    else np.full(validation.n, report.ate)
                 entry["score"] = nrmse(plugin_tau, tau)
             if not np.isfinite(entry["score"]):
                 raise TrainingDivergedError("non-finite validation score")
@@ -252,15 +214,14 @@ def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
     (ranked table, best fitted model).
     """
     if method not in SEARCH_METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {SEARCH_METHODS}")
+        raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {method!r}")
     if mode not in ("cate", "ate"):
         raise ConfigError(f"mode must be 'cate' or 'ate', got {mode!r}")
     points = expand_grid(grid)
     node_kinds = node_kinds or validation.node_kinds(
         [n for n, r in zip(dag.names, dag.roles) if r is not NodeRole.UNMEASURED])
-    proximal = method.startswith("proximal")
     plugin_tau = None
-    if not proximal:
+    if not METHODS[method].proxy:
         plugin = fit_plugin(validation, dag, plugin_config)
         plugin_tau = plugin.cate(validation) if mode == "cate" \
             else np.full(validation.n, plugin.ate(validation))

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+from dagformer import cli
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
+from dagformer.methods import METHODS
+from dagformer.selection import SEARCH_METHODS
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -283,3 +288,69 @@ def test_evaluate_failure_names_replicate_and_config(tmp_path, capsys):
     assert run(tmp_path, "evaluate", config, extra=("--out", str(tmp_path / "x"))) == 4
     err = capsys.readouterr().err
     assert "replicate 0" in err and "config" in err
+
+
+def _method_config(name, n=120):
+    """A tiny train config for one table row: demand data for a proxy method."""
+    row = METHODS[name]
+    data = {"simulator": {"name": "demand", "n": n}} if row.proxy else linear_data(n=n)
+    config = {"method": name, "data": data, "epochs": 2, "batch_size": 32, "seed": 4,
+              "heldout": {"draws": 20}, "plugin": {"n_trees": 10}}
+    config.update({spec.key: small_model() for spec in row.models})
+    return config
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_every_method_trains_estimates_and_tunes(tmp_path, name):
+    row = METHODS[name]
+    out = tmp_path / "run"
+    config = _method_config(name)
+    assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
+    est = dict(config, **{spec.key: str(out / f"{spec.key}.json") for spec in row.models})
+    assert run(tmp_path, "estimate", est, name="est.json", extra=("--out", str(out))) == 0
+    report = json.loads((out / "estimate.json").read_text())["report"]
+    assert (report["cate"] is not None) == row.cate
+    tune = dict(config, grid=dict(_grid(), epochs=[2]))
+    assert run(tmp_path, "tune", tune, name="tune.json",
+               extra=("--out", str(tmp_path / "tune"))) == (0 if row.tunable else 2)
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("name", SEARCH_METHODS)
+def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, name, l2):
+    # NMMR's lambda is the proximal methods' only parameter penalty in both commands
+    config = dict(_method_config(name, n=300), split={"train_fraction": 0.7, "seed": 9})
+    tune = dict(config, grid=dict(_grid(), epochs=[2], l2_penalty=[l2]))
+    assert run(tmp_path, "tune", tune, name="tune.json",
+               extra=("--out", str(tmp_path / "tune"))) == 0
+    config["model"] = {"embedding_dim": 8, "num_heads": 2, "num_encoder_layers": 1,
+                       "feedforward_dim": 16, "mlp_width": 8, "mlp_depth": 1,
+                       "dropout_rate": 0.0, "alpha": 0.1}
+    config["optimizer"] = {"learning_rate": 3e-3, "l2_penalty": l2}
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "train"))) == 0
+    trained = json.loads((tmp_path / "train" / "model.json").read_text())
+    best = json.loads((tmp_path / "tune" / "best_model.json").read_text())
+    assert trained["params"] == best["params"]
+
+
+@pytest.mark.parametrize("command, name, override, code", [
+    ("train", "gformula", "model.embedding_dim=abc", 2),
+    ("train", "gformula", "model.embedding_dim=8.0", 2),
+    ("train", "gformula", "epochs=abc", 2),
+    ("train", "gformula", "optimizer.learning_rate=abc", 2),
+    ("train", "gformula", "model=[1]", 2),
+    ("train", "gformula", "split.train_fraction=1.5", 2),
+    ("train", "proximal-u", "nmmr.kernel_bandwidth=-1", 2),
+    ("train", "gformula", "data.simulator.n=0", 2),
+    ("train", "gformula", "split.train_fraction=0.001", 3),  # no training rows
+    ("evaluate", "ipw", "experiment=cate", 2),
+    ("evaluate", "proximal-u", "experiment=cate", 2),
+    ("evaluate", "gformula", "experiment=demand", 2),
+])
+def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a config error must stop the run before training")
+    if command == "evaluate":
+        monkeypatch.setattr(cli, "train_model", no_training)
+    assert run(tmp_path, command, _method_config(name),
+               extra=("--out", str(tmp_path / "x"), "--set", override)) == code

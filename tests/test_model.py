@@ -45,6 +45,8 @@ def test_config_validation():
         ModelConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
         ModelConfig(mlp_depth=0)
+    with pytest.raises(ConfigError):
+        ModelConfig(embedding_dim=8.0)
 
 
 def test_forward_shapes_two_heads():
@@ -317,6 +319,11 @@ def test_train_objective_head_mismatch():
     model = DagTransformer(small_config(), SCM_DAG, "ipw", SCM_KINDS)
     with pytest.raises(ConfigError):
         train_model(model, ds, GFormula(), AdamState(), epochs=1, batch_size=16)
+    # an objective must train every head, or the others get no gradient
+    aipw = DagTransformer(small_config(), SCM_DAG, "aipw", SCM_KINDS)
+    for objective in (GFormula(), Iptw()):
+        with pytest.raises(ConfigError, match=r"heads \['A', 'Y'\]"):
+            train_model(aipw, ds, objective, AdamState(), epochs=1, batch_size=16)
 
 
 def test_train_divergence_reports_epoch_and_batch():
