@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training diverged,
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -28,10 +27,11 @@ from .estimators import (  # noqa: F401
 )
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
-from .methods import METHODS, Method, build_run
+from .methods import METHODS, Method, build_run, cast
 from .model import DagTransformer, train_model
 from .selection import (
-    c_mse, fit_plugin, grid_search, nrmse, nrmse_scalar_replicates, ranking_csv,
+    c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
+    nrmse_scalar_replicates, ranking_csv,
 )
 
 
@@ -99,40 +99,44 @@ def _resolve_dag(config: dict):
     if name == "demand":
         return demand_dag()
     if name == "linear-scm":
-        return data_mod.linear_scm_dag(int(sim.get("x_dim", 1)))
+        return data_mod.linear_scm_dag(cast(int, sim.get("x_dim", 1), "simulator.x_dim"))
     raise ConfigError("config needs a 'dag' path or inline graph")
 
 
 def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
-    x_dim = int(sim.get("x_dim", 1))
-    base_effect = float(sim.get("treatment_effect", 2.0))
-    slope = float(sim.get("effect_of_x1", 0.0))
+    def number(key, default):
+        return cast(float, sim.get(key, default), f"simulator.{key}")
+    x_dim = cast(int, sim.get("x_dim", 1), "simulator.x_dim")
+    base_effect, slope = number("treatment_effect", 2.0), number("effect_of_x1", 0.0)
     effect = base_effect if slope == 0.0 else data_mod.LinearEffect(base_effect, slope)
     return data_mod.LinearScm(
         x_dim=x_dim,
         propensity_weights=tuple(sim.get("propensity_weights", [0.5] * x_dim)),
-        propensity_intercept=float(sim.get("propensity_intercept", 0.0)),
+        propensity_intercept=number("propensity_intercept", 0.0),
         outcome_weights=tuple(sim.get("outcome_weights", [1.0] * x_dim)),
         treatment_effect=effect,
-        noise_sd=float(sim.get("noise_sd", 1.0)))
+        noise_sd=number("noise_sd", 1.0))
 
 
-def _simulate(sim: dict, seed: int) -> data_mod.TabularDataset:
+def _simulate(sim: dict, seed: int):
+    """(dataset, the draws of the unmeasured U for `demand`, else None)."""
     name = sim.get("name")
-    n = int(_require(sim, "n"))
+    n = cast(int, _require(sim, "n"), "simulator.n")
     if n < 1:
         raise ConfigError(f"simulator needs n >= 1, got {n}")
     if name == "linear-scm":
-        return data_mod.simulate_linear_scm(n, _linear_scm_from(sim), seed)
+        return data_mod.simulate_linear_scm(n, _linear_scm_from(sim), seed), None
     if name == "demand":
-        return data_mod.simulate_demand(n, seed).to_dataset()
+        sample = data_mod.simulate_demand(n, seed)
+        return sample.to_dataset(), sample.u
     raise ConfigError(f"unknown simulator {name!r}")
 
 
 def _resolve_data(config: dict, seed: int) -> data_mod.TabularDataset:
     data_cfg = _require(config, "data")
     if "simulator" in data_cfg:
-        return _simulate(data_cfg["simulator"], int(data_cfg.get("seed", seed)))
+        seed = cast(int, data_cfg.get("seed", seed), "data.seed")
+        return _simulate(data_cfg["simulator"], seed)[0]
     if "csv" in data_cfg:
         schema = data_mod.load_schema(_require(data_cfg, "schema"))
         return data_mod.load_csv(data_cfg["csv"], schema)
@@ -151,11 +155,10 @@ def _split(dataset, config: dict, seed: int, offset: int = 0):
 
 def _forest_config(config: dict, seed: int) -> ForestConfig:
     plug = config.get("plugin", {})
-    return ForestConfig(n_trees=int(plug.get("n_trees", 200)),
-                        max_depth=int(plug.get("max_depth", 8)),
-                        min_leaf=int(plug.get("min_leaf", 5)),
-                        subsample_fraction=float(plug.get("subsample_fraction", 0.5)),
-                        seed=int(plug.get("seed", seed)))
+    return ForestConfig(**{key: cast(kind, plug.get(key, default), f"plugin.{key}")
+                           for key, kind, default in (
+                               ("n_trees", int, 200), ("max_depth", int, 8), ("min_leaf", int, 5),
+                               ("subsample_fraction", float, 0.5), ("seed", int, seed))})
 
 
 def _train_one(row: Method, dag, dataset, config: dict, seed: int):
@@ -178,8 +181,8 @@ def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
     # proximal: average the bridge over held-out proxy draws
     model = models[0]
     heldout = config.get("heldout", {})
-    m = int(heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS))
-    draw_seed = int(heldout.get("seed", seed))
+    m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
+    draw_seed = cast(int, heldout.get("seed", seed), "heldout.seed")
     grid = config.get("a_grid")
     sim_name = config.get("data", {}).get("simulator", {}).get("name")
     if sim_name == "demand" or heldout.get("demand"):
@@ -205,10 +208,10 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     sim = _require(config, "simulator") if "simulator" in config else \
         _require(config, "data")["simulator"]
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
     os.makedirs(out, exist_ok=True)
-    dataset = _simulate(sim, seed)
+    dataset, u = _simulate(sim, seed)
     name = sim["name"]
     data_mod.write_csv(dataset, os.path.join(out, "data.csv"))
     schema = dataset.schema()
@@ -217,8 +220,7 @@ def cmd_simulate(args) -> int:
     _write_json(os.path.join(out, "schema.json"), schema)
     if name == "demand":
         dag = demand_dag()
-        sample = data_mod.simulate_demand(int(sim["n"]), seed)
-        truth = {"u": [float(v) for v in sample.u],
+        truth = {"u": [float(v) for v in u],
                  "price_grid": list(data_mod.DEMAND_PRICE_GRID),
                  "true_curve": [float(v) for v in data_mod.demand_true_curve()]}
     else:
@@ -227,7 +229,7 @@ def cmd_simulate(args) -> int:
                  "true_cate": [float(v) for v in dataset.true_cate]}
     _write_json(os.path.join(out, "dag.json"), dag.to_dict())
     _write_json(os.path.join(out, "truth.json"), truth)
-    manifest = {"simulator": name, "seed": seed, "n": int(sim["n"]),
+    manifest = {"simulator": name, "seed": seed, "n": dataset.n,
                 "scm_version": data_mod.DEMAND_SCM_VERSION if name == "demand" else "linear-scm-v1",
                 "config": config}
     _write_json(os.path.join(out, "manifest.json"), manifest)
@@ -238,7 +240,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     row = _method_of(config)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
@@ -257,7 +259,7 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_config(args)
     row = _method_of(config)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
     dataset = _resolve_data(config, seed)
     models = [DagTransformer.load(_require(config, spec.key)) for spec in row.models]
@@ -274,18 +276,16 @@ def cmd_estimate(args) -> int:
 def cmd_tune(args) -> int:
     config = _load_config(args)
     row = _method_of(config)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
     train, validation = _split(dataset, config, seed)
-    grid_cfg = _require(config, "grid")
-    if isinstance(grid_cfg, str):
-        with open(grid_cfg, "r", encoding="utf-8") as fh:
+    grid = _require(config, "grid")
+    if isinstance(grid, str):
+        with open(grid, "r", encoding="utf-8") as fh:
             grid = json.load(fh)
-    else:
-        grid = grid_cfg
-    jobs = args.jobs or int(config.get("jobs", 1))
+    jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
     rows, best = grid_search(grid, train, validation, row.name, dag,
                              mode=config.get("mode", "cate"), seed=seed,
                              plugin_config=_forest_config(config, seed), jobs=jobs)
@@ -306,40 +306,44 @@ def _replicate_dataset(config: dict, replicate: int, seed: int):
     if mode == "simulate":
         if "simulator" not in data_cfg:
             raise ConfigError("replicate_mode 'simulate' needs a simulator data config")
-        return _simulate(data_cfg["simulator"], seed + replicate)
+        return _simulate(data_cfg["simulator"], seed + replicate)[0]
     base = _resolve_data(config, seed)
     return data_mod.bootstrap(base, seed + replicate)
 
 
 def _effect_replicate(config: dict, replicate: int) -> dict:
-    """One ATE/CATE replicate: train candidate, fit plug-in, record effects."""
+    """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
     row = _method_of(config)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     dag = _resolve_dag(config)
     dataset = _replicate_dataset(config, replicate, seed)
     train, validation = _split(dataset, config, seed, offset=replicate)
+    forests = _forest_config(config, seed + replicate)
+    # keep the plug-in's effects, not its forests, alive through training
+    plugin_tau = fit_plugin(validation, dag, forests).cate(validation)
+    cate = config.get("experiment", "ate") == "cate"
+    reference = plugin_tau if validation.true_cate is None else validation.true_cate
+    if cate:
+        check_reference(reference)
     models, _ = _train_one(row, dag, train, config, seed + replicate)
     report = _estimate_with(row, models, validation, config, seed + replicate)
-    plugin = fit_plugin(validation, dag, _forest_config(config, seed + replicate))
     row = {"replicate": replicate, "candidate_ate": report.ate,
-           "plugin_ate": plugin.ate(validation), "true_ate": validation.true_ate}
-    if config.get("experiment", "ate") == "cate":
-        reference = validation.true_cate if validation.true_cate is not None \
-            else plugin.cate(validation)
+           "plugin_ate": float(plugin_tau.mean()), "true_ate": validation.true_ate}
+    if cate:
         row["nrmse"] = nrmse(reference, report.cate)
     return row
 
 
 def _demand_replicate(config: dict, replicate: int) -> dict:
     row = _method_of(config)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     sim = _require(config, "data")["simulator"]
-    n = int(_require(sim, "n"))
+    n = cast(int, _require(sim, "n"), "simulator.n")
     dag = demand_dag()
     dataset = data_mod.simulate_demand(n, seed + replicate).to_dataset()
-    models, _ = _train_one(row, dag, dataset, config, seed + replicate)
     heldout = config.get("heldout", {})
-    m = int(heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS))
+    m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
+    models, _ = _train_one(row, dag, dataset, config, seed + replicate)
     draws = {"W": data_mod.heldout_w_draws(m, seed + replicate)}
     report = row.estimate(*models, draws, list(data_mod.DEMAND_PRICE_GRID))
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
@@ -351,9 +355,9 @@ def _demand_replicate(config: dict, replicate: int) -> dict:
             "curve": [float(v) for v in curve]}
 
 
-def _replicate_with_context(worker, config: dict, replicate: int) -> dict:
-    """Run one replicate, tagging any failure with its index and config hash."""
-    from .selection import config_hash
+def _replicate_with_context(job: tuple) -> dict:
+    """Run one (worker, config, replicate) job, tagging a failure with its index and config hash."""
+    worker, config, replicate = job
     try:
         return worker(config, replicate)
     except DagformerError as exc:
@@ -361,39 +365,30 @@ def _replicate_with_context(worker, config: dict, replicate: int) -> dict:
         raise
 
 
-def _run_replicates(worker, config: dict, replicates: int, jobs: int) -> list[dict]:
-    if jobs <= 1:
-        return [_replicate_with_context(worker, config, r) for r in range(replicates)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(_replicate_with_context, worker, config, r): r
-                   for r in range(replicates)}
-        rows = [None] * replicates
-        for future in concurrent.futures.as_completed(futures):
-            rows[futures[future]] = future.result()
-    return rows
-
-
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    seed = int(config.get("seed", 0))
+    seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
-    replicates = int(config.get("replicates", 10))
+    replicates = cast(int, config.get("replicates", 10), "replicates")
     experiment = config.get("experiment", "ate")
-    jobs = args.jobs or int(config.get("jobs", 1))
+    jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
     row = _method_of(config)
     if experiment == "cate" and not row.cate:
         raise ConfigError(f"{row.name} produces no per-unit effects; use experiment 'ate'")
     if experiment == "demand" and not row.proxy:
         raise ConfigError("the demand experiment needs a proximal method")
+    if experiment not in ("ate", "cate", "demand"):
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    # `_effect_replicate` is looked up here, so a wrapped module function is seen
+    worker = _demand_replicate if experiment == "demand" else _effect_replicate
+    rows = map_jobs(_replicate_with_context, [(worker, config, r) for r in range(replicates)], jobs)
     if experiment == "demand":
-        rows = _run_replicates(_demand_replicate, config, replicates, jobs)
         values = np.asarray([r["c_mse"] for r in rows])
         naive = np.asarray([r["c_mse_naive"] for r in rows])
         q25, q50, q75 = np.percentile(values, [25, 50, 75])
         aggregate = {"median_c_mse": float(q50), "iqr_c_mse": float(q75 - q25),
                      "median_c_mse_naive": float(np.median(naive))}
-    elif experiment in ("ate", "cate"):
-        rows = _run_replicates(_effect_replicate, config, replicates, jobs)
+    else:
         plugin_ates = np.asarray([r["plugin_ate"] for r in rows])
         candidate = np.asarray([r["candidate_ate"] for r in rows])
         have_truth = all(r["true_ate"] is not None for r in rows)
@@ -406,8 +401,6 @@ def cmd_evaluate(args) -> int:
         aggregate = {"mean_nrmse": float(scores.mean()),
                      "se_nrmse": float(scores.std(ddof=1) / np.sqrt(len(scores)))
                      if len(scores) > 1 else 0.0}
-    else:
-        raise ConfigError(f"unknown experiment {experiment!r}")
     payload = {"config": config, "seed": seed, "replicates": rows, "aggregate": aggregate}
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "evaluate.json"), payload)

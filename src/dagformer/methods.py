@@ -28,11 +28,17 @@ class Method:
     # method takes held-out proxy draws and a treatment grid for the dataset
     estimate: Callable
     cate: bool  # the estimate has per-unit effects
-    tunable: bool
     # the estimator whose per-unit effects (else broadcast ATE) `tune` scores
     # against the plug-in, if not `estimate`; a proxy method scores by NMMR risk
     tune_estimate: Optional[Callable] = None
-    proxy: bool = False  # estimates from held-out proxy draws
+
+    @property
+    def tunable(self) -> bool:  # `tune` takes a method that trains exactly one model
+        return len(self.models) == 1
+
+    @property
+    def proxy(self) -> bool:  # it estimates from held-out proxy draws
+        return self.models[0].base == "proximal"
 
 
 def _nmmr(variant: str) -> Callable:
@@ -46,25 +52,32 @@ def _nmmr(variant: str) -> Callable:
 # the estimators are looked up when called, so a wrapped module function is seen
 METHODS = {row.name: row for row in (
     Method("gformula", (ModelSpec("gformula", lambda c: GFormula()),),
-           lambda model, data: estimate_gformula(model, data), cate=True, tunable=True),
+           lambda model, data: estimate_gformula(model, data), cate=True),
     Method("ipw", (ModelSpec("ipw", lambda c: Iptw()),),
-           lambda model, data: estimate_iptw(model, data), cate=False, tunable=True),
+           lambda model, data: estimate_iptw(model, data), cate=False),
     Method("aipw-joint", (ModelSpec("aipw", lambda c: AipwJoint()),),
-           lambda model, data: estimate_aipw(model, model, data),
-           cate=True, tunable=True,
+           lambda model, data: estimate_aipw(model, model, data), cate=True,
            tune_estimate=lambda model, data: estimate_gformula(model, data)),
     Method("aipw-separate",
            (ModelSpec("gformula", lambda c: GFormula(), "model_outcome", "outcome"),
             ModelSpec("ipw", lambda c: Iptw(), "model_propensity", "propensity")),
            lambda outcome, propensity, data: estimate_aipw(outcome, propensity, data),
-           cate=True, tunable=False),
+           cate=True),
     Method("proximal-u", (ModelSpec("proximal", _nmmr("U")),),
            lambda model, draws, grid: estimate_proximal(model, draws, grid),
-           cate=False, tunable=True, proxy=True),
+           cate=False),
     Method("proximal-v", (ModelSpec("proximal", _nmmr("V")),),
            lambda model, draws, grid: estimate_proximal(model, draws, grid),
-           cate=False, tunable=True, proxy=True),
+           cate=False),
 )}
+
+
+def cast(kind: Callable, value, key: str):
+    """`kind(value)` for the run config's `key`; a malformed value is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
 
 
 def build_run(config: dict, spec: ModelSpec, seed: int):

@@ -6,6 +6,7 @@ embedding is added, and a pre-norm encoder stack attends only along the
 mask compiled from the DAG (parents plus self). Each output head reads the
 alpha-weighted encoder slice of its node concatenated with the raw
 (standardized) values of that node's observed parents, through a small MLP.
+At alpha = 0, the raw-input MLP baseline, it builds and runs no encoder.
 
 Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
@@ -41,7 +42,6 @@ class ModelConfig:
     dropout_rate: float = 0.0
     alpha: float = 0.02
     seed: int = 0
-    encoder_bypass: bool = False
 
     def __post_init__(self):
         dims = {"embedding_dim": self.embedding_dim, "num_heads": self.num_heads,
@@ -56,7 +56,7 @@ class ModelConfig:
                 f"embedding_dim {self.embedding_dim} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
@@ -106,7 +106,7 @@ class DagTransformer:
 
     def _build_params(self):
         cfg = self.config
-        if not cfg.encoder_bypass:
+        if cfg.alpha > 0:
             self._build_encoder_params()
         for head in self.head_nodes:
             widths = [cfg.embedding_dim + len(self.head_parents[head])]
@@ -202,11 +202,8 @@ class DagTransformer:
         if train and cfg.dropout_rate > 0 and dropout_rng is None:
             raise ConfigError("training forward with dropout needs a dropout stream")
         std = self._standardize(batch)
-        n = batch.shape[0]
-        e = cfg.embedding_dim
 
-        use_encoder = not cfg.encoder_bypass
-        if use_encoder:
+        if cfg.alpha > 0:
             h = T.embed_nodes(self.params["node_identity"], std,
                               [self._value_embedding(node) for node in self.input_nodes])
             for i in range(cfg.num_encoder_layers):
@@ -216,10 +213,8 @@ class DagTransformer:
         outputs: dict[str, Tensor] = {}
         for head in self.head_nodes:
             idx = self._node_index(head)
-            if use_encoder:
-                combined = T.take_node(h, idx) * cfg.alpha
-            else:
-                combined = Tensor(np.zeros((n, e)))
+            combined = T.take_node(h, idx) * cfg.alpha if cfg.alpha > 0 \
+                else Tensor(np.zeros((batch.shape[0], cfg.embedding_dim)))
             parents = self.head_parents[head]
             if parents:
                 raw = Tensor(std[:, [self._node_index(p) for p in parents]])
@@ -361,13 +356,18 @@ class DagTransformer:
     def from_dict(cls, d: dict) -> "DagTransformer":
         if d.get("format_version") != SNAPSHOT_VERSION:
             raise ConfigError(f"unsupported snapshot version {d.get('format_version')!r}")
-        model = cls(ModelConfig(**d["config"]), CausalDag.from_dict(d["dag"]),
+        config = dict(d["config"])
+        if config.pop("encoder_bypass", False):  # older format-1 name of alpha = 0
+            config["alpha"] = 0.0
+        model = cls(ModelConfig(**config), CausalDag.from_dict(d["dag"]),
                     d["method"], d["node_kinds"])
         if model.input_nodes != d["input_nodes"]:
             raise ConfigError("snapshot node order does not match rebuilt model")
         model.col_mean = np.asarray(d["standardizer"]["mean"], dtype=np.float64)
         model.col_sd = np.asarray(d["standardizer"]["sd"], dtype=np.float64)
         for name, values in d["params"].items():
+            if model.config.alpha == 0 and not name.startswith("head/"):
+                continue  # an older alpha = 0 snapshot's encoder, which multiplies zero
             if name not in model.params:
                 raise ConfigError(f"snapshot has unknown parameter {name!r}")
             arr = np.asarray(values, dtype=np.float64)

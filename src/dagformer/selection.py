@@ -5,6 +5,7 @@ estimator (an honest-forest T-learner) fit on the validation split; the
 proxy-method variants, where no plug-in exists, rank by validation risk.
 """
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ from .errors import (
 )
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, build_run
+from .methods import METHODS, build_run, cast
 from .model import DagTransformer, train_model
 
 
@@ -152,10 +153,11 @@ def config_hash(point: dict) -> str:
 
 def _run_config(point: dict) -> dict:
     """A grid point as the model, optimizer and training keys of a run config."""
-    model = {k: int(point[k]) for k in ("embedding_dim", "num_heads", "feedforward_dim",
-                                        "mlp_width", "mlp_depth")}
-    model.update(num_encoder_layers=int(point["encoder_layers"]),
-                 dropout_rate=float(point["dropout"]), alpha=float(point["alpha"]))
+    model = {k: cast(int, point[k], f"grid.{k}") for k in (
+        "embedding_dim", "num_heads", "feedforward_dim", "mlp_width", "mlp_depth")}
+    model.update(num_encoder_layers=cast(int, point["encoder_layers"], "grid.encoder_layers"),
+                 dropout_rate=cast(float, point["dropout"], "grid.dropout"),
+                 alpha=cast(float, point["alpha"], "grid.alpha"))
     return {"model": model, "epochs": point["epochs"], "batch_size": point["batch_size"],
             "optimizer": {"learning_rate": point["learning_rate"],
                           "l2_penalty": point["l2_penalty"]}}
@@ -170,14 +172,15 @@ def _validation_risk(model: DagTransformer, objective, validation) -> float:
 
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     """Train and score one grid point; module-level so workers can pickle it."""
-    index, point, train, validation, method, dag, seed, node_kinds, mode, plugin_tau = payload
+    index, point, run_config, train, validation, method, dag, seed, mode, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
     row = METHODS[method]
     (spec,) = row.models
-    model_config, optimizer, objective, epochs, batch_size = build_run(
-        _run_config(point), spec, seed)
-    model = DagTransformer(model_config, dag, spec.base, node_kinds)
+    model_config, optimizer, objective, epochs, batch_size = build_run(run_config, spec, seed)
+    kinds = validation.node_kinds(
+        [n for n, r in zip(dag.names, dag.roles) if r is not NodeRole.UNMEASURED])
+    model = DagTransformer(model_config, dag, spec.base, kinds)
     entry["param_count"] = model.param_count
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,15 +203,29 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     return entry, model.to_dict()
 
 
+def check_reference(tau: np.ndarray):
+    """Per-unit reference effects that NRMSE can normalize by; constant is a DataError."""
+    if not tau.var(ddof=1) > 0.0:
+        raise DataError(f"reference effects are constant over the {tau.size} validation rows")
+
+
+def map_jobs(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in `jobs` processes if jobs > 1; raises the first error by index."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
                 mode: str = "cate", seed: int = 0,
-                plugin_config: ForestConfig | None = None,
-                node_kinds: dict | None = None, jobs: int = 1):
+                plugin_config: ForestConfig | None = None, jobs: int = 1):
     """Train one candidate per grid point and rank them.
 
-    Unconfoundedness methods score by NRMSE between candidate effects and a
-    plug-in fit on the validation split (per-unit in "cate" mode, scalar
-    broadcast in "ate" mode); proxy methods score by validation risk.
+    Unconfoundedness methods score by NRMSE of the candidate's effects
+    (per-unit in "cate" mode, its ATE broadcast in "ate" mode) against the
+    per-unit effects of a plug-in fit on the validation split; in "ate" mode
+    that ranks by the ATE difference. Proxy methods score by validation risk.
     Ties break toward fewer parameters, then earlier grid order. Grid
     points are independent and run concurrently when jobs > 1. Returns
     (ranked table, best fitted model).
@@ -218,22 +235,14 @@ def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
     if mode not in ("cate", "ate"):
         raise ConfigError(f"mode must be 'cate' or 'ate', got {mode!r}")
     points = expand_grid(grid)
-    node_kinds = node_kinds or validation.node_kinds(
-        [n for n, r in zip(dag.names, dag.roles) if r is not NodeRole.UNMEASURED])
     plugin_tau = None
     if not METHODS[method].proxy:
-        plugin = fit_plugin(validation, dag, plugin_config)
-        plugin_tau = plugin.cate(validation) if mode == "cate" \
-            else np.full(validation.n, plugin.ate(validation))
+        plugin_tau = fit_plugin(validation, dag, plugin_config).cate(validation)
+        check_reference(plugin_tau)
 
-    payloads = [(index, point, train, validation, method, dag, seed, node_kinds,
-                 mode, plugin_tau) for index, point in enumerate(points)]
-    if jobs > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_grid_point, payloads))
-    else:
-        results = [_evaluate_grid_point(p) for p in payloads]
+    results = map_jobs(_evaluate_grid_point, [
+        (index, point, _run_config(point), train, validation, method, dag, seed, mode, plugin_tau)
+        for index, point in enumerate(points)], jobs)
 
     rows = [entry for entry, _ in results]
     snapshots = {entry["grid_index"]: snap for entry, snap in results}

@@ -14,8 +14,7 @@ __all__ = [
     "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
     "concat_lastdim", "take_node", "sum_all", "mean_all", "sum_axis",
-    "mean_axis", "sum_squares", "softmax_lastdim", "layer_norm", "dropout",
-    "embed_nodes",
+    "sum_squares", "softmax_lastdim", "layer_norm", "dropout", "embed_nodes",
 ]
 
 
@@ -39,9 +38,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -401,17 +397,6 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def bwd(g):
         gg = g if keepdims else np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
-
-    return _make(out_data, (a,), bwd)
-
-
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.data.shape[axis]
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg / n, a.data.shape).copy())
 
     return _make(out_data, (a,), bwd)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dagformer import cli
+from dagformer import cli, selection
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
 from dagformer.methods import METHODS
@@ -50,6 +50,19 @@ def test_simulate_linear_sidecar_has_truth(tmp_path):
     truth = json.loads((out / "truth.json").read_text())
     assert truth["true_ate"] == 2.0
     assert len(truth["true_cate"]) == 20
+
+
+def test_simulate_demand_draws_the_sample_once(tmp_path, monkeypatch):
+    calls = []
+    simulate_demand = cli.data_mod.simulate_demand
+
+    def counting(n, seed):
+        calls.append((n, seed))
+        return simulate_demand(n, seed)
+    monkeypatch.setattr(cli.data_mod, "simulate_demand", counting)
+    config = {"simulator": {"name": "demand", "n": 30}, "seed": 2}
+    assert run(tmp_path, "simulate", config, extra=("--out", str(tmp_path / "d"))) == 0
+    assert calls == [(30, 2)]
 
 
 def test_simulate_unknown_simulator_is_config_error(tmp_path):
@@ -121,14 +134,16 @@ def test_train_non_finite_csv_cell_is_data_error(tmp_path, capsys):
     assert "row 9, column y: non-finite value nan" in capsys.readouterr().err
 
 
-def test_train_encoder_bypass_exits_zero(tmp_path):
-    out = tmp_path / "bypass"
+def test_train_alpha_zero_exits_zero_and_encoder_bypass_is_config_error(tmp_path, capsys):
+    out = tmp_path / "alpha0"
     config = {"method": "aipw-joint", "data": linear_data(n=100),
-              "model": dict(small_model(), encoder_bypass=True), "epochs": 2,
-              "batch_size": 32}
+              "model": dict(small_model(), alpha=0.0), "epochs": 2, "batch_size": 32}
     assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
     params = json.loads((out / "model.json").read_text())["params"]
     assert all(name.startswith("head/") for name in params)
+    config["model"]["encoder_bypass"] = True
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 2
+    assert "encoder_bypass" in capsys.readouterr().err
 
 
 def test_estimate_missing_csv_is_data_error(tmp_path):
@@ -285,9 +300,12 @@ def test_evaluate_failure_names_replicate_and_config(tmp_path, capsys):
               "model": small_model(), "optimizer": {"learning_rate": 1e150},
               "epochs": 20, "batch_size": 32, "replicates": 2, "seed": 16,
               "plugin": {"n_trees": 10}}
-    assert run(tmp_path, "evaluate", config, extra=("--out", str(tmp_path / "x"))) == 4
-    err = capsys.readouterr().err
-    assert "replicate 0" in err and "config" in err
+    # every replicate fails; the one reported is the first by index, in a pool too
+    for jobs in ("1", "2"):
+        assert run(tmp_path, "evaluate", config,
+                   extra=("--out", str(tmp_path / "x"), "--jobs", jobs)) == 4
+        err = capsys.readouterr().err
+        assert "replicate 0" in err and "config" in err
 
 
 def _method_config(name, n=120):
@@ -346,11 +364,23 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("evaluate", "ipw", "experiment=cate", 2),
     ("evaluate", "proximal-u", "experiment=cate", 2),
     ("evaluate", "gformula", "experiment=demand", 2),
+    ("train", "gformula", "seed=abc", 2),
+    ("evaluate", "gformula", "replicates=abc", 2),
+    ("evaluate", "gformula", "jobs=abc", 2),
+    ("evaluate", "gformula", "plugin.n_trees=abc", 2),
+    ("evaluate", "proximal-u", "experiment=demand heldout.draws=abc", 2),
+    ("simulate", "gformula", "data.simulator.x_dim=abc", 2),
+    ("tune", "gformula", 'grid.embedding_dim=["abc"]', 2),
+    # constant reference effects: the true CATE, and a plug-in that never splits
+    ("evaluate", "gformula", "experiment=cate", 3),
+    ("tune", "gformula", "split.seed=9 seed=3", 3),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
-        raise AssertionError("a config error must stop the run before training")
-    if command == "evaluate":
+        raise AssertionError("a config or data error must stop the run before training")
+    if command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "train_model", no_training)
-    assert run(tmp_path, command, _method_config(name),
-               extra=("--out", str(tmp_path / "x"), "--set", override)) == code
+        monkeypatch.setattr(selection, "train_model", no_training)
+    config = dict(_method_config(name), grid=_grid())
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == code

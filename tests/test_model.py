@@ -44,6 +44,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
+        ModelConfig(alpha=float("nan"))  # would otherwise pass as alpha = 0
+    with pytest.raises(ConfigError):
         ModelConfig(mlp_depth=0)
     with pytest.raises(ConfigError):
         ModelConfig(embedding_dim=8.0)
@@ -127,36 +129,26 @@ def test_ancestor_column_is_read():
     assert not np.array_equal(base, model.predict(shifted)["Y"])
 
 
-def test_alpha_zero_equals_encoder_bypass_exactly():
-    batch = triangle_batch(7)
-    with_enc = DagTransformer(small_config(alpha=0.0), triangle_dag(), "aipw", TRIANGLE_KINDS)
-    bypass = DagTransformer(small_config(alpha=0.0, encoder_bypass=True),
-                            triangle_dag(), "aipw", TRIANGLE_KINDS)
-    a = with_enc.predict(batch)
-    b = bypass.predict(batch)
-    assert np.array_equal(a["Y"], b["Y"])
-    assert np.array_equal(a["A"], b["A"])
-
-
-def test_encoder_bypass_builds_head_parameters_only():
-    bypass = DagTransformer(small_config(encoder_bypass=True), triangle_dag(), "aipw",
-                            TRIANGLE_KINDS)
+def test_alpha_zero_builds_only_head_parameters():
+    zero = DagTransformer(small_config(alpha=0.0), triangle_dag(), "aipw", TRIANGLE_KINDS)
     full = DagTransformer(small_config(), triangle_dag(), "aipw", TRIANGLE_KINDS)
-    assert list(bypass.params) == [name for name in full.params if name.startswith("head/")]
+    assert list(zero.params) == [name for name in full.params if name.startswith("head/")]
+    assert zero.attention_maps(triangle_batch(4)) == []
 
 
-def test_encoder_bypass_training_matches_alpha_zero_training_exactly():
+def test_alpha_zero_trains_deterministically_with_dropout():
     ds = _toy_dataset(n=80, seed=4)
     trained = []
-    for bypass in (False, True):
-        model = DagTransformer(small_config(alpha=0.0, encoder_bypass=bypass), SCM_DAG,
-                               "aipw", SCM_KINDS)
+    for _ in range(2):
+        model = DagTransformer(small_config(alpha=0.0, dropout_rate=0.2), SCM_DAG, "aipw",
+                               SCM_KINDS)
         train_model(model, ds, AipwJoint(), AdamState(learning_rate=3e-3, l2_penalty=1e-3),
                     epochs=3, batch_size=16, seed=8)
         trained.append(model)
-    with_encoder, bypass = trained
-    for name, p in bypass.params.items():
-        assert np.array_equal(p.data, with_encoder.params[name].data), name
+    first, second = trained
+    assert list(first.params) == list(second.params)
+    for name, p in first.params.items():
+        assert np.array_equal(p.data, second.params[name].data), name
 
 
 def _tape_nodes_per_step(monkeypatch, model, dataset, objective, batch_size):
@@ -193,6 +185,56 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     # the penalty over all 31 parameters is one node
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
                                 Nmmr(variant="U", lam=3e-6), 64) == {86}
+
+
+def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):
+    model = DagTransformer(small_config(alpha=0.0, mlp_width=16, mlp_depth=2), SCM_DAG,
+                           "gformula", SCM_KINDS)
+    assert len(model.params) == 6
+    # 6 head parameters and 12 ops: 9 in the head MLP, 3 in the loss; the head
+    # input (zeros next to the raw parents) is a constant
+    assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
+                                256) == {18}
+
+
+def _alpha_zero_snapshot():
+    model = DagTransformer(small_config(alpha=0.0), SCM_DAG, "aipw", SCM_KINDS)
+    train_model(model, _toy_dataset(n=48, seed=6), AipwJoint(), AdamState(learning_rate=3e-3),
+                epochs=2, batch_size=16)
+    return model, model.to_dict()
+
+
+def test_format_1_encoder_bypass_snapshot_loads_as_alpha_zero():
+    model, snapshot = _alpha_zero_snapshot()
+    snapshot["config"].update(alpha=0.5, encoder_bypass=True)  # as the bypass model saved it
+    loaded = DagTransformer.from_dict(snapshot)
+    assert loaded.config == model.config
+    batch = triangle_batch(9)
+    for head, values in model.predict(batch).items():
+        assert np.array_equal(loaded.predict(batch)[head], values), head
+
+
+def test_format_1_alpha_zero_snapshot_with_encoder_parameters_loads():
+    model, snapshot = _alpha_zero_snapshot()
+    encoder = DagTransformer(small_config(alpha=0.5), SCM_DAG, "aipw", SCM_KINDS)
+    for name, p in encoder.params.items():
+        if not name.startswith("head/"):
+            snapshot["params"][name] = p.data.tolist()
+    loaded = DagTransformer.from_dict(snapshot)
+    assert list(loaded.params) == list(model.params)
+    batch = triangle_batch(9)
+    for head, values in model.predict(batch).items():
+        assert np.array_equal(loaded.predict(batch)[head], values), head
+    stray = dict(snapshot, params=dict(snapshot["params"], **{"head/Z/w0": [[0.0]]}))
+    with pytest.raises(ConfigError, match="head/Z/w0"):
+        DagTransformer.from_dict(stray)
+
+
+def test_snapshot_with_stray_parameter_is_rejected():
+    snapshot = DagTransformer(small_config(), SCM_DAG, "aipw", SCM_KINDS).to_dict()
+    snapshot["params"]["enc9/ffn/w1"] = [[0.0]]
+    with pytest.raises(ConfigError, match="enc9/ffn/w1"):
+        DagTransformer.from_dict(snapshot)
 
 
 def test_snapshot_written_by_format_1_code_loads_and_predicts():
