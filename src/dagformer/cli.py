@@ -70,6 +70,19 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _section(config: dict, path: str) -> dict:
+    """The config object at the dotted `path`, {} if it is missing; any other
+    value is a ConfigError."""
+    section = config
+    keys = path.split(".")
+    for depth, key in enumerate(keys, 1):
+        section = section.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {'.'.join(keys[:depth])!r} must be a JSON object, "
+                              f"got {section!r}")
+    return section
+
+
 def _method_of(config: dict) -> Method:
     method = _require(config, "method")
     if method not in METHODS:
@@ -94,7 +107,7 @@ def _resolve_dag(config: dict):
     if isinstance(dag_cfg, str):
         with open(dag_cfg, "r", encoding="utf-8") as fh:
             return CausalDag.from_dict(json.load(fh))
-    sim = config.get("data", {}).get("simulator", {})
+    sim = _section(config, "data.simulator")
     name = sim.get("name")
     if name == "demand":
         return demand_dag()
@@ -106,16 +119,26 @@ def _resolve_dag(config: dict):
 def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
     def number(key, default):
         return cast(float, sim.get(key, default), f"simulator.{key}")
+
+    def weights(key, default):
+        values = sim.get(key, [default] * x_dim)
+        if not isinstance(values, (list, tuple)) or len(values) != x_dim:
+            raise ConfigError(f"bad value for 'simulator.{key}': {values!r}, "
+                              f"expected a list of x_dim = {x_dim} numbers")
+        return tuple(cast(float, v, f"simulator.{key}") for v in values)
     x_dim = cast(int, sim.get("x_dim", 1), "simulator.x_dim")
     base_effect, slope = number("treatment_effect", 2.0), number("effect_of_x1", 0.0)
     effect = base_effect if slope == 0.0 else data_mod.LinearEffect(base_effect, slope)
-    return data_mod.LinearScm(
-        x_dim=x_dim,
-        propensity_weights=tuple(sim.get("propensity_weights", [0.5] * x_dim)),
-        propensity_intercept=number("propensity_intercept", 0.0),
-        outcome_weights=tuple(sim.get("outcome_weights", [1.0] * x_dim)),
-        treatment_effect=effect,
-        noise_sd=number("noise_sd", 1.0))
+    try:
+        return data_mod.LinearScm(
+            x_dim=x_dim,
+            propensity_weights=weights("propensity_weights", 0.5),
+            propensity_intercept=number("propensity_intercept", 0.0),
+            outcome_weights=weights("outcome_weights", 1.0),
+            treatment_effect=effect,
+            noise_sd=number("noise_sd", 1.0))
+    except ContractError as exc:
+        raise ConfigError(f"bad simulator config: {exc}") from None
 
 
 def _simulate(sim: dict, seed: int):
@@ -133,10 +156,11 @@ def _simulate(sim: dict, seed: int):
 
 
 def _resolve_data(config: dict, seed: int) -> data_mod.TabularDataset:
-    data_cfg = _require(config, "data")
+    _require(config, "data")
+    data_cfg = _section(config, "data")
     if "simulator" in data_cfg:
         seed = cast(int, data_cfg.get("seed", seed), "data.seed")
-        return _simulate(data_cfg["simulator"], seed)[0]
+        return _simulate(_section(config, "data.simulator"), seed)[0]
     if "csv" in data_cfg:
         schema = data_mod.load_schema(_require(data_cfg, "schema"))
         return data_mod.load_csv(data_cfg["csv"], schema)
@@ -154,11 +178,15 @@ def _split(dataset, config: dict, seed: int, offset: int = 0):
 
 
 def _forest_config(config: dict, seed: int) -> ForestConfig:
-    plug = config.get("plugin", {})
-    return ForestConfig(**{key: cast(kind, plug.get(key, default), f"plugin.{key}")
-                           for key, kind, default in (
-                               ("n_trees", int, 200), ("max_depth", int, 8), ("min_leaf", int, 5),
-                               ("subsample_fraction", float, 0.5), ("seed", int, seed))})
+    plug = _section(config, "plugin")
+    values = {key: cast(kind, plug.get(key, default), f"plugin.{key}")
+              for key, kind, default in (
+                  ("n_trees", int, 200), ("max_depth", int, 8), ("min_leaf", int, 5),
+                  ("subsample_fraction", float, 0.5), ("seed", int, seed))}
+    try:
+        return ForestConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"plugin.{exc}") from None
 
 
 def _train_one(row: Method, dag, dataset, config: dict, seed: int):
@@ -180,11 +208,11 @@ def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
         return row.estimate(*models, dataset)
     # proximal: average the bridge over held-out proxy draws
     model = models[0]
-    heldout = config.get("heldout", {})
+    heldout = _section(config, "heldout")
     m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
     draw_seed = cast(int, heldout.get("seed", seed), "heldout.seed")
     grid = config.get("a_grid")
-    sim_name = config.get("data", {}).get("simulator", {}).get("name")
+    sim_name = _section(config, "data.simulator").get("name")
     if sim_name == "demand" or heldout.get("demand"):
         draws = {"W": data_mod.heldout_w_draws(m, draw_seed)}
         grid = grid or list(data_mod.DEMAND_PRICE_GRID)
@@ -206,8 +234,7 @@ def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
 
 def cmd_simulate(args) -> int:
     config = _load_config(args)
-    sim = _require(config, "simulator") if "simulator" in config else \
-        _require(config, "data")["simulator"]
+    sim = _section(config, "simulator" if "simulator" in config else "data.simulator")
     seed = cast(int, config.get("seed", 0), "seed")
     out = args.out or config.get("out") or "."
     os.makedirs(out, exist_ok=True)
@@ -301,12 +328,13 @@ def cmd_tune(args) -> int:
 # -- evaluate ---------------------------------------------------------------
 
 def _replicate_dataset(config: dict, replicate: int, seed: int):
-    data_cfg = _require(config, "data")
+    _require(config, "data")
+    data_cfg = _section(config, "data")
     mode = config.get("replicate_mode", "simulate" if "simulator" in data_cfg else "bootstrap")
     if mode == "simulate":
         if "simulator" not in data_cfg:
             raise ConfigError("replicate_mode 'simulate' needs a simulator data config")
-        return _simulate(data_cfg["simulator"], seed + replicate)[0]
+        return _simulate(_section(config, "data.simulator"), seed + replicate)[0]
     base = _resolve_data(config, seed)
     return data_mod.bootstrap(base, seed + replicate)
 
@@ -337,11 +365,10 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
 def _demand_replicate(config: dict, replicate: int) -> dict:
     row = _method_of(config)
     seed = cast(int, config.get("seed", 0), "seed")
-    sim = _require(config, "data")["simulator"]
-    n = cast(int, _require(sim, "n"), "simulator.n")
+    n = cast(int, _require(_section(config, "data.simulator"), "n"), "simulator.n")
     dag = demand_dag()
     dataset = data_mod.simulate_demand(n, seed + replicate).to_dataset()
-    heldout = config.get("heldout", {})
+    heldout = _section(config, "heldout")
     m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
     models, _ = _train_one(row, dag, dataset, config, seed + replicate)
     draws = {"W": data_mod.heldout_w_draws(m, seed + replicate)}
@@ -379,6 +406,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("the demand experiment needs a proximal method")
     if experiment not in ("ate", "cate", "demand"):
         raise ConfigError(f"unknown experiment {experiment!r}")
+    if experiment != "demand":
+        _forest_config(config, seed)  # a bad plug-in value fails before any replicate trains
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     rows = map_jobs(_replicate_with_context, [(worker, config, r) for r in range(replicates)], jobs)

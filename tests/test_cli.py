@@ -374,6 +374,24 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     # constant reference effects: the true CATE, and a plug-in that never splits
     ("evaluate", "gformula", "experiment=cate", 3),
     ("tune", "gformula", "split.seed=9 seed=3", 3),
+    # plug-in forest values out of range, before any replicate or grid point trains
+    ("evaluate", "gformula", "plugin.n_trees=0", 2),
+    ("evaluate", "gformula", "plugin.max_depth=-1", 2),
+    ("evaluate", "gformula", "plugin.min_leaf=0", 2),
+    ("evaluate", "gformula", "plugin.subsample_fraction=NaN", 2),
+    ("evaluate", "gformula", "plugin.subsample_fraction=1.5", 2),
+    ("tune", "gformula", "plugin.n_trees=0", 2),
+    # a config section that is not a JSON object
+    ("evaluate", "gformula", "plugin=5", 2),
+    ("tune", "gformula", "plugin=5", 2),
+    ("evaluate", "proximal-u", "experiment=demand heldout=5", 2),
+    ("evaluate", "proximal-u", "experiment=demand data.simulator=5", 2),
+    ("train", "gformula", "data.simulator=5", 2),
+    ("train", "gformula", "data=5", 2),
+    # simulator weights: not a list, not numbers, not x_dim long
+    ("simulate", "gformula", 'data.simulator.propensity_weights="abc"', 2),
+    ("simulate", "gformula", 'data.simulator.outcome_weights=["abc"]', 2),
+    ("train", "gformula", "data.simulator.outcome_weights=[1,2]", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -384,3 +402,21 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     config = dict(_method_config(name), grid=_grid())
     sets = [arg for item in override.split() for arg in ("--set", item)]
     assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == code
+
+
+@pytest.mark.parametrize("command, name, override, named", [
+    ("evaluate", "gformula", "plugin.n_trees=abc", "'plugin.n_trees'"),
+    ("evaluate", "gformula", "plugin.subsample_fraction=NaN", "plugin.subsample_fraction"),
+    ("tune", "gformula", "plugin.min_leaf=0", "plugin.min_leaf"),
+    ("evaluate", "gformula", "plugin=5", "'plugin'"),
+    ("evaluate", "proximal-u", "experiment=demand heldout=5", "'heldout'"),
+    ("train", "gformula", "data.simulator=5", "'data.simulator'"),
+    ("simulate", "gformula", 'data.simulator.propensity_weights="abc"',
+     "'simulator.propensity_weights'"),
+    ("train", "gformula", "data.simulator.outcome_weights=[1,2]", "'simulator.outcome_weights'"),
+])
+def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
+    config = dict(_method_config(name), grid=_grid())
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == 2
+    assert named in capsys.readouterr().err

@@ -1,0 +1,211 @@
+"""The level-wise honest forest against a node-by-node reference grower.
+
+The reference below is the recursive CART grower the forest used before it
+grew every tree a depth at a time. The two must agree node for node: the
+same split features and thresholds, the same leaf means from the same
+estimate rows in the same order, and bit-equal predictions.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dagformer import rng
+from dagformer.errors import ConfigError, DataError
+from dagformer.forest import ForestConfig, HonestForestRegressor
+
+
+class RefNode:
+    def __init__(self):
+        self.feature = None
+        self.threshold = None
+        self.left = None
+        self.right = None
+        self.value = None
+        self.estimate_rows = None
+
+
+def _best_split(x, y, rows, min_leaf):
+    """(feature, threshold, left_rows, right_rows) minimizing child SSE, or None."""
+    m = rows.size
+    best_sse = np.inf
+    best = None
+    for j in range(x.shape[1]):
+        xs = x[rows, j]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys_sorted = y[rows][order]
+        csum = np.cumsum(ys_sorted)
+        csq = np.cumsum(ys_sorted * ys_sorted)
+        total_sum, total_sq = csum[-1], csq[-1]
+        k = np.arange(1, m)
+        valid = (xs_sorted[:-1] != xs_sorted[1:]) & (k >= min_leaf) & (m - k >= min_leaf)
+        if not valid.any():
+            continue
+        left_sse = csq[:-1] - csum[:-1] ** 2 / k
+        right_n = m - k
+        right_sum = total_sum - csum[:-1]
+        right_sse = (total_sq - csq[:-1]) - right_sum ** 2 / right_n
+        sse = np.where(valid, left_sse + right_sse, np.inf)
+        i = int(np.argmin(sse))
+        if sse[i] < best_sse - 1e-12:
+            best_sse = sse[i]
+            threshold = 0.5 * (xs_sorted[i] + xs_sorted[i + 1])
+            best = (j, threshold, rows[order[:i + 1]], rows[order[i + 1:]])
+    return best
+
+
+def _grow(x, y, rows, depth, cfg):
+    node = RefNode()
+    if depth >= cfg.max_depth or rows.size < 2 * cfg.min_leaf or np.ptp(y[rows]) == 0.0:
+        return node
+    split = _best_split(x, y, rows, cfg.min_leaf)
+    if split is None:
+        return node
+    node.feature, node.threshold, left_rows, right_rows = split
+    node.left = _grow(x, y, left_rows, depth + 1, cfg)
+    node.right = _grow(x, y, right_rows, depth + 1, cfg)
+    return node
+
+
+def _attach_estimates(node, x, y, rows, inherited):
+    if rows.size:
+        inherited = float(y[rows].mean())
+    if node.feature is None:
+        node.value = inherited
+        node.estimate_rows = rows
+        return
+    goes_left = x[rows, node.feature] <= node.threshold
+    _attach_estimates(node.left, x, y, rows[goes_left], inherited)
+    _attach_estimates(node.right, x, y, rows[~goes_left], inherited)
+
+
+def _predict(node, x):
+    out = np.empty(x.shape[0])
+    stack = [(node, np.arange(x.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if not rows.size:
+            continue
+        if node.feature is None:
+            out[rows] = node.value
+            continue
+        goes_left = x[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[goes_left]))
+        stack.append((node.right, rows[~goes_left]))
+    return out
+
+
+def reference_forest(x, y, cfg):
+    """[(structure rows, estimate rows, root)] per tree, grown node by node."""
+    n = y.size
+    trees = []
+    for t in range(cfg.n_trees):
+        g = rng.stream(cfg.seed, "tree", t)
+        m = min(n, max(2, int(round(cfg.subsample_fraction * n))))
+        sub = g.choice(n, size=m, replace=False)
+        structure, estimate = sub[:m // 2], sub[m // 2:]
+        root = _grow(x, y, structure, 0, cfg)
+        _attach_estimates(root, x, y, estimate, float(y[estimate].mean()))
+        trees.append((structure, estimate, root))
+    return trees
+
+
+def reference_predict(trees, x):
+    total = np.zeros(x.shape[0])
+    for _, _, root in trees:
+        total += _predict(root, x)
+    return total / len(trees)
+
+
+def _assert_same_nodes(ref, nodes, node, leaves):
+    if ref.feature is None:
+        assert nodes.feature[node] == -1
+        leaf = leaves[node]
+        assert leaf.value == ref.value
+        assert np.array_equal(leaf.estimate_rows, ref.estimate_rows)
+        return
+    assert nodes.feature[node] == ref.feature
+    assert nodes.threshold[node] == ref.threshold
+    _assert_same_nodes(ref.left, nodes, nodes.left[node], leaves)
+    _assert_same_nodes(ref.right, nodes, nodes.right[node], leaves)
+
+
+def _data(n, x_dim, kind, seed=0):
+    g = np.random.default_rng(seed + 100 * n + x_dim)
+    x = g.standard_normal((n, x_dim))
+    y = x[:, 0] - 0.5 * x[:, -1] ** 2 + g.standard_normal(n)
+    if kind == "rounded":  # few distinct values: ties in x and in y
+        x, y = np.round(x, 0), np.round(y, 0)
+    elif kind == "constant-y":
+        y = np.full(n, 1.5)
+    elif kind == "duplicate-x":
+        x = np.repeat(np.round(x, 1), 2, axis=1)
+    return x, y
+
+
+def _check(x, y, cfg):
+    forest = HonestForestRegressor(cfg).fit(x, y)
+    ref = reference_forest(x, y, cfg)
+    assert len(forest.trees) == len(ref)
+    empty_leaves = 0
+    for tree, (structure, estimate, root) in zip(forest.trees, ref):
+        assert np.array_equal(tree.structure_rows, structure)
+        assert np.array_equal(tree.estimate_rows, estimate)
+        leaves = {leaf.node: leaf for leaf in tree.leaves()}
+        empty_leaves += sum(not leaf.estimate_rows.size for leaf in leaves.values())
+        _assert_same_nodes(root, forest.nodes, tree.root, leaves)
+    x_new = np.random.default_rng(1).standard_normal((57, x.shape[1]))
+    for query in (x, x_new, np.round(x_new, 0)):
+        assert np.array_equal(forest.predict(query), reference_predict(ref, query))
+    return empty_leaves
+
+
+@pytest.mark.parametrize("x_dim", [1, 2, 5, 7])
+@pytest.mark.parametrize("n", [2, 11, 40, 150, 600, 2000])
+def test_forest_matches_reference_node_for_node(n, x_dim):
+    x, y = _data(n, x_dim, "normal")
+    _check(x, y, ForestConfig(n_trees=4, min_leaf=1 if n == 2 else 5, seed=n))
+
+
+@pytest.mark.parametrize("kind", ["rounded", "constant-y", "duplicate-x"])
+@pytest.mark.parametrize("n, x_dim", [(40, 1), (150, 5), (600, 2), (2000, 7)])
+def test_forest_matches_reference_with_ties(n, x_dim, kind):
+    x, y = _data(n, x_dim, kind)
+    _check(x, y, ForestConfig(n_trees=4, seed=7))
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 8, 12])
+@pytest.mark.parametrize("min_leaf", [1, 5, 20])
+def test_forest_matches_reference_at_every_depth_and_leaf_size(min_leaf, max_depth):
+    x, y = _data(400, 3, "rounded")
+    empty_leaves = _check(x, y, ForestConfig(n_trees=6, max_depth=max_depth,
+                                             min_leaf=min_leaf, seed=3))
+    if min_leaf == 1 and max_depth >= 8:
+        assert empty_leaves  # leaves that inherit an ancestor's mean are covered
+
+
+def test_forest_rejects_bad_config_and_non_finite_rows():
+    for bad in ({"n_trees": 0}, {"max_depth": -1}, {"min_leaf": 0},
+                {"subsample_fraction": 0.0}, {"subsample_fraction": 1.5},
+                {"subsample_fraction": float("nan")}, {"subsample_fraction": float("inf")}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ForestConfig(**bad)
+    x, y = _data(50, 2, "normal")
+    x[3, 1] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        HonestForestRegressor(ForestConfig(n_trees=2)).fit(x, y)
+
+
+def test_forest_fit_memory_stays_bounded():
+    # n = 20,000, x_dim 5, 20 trees: the node-by-node grower peaks at 4.0 MB and
+    # this one at 8.2 MB (NumPy 2.4), because each padded pass is capped in size
+    x, y = _data(20_000, 5, "normal")
+    tracemalloc.start()
+    try:
+        HonestForestRegressor(ForestConfig(n_trees=20)).fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
