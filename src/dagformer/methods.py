@@ -45,7 +45,11 @@ def _nmmr(variant: str) -> Callable:
     def objective(config: dict) -> Nmmr:
         nmmr = config.get("nmmr", {})
         lam = nmmr.get("lambda", config.get("optimizer", {}).get("l2_penalty", 0.0))
-        return Nmmr(variant, nmmr.get("kernel_bandwidth"), float(lam))
+        lam = cast(float, lam, "nmmr.lambda" if "lambda" in nmmr else "optimizer.l2_penalty")
+        try:
+            return Nmmr(variant, nmmr.get("kernel_bandwidth"), lam)
+        except ContractError as exc:  # its message starts with the field's name
+            raise ConfigError(f"nmmr.{exc}") from None
     return objective
 
 

@@ -5,6 +5,7 @@ All losses are built from tape primitives so gradients flow to the model;
 callers may pass plain arrays where no gradient is needed.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,22 +89,28 @@ class Nmmr(Objective):
     def __post_init__(self):
         if self.variant not in ("U", "V"):
             raise ContractError(f"NMMR variant must be 'U' or 'V', got {self.variant!r}")
-        if self.lam < 0:
-            raise ContractError(f"NMMR lambda must be >= 0, got {self.lam}")
-        if self.kernel_bandwidth is not None and self.kernel_bandwidth <= 0:
-            raise ContractError(f"kernel bandwidth must be > 0, got {self.kernel_bandwidth}")
+        if not self.lam >= 0 or math.isinf(self.lam):
+            raise ContractError(f"lambda must be a finite number >= 0, got {self.lam}")
+        bandwidth = self.kernel_bandwidth
+        if bandwidth is not None and (isinstance(bandwidth, bool) or not bandwidth > 0
+                                      or math.isinf(bandwidth)):
+            raise ContractError(f"kernel_bandwidth must be a finite number > 0, got {bandwidth!r}")
         # a singleton batch has no off-diagonal pairs for the U-statistic
         self.min_rows = 2 if self.variant == "U" else 1
 
-    def bind(self, model, batch, std):
+    def _targets(self, model, std):
+        """(outcome node, standardized outcome, kernel features, bandwidth) of a run."""
         outcome = model.dag.single_node(NodeRole.OUTCOME)
-        y = std[:, model._node_index(outcome)]
         roles = (NodeRole.TREATMENT, NodeRole.TREATMENT_PROXY, NodeRole.CONFOUNDER)
         features = std[:, [i for i, node in enumerate(model.input_nodes)
                            if model.graph.role_of(node) in roles]]
         bandwidth = self.kernel_bandwidth
         if bandwidth is None:
             bandwidth = median_heuristic_bandwidth(features)
+        return outcome, std[:, model._node_index(outcome)], features, bandwidth
+
+    def bind(self, model, batch, std):
+        outcome, y, features, bandwidth = self._targets(model, std)
         params = model.parameters()
 
         def batch_loss(preds, rows):
@@ -111,6 +118,13 @@ class Nmmr(Objective):
             return loss_nmmr(y[rows], preds[outcome], kernel, self.variant, self.lam,
                              params), None
         return batch_loss
+
+    def risk(self, model, batch) -> float:
+        """The model's risk over all rows of `batch`, without the parameter
+        penalty: `bind`'s loss over every row, computed in row bands by `nmmr_risk`."""
+        outcome, y, features, bandwidth = self._targets(model, model._standardize(batch))
+        return nmmr_risk(y, model.forward(batch)[outcome].data, features, bandwidth,
+                         self.variant)
 
 
 def _as_tensor(x) -> Tensor:
@@ -153,46 +167,112 @@ def loss_aipw_joint(y_hat, y, a_hat, a) -> Tensor:
 # entries per row band of pairwise distances: bounds the band's temporaries
 # at about 1 MiB each, whatever the number of rows
 _BAND_ENTRIES = 2 ** 17
+# the median is selected on the float64 bit patterns of the squared distances,
+# which for non-negative floats sort as the int64 integers they view as: a
+# counting pass bins a bin's entries by their next 16 bits, from the top down
+_DIGIT = 16
+# a bin of at most this many entries (8 MiB) is collected and partitioned
+_COLLECT_CAP = 2 ** 20
+
+
+def _sq_dists(rows, sq, lo, hi, start=0):
+    """Unclamped squared distances of rows lo:hi to rows start:. Every caller
+    uses this one expression, so each pair gets the same float in any band."""
+    return sq[lo:hi, None] + sq[None, start:] - 2.0 * rows[lo:hi] @ rows[start:].T
+
+
+def _bands(n: int, last: int):
+    """(lo, hi) row bands of about `_BAND_ENTRIES` distances to n rows, up to row `last`."""
+    band = max(1, _BAND_ENTRIES // n)
+    return [(lo, min(lo + band, last)) for lo in range(0, last, band)]
+
+
+def _upper_bits(rows, sq):
+    """The clamped squared distances of the pairs i < j, band by band, as int64
+    bit patterns. Band lo:hi holds the distances to rows lo:, so its pairs
+    j <= i are there too, set to +inf: they sort above every finite
+    distance, and no rank counted from the bottom moves."""
+    n = rows.shape[0]
+    for lo, hi in _bands(n, n - 1):
+        d2 = _sq_dists(rows, sq, lo, hi, lo)
+        np.maximum(d2, 0.0, out=d2)
+        d2[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf
+        yield d2.view(np.int64).ravel()
+
+
+def _in_bin(bits, shift, key):
+    return bits if shift == 64 else bits[(bits >> shift) == key]
 
 
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the feature rows.
 
-    Each pair's squared distance is the float `_pairwise_sq_dists` gives it;
-    the n(n-1)/2 of them are written band by band into one condensed
-    buffer, the middle order statistics are selected in place, and only
-    those are square-rooted. sqrt is monotone, so this is exactly the median
-    of the square-rooted distances.
+    Each pair's squared distance is the float `_pairwise_sq_dists` gives it,
+    computed in row bands that are never kept. The middle order statistics
+    are selected on the distances' bit patterns: one pass counts the
+    entries by their top 16 bits, and while the bin that holds a middle rank
+    has more than `_COLLECT_CAP` entries, another pass counts that bin by its
+    next 16 bits. A bin at full resolution holds one value, which is the
+    answer; a smaller bin is collected in one more pass and partitioned.
+    Only the selected values are square-rooted; sqrt is monotone, so this is
+    exactly the median of the distances. Beyond the n row norms, memory is
+    a band's temporaries and at most `_COLLECT_CAP` entries, whatever n.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
     if n < 2:
         raise ContractError("median heuristic needs at least two rows")
     sq = (rows * rows).sum(axis=1)
-    dists = np.empty(n * (n - 1) // 2)
-    band = max(1, _BAND_ENTRIES // n)
-    pos = 0
-    for lo in range(0, n - 1, band):
-        hi = min(lo + band, n - 1)
-        d2 = sq[lo:hi, None] + sq[None, lo:] - 2.0 * rows[lo:hi] @ rows[lo:].T
-        for i in range(hi - lo):
-            upper = d2[i, i + 1:]
-            dists[pos:pos + upper.size] = upper
-            pos += upper.size
-    np.maximum(dists, 0.0, out=dists)
-    half = dists.size // 2
-    middle = [half] if dists.size % 2 else [half - 1, half]
-    dists.partition(middle)
-    med = float(np.median(np.sqrt(dists[middle])))
+    if not np.isfinite(4.0 * sq).all():  # then every squared distance is finite too
+        raise DataError("median heuristic needs finite feature rows whose squared "
+                        "distances are finite")
+    pairs = n * (n - 1) // 2
+    entries = sum((hi - lo) * (n - lo) for lo, hi in _bands(n, n - 1))
+    middle = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
+    # a middle rank's bin is the entries whose bits >> shift == key, `count` of
+    # them, and `rank` is its rank among them; shift 64 is every entry
+    bins = {r: (64, 0, entries, r) for r in middle}
+    found = {}
+    while bins:
+        counts = {(s, k): np.zeros(1 << _DIGIT, np.int64)
+                  for s, k, count, _ in bins.values() if count > _COLLECT_CAP}
+        kept = {(s, k): np.empty(count, np.int64)
+                for s, k, count, _ in bins.values() if count <= _COLLECT_CAP}
+        filled = dict.fromkeys(kept, 0)
+        for bits in _upper_bits(rows, sq):
+            for (s, k), hist in counts.items():
+                part = np.bincount((_in_bin(bits, s, k) >> (s - _DIGIT)) & ((1 << _DIGIT) - 1))
+                hist[:part.size] += part
+            for (s, k), buf in kept.items():
+                chosen = _in_bin(bits, s, k)
+                buf[filled[s, k]:filled[s, k] + chosen.size] = chosen
+                filled[s, k] += chosen.size
+        for (s, k), buf in kept.items():
+            ranks = sorted(r for r, b in bins.items() if b[:2] == (s, k))
+            buf.partition([bins[r][3] for r in ranks])
+            for r in ranks:
+                found[r] = int(buf[bins.pop(r)[3]])
+        for r, (s, k, _, rank) in list(bins.items()):
+            below = np.cumsum(counts[s, k])
+            digit = int(np.searchsorted(below, rank, side="right"))
+            key, shift = (k << _DIGIT) | digit, s - _DIGIT
+            rank -= int(below[digit - 1]) if digit else 0
+            if shift == 0:  # every entry in the bin has these bits
+                found[r] = key
+                del bins[r]
+            else:
+                bins[r] = (shift, key, int(counts[s, k][digit]), rank)
+    values = np.array([found[r] for r in middle], dtype=np.int64).view(np.float64)
+    med = float(np.median(np.sqrt(values)))
     if med == 0.0:
-        raise ContractError("all feature rows identical; bandwidth undefined")
+        raise DataError("more than half of the pairwise feature distances are zero; "
+                        "the median-heuristic bandwidth is undefined")
     return med
 
 
 def _pairwise_sq_dists(rows: np.ndarray) -> np.ndarray:
     sq = (rows * rows).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * rows @ rows.T
-    return np.maximum(d2, 0.0)
+    return np.maximum(_sq_dists(rows, sq, 0, rows.shape[0]), 0.0)
 
 
 def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -201,6 +281,16 @@ def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
         raise ContractError(f"bandwidth must be > 0, got {bandwidth}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     return np.exp(-_pairwise_sq_dists(rows) / (2.0 * bandwidth * bandwidth))
+
+
+def _nmmr_scale(variant: str, n: int) -> float:
+    if variant == "U":
+        if n < 2:
+            raise ContractError("U-statistic variant needs n >= 2")
+        return 1.0 / (n * (n - 1))
+    if variant == "V":
+        return 1.0 / (n * n)
+    raise ContractError(f"unknown NMMR variant {variant!r}")
 
 
 def loss_nmmr(y, h_vals, kernel: np.ndarray, variant: str, lam: float,
@@ -214,23 +304,38 @@ def loss_nmmr(y, h_vals, kernel: np.ndarray, variant: str, lam: float,
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.shape != (n, n):
         raise ContractError(f"kernel must be {n}x{n}, got {kernel.shape}")
+    scale = _nmmr_scale(variant, n)
     if variant == "U":
-        if n < 2:
-            raise ContractError("U-statistic variant needs n >= 2")
-        k = kernel.copy()
-        np.fill_diagonal(k, 0.0)
-        scale = 1.0 / (n * (n - 1))
-    elif variant == "V":
-        k = kernel
-        scale = 1.0 / (n * n)
-    else:
-        raise ContractError(f"unknown NMMR variant {variant!r}")
+        kernel = kernel.copy()
+        np.fill_diagonal(kernel, 0.0)
     r = _as_tensor(y) - _as_tensor(h_vals)
     r_col = T.reshape(r, (n, 1))
-    quad = T.matmul(T.swap_last2(r_col), T.matmul(Tensor(k), r_col))
+    quad = T.matmul(T.swap_last2(r_col), T.matmul(Tensor(kernel), r_col))
     loss = T.reshape(quad, ()) * scale
     if lam != 0.0:
         if params is None:
             raise ContractError("lam > 0 requires the model parameter list")
         loss = loss + T.sum_squares(params) * lam
     return loss
+
+
+def nmmr_risk(y, h_vals, features: np.ndarray, bandwidth: float, variant: str) -> float:
+    """`loss_nmmr` without the penalty, over the RBF kernel of the feature
+    rows, as a float. The kernel is built and multiplied by r a band of rows
+    at a time, so memory grows with n, not n^2; each band is the matching
+    rows of `rbf_kernel_matrix`, and with one band the products are the same."""
+    n = _check_lengths(y, h_vals)
+    scale = _nmmr_scale(variant, n)
+    rows = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
+    if rows.shape[0] != n:
+        raise ContractError(f"need {n} feature rows, got {rows.shape[0]}")
+    sq = (rows * rows).sum(axis=1)
+    r_col = (np.asarray(y, dtype=np.float64) - np.asarray(h_vals, dtype=np.float64)).reshape(n, 1)
+    k_r = np.empty((n, 1))
+    for lo, hi in _bands(n, n):
+        kernel = np.exp(-np.maximum(_sq_dists(rows, sq, lo, hi), 0.0)
+                        / (2.0 * bandwidth * bandwidth))
+        if variant == "U":
+            kernel[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        k_r[lo:hi] = kernel @ r_col
+    return float((r_col.T @ k_r).reshape(()) * scale)

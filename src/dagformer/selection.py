@@ -9,7 +9,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,13 +163,6 @@ def _run_config(point: dict) -> dict:
                           "l2_penalty": point["l2_penalty"]}}
 
 
-def _validation_risk(model: DagTransformer, objective, validation) -> float:
-    """Held-out NMMR risk, without the parameter penalty, of a proxy-method candidate."""
-    batch = validation.matrix(model.input_nodes)
-    batch_loss = replace(objective, lam=0.0).bind(model, batch, model._standardize(batch))
-    return float(batch_loss(model.forward(batch), np.arange(validation.n))[0].data)
-
-
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     """Train and score one grid point; module-level so workers can pickle it."""
     index, point, run_config, train, validation, method, dag, seed, mode, plugin_tau = payload
@@ -188,7 +181,7 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
                               batch_size=batch_size, seed=seed)
             entry["train_loss"] = log[-1]["loss"] if log else None
             if row.proxy:
-                entry["score"] = _validation_risk(model, objective, validation)
+                entry["score"] = objective.risk(model, validation.matrix(model.input_nodes))
             else:
                 report = (row.tune_estimate or row.estimate)(model, validation)
                 tau = report.cate if mode == "cate" and report.cate is not None \

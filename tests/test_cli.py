@@ -5,6 +5,7 @@ import pytest
 from dagformer import cli, selection
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
+from dagformer.graph import demand_dag
 from dagformer.methods import METHODS
 from dagformer.selection import SEARCH_METHODS
 
@@ -132,6 +133,23 @@ def test_train_non_finite_csv_cell_is_data_error(tmp_path, capsys):
               "epochs": 2, "batch_size": 16}
     assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 3
     assert "row 9, column y: non-finite value nan" in capsys.readouterr().err
+
+
+def test_train_proximal_on_mostly_identical_kernel_rows_is_data_error(tmp_path, capsys):
+    # 30 of 40 rows share their treatment and treatment proxy, the kernel
+    # features: 435 of the 780 pairs are at distance zero, and so is the median
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [
+        {"name": name, "kind": "continuous", "node": name} for name in ("Z", "W", "A", "Y")]}))
+    rows = [f"{1.0 if i < 30 else i * 0.1},{i * 0.3},{2.0 if i < 30 else i * 0.2},{i * 0.5}"
+            for i in range(40)]
+    data = tmp_path / "data.csv"
+    data.write_text("Z,W,A,Y\n" + "\n".join(rows) + "\n")
+    config = {"method": "proximal-u", "dag": demand_dag().to_dict(),
+              "data": {"csv": str(data), "schema": str(schema)}, "model": small_model(),
+              "epochs": 2, "batch_size": 16}
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert "more than half of the pairwise feature distances are zero" in capsys.readouterr().err
 
 
 def test_train_alpha_zero_exits_zero_and_encoder_bypass_is_config_error(tmp_path, capsys):
@@ -392,6 +410,14 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("simulate", "gformula", 'data.simulator.propensity_weights="abc"', 2),
     ("simulate", "gformula", 'data.simulator.outcome_weights=["abc"]', 2),
     ("train", "gformula", "data.simulator.outcome_weights=[1,2]", 2),
+    # NMMR settings that are not finite, or a boolean bandwidth
+    ("train", "proximal-u", "nmmr.kernel_bandwidth=NaN", 2),
+    ("train", "proximal-u", "nmmr.kernel_bandwidth=Infinity", 2),
+    ("train", "proximal-v", "nmmr.kernel_bandwidth=true", 2),
+    ("train", "proximal-u", "nmmr.lambda=NaN", 2),
+    ("train", "proximal-v", "nmmr.lambda=Infinity", 2),
+    ("train", "proximal-u", "optimizer.l2_penalty=NaN", 2),
+    ("evaluate", "proximal-u", "experiment=demand nmmr.kernel_bandwidth=NaN", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -414,6 +440,11 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("simulate", "gformula", 'data.simulator.propensity_weights="abc"',
      "'simulator.propensity_weights'"),
     ("train", "gformula", "data.simulator.outcome_weights=[1,2]", "'simulator.outcome_weights'"),
+    ("train", "proximal-u", "nmmr.kernel_bandwidth=NaN", "nmmr.kernel_bandwidth"),
+    ("train", "proximal-v", "nmmr.kernel_bandwidth=Infinity", "nmmr.kernel_bandwidth"),
+    ("train", "proximal-u", "nmmr.lambda=NaN", "nmmr.lambda"),
+    ("train", "proximal-u", "nmmr.lambda=abc", "'nmmr.lambda'"),
+    ("train", "proximal-u", "optimizer.l2_penalty=abc", "'optimizer.l2_penalty'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     config = dict(_method_config(name), grid=_grid())

@@ -1,0 +1,179 @@
+"""Golden CLI outputs: small proximal runs must keep their bytes across commits.
+
+Each run below executes one or more `dagformer` commands in a fresh
+directory and compares every output file with the fixture in
+`tests/fixtures/golden/<run>.json`, which holds the file's SHA-256 and the
+numbers parsed from it. On the stack that wrote the fixture (same Python,
+NumPy and BLAS) the hashes must be equal, and a failure reports the
+largest relative difference of the numbers, which tells rounding drift
+from a logic change. On another stack the numbers are compared at 1e-9
+relative, with a warning that says so.
+
+Regenerate deliberately, from the commit whose outputs are the reference:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import math
+import os
+import platform
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+import pytest
+
+from dagformer.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden")
+STACK_RTOL = 1e-9
+
+# criterion 8's sizes: n = 240 rows, a 1-layer model of width 8, a few epochs
+_MODEL = {"embedding_dim": 8, "num_heads": 2, "num_encoder_layers": 1, "feedforward_dim": 16,
+          "mlp_width": 8, "mlp_depth": 1, "dropout_rate": 0.0, "alpha": 0.1, "seed": 3}
+
+
+def _proximal(method: str, **extra) -> dict:
+    return {"method": method, "data": {"simulator": {"name": "demand", "n": 240}},
+            "model": _MODEL, "optimizer": {"learning_rate": 3e-3}, "nmmr": {"lambda": 1e-6},
+            "epochs": 6, "batch_size": 32, "seed": 13, "heldout": {"draws": 100}, **extra}
+
+
+def _train_estimate(method: str) -> list:
+    return [("train", _proximal(method), "train", ()),
+            ("estimate", _proximal(method, model="train/model.json"), "estimate", ())]
+
+
+_GRID = {"epochs": [4], "batch_size": [32], "learning_rate": [1e-3, 3e-3],
+         "l2_penalty": [0.0, 1e-4], "mlp_width": [8], "mlp_depth": [1], "encoder_layers": [1],
+         "dropout": [0.0], "embedding_dim": [8], "feedforward_dim": [16], "num_heads": [2],
+         "alpha": [0.1]}
+_EVALUATE = _proximal("proximal-u", experiment="demand", replicates=2)
+
+# run name -> [(command, config, output directory, extra arguments)], run in order
+RUNS = {
+    "train-estimate-proximal-u": _train_estimate("proximal-u"),
+    "train-estimate-proximal-v": _train_estimate("proximal-v"),
+    "tune-proximal-u": [("tune", _proximal("proximal-u", grid=_GRID,
+                                           split={"train_fraction": 0.7, "seed": 9}),
+                         "tune", ())],
+    "evaluate-demand-jobs1": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "1"))],
+    "evaluate-demand-jobs2": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "2"))],
+}
+
+
+def stack() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # an older NumPy has no dict form of its build config
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
+def numbers(name: str, data: bytes) -> list:
+    """Every number in a JSON or CSV output file, in file order."""
+    text = data.decode("utf-8")
+    if name.endswith(".json"):
+        found = []
+
+        def walk(value):
+            if isinstance(value, dict):
+                for key in sorted(value):
+                    walk(value[key])
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                found.append(float(value))
+        walk(json.loads(text))
+        return found
+    found = []
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            found.append(float(cell))
+        except ValueError:
+            pass
+    return found
+
+
+def execute(name: str, workdir: str) -> dict:
+    """Run one golden run in `workdir`; {relative output path: bytes}."""
+    cwd = os.getcwd()
+    os.chdir(workdir)  # outputs embed their config, so every path in it is relative
+    try:
+        for index, (command, config, out, extra) in enumerate(RUNS[name]):
+            path = f"config{index}.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            code = main([command, "--config", path, "--out", out, *extra])
+            assert code == 0, f"{name}: {command} exited {code}"
+        outputs = {}
+        for out in sorted({step[2] for step in RUNS[name]}):
+            for file in sorted(os.listdir(out)):
+                with open(os.path.join(out, file), "rb") as fh:
+                    outputs[f"{out}/{file}"] = fh.read()
+        return outputs
+    finally:
+        os.chdir(cwd)
+
+
+def largest_relative_difference(want: list, got: list) -> str:
+    if len(want) != len(got):
+        return f"{len(got)} numbers where the fixture has {len(want)}"
+    worst, where = 0.0, None
+    for i, (a, b) in enumerate(zip(want, got)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(a - b) / max(abs(a), abs(b))
+        if diff > worst or where is None:
+            worst, where = diff, i
+    if where is None:
+        return "equal numbers (only formatting or text differs)"
+    return f"largest relative difference {worst:.3g} at number {where} ({want[where]!r} -> " \
+           f"{got[where]!r})"
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_golden_outputs(tmp_path, name):
+    with open(os.path.join(FIXTURES, f"{name}.json"), encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    outputs = execute(name, str(tmp_path))
+    assert sorted(outputs) == sorted(fixture["files"]), "a different set of output files"
+    same_stack = fixture["stack"] == stack()
+    for file, want in fixture["files"].items():
+        got = outputs[file]
+        if same_stack:
+            assert hashlib.sha256(got).hexdigest() == want["sha256"], (
+                f"{name}: {file} changed bytes: "
+                f"{largest_relative_difference(want['numbers'], numbers(file, got))}")
+        else:
+            values = numbers(file, got)
+            assert len(values) == len(want["numbers"]) and np.allclose(
+                values, want["numbers"], rtol=STACK_RTOL, atol=0.0, equal_nan=True), (
+                f"{name}: {file}: {largest_relative_difference(want['numbers'], values)}")
+    if not same_stack:
+        warnings.warn(f"golden fixture written on {fixture['stack']}, running on {stack()}: "
+                      f"numbers compared at {STACK_RTOL} relative, not bytes")
+
+
+def write_fixtures():
+    os.makedirs(FIXTURES, exist_ok=True)
+    for name in RUNS:
+        with tempfile.TemporaryDirectory() as workdir:
+            outputs = execute(name, workdir)
+        files = {file: {"sha256": hashlib.sha256(data).hexdigest(), "numbers": numbers(file, data)}
+                 for file, data in outputs.items()}
+        with open(os.path.join(FIXTURES, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump({"stack": stack(), "files": files}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {name}: {len(files)} files")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_fixtures()

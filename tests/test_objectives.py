@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagformer import rng, tensor as T
+from dagformer import objectives, rng, tensor as T
 from dagformer.errors import ContractError, DataError
 from dagformer.objectives import (
     AipwJoint, GFormula, Iptw, Nmmr, loss_aipw_joint, loss_gformula, loss_iptw,
-    loss_nmmr, median_heuristic_bandwidth, rbf_kernel_matrix,
+    loss_nmmr, median_heuristic_bandwidth, nmmr_risk, rbf_kernel_matrix,
 )
 
 
@@ -101,7 +101,7 @@ def test_rbf_symmetric_psd():
 def test_median_heuristic_two_points():
     rows = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert abs(median_heuristic_bandwidth(rows) - 5.0) < 1e-12
-    with pytest.raises(ContractError):
+    with pytest.raises(DataError):
         median_heuristic_bandwidth(np.ones((4, 2)))
 
 
@@ -120,6 +120,78 @@ def test_median_heuristic_equals_dense_reference(n):
     for d in (1, 2, 3, 5, 7):
         rows = g.standard_normal((n, d)) * g.uniform(0.1, 10.0)
         assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows), d
+
+
+def _tied_rows(kind, n, g):
+    if kind == "binary":
+        return (g.random((n, 4)) < 0.5).astype(float)
+    if kind == "rounded":
+        return np.round(g.standard_normal((n, 3)), 1)
+    # 65% of the rows identical: 42% of the pairs are zero, and the median is not
+    rows = g.standard_normal((n, 2))
+    rows[: int(0.65 * n)] = rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("cap", [objectives._COLLECT_CAP, 1000, 1])
+@pytest.mark.parametrize("kind, n", [("binary", 1500), ("rounded", 2000), ("identical", 1000),
+                                     ("binary", 301), ("rounded", 300), ("identical", 300)])
+def test_median_heuristic_tied_data_equals_dense_reference(monkeypatch, kind, n, cap):
+    # a smaller cap sends the same data through more counting passes, down to
+    # bins that hold a single value at full resolution
+    monkeypatch.setattr(objectives, "_COLLECT_CAP", cap)
+    rows = _tied_rows(kind, n, np.random.default_rng(n))
+    assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300])
+def test_median_heuristic_every_pass_count_equals_dense_reference(monkeypatch, n):
+    g = rng.stream(43, "median-cap", n)
+    for cap in (1, 7, 1000):
+        monkeypatch.setattr(objectives, "_COLLECT_CAP", cap)
+        for d in (1, 3, 7):
+            rows = g.standard_normal((n, d)) * g.uniform(0.1, 10.0)
+            assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows), (cap, d)
+
+
+def test_median_heuristic_zero_median_is_a_data_error():
+    # 8 of 10 rows equal: 28 of the 45 pairs are zero, so the median is zero
+    rows = np.vstack([np.ones((8, 2)), [[0.0, 1.0], [2.0, 3.0]]])
+    with pytest.raises(DataError, match="more than half of the pairwise"):
+        median_heuristic_bandwidth(rows)
+    # 7 of 10: 21 of 45 are zero, and the median is the smallest nonzero distance
+    rows[7] = [5.0, 5.0]
+    assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows) > 0.0
+    for bad in (np.nan, np.inf, 1e200):  # 1e200: its squared distances overflow
+        with pytest.raises(DataError, match="finite"), np.errstate(over="ignore"):
+            median_heuristic_bandwidth(np.array([[0.0], [bad], [1.0]]))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_median_heuristic_memory_does_not_grow_with_n():
+    # the condensed buffer of all pairs would take 1.6 GB here
+    n = 20_000
+    rows = rng.stream(44, "median-mem").standard_normal((n, 3))
+    peak = _peak_bytes(median_heuristic_bandwidth, rows)
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_median_heuristic_tied_bins_are_refined_not_collected():
+    # 3/8 of the 8M pairs have squared distance exactly 1 and 3/8 exactly 2,
+    # and the middle ranks fall in those two bins: collected, they would take
+    # 48 MB, so the peak shows that they were resolved by counting passes
+    rows = (rng.stream(45, "median-binary").random((4000, 3)) < 0.5).astype(float)
+    peak = _peak_bytes(median_heuristic_bandwidth, rows)
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert median_heuristic_bandwidth(rows) in (1.0, math.sqrt(2.0), (1.0 + math.sqrt(2.0)) / 2)
 
 
 def test_median_heuristic_peak_memory_below_5_n_squared_bytes():
@@ -230,6 +302,38 @@ def test_objective_config_validation():
     assert isinstance(GFormula(), GFormula)
     assert isinstance(Iptw(), Iptw)
     assert isinstance(AipwJoint(), AipwJoint)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kernel_bandwidth", math.nan), ("kernel_bandwidth", math.inf), ("kernel_bandwidth", True),
+    ("kernel_bandwidth", -1.0), ("lam", math.nan), ("lam", math.inf), ("lam", -1e-9)])
+def test_nmmr_rejects_non_finite_or_out_of_range_settings(field, value):
+    name = "lambda" if field == "lam" else field
+    with pytest.raises(ContractError, match=f"^{name} must be a finite number"):
+        Nmmr(**{field: value})
+
+
+@pytest.mark.parametrize("variant", ["U", "V"])
+def test_nmmr_risk_is_the_unpenalized_loss(variant):
+    g = rng.stream(46, "nmmr-risk", variant)
+    for n in (2, 3, 40, 362, 363, 1500):
+        raw = g.standard_normal((n, 4))
+        features, y, h = raw[:, [0, 2]], raw[:, 1], g.standard_normal(n)
+        bandwidth = median_heuristic_bandwidth(features)
+        dense = float(loss_nmmr(y, h, rbf_kernel_matrix(features, bandwidth), variant, 0.0).data)
+        risk = nmmr_risk(y, h, features, bandwidth, variant)
+        if n * n <= objectives._BAND_ENTRIES:  # one band: the same products
+            assert risk == dense, n
+        else:  # BLAS may round a K·r row differently in a band of its own
+            assert abs(risk - dense) <= 1e-12 * abs(dense), n
+
+
+def test_nmmr_risk_memory_grows_with_n_not_n_squared():
+    n = 6000  # the dense kernel and its U-statistic copy would take 576 MB
+    g = rng.stream(47, "nmmr-risk-mem")
+    features, y, h = g.standard_normal((n, 2)), g.standard_normal(n), g.standard_normal(n)
+    peak = _peak_bytes(nmmr_risk, y, h, features, 1.0, "U")
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_penalty_sum_squares_value():
