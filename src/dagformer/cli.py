@@ -27,7 +27,7 @@ from .estimators import (  # noqa: F401
 )
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
-from .methods import METHODS, Method, build_run, cast
+from .methods import METHODS, Method, build_models, cast
 from .model import DagTransformer, train_model
 from .selection import (
     c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
@@ -39,7 +39,8 @@ from .selection import (
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> dict:
+def _load_config(args) -> tuple[dict, int, str]:
+    """(run config with the `--set` and `--seed` overrides, its seed, output directory)."""
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -61,7 +62,7 @@ def _load_config(args) -> dict:
         target[parts[-1]] = value
     if args.seed is not None:
         config["seed"] = args.seed
-    return config
+    return config, cast(int, config.get("seed", 0), "seed"), args.out or config.get("out") or "."
 
 
 def _require(config: dict, key: str):
@@ -191,41 +192,37 @@ def _forest_config(config: dict, seed: int) -> ForestConfig:
 
 def _train_one(row: Method, dag, dataset, config: dict, seed: int):
     """Train a method's models; returns them in row order and the logs by role."""
-    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
-                                if r is not NodeRole.UNMEASURED])
-    runs = [(spec, build_run(config, spec, seed)) for spec in row.models]
-    models, logs = [], {}
-    for spec, (model_config, optimizer, objective, epochs, batch_size) in runs:
-        model = DagTransformer(model_config, dag, spec.base, kinds)
-        logs[spec.role] = train_model(model, dataset, objective, optimizer, epochs,
-                                      batch_size, seed=seed)
-        models.append(model)
-    return models, logs
+    runs = build_models(config, row, dag, dataset, seed)
+    logs = {spec.role: train_model(model, dataset, objective, optimizer, epochs, batch_size,
+                                   seed=seed)
+            for spec, (model, objective, optimizer, epochs, batch_size) in zip(row.models, runs)}
+    return [run[0] for run in runs], logs
 
 
-def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
+def _estimator(row: Method, config: dict, seed: int):
+    """(trained models, dataset) -> EstimateReport of `row`, its settings read
+    before anything trains. A proxy method averages its bridge at the `a_grid`
+    treatments over fresh held-out draws of the demand W, for demand data, else
+    over the dataset's own outcome-proxy and confounder rows."""
     if not row.proxy:
-        return row.estimate(*models, dataset)
-    # proximal: average the bridge over held-out proxy draws
-    model = models[0]
+        return lambda models, dataset: row.estimate(*models, dataset)
     heldout = _section(config, "heldout")
     m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
     draw_seed = cast(int, heldout.get("seed", seed), "heldout.seed")
-    grid = config.get("a_grid")
-    sim_name = _section(config, "data.simulator").get("name")
-    if sim_name == "demand" or heldout.get("demand"):
+    grid, draws = config.get("a_grid"), None
+    if _section(config, "data.simulator").get("name") == "demand" or heldout.get("demand"):
         draws = {"W": data_mod.heldout_w_draws(m, draw_seed)}
-        grid = grid or list(data_mod.DEMAND_PRICE_GRID)
-    else:
-        # fall back to the dataset's own proxy/confounder rows as the draw set
-        nodes = [n for n in model.input_nodes
-                 if model.graph.role_of(n) in (NodeRole.OUTCOME_PROXY, NodeRole.CONFOUNDER)]
-        if not nodes:
-            raise ConfigError("proximal estimation needs outcome-proxy or confounder columns")
-        draws = {n: dataset.node_column(n).values for n in nodes}
-        if grid is None:
-            raise ConfigError("proximal estimation on external data needs 'a_grid'")
-    return row.estimate(model, draws, [float(a) for a in grid])
+        grid = grid or data_mod.DEMAND_PRICE_GRID
+    elif grid is None:
+        raise ConfigError("proximal estimation on external data needs 'a_grid'")
+    grid = cast(lambda values: [float(a) for a in values], grid, "a_grid")
+
+    def estimate(models, dataset):
+        (model,) = models
+        return row.estimate(model, draws or {
+            n: dataset.node_column(n).values for n in model.input_nodes
+            if model.graph.role_of(n) in (NodeRole.OUTCOME_PROXY, NodeRole.CONFOUNDER)}, grid)
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +230,8 @@ def _estimate_with(row: Method, models: list, dataset, config: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config, seed, out = _load_config(args)
     sim = _section(config, "simulator" if "simulator" in config else "data.simulator")
-    seed = cast(int, config.get("seed", 0), "seed")
-    out = args.out or config.get("out") or "."
     os.makedirs(out, exist_ok=True)
     dataset, u = _simulate(sim, seed)
     name = sim["name"]
@@ -246,15 +241,14 @@ def cmd_simulate(args) -> int:
     schema["outcome"] = "Y"
     _write_json(os.path.join(out, "schema.json"), schema)
     if name == "demand":
-        dag = demand_dag()
         truth = {"u": [float(v) for v in u],
                  "price_grid": list(data_mod.DEMAND_PRICE_GRID),
                  "true_curve": [float(v) for v in data_mod.demand_true_curve()]}
     else:
-        dag = data_mod.linear_scm_dag(int(sim.get("x_dim", 1)))
         truth = {"true_ate": dataset.true_ate,
                  "true_cate": [float(v) for v in dataset.true_cate]}
-    _write_json(os.path.join(out, "dag.json"), dag.to_dict())
+    _write_json(os.path.join(out, "dag.json"),
+                _resolve_dag({"data": {"simulator": sim}}).to_dict())
     _write_json(os.path.join(out, "truth.json"), truth)
     manifest = {"simulator": name, "seed": seed, "n": dataset.n,
                 "scm_version": data_mod.DEMAND_SCM_VERSION if name == "demand" else "linear-scm-v1",
@@ -265,10 +259,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    config, seed, out = _load_config(args)
     row = _method_of(config)
-    seed = cast(int, config.get("seed", 0), "seed")
-    out = args.out or config.get("out") or "."
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
     if config.get("split"):
@@ -284,13 +276,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = _load_config(args)
+    config, seed, out = _load_config(args)
     row = _method_of(config)
-    seed = cast(int, config.get("seed", 0), "seed")
-    out = args.out or config.get("out") or "."
     dataset = _resolve_data(config, seed)
+    estimate = _estimator(row, config, seed)
     models = [DagTransformer.load(_require(config, spec.key)) for spec in row.models]
-    report = _estimate_with(row, models, dataset, config, seed)
+    report = estimate(models, dataset)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
     if report.cate is not None:
@@ -301,10 +292,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = _load_config(args)
+    config, seed, out = _load_config(args)
     row = _method_of(config)
-    seed = cast(int, config.get("seed", 0), "seed")
-    out = args.out or config.get("out") or "."
+    if "kernel_bandwidth" in _section(config, "nmmr"):
+        raise ConfigError("tune does not read 'nmmr.kernel_bandwidth': every candidate uses the "
+                          "median-heuristic bandwidth of its training rows")
     dag = _resolve_dag(config)
     dataset = _resolve_data(config, seed)
     train, validation = _split(dataset, config, seed)
@@ -328,21 +320,17 @@ def cmd_tune(args) -> int:
 # -- evaluate ---------------------------------------------------------------
 
 def _replicate_dataset(config: dict, replicate: int, seed: int):
-    _require(config, "data")
-    data_cfg = _section(config, "data")
-    mode = config.get("replicate_mode", "simulate" if "simulator" in data_cfg else "bootstrap")
-    if mode == "simulate":
-        if "simulator" not in data_cfg:
-            raise ConfigError("replicate_mode 'simulate' needs a simulator data config")
+    """A fresh simulation when the config has a simulator, else a bootstrap of its CSV."""
+    if "simulator" in _section(config, "data"):
         return _simulate(_section(config, "data.simulator"), seed + replicate)[0]
-    base = _resolve_data(config, seed)
-    return data_mod.bootstrap(base, seed + replicate)
+    return data_mod.bootstrap(_resolve_data(config, seed), seed + replicate)
 
 
 def _effect_replicate(config: dict, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
     row = _method_of(config)
     seed = cast(int, config.get("seed", 0), "seed")
+    estimate = _estimator(row, config, seed + replicate)
     dag = _resolve_dag(config)
     dataset = _replicate_dataset(config, replicate, seed)
     train, validation = _split(dataset, config, seed, offset=replicate)
@@ -354,7 +342,7 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
     if cate:
         check_reference(reference)
     models, _ = _train_one(row, dag, train, config, seed + replicate)
-    report = _estimate_with(row, models, validation, config, seed + replicate)
+    report = estimate(models, validation)
     row = {"replicate": replicate, "candidate_ate": report.ate,
            "plugin_ate": float(plugin_tau.mean()), "true_ate": validation.true_ate}
     if cate:
@@ -363,16 +351,13 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
 
 
 def _demand_replicate(config: dict, replicate: int) -> dict:
+    """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
     row = _method_of(config)
     seed = cast(int, config.get("seed", 0), "seed")
-    n = cast(int, _require(_section(config, "data.simulator"), "n"), "simulator.n")
-    dag = demand_dag()
-    dataset = data_mod.simulate_demand(n, seed + replicate).to_dataset()
-    heldout = _section(config, "heldout")
-    m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
-    models, _ = _train_one(row, dag, dataset, config, seed + replicate)
-    draws = {"W": data_mod.heldout_w_draws(m, seed + replicate)}
-    report = row.estimate(*models, draws, list(data_mod.DEMAND_PRICE_GRID))
+    estimate = _estimator(row, config, seed + replicate)
+    dataset = _replicate_dataset(config, replicate, seed)
+    models, _ = _train_one(row, _resolve_dag(config), dataset, config, seed + replicate)
+    report = estimate(models, dataset)
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
     naive = float(dataset.node_column("Y").values.mean())
@@ -393,9 +378,7 @@ def _replicate_with_context(job: tuple) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    seed = cast(int, config.get("seed", 0), "seed")
-    out = args.out or config.get("out") or "."
+    config, seed, out = _load_config(args)
     replicates = cast(int, config.get("replicates", 10), "replicates")
     experiment = config.get("experiment", "ate")
     jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
@@ -406,8 +389,14 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("the demand experiment needs a proximal method")
     if experiment not in ("ate", "cate", "demand"):
         raise ConfigError(f"unknown experiment {experiment!r}")
-    if experiment != "demand":
-        _forest_config(config, seed)  # a bad plug-in value fails before any replicate trains
+    # a bad value fails here, before any replicate trains
+    if experiment == "demand":
+        if _section(config, "data.simulator").get("name") != "demand":
+            raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
+        if "a_grid" in config:
+            raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
+    else:
+        _forest_config(config, seed)
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     rows = map_jobs(_replicate_with_context, [(worker, config, r) for r in range(replicates)], jobs)
@@ -434,11 +423,8 @@ def cmd_evaluate(args) -> int:
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "evaluate.json"), payload)
     header = sorted({k for r in rows for k in r if k != "curve"})
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join("" if r.get(k) is None else repr(float(r[k])) if
-                              isinstance(r.get(k), float) else str(r.get(k)) for k in header))
-    _write_text(os.path.join(out, "replicates.csv"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out, "replicates.csv"),
+                data_mod.csv_text(header, [[r.get(k) for k in header] for r in rows]))
     print(json.dumps(aggregate, sort_keys=True))
     return 0
 

@@ -65,7 +65,7 @@ class TabularDataset:
 
     def __init__(self, columns: list[Column], node_of: dict[str, str],
                  true_ate: Optional[float] = None, true_cate: Optional[np.ndarray] = None,
-                 potential_outcome: Optional[Callable] = None, source: str = "external"):
+                 potential_outcome: Optional[Callable] = None):
         if not columns:
             raise DataError("dataset needs at least one column")
         lengths = {c.values.size for c in columns}
@@ -84,7 +84,6 @@ class TabularDataset:
         self.true_ate = true_ate
         self.true_cate = None if true_cate is None else np.asarray(true_cate, dtype=np.float64)
         self.potential_outcome = potential_outcome
-        self.source = source
         self._by_name = {c.name: c for c in columns}
         self._by_node = {node: self._by_name[col] for col, node in node_of.items()}
 
@@ -111,7 +110,7 @@ class TabularDataset:
         cols = [Column(c.name, c.kind, c.values[rows]) for c in self.columns]
         cate = None if self.true_cate is None else self.true_cate[rows]
         return TabularDataset(cols, self.node_of, true_ate=self.true_ate, true_cate=cate,
-                              potential_outcome=self.potential_outcome, source=self.source)
+                              potential_outcome=self.potential_outcome)
 
     def split(self, train_fraction: float, seed: int) -> tuple["TabularDataset", "TabularDataset"]:
         """Shuffled train/validation split, deterministic per seed."""
@@ -209,6 +208,14 @@ def write_csv(dataset: TabularDataset, path: str):
             writer.writerow([repr(float(col[i])) for col in cols])
 
 
+def csv_text(header: list, rows) -> str:
+    """A report CSV: a cell is empty for None, 0/1 for a bool, `repr` for a float, else `str`."""
+    def cell(v) -> str:
+        return "" if v is None else str(int(v)) if isinstance(v, bool) else \
+            repr(float(v)) if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
 def write_schema(dataset: TabularDataset, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(dataset.schema(), fh, indent=2, sort_keys=True)
@@ -290,7 +297,7 @@ def simulate_linear_scm(n: int, scm: LinearScm, seed: int) -> TabularDataset:
     node_of = {nm: nm for nm in names} | {"A": "A", "Y": "Y"}
     true_ate = float(cate.mean()) if callable(scm.treatment_effect) else float(scm.treatment_effect)
     return TabularDataset(columns, node_of, true_ate=true_ate, true_cate=cate,
-                          potential_outcome=scm.mu, source="linear-scm")
+                          potential_outcome=scm.mu)
 
 
 def linear_scm_dag(x_dim: int) -> CausalDag:
@@ -314,8 +321,7 @@ class DemandSample:
         """Observable table (U excluded) bound to the demand graph nodes."""
         columns = [Column("Z", "continuous", self.z), Column("W", "continuous", self.w),
                    Column("A", "continuous", self.a), Column("Y", "continuous", self.y)]
-        return TabularDataset(columns, {"Z": "Z", "W": "W", "A": "A", "Y": "Y"},
-                              source="demand-scm")
+        return TabularDataset(columns, {"Z": "Z", "W": "W", "A": "A", "Y": "Y"})
 
 
 def demand_psi(u: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .data import csv_text
 from .errors import ConfigError, ContractError, DataError
 
 DEFAULT_PROPENSITY_CLAMP = 0.01
@@ -46,9 +47,7 @@ class EstimateReport:
     def cate_csv(self) -> str:
         if self.cate is None:
             raise ContractError(f"{self.method} report has no per-unit effects")
-        lines = ["unit,cate"]
-        lines += [f"{i},{repr(float(v))}" for i, v in enumerate(self.cate)]
-        return "\n".join(lines) + "\n"
+        return csv_text(["unit", "cate"], enumerate(self.cate))
 
 
 def _validate_binary(a: np.ndarray):

@@ -7,7 +7,8 @@ from typing import Callable, Optional
 
 from .errors import ConfigError, ContractError
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
-from .model import ModelConfig
+from .graph import NodeRole
+from .model import DagTransformer, ModelConfig
 from .objectives import AipwJoint, GFormula, Iptw, Nmmr
 from .optim import AdamState
 
@@ -84,21 +85,29 @@ def cast(kind: Callable, value, key: str):
         raise ConfigError(f"bad value for {key!r}: {value!r}") from None
 
 
-def build_run(config: dict, spec: ModelSpec, seed: int):
-    """(ModelConfig, AdamState, objective, epochs, batch_size) of one model; a
+def build_models(config: dict, row: Method, dag, dataset, seed: int) -> list:
+    """[(untrained DagTransformer, objective, AdamState, epochs, batch_size)] of
+    a method's models in row order, each input node typed as in `dataset`; a
     malformed value is a ConfigError. When the objective penalizes the
     parameters (NMMR's lambda, default `optimizer.l2_penalty`), Adam does not."""
-    if spec.key != "model" and spec.key not in config:
-        raise ConfigError(f"config is missing required key {spec.key!r}")
-    try:
-        fields = dict(config.get(spec.key) or config.get("model") or {})
-        model_config = ModelConfig(**{"seed": seed, **fields})
-        objective = spec.objective(config)
-        opt = config.get("optimizer", {})
-        l2 = 0.0 if objective.penalizes_parameters else float(opt.get("l2_penalty", 0.0))
-        optimizer = AdamState(float(opt.get("learning_rate", 1e-3)), float(opt.get("beta1", 0.9)),
-                              float(opt.get("beta2", 0.999)), float(opt.get("epsilon", 1e-8)), l2)
-        return (model_config, optimizer, objective, int(config.get("epochs", 100)),
-                int(config.get("batch_size", 32)))
-    except (AttributeError, TypeError, ValueError, ContractError) as exc:
-        raise ConfigError(f"bad run config: {exc}") from None
+    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
+                                if r is not NodeRole.UNMEASURED])
+    runs = []
+    for spec in row.models:
+        if spec.key != "model" and spec.key not in config:
+            raise ConfigError(f"config is missing required key {spec.key!r}")
+        try:
+            fields = dict(config.get(spec.key) or config.get("model") or {})
+            model_config = ModelConfig(**{"seed": seed, **fields})
+            objective = spec.objective(config)
+            opt = config.get("optimizer", {})
+            l2 = 0.0 if objective.penalizes_parameters else float(opt.get("l2_penalty", 0.0))
+            optimizer = AdamState(
+                float(opt.get("learning_rate", 1e-3)), float(opt.get("beta1", 0.9)),
+                float(opt.get("beta2", 0.999)), float(opt.get("epsilon", 1e-8)), l2)
+            epochs, batch_size = int(config.get("epochs", 100)), int(config.get("batch_size", 32))
+        except (AttributeError, TypeError, ValueError, ContractError) as exc:
+            raise ConfigError(f"bad run config: {exc}") from None
+        runs.append((DagTransformer(model_config, dag, spec.base, kinds), objective, optimizer,
+                     epochs, batch_size))
+    return runs

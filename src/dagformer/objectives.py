@@ -277,8 +277,8 @@ def _pairwise_sq_dists(rows: np.ndarray) -> np.ndarray:
 
 def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
     """K[i, j] = exp(-||u_i - u_j||^2 / (2 sigma^2)) over the feature rows."""
-    if bandwidth <= 0:
-        raise ContractError(f"bandwidth must be > 0, got {bandwidth}")
+    if not 0.0 < bandwidth < math.inf:
+        raise ContractError(f"bandwidth must be finite and > 0, got {bandwidth}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     return np.exp(-_pairwise_sq_dists(rows) / (2.0 * bandwidth * bandwidth))
 

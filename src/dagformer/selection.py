@@ -17,9 +17,10 @@ from .errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
     TrainingDivergedError,
 )
+from .data import csv_text
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, build_run, cast
+from .methods import METHODS, build_models, cast
 from .model import DagTransformer, train_model
 
 
@@ -169,11 +170,8 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
     row = METHODS[method]
-    (spec,) = row.models
-    model_config, optimizer, objective, epochs, batch_size = build_run(run_config, spec, seed)
-    kinds = validation.node_kinds(
-        [n for n, r in zip(dag.names, dag.roles) if r is not NodeRole.UNMEASURED])
-    model = DagTransformer(model_config, dag, spec.base, kinds)
+    ((model, objective, optimizer, epochs, batch_size),) = build_models(
+        run_config, row, dag, train, seed)
     entry["param_count"] = model.param_count
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -250,10 +248,6 @@ def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
 
 
 def ranking_csv(rows: list[dict]) -> str:
-    lines = ["rank,config_hash,score,train_loss,diverged,param_count,grid_index"]
-    for e in rows:
-        score = "" if e["score"] is None else repr(float(e["score"]))
-        train_loss = "" if e["train_loss"] is None else repr(float(e["train_loss"]))
-        lines.append(f'{e["rank"]},{e["config_hash"]},{score},{train_loss},'
-                     f'{int(e["diverged"])},{e["param_count"]},{e["grid_index"]}')
-    return "\n".join(lines) + "\n"
+    header = ["rank", "config_hash", "score", "train_loss", "diverged", "param_count",
+              "grid_index"]
+    return csv_text(header, [[e[k] for k in header] for e in rows])

@@ -246,6 +246,22 @@ def test_evaluate_demand_reports_median_iqr(tmp_path):
         assert len(row["curve"]) == 10
 
 
+def test_evaluate_demand_draws_heldout_w_with_heldout_seed(tmp_path):
+    config = {"experiment": "demand", "method": "proximal-u",
+              "data": {"simulator": {"name": "demand", "n": 120}}, "model": small_model(),
+              "epochs": 2, "batch_size": 32, "replicates": 1, "seed": 13,
+              "heldout": {"draws": 50}}
+
+    def curve(**heldout):
+        out = tmp_path / f"seed{heldout.get('seed')}"
+        cfg = dict(config, heldout=dict(config["heldout"], **heldout))
+        assert run(tmp_path, "evaluate", cfg, extra=("--out", str(out))) == 0
+        return json.loads((out / "evaluate.json").read_text())["replicates"][0]["curve"]
+    # replicate 0 draws with seed + 0 unless heldout.seed says otherwise
+    assert curve(seed=13) == curve()
+    assert curve(seed=14) != curve()
+
+
 def test_evaluate_reports_embed_full_config(tmp_path):
     out = tmp_path / "cfg"
     config = {"experiment": "ate", "method": "gformula", "data": linear_data(n=200),
@@ -418,6 +434,14 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("train", "proximal-v", "nmmr.lambda=Infinity", 2),
     ("train", "proximal-u", "optimizer.l2_penalty=NaN", 2),
     ("evaluate", "proximal-u", "experiment=demand nmmr.kernel_bandwidth=NaN", 2),
+    # the demand experiment simulates its own data and scores its own price grid
+    ("evaluate", "proximal-u", "experiment=demand data.simulator.name=linear-scm", 2),
+    ("evaluate", "proximal-u", "experiment=demand a_grid=[10,20]", 2),
+    # tune's candidates use the median-heuristic bandwidth, whatever the config sets
+    ("tune", "proximal-u", "nmmr.kernel_bandwidth=NaN", 2),
+    ("tune", "proximal-v", "nmmr.kernel_bandwidth=1.0", 2),
+    # read before the snapshot loads
+    ("estimate", "proximal-u", 'a_grid="abc"', 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -445,6 +469,10 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "proximal-u", "nmmr.lambda=NaN", "nmmr.lambda"),
     ("train", "proximal-u", "nmmr.lambda=abc", "'nmmr.lambda'"),
     ("train", "proximal-u", "optimizer.l2_penalty=abc", "'optimizer.l2_penalty'"),
+    ("evaluate", "proximal-u", "experiment=demand data.simulator.name=linear-scm",
+     "'data.simulator.name'"),
+    ("evaluate", "proximal-u", "experiment=demand a_grid=[10,20]", "'a_grid'"),
+    ("tune", "proximal-u", "nmmr.kernel_bandwidth=1.0", "'nmmr.kernel_bandwidth'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     config = dict(_method_config(name), grid=_grid())

@@ -5,7 +5,7 @@ from dagformer import rng
 from dagformer.data import (
     Column, DEMAND_HELDOUT_DRAWS, DEMAND_PRICE_GRID, DEMAND_REPLICATES,
     DEMAND_SAMPLE_SIZES, LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS,
-    LALONDE_TREATED, LALONDE_TRUE_ATE, LinearScm, TabularDataset, bootstrap,
+    LALONDE_TREATED, LALONDE_TRUE_ATE, LinearScm, TabularDataset, bootstrap, csv_text,
     demand_mc_moments, demand_psi, demand_true_curve, demand_true_potential_outcome,
     heldout_w_draws, lalonde_dag, lalonde_schema, linear_scm_dag, load_csv,
     simulate_demand, simulate_linear_scm, write_csv, write_schema,
@@ -246,3 +246,9 @@ def test_heldout_w_draws_match_marginal():
     s = simulate_demand(100_000, seed=9)
     assert abs(draws.mean() - s.w.mean()) < 0.1
     assert abs(draws.std() - s.w.std()) < 0.1
+
+
+def test_csv_text_cell_rule():
+    rows = [[None, True, False, 0.1, np.float64(1e-17), 3, "abc"], [1.0, None, None, 2, 0, 0, ""]]
+    assert csv_text(["a", "b", "c", "d", "e", "f", "g"], rows) == (
+        "a,b,c,d,e,f,g\n,1,0,0.1,1e-17,3,abc\n1.0,,,2,0,0,\n")

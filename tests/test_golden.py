@@ -1,4 +1,4 @@
-"""Golden CLI outputs: small proximal runs must keep their bytes across commits.
+"""Golden CLI outputs: small runs of every command must keep their bytes across commits.
 
 Each run below executes one or more `dagformer` commands in a fresh
 directory and compares every output file with the fixture in
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from dagformer.cli import main
+from dagformer.methods import METHODS
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "golden")
 STACK_RTOL = 1e-9
@@ -42,9 +43,19 @@ def _proximal(method: str, **extra) -> dict:
             "epochs": 6, "batch_size": 32, "seed": 13, "heldout": {"draws": 100}, **extra}
 
 
+def _linear(method: str, **extra) -> dict:
+    return {"method": method, "data": {"simulator": {"name": "linear-scm", "n": 240, "x_dim": 2,
+                                                     "effect_of_x1": 1.0}},
+            **{spec.key: _MODEL for spec in METHODS[method].models},
+            "optimizer": {"learning_rate": 3e-3}, "epochs": 6, "batch_size": 32, "seed": 13,
+            "plugin": {"n_trees": 20}, **extra}
+
+
 def _train_estimate(method: str) -> list:
-    return [("train", _proximal(method), "train", ()),
-            ("estimate", _proximal(method, model="train/model.json"), "estimate", ())]
+    config = _proximal if METHODS[method].proxy else _linear
+    snapshots = {spec.key: f"train/{spec.key}.json" for spec in METHODS[method].models}
+    return [("train", config(method), "train", ()),
+            ("estimate", config(method, **snapshots), "estimate", ())]
 
 
 _GRID = {"epochs": [4], "batch_size": [32], "learning_rate": [1e-3, 3e-3],
@@ -52,16 +63,30 @@ _GRID = {"epochs": [4], "batch_size": [32], "learning_rate": [1e-3, 3e-3],
          "dropout": [0.0], "embedding_dim": [8], "feedforward_dim": [16], "num_heads": [2],
          "alpha": [0.1]}
 _EVALUATE = _proximal("proximal-u", experiment="demand", replicates=2)
+_SPLIT = {"train_fraction": 0.7, "seed": 9}
 
 # run name -> [(command, config, output directory, extra arguments)], run in order
 RUNS = {
     "train-estimate-proximal-u": _train_estimate("proximal-u"),
     "train-estimate-proximal-v": _train_estimate("proximal-v"),
-    "tune-proximal-u": [("tune", _proximal("proximal-u", grid=_GRID,
-                                           split={"train_fraction": 0.7, "seed": 9}),
-                         "tune", ())],
+    "tune-proximal-u": [("tune", _proximal("proximal-u", grid=_GRID, split=_SPLIT), "tune", ())],
     "evaluate-demand-jobs1": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "1"))],
     "evaluate-demand-jobs2": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "2"))],
+    **{f"train-estimate-{method}": _train_estimate(method)
+       for method in METHODS if not METHODS[method].proxy},
+    "tune-gformula-cate": [("tune", _linear("gformula", grid=_GRID, split=_SPLIT), "tune", ())],
+    "tune-aipw-joint-ate": [("tune", _linear("aipw-joint", grid=_GRID, split=_SPLIT, mode="ate"),
+                             "tune", ())],
+    **{f"evaluate-{experiment}-jobs{jobs}": [
+        ("evaluate", _linear(method, experiment=experiment, replicates=2), "evaluate",
+         ("--jobs", jobs))]
+       for experiment, method in (("ate", "aipw-joint"), ("cate", "gformula"))
+       for jobs in ("1", "2")},
+    "simulate-linear-scm": [("simulate", {"simulator": {"name": "linear-scm", "n": 40, "x_dim": 2,
+                                                        "effect_of_x1": 1.0}, "seed": 5},
+                             "simulate", ())],
+    "simulate-demand": [("simulate", {"simulator": {"name": "demand", "n": 40}, "seed": 5},
+                         "simulate", ())],
 }
 
 

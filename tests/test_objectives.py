@@ -90,6 +90,12 @@ def test_rbf_distance_sigma_sqrt2():
     assert k[0, 0] == 1.0 and k[1, 1] == 1.0
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+def test_rbf_rejects_a_bandwidth_that_is_not_finite_and_positive(bandwidth):
+    with pytest.raises(ContractError, match="bandwidth must be finite and > 0"):
+        rbf_kernel_matrix(np.eye(2), bandwidth)
+
+
 def test_rbf_symmetric_psd():
     g = rng.stream(34, "rbf")
     rows = g.standard_normal((10, 4))
