@@ -39,12 +39,27 @@ from .selection import (
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def _read(key: str, path, load=None, error=ConfigError):
+    """The file the config names under `key`: `load(path)`, else its JSON value.
+    A `path` that is not a string, or a file that is missing, does not parse
+    or that `load` rejects with `error`, is an `error` that names the key."""
+    if not isinstance(path, str):
+        raise error(f"{key!r} must be a file path, got {path!r}")
+    try:
+        if load:
+            return load(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, error) as exc:
+        raise error(f"{key!r} file: {exc}") from None
+
+
 def _load_config(args) -> tuple[dict, int, str]:
     """(run config with the `--set` and `--seed` overrides, its seed, output directory)."""
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+    config = _read("--config", args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise ConfigError(f"the '--config' file must hold a JSON object, "
+                          f"not a {type(config).__name__}")
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
@@ -101,20 +116,16 @@ def _write_json(path: str, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_dag(config: dict):
+def _resolve_dag(config: dict, simulated):
+    """The config's `dag`, inline or a file path, else the `simulated` graph."""
     dag_cfg = config.get("dag")
     if isinstance(dag_cfg, dict):
         return CausalDag.from_dict(dag_cfg)
     if isinstance(dag_cfg, str):
-        with open(dag_cfg, "r", encoding="utf-8") as fh:
-            return CausalDag.from_dict(json.load(fh))
-    sim = _section(config, "data.simulator")
-    name = sim.get("name")
-    if name == "demand":
-        return demand_dag()
-    if name == "linear-scm":
-        return data_mod.linear_scm_dag(cast(int, sim.get("x_dim", 1), "simulator.x_dim"))
-    raise ConfigError("config needs a 'dag' path or inline graph")
+        return CausalDag.from_dict(_read("dag", dag_cfg))
+    if simulated is None:
+        raise ConfigError("config needs a 'dag' path or inline graph")
+    return simulated
 
 
 def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
@@ -143,28 +154,43 @@ def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
 
 
 def _simulate(sim: dict, seed: int):
-    """(dataset, the draws of the unmeasured U for `demand`, else None)."""
+    """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
     name = sim.get("name")
     n = cast(int, _require(sim, "n"), "simulator.n")
     if n < 1:
         raise ConfigError(f"simulator needs n >= 1, got {n}")
     if name == "linear-scm":
-        return data_mod.simulate_linear_scm(n, _linear_scm_from(sim), seed), None
+        scm = _linear_scm_from(sim)
+        rows = data_mod.simulate_linear_scm(n, scm, seed)
+        return (rows, data_mod.linear_scm_dag(scm.x_dim),
+                lambda: {"true_ate": rows.true_ate,
+                         "true_cate": [float(v) for v in rows.true_cate]},
+                "linear-scm-v1")
     if name == "demand":
         sample = data_mod.simulate_demand(n, seed)
-        return sample.to_dataset(), sample.u
+        return (sample.to_dataset(), demand_dag(),
+                lambda: {"u": [float(v) for v in sample.u],
+                         "price_grid": list(data_mod.DEMAND_PRICE_GRID),
+                         "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
+                data_mod.DEMAND_SCM_VERSION)
     raise ConfigError(f"unknown simulator {name!r}")
 
 
-def _resolve_data(config: dict, seed: int) -> data_mod.TabularDataset:
+def _resolve_data(config: dict, seed: int, replicate: int | None = None):
+    """The rows the `data` section names, as `_simulate`'s tuple: the simulator's
+    draw seeded by `data.seed` (default `seed`), or the CSV file, which has no
+    graph, truth or version. Replicate r draws with that seed + r, or
+    bootstraps the CSV with it."""
     _require(config, "data")
     data_cfg = _section(config, "data")
+    seed = cast(int, data_cfg.get("seed", seed), "data.seed") + (replicate or 0)
     if "simulator" in data_cfg:
-        seed = cast(int, data_cfg.get("seed", seed), "data.seed")
-        return _simulate(_section(config, "data.simulator"), seed)[0]
+        return _simulate(_section(config, "data.simulator"), seed)
     if "csv" in data_cfg:
-        schema = data_mod.load_schema(_require(data_cfg, "schema"))
-        return data_mod.load_csv(data_cfg["csv"], schema)
+        schema = _read("data.schema", _require(data_cfg, "schema"), data_mod.load_schema, DataError)
+        rows = _read("data.csv", data_cfg["csv"], lambda path: data_mod.load_csv(path, schema),
+                     DataError)
+        return (rows if replicate is None else data_mod.bootstrap(rows, seed)), None, None, None
     raise ConfigError("data config needs either 'simulator' or 'csv'+'schema'")
 
 
@@ -231,28 +257,21 @@ def _estimator(row: Method, config: dict, seed: int):
 
 def cmd_simulate(args) -> int:
     config, seed, out = _load_config(args)
-    sim = _section(config, "simulator" if "simulator" in config else "data.simulator")
+    # a top-level `simulator` is drawn as a `data.simulator` without a `data.seed`
+    run = {"data": {"simulator": config["simulator"]}} if "simulator" in config else config
+    if "simulator" not in _section(run, "data"):
+        raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")
+    dataset, dag, truth, version = _resolve_data(run, seed)
     os.makedirs(out, exist_ok=True)
-    dataset, u = _simulate(sim, seed)
-    name = sim["name"]
     data_mod.write_csv(dataset, os.path.join(out, "data.csv"))
     schema = dataset.schema()
     schema["treatment"] = "A"
     schema["outcome"] = "Y"
     _write_json(os.path.join(out, "schema.json"), schema)
-    if name == "demand":
-        truth = {"u": [float(v) for v in u],
-                 "price_grid": list(data_mod.DEMAND_PRICE_GRID),
-                 "true_curve": [float(v) for v in data_mod.demand_true_curve()]}
-    else:
-        truth = {"true_ate": dataset.true_ate,
-                 "true_cate": [float(v) for v in dataset.true_cate]}
-    _write_json(os.path.join(out, "dag.json"),
-                _resolve_dag({"data": {"simulator": sim}}).to_dict())
-    _write_json(os.path.join(out, "truth.json"), truth)
-    manifest = {"simulator": name, "seed": seed, "n": dataset.n,
-                "scm_version": data_mod.DEMAND_SCM_VERSION if name == "demand" else "linear-scm-v1",
-                "config": config}
+    _write_json(os.path.join(out, "dag.json"), dag.to_dict())
+    _write_json(os.path.join(out, "truth.json"), truth())
+    manifest = {"simulator": run["data"]["simulator"]["name"], "seed": seed, "n": dataset.n,
+                "scm_version": version, "config": config}
     _write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"wrote {dataset.n}-row dataset to {out}")
     return 0
@@ -261,8 +280,8 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     config, seed, out = _load_config(args)
     row = _method_of(config)
-    dag = _resolve_dag(config)
-    dataset = _resolve_data(config, seed)
+    dataset, simulated, *_ = _resolve_data(config, seed)
+    dag = _resolve_dag(config, simulated)
     if config.get("split"):
         dataset, _ = _split(dataset, config, seed)
     models, logs = _train_one(row, dag, dataset, config, seed)
@@ -278,9 +297,10 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     config, seed, out = _load_config(args)
     row = _method_of(config)
-    dataset = _resolve_data(config, seed)
+    dataset = _resolve_data(config, seed)[0]
     estimate = _estimator(row, config, seed)
-    models = [DagTransformer.load(_require(config, spec.key)) for spec in row.models]
+    models = [_read(spec.key, _require(config, spec.key), DagTransformer.load)
+              for spec in row.models]
     report = estimate(models, dataset)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
@@ -297,13 +317,12 @@ def cmd_tune(args) -> int:
     if "kernel_bandwidth" in _section(config, "nmmr"):
         raise ConfigError("tune does not read 'nmmr.kernel_bandwidth': every candidate uses the "
                           "median-heuristic bandwidth of its training rows")
-    dag = _resolve_dag(config)
-    dataset = _resolve_data(config, seed)
+    dataset, simulated, *_ = _resolve_data(config, seed)
+    dag = _resolve_dag(config, simulated)
     train, validation = _split(dataset, config, seed)
     grid = _require(config, "grid")
     if isinstance(grid, str):
-        with open(grid, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
+        grid = _read("grid", grid)
     jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
     rows, best = grid_search(grid, train, validation, row.name, dag,
                              mode=config.get("mode", "cate"), seed=seed,
@@ -319,20 +338,13 @@ def cmd_tune(args) -> int:
 
 # -- evaluate ---------------------------------------------------------------
 
-def _replicate_dataset(config: dict, replicate: int, seed: int):
-    """A fresh simulation when the config has a simulator, else a bootstrap of its CSV."""
-    if "simulator" in _section(config, "data"):
-        return _simulate(_section(config, "data.simulator"), seed + replicate)[0]
-    return data_mod.bootstrap(_resolve_data(config, seed), seed + replicate)
-
-
 def _effect_replicate(config: dict, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
     row = _method_of(config)
     seed = cast(int, config.get("seed", 0), "seed")
     estimate = _estimator(row, config, seed + replicate)
-    dag = _resolve_dag(config)
-    dataset = _replicate_dataset(config, replicate, seed)
+    dataset, simulated, *_ = _resolve_data(config, seed, replicate)
+    dag = _resolve_dag(config, simulated)
     train, validation = _split(dataset, config, seed, offset=replicate)
     forests = _forest_config(config, seed + replicate)
     # keep the plug-in's effects, not its forests, alive through training
@@ -355,8 +367,8 @@ def _demand_replicate(config: dict, replicate: int) -> dict:
     row = _method_of(config)
     seed = cast(int, config.get("seed", 0), "seed")
     estimate = _estimator(row, config, seed + replicate)
-    dataset = _replicate_dataset(config, replicate, seed)
-    models, _ = _train_one(row, _resolve_dag(config), dataset, config, seed + replicate)
+    dataset, simulated, *_ = _resolve_data(config, seed, replicate)
+    models, _ = _train_one(row, _resolve_dag(config, simulated), dataset, config, seed + replicate)
     report = estimate(models, dataset)
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
@@ -390,6 +402,10 @@ def cmd_evaluate(args) -> int:
     if experiment not in ("ate", "cate", "demand"):
         raise ConfigError(f"unknown experiment {experiment!r}")
     # a bad value fails here, before any replicate trains
+    least = 2 if experiment == "ate" else 1  # ate normalizes by the spread over replicates
+    if replicates < least:
+        raise ConfigError(f"experiment {experiment!r} needs 'replicates' >= {least}, "
+                          f"got {replicates}")
     if experiment == "demand":
         if _section(config, "data.simulator").get("name") != "demand":
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")

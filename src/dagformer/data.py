@@ -1,9 +1,8 @@
 """Tabular datasets, CSV/schema ingestion, bootstrap resampling, and
 synthetic structural-equation simulators with ground-truth effects.
 
-Simulated datasets carry their true effects (scalar ATE, per-unit CATE, and
-a potential-outcome handle) so estimator tests can score against the truth;
-loaded datasets never do.
+Simulated datasets carry their true effects (scalar ATE and per-unit CATE)
+so estimator tests can score against the truth; loaded datasets never do.
 """
 
 import csv
@@ -64,8 +63,7 @@ class TabularDataset:
     """
 
     def __init__(self, columns: list[Column], node_of: dict[str, str],
-                 true_ate: Optional[float] = None, true_cate: Optional[np.ndarray] = None,
-                 potential_outcome: Optional[Callable] = None):
+                 true_ate: Optional[float] = None, true_cate: Optional[np.ndarray] = None):
         if not columns:
             raise DataError("dataset needs at least one column")
         lengths = {c.values.size for c in columns}
@@ -83,7 +81,6 @@ class TabularDataset:
         self.node_of = dict(node_of)
         self.true_ate = true_ate
         self.true_cate = None if true_cate is None else np.asarray(true_cate, dtype=np.float64)
-        self.potential_outcome = potential_outcome
         self._by_name = {c.name: c for c in columns}
         self._by_node = {node: self._by_name[col] for col, node in node_of.items()}
 
@@ -109,8 +106,7 @@ class TabularDataset:
     def subset(self, rows: np.ndarray) -> "TabularDataset":
         cols = [Column(c.name, c.kind, c.values[rows]) for c in self.columns]
         cate = None if self.true_cate is None else self.true_cate[rows]
-        return TabularDataset(cols, self.node_of, true_ate=self.true_ate, true_cate=cate,
-                              potential_outcome=self.potential_outcome)
+        return TabularDataset(cols, self.node_of, true_ate=self.true_ate, true_cate=cate)
 
     def split(self, train_fraction: float, seed: int) -> tuple["TabularDataset", "TabularDataset"]:
         """Shuffled train/validation split, deterministic per seed."""
@@ -149,9 +145,20 @@ def bootstrap(dataset: TabularDataset, seed: int) -> TabularDataset:
 # CSV + schema files
 # ---------------------------------------------------------------------------
 
+def _schema_columns(schema) -> list[dict]:
+    columns = schema.get("columns") if isinstance(schema, dict) else None
+    if not (isinstance(columns, list) and columns and all(
+            isinstance(c, dict) and {"name", "kind"} <= c.keys() for c in columns)):
+        raise DataError("a schema needs 'columns', a non-empty list of objects with a 'name' "
+                        "and a 'kind'")
+    return columns
+
+
 def load_schema(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    _schema_columns(schema)
+    return schema
 
 
 def load_csv(path: str, schema: dict) -> TabularDataset:
@@ -161,7 +168,7 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
     the file but not in the schema are ignored. Unparseable and non-finite
     cells are rejected with their file row number (header is row 1).
     """
-    spec_cols = schema["columns"]
+    spec_cols = _schema_columns(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -177,6 +184,9 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(header):
+                raise DataError(f"{path}: row {line_no} has {len(row)} cells, "
+                                f"the header has {len(header)}")
             for c in spec_cols:
                 name = c["name"]
                 cell = row[positions[name]].strip()
@@ -296,8 +306,7 @@ def simulate_linear_scm(n: int, scm: LinearScm, seed: int) -> TabularDataset:
     columns.append(Column("Y", "continuous", y))
     node_of = {nm: nm for nm in names} | {"A": "A", "Y": "Y"}
     true_ate = float(cate.mean()) if callable(scm.treatment_effect) else float(scm.treatment_effect)
-    return TabularDataset(columns, node_of, true_ate=true_ate, true_cate=cate,
-                          potential_outcome=scm.mu)
+    return TabularDataset(columns, node_of, true_ate=true_ate, true_cate=cate)
 
 
 def linear_scm_dag(x_dim: int) -> CausalDag:

@@ -34,6 +34,9 @@ class CausalDag:
         self.names: list[str] = []
         self.roles: list[NodeRole] = []
         for name, role in nodes:
+            if role not in tuple(NodeRole):
+                raise ConfigError(f"node {name!r} has unknown role {role!r}, "
+                                  f"expected one of {[r.value for r in NodeRole]}")
             self.names.append(str(name))
             self.roles.append(NodeRole(role))
         if len(set(self.names)) != len(self.names):
@@ -44,8 +47,9 @@ class CausalDag:
         self.index = {name: i for i, name in enumerate(self.names)}
         edge_idx = set()
         for parent, child in edges:
-            p = self.index[parent] if isinstance(parent, str) else int(parent)
-            c = self.index[child] if isinstance(child, str) else int(child)
+            p, c = (self.index.get(end, -1) if isinstance(end, str)
+                    else int(end) if isinstance(end, (int, np.integer)) else -1
+                    for end in (parent, child))
             if not (0 <= p < len(self.names) and 0 <= c < len(self.names)):
                 raise ConfigError(f"edge ({parent}, {child}) references unknown node")
             if p == c:
@@ -122,8 +126,14 @@ class CausalDag:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalDag":
-        nodes = [(nd["name"], nd["role"]) for nd in d["nodes"]]
-        return cls(nodes, [tuple(e) for e in d["edges"]])
+        d = d if isinstance(d, dict) else {}
+        nodes, edges = d.get("nodes"), d.get("edges")
+        if not (isinstance(nodes, list) and isinstance(edges, list)
+                and all(isinstance(nd, dict) and {"name", "role"} <= nd.keys() for nd in nodes)
+                and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+            raise ConfigError("a graph needs 'nodes', a list of objects with a 'name' and a "
+                              "'role', and 'edges', a list of [parent, child] pairs")
+        return cls([(nd["name"], nd["role"]) for nd in nodes], [tuple(e) for e in edges])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

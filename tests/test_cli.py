@@ -164,6 +164,51 @@ def test_train_alpha_zero_exits_zero_and_encoder_bypass_is_config_error(tmp_path
     assert "encoder_bypass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schema, csv, named", [
+    (None, "x,t,y\n1,0,2\n", "'data.schema'"),
+    ("{not json", "x,t,y\n1,0,2\n", "'data.schema'"),
+    ('{"cols": []}', "x,t,y\n1,0,2\n", "'data.schema'"),
+    ('{"columns": [{"kind": "binary"}]}', "x,t,y\n1,0,2\n", "'data.schema'"),
+    ('{"columns": [{"name": "t", "kind": "binary"}]}', None, "'data.csv'"),
+    ('{"columns": [{"name": "t", "kind": "binary"}]}', "x,t,y\n1,0,2\n1,0\n", "row 3 has 2 cells"),
+])
+def test_unreadable_data_file_is_data_error_naming_its_key(tmp_path, capsys, schema, csv, named):
+    config = {"method": "gformula", "dag": linear_scm_dag(1).to_dict(),
+              "data": {"csv": str(tmp_path / "data.csv"), "schema": str(tmp_path / "s.json")}}
+    for name, text in (("s.json", schema), ("data.csv", csv)):
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [(None, "'--config'"), ("{not json", "'--config'"),
+                                          ("[1]", "'--config'")])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, output", [("evaluate", "replicates.csv"),
+                                             ("simulate", "data.csv")])
+def test_rows_are_drawn_with_data_seed(tmp_path, command, output):
+    # replicate r draws with data.seed + r, and seed + r without it
+    config = dict(_method_config("gformula"), replicates=2, seed=11)
+    del config["data"]["seed"]
+
+    def written(*overrides):
+        out = tmp_path / "-".join(overrides or ["default"])
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run(tmp_path, command, config, extra=("--out", str(out), *sets)) == 0
+        return (out / output).read_bytes()
+    default = written()
+    assert written("data.seed=99") != default
+    assert written("data.seed=11") == default
+
+
 def test_estimate_missing_csv_is_data_error(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"columns": [
@@ -442,6 +487,26 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("tune", "proximal-v", "nmmr.kernel_bandwidth=1.0", 2),
     # read before the snapshot loads
     ("estimate", "proximal-u", 'a_grid="abc"', 2),
+    # too few replicates to score: ate normalizes by their spread
+    ("evaluate", "gformula", "replicates=0", 2),
+    ("evaluate", "gformula", "replicates=1", 2),
+    ("evaluate", "gformula", "experiment=cate replicates=0", 2),
+    ("evaluate", "proximal-u", "experiment=demand replicates=0", 2),
+    # a malformed graph
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"boss"}],"edges":[]}', 2),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"}],"edges":[["A","B"]]}',
+     2),
+    ("train", "gformula", 'dag={"edges":[]}', 2),
+    ("train", "gformula", 'dag={"nodes":[{"role":"treatment"}],"edges":[]}', 2),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A"}],"edges":[]}', 2),
+    ("train", "gformula", 'dag={"nodes":"AY","edges":[]}', 2),
+    ("evaluate", "gformula", 'dag={"nodes":[]}', 2),
+    # a file the config names that is missing, or not a path
+    ("train", "gformula", 'dag="no/such/dag.json"', 2),
+    ("tune", "gformula", 'grid="no/such/grid.json"', 2),
+    ("estimate", "gformula", 'model="no/such/model.json"', 2),
+    ("estimate", "gformula", "model=5", 2),
+    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 3),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -473,6 +538,18 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
      "'data.simulator.name'"),
     ("evaluate", "proximal-u", "experiment=demand a_grid=[10,20]", "'a_grid'"),
     ("tune", "proximal-u", "nmmr.kernel_bandwidth=1.0", "'nmmr.kernel_bandwidth'"),
+    ("evaluate", "gformula", "replicates=1", "'replicates'"),
+    ("evaluate", "gformula", "experiment=cate replicates=0", "'replicates'"),
+    ("evaluate", "proximal-u", "experiment=demand replicates=0", "'replicates'"),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"boss"}],"edges":[]}', "'boss'"),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"}],"edges":[["A","B"]]}',
+     "(A, B) references unknown node"),
+    ("train", "gformula", 'dag={"edges":[]}', "'nodes'"),
+    ("train", "gformula", 'dag={"nodes":"AY","edges":[]}', "'nodes'"),
+    ("train", "gformula", 'dag="no/such/dag.json"', "'dag'"),
+    ("tune", "gformula", 'grid="no/such/grid.json"', "'grid'"),
+    ("estimate", "gformula", 'model="no/such/model.json"', "'model'"),
+    ("estimate", "gformula", "model=5", "'model'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     config = dict(_method_config(name), grid=_grid())

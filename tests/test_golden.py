@@ -9,9 +9,10 @@ largest relative difference of the numbers, which tells rounding drift
 from a logic change. On another stack the numbers are compared at 1e-9
 relative, with a warning that says so.
 
-Regenerate deliberately, from the commit whose outputs are the reference:
+Regenerate deliberately, from the commit whose outputs are the reference,
+every run or the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write [run ...]
 """
 
 import hashlib
@@ -64,6 +65,9 @@ _GRID = {"epochs": [4], "batch_size": [32], "learning_rate": [1e-3, 3e-3],
          "alpha": [0.1]}
 _EVALUATE = _proximal("proximal-u", experiment="demand", replicates=2)
 _SPLIT = {"train_fraction": 0.7, "seed": 9}
+# the rows and graph a `simulate` of a run config writes, read back as CSV data
+_CSV = {"data": {"csv": "simulate/data.csv", "schema": "simulate/schema.json"},
+        "dag": "simulate/dag.json"}
 
 # run name -> [(command, config, output directory, extra arguments)], run in order
 RUNS = {
@@ -87,6 +91,11 @@ RUNS = {
                              "simulate", ())],
     "simulate-demand": [("simulate", {"simulator": {"name": "demand", "n": 40}, "seed": 5},
                          "simulate", ())],
+    "simulate-run-config-demand": [("simulate", _proximal("proximal-u"), "simulate", ())],
+    # replicates bootstrap the CSV rows
+    "evaluate-ate-csv": [("simulate", _linear("aipw-joint"), "simulate", ()),
+                         ("evaluate", _linear("aipw-joint", experiment="ate", replicates=2, **_CSV),
+                          "evaluate", ())],
 }
 
 
@@ -185,9 +194,9 @@ def test_golden_outputs(tmp_path, name):
                       f"numbers compared at {STACK_RTOL} relative, not bytes")
 
 
-def write_fixtures():
+def write_fixtures(names):
     os.makedirs(FIXTURES, exist_ok=True)
-    for name in RUNS:
+    for name in names:
         with tempfile.TemporaryDirectory() as workdir:
             outputs = execute(name, workdir)
         files = {file: {"sha256": hashlib.sha256(data).hexdigest(), "numbers": numbers(file, data)}
@@ -199,6 +208,6 @@ def write_fixtures():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    write_fixtures()
+    if sys.argv[1:2] != ["--write"] or not set(sys.argv[2:]) <= set(RUNS):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [run ...]")
+    write_fixtures(sys.argv[2:] or list(RUNS))
