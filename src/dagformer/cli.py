@@ -27,7 +27,7 @@ from .estimators import (  # noqa: F401
 )
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
-from .methods import METHODS, Method, build_models, cast
+from .methods import METHODS, Method, build_models, section, setting
 from .model import DagTransformer, train_model
 from .selection import (
     c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
@@ -77,30 +77,15 @@ def _load_config(args) -> tuple[dict, int, str]:
         target[parts[-1]] = value
     if args.seed is not None:
         config["seed"] = args.seed
-    return config, cast(int, config.get("seed", 0), "seed"), args.out or config.get("out") or "."
+    return config, _seed(config), args.out or setting(config, "out", str, "") or "."
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return config[key]
-
-
-def _section(config: dict, path: str) -> dict:
-    """The config object at the dotted `path`, {} if it is missing; any other
-    value is a ConfigError."""
-    section = config
-    keys = path.split(".")
-    for depth, key in enumerate(keys, 1):
-        section = section.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {'.'.join(keys[:depth])!r} must be a JSON object, "
-                              f"got {section!r}")
-    return section
+def _seed(config: dict) -> int:
+    return setting(config, "seed", int, 0)
 
 
 def _method_of(config: dict) -> Method:
-    method = _require(config, "method")
+    method = setting(config, "method", str)
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     return METHODS[method]
@@ -118,27 +103,25 @@ def _write_json(path: str, payload: dict):
 
 def _resolve_dag(config: dict, simulated):
     """The config's `dag`, inline or a file path, else the `simulated` graph."""
-    dag_cfg = config.get("dag")
-    if isinstance(dag_cfg, dict):
-        return CausalDag.from_dict(dag_cfg)
-    if isinstance(dag_cfg, str):
-        return CausalDag.from_dict(_read("dag", dag_cfg))
+    dag = setting(config, "dag", object, None)
+    if dag is not None:
+        return CausalDag.from_dict(dag if isinstance(dag, dict) else _read("dag", dag))
     if simulated is None:
         raise ConfigError("config needs a 'dag' path or inline graph")
     return simulated
 
 
-def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
+def _linear_scm_from(data: dict) -> data_mod.LinearScm:
     def number(key, default):
-        return cast(float, sim.get(key, default), f"simulator.{key}")
+        return setting(data, f"simulator.{key}", float, default)
 
     def weights(key, default):
-        values = sim.get(key, [default] * x_dim)
-        if not isinstance(values, (list, tuple)) or len(values) != x_dim:
+        values = setting(data, f"simulator.{key}", [float], [default] * x_dim)
+        if len(values) != x_dim:
             raise ConfigError(f"bad value for 'simulator.{key}': {values!r}, "
                               f"expected a list of x_dim = {x_dim} numbers")
-        return tuple(cast(float, v, f"simulator.{key}") for v in values)
-    x_dim = cast(int, sim.get("x_dim", 1), "simulator.x_dim")
+        return tuple(values)
+    x_dim = setting(data, "simulator.x_dim", int, 1)
     base_effect, slope = number("treatment_effect", 2.0), number("effect_of_x1", 0.0)
     effect = base_effect if slope == 0.0 else data_mod.LinearEffect(base_effect, slope)
     try:
@@ -153,14 +136,14 @@ def _linear_scm_from(sim: dict) -> data_mod.LinearScm:
         raise ConfigError(f"bad simulator config: {exc}") from None
 
 
-def _simulate(sim: dict, seed: int):
-    """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
-    name = sim.get("name")
-    n = cast(int, _require(sim, "n"), "simulator.n")
+def _simulate(data: dict, seed: int):
+    """(rows, graph, () -> truth.json payload, scm_version) of `data.simulator`'s draw."""
+    name = setting(data, "simulator.name", str)
+    n = setting(data, "simulator.n", int)
     if n < 1:
         raise ConfigError(f"simulator needs n >= 1, got {n}")
     if name == "linear-scm":
-        scm = _linear_scm_from(sim)
+        scm = _linear_scm_from(data)
         rows = data_mod.simulate_linear_scm(n, scm, seed)
         return (rows, data_mod.linear_scm_dag(scm.x_dim),
                 lambda: {"true_ate": rows.true_ate,
@@ -181,14 +164,14 @@ def _resolve_data(config: dict, seed: int, replicate: int | None = None):
     draw seeded by `data.seed` (default `seed`), or the CSV file, which has no
     graph, truth or version. Replicate r draws with that seed + r, or
     bootstraps the CSV with it."""
-    _require(config, "data")
-    data_cfg = _section(config, "data")
-    seed = cast(int, data_cfg.get("seed", seed), "data.seed") + (replicate or 0)
-    if "simulator" in data_cfg:
-        return _simulate(_section(config, "data.simulator"), seed)
-    if "csv" in data_cfg:
-        schema = _read("data.schema", _require(data_cfg, "schema"), data_mod.load_schema, DataError)
-        rows = _read("data.csv", data_cfg["csv"], lambda path: data_mod.load_csv(path, schema),
+    data = setting(config, "data", dict)
+    seed = setting(config, "data.seed", int, seed) + (replicate or 0)
+    if setting(config, "data.simulator", dict, None) is not None:
+        return _simulate(data, seed)
+    if "csv" in data:
+        schema = _read("data.schema", setting(data, "schema", object), data_mod.load_schema,
+                       DataError)
+        rows = _read("data.csv", data["csv"], lambda path: data_mod.load_csv(path, schema),
                      DataError)
         return (rows if replicate is None else data_mod.bootstrap(rows, seed)), None, None, None
     raise ConfigError("data config needs either 'simulator' or 'csv'+'schema'")
@@ -196,24 +179,11 @@ def _resolve_data(config: dict, seed: int, replicate: int | None = None):
 
 def _split(dataset, config: dict, seed: int, offset: int = 0):
     """(train, validation) by the config's split; `offset` shifts its seed."""
-    split = config.get("split") or {}
     try:
-        return dataset.split(float(split.get("train_fraction", 0.7)),
-                             int(split.get("seed", seed)) + offset)
-    except (AttributeError, TypeError, ValueError, ContractError) as exc:
-        raise ConfigError(f"bad split config: {exc}") from None
-
-
-def _forest_config(config: dict, seed: int) -> ForestConfig:
-    plug = _section(config, "plugin")
-    values = {key: cast(kind, plug.get(key, default), f"plugin.{key}")
-              for key, kind, default in (
-                  ("n_trees", int, 200), ("max_depth", int, 8), ("min_leaf", int, 5),
-                  ("subsample_fraction", float, 0.5), ("seed", int, seed))}
-    try:
-        return ForestConfig(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"plugin.{exc}") from None
+        return dataset.split(setting(config, "split.train_fraction", float, 0.7),
+                             setting(config, "split.seed", int, seed) + offset)
+    except ContractError as exc:  # its message starts with the argument's name
+        raise ConfigError(f"split.{exc}") from None
 
 
 def _train_one(row: Method, dag, dataset, config: dict, seed: int):
@@ -232,16 +202,14 @@ def _estimator(row: Method, config: dict, seed: int):
     over the dataset's own outcome-proxy and confounder rows."""
     if not row.proxy:
         return lambda models, dataset: row.estimate(*models, dataset)
-    heldout = _section(config, "heldout")
-    m = cast(int, heldout.get("draws", data_mod.DEMAND_HELDOUT_DRAWS), "heldout.draws")
-    draw_seed = cast(int, heldout.get("seed", seed), "heldout.seed")
-    grid, draws = config.get("a_grid"), None
-    if _section(config, "data.simulator").get("name") == "demand" or heldout.get("demand"):
+    m = setting(config, "heldout.draws", int, data_mod.DEMAND_HELDOUT_DRAWS)
+    draw_seed = setting(config, "heldout.seed", int, seed)
+    grid, draws = setting(config, "a_grid", [float], None), None
+    if setting(config, "data.simulator.name", str, None) == "demand":
         draws = {"W": data_mod.heldout_w_draws(m, draw_seed)}
         grid = grid or data_mod.DEMAND_PRICE_GRID
     elif grid is None:
         raise ConfigError("proximal estimation on external data needs 'a_grid'")
-    grid = cast(lambda values: [float(a) for a in values], grid, "a_grid")
 
     def estimate(models, dataset):
         (model,) = models
@@ -259,7 +227,7 @@ def cmd_simulate(args) -> int:
     config, seed, out = _load_config(args)
     # a top-level `simulator` is drawn as a `data.simulator` without a `data.seed`
     run = {"data": {"simulator": config["simulator"]}} if "simulator" in config else config
-    if "simulator" not in _section(run, "data"):
+    if "simulator" not in setting(run, "data", dict, {}):
         raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")
     dataset, dag, truth, version = _resolve_data(run, seed)
     os.makedirs(out, exist_ok=True)
@@ -282,7 +250,7 @@ def cmd_train(args) -> int:
     row = _method_of(config)
     dataset, simulated, *_ = _resolve_data(config, seed)
     dag = _resolve_dag(config, simulated)
-    if config.get("split"):
+    if setting(config, "split", dict, {}):
         dataset, _ = _split(dataset, config, seed)
     models, logs = _train_one(row, dag, dataset, config, seed)
     os.makedirs(out, exist_ok=True)
@@ -299,7 +267,7 @@ def cmd_estimate(args) -> int:
     row = _method_of(config)
     dataset = _resolve_data(config, seed)[0]
     estimate = _estimator(row, config, seed)
-    models = [_read(spec.key, _require(config, spec.key), DagTransformer.load)
+    models = [_read(spec.key, setting(config, spec.key, object), DagTransformer.load)
               for spec in row.models]
     report = estimate(models, dataset)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
@@ -314,19 +282,19 @@ def cmd_estimate(args) -> int:
 def cmd_tune(args) -> int:
     config, seed, out = _load_config(args)
     row = _method_of(config)
-    if "kernel_bandwidth" in _section(config, "nmmr"):
-        raise ConfigError("tune does not read 'nmmr.kernel_bandwidth': every candidate uses the "
-                          "median-heuristic bandwidth of its training rows")
+    for key in ("kernel_bandwidth", "lambda"):
+        if key in setting(config, "nmmr", dict, {}):
+            raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
+                              "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
     dataset, simulated, *_ = _resolve_data(config, seed)
     dag = _resolve_dag(config, simulated)
     train, validation = _split(dataset, config, seed)
-    grid = _require(config, "grid")
-    if isinstance(grid, str):
-        grid = _read("grid", grid)
-    jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
+    grid = setting(config, "grid", object)
+    grid = _read("grid", grid) if isinstance(grid, str) else grid
     rows, best = grid_search(grid, train, validation, row.name, dag,
-                             mode=config.get("mode", "cate"), seed=seed,
-                             plugin_config=_forest_config(config, seed), jobs=jobs)
+                             mode=setting(config, "mode", str, "cate"), seed=seed,
+                             plugin_config=section(config, "plugin", ForestConfig, seed=seed),
+                             jobs=args.jobs or setting(config, "jobs", int, 1))
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
     best.save(os.path.join(out, "best_model.json"))
@@ -341,15 +309,15 @@ def cmd_tune(args) -> int:
 def _effect_replicate(config: dict, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
     row = _method_of(config)
-    seed = cast(int, config.get("seed", 0), "seed")
+    seed = _seed(config)
     estimate = _estimator(row, config, seed + replicate)
     dataset, simulated, *_ = _resolve_data(config, seed, replicate)
     dag = _resolve_dag(config, simulated)
     train, validation = _split(dataset, config, seed, offset=replicate)
-    forests = _forest_config(config, seed + replicate)
+    forests = section(config, "plugin", ForestConfig, seed=seed + replicate)
     # keep the plug-in's effects, not its forests, alive through training
     plugin_tau = fit_plugin(validation, dag, forests).cate(validation)
-    cate = config.get("experiment", "ate") == "cate"
+    cate = setting(config, "experiment", str, None) == "cate"
     reference = plugin_tau if validation.true_cate is None else validation.true_cate
     if cate:
         check_reference(reference)
@@ -365,7 +333,7 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
 def _demand_replicate(config: dict, replicate: int) -> dict:
     """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
     row = _method_of(config)
-    seed = cast(int, config.get("seed", 0), "seed")
+    seed = _seed(config)
     estimate = _estimator(row, config, seed + replicate)
     dataset, simulated, *_ = _resolve_data(config, seed, replicate)
     models, _ = _train_one(row, _resolve_dag(config, simulated), dataset, config, seed + replicate)
@@ -391,9 +359,9 @@ def _replicate_with_context(job: tuple) -> dict:
 
 def cmd_evaluate(args) -> int:
     config, seed, out = _load_config(args)
-    replicates = cast(int, config.get("replicates", 10), "replicates")
-    experiment = config.get("experiment", "ate")
-    jobs = args.jobs or cast(int, config.get("jobs", 1), "jobs")
+    replicates = setting(config, "replicates", int, 10)
+    experiment = setting(config, "experiment", str, "ate")
+    jobs = args.jobs or setting(config, "jobs", int, 1)
     row = _method_of(config)
     if experiment == "cate" and not row.cate:
         raise ConfigError(f"{row.name} produces no per-unit effects; use experiment 'ate'")
@@ -407,12 +375,12 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"experiment {experiment!r} needs 'replicates' >= {least}, "
                           f"got {replicates}")
     if experiment == "demand":
-        if _section(config, "data.simulator").get("name") != "demand":
+        if setting(config, "data.simulator.name", str, None) != "demand":
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
         if "a_grid" in config:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
     else:
-        _forest_config(config, seed)
+        section(config, "plugin", ForestConfig, seed=seed)
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     rows = map_jobs(_replicate_with_context, [(worker, config, r) for r in range(replicates)], jobs)

@@ -2,8 +2,10 @@
 each trains with their objectives, its estimator, and how `tune` treats it.
 `cli` and `selection` take every per-method decision from here."""
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import ConfigError, ContractError
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
@@ -44,11 +46,10 @@ class Method:
 
 def _nmmr(variant: str) -> Callable:
     def objective(config: dict) -> Nmmr:
-        nmmr = config.get("nmmr", {})
-        lam = nmmr.get("lambda", config.get("optimizer", {}).get("l2_penalty", 0.0))
-        lam = cast(float, lam, "nmmr.lambda" if "lambda" in nmmr else "optimizer.l2_penalty")
+        optimizer = section(config, "optimizer", AdamState)
+        lam = setting(config, "nmmr.lambda", float, optimizer.l2_penalty)
         try:
-            return Nmmr(variant, nmmr.get("kernel_bandwidth"), lam)
+            return Nmmr(variant, setting(config, "nmmr.kernel_bandwidth", float, None), lam)
         except ContractError as exc:  # its message starts with the field's name
             raise ConfigError(f"nmmr.{exc}") from None
     return objective
@@ -77,37 +78,67 @@ METHODS = {row.name: row for row in (
 )}
 
 
-def cast(kind: Callable, value, key: str):
-    """`kind(value)` for the run config's `key`; a malformed value is a ConfigError."""
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def setting(config: dict, key: str, kind, default=MISSING):
+    """The run config's value at the dotted `key` as `kind`, else `default` (required without
+    one). An int is a Python or NumPy integer, a float any such integer or a float, neither a
+    bool or a string; `[kind]` is a list of `kind`. Else it is a ConfigError naming the key."""
+    *path, name = key.split(".")
+    for depth, part in enumerate(path, 1):
+        config = _as(dict, config.get(part, {}), ".".join(path[:depth]))
+    if name in config:
+        return _as(kind, config[name], key)
+    if default is MISSING:
+        raise ConfigError(f"config is missing required key {key!r}")
+    return default
+
+
+def _as(kind, value, key: str):
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_as(kind[0], item, key) for item in value]
+        kind = list
+    elif kind in (int, float):  # an int is also a float, a bool neither
+        if isinstance(value, (int, np.integer, kind)) and not isinstance(value, bool):
+            return kind(value)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"bad value for {key!r}: {value!r}, expected {_KINDS[kind]}")
+
+
+def section(config: dict, key: str, cls, **defaults):
+    """`cls` from the run config's `key` section, each field read as its type with the default
+    of `defaults`, else of `cls`; an unknown or rejected key is a ConfigError naming it."""
+    known = {f.name: f for f in fields(cls) if f.init}
+    for name in sorted(setting(config, key, dict, {}).keys() - known.keys()):
+        raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
+    values = {name: setting(config, f"{key}.{name}", f.type, defaults.get(name, f.default))
+              for name, f in known.items()}
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+        return cls(**values)
+    except (ConfigError, ContractError) as exc:  # its message starts with the field's name
+        raise ConfigError(f"{key}.{exc}") from None
 
 
 def build_models(config: dict, row: Method, dag, dataset, seed: int) -> list:
     """[(untrained DagTransformer, objective, AdamState, epochs, batch_size)] of
-    a method's models in row order, each input node typed as in `dataset`; a
-    malformed value is a ConfigError. When the objective penalizes the
-    parameters (NMMR's lambda, default `optimizer.l2_penalty`), Adam does not."""
+    a method's models in row order, each input node typed as in `dataset`. When
+    the objective penalizes the parameters (NMMR's lambda, default
+    `optimizer.l2_penalty`), Adam does not."""
     kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
                                 if r is not NodeRole.UNMEASURED])
+    epochs, batch_size = setting(config, "epochs", int, 100), setting(config, "batch_size", int, 32)
     runs = []
     for spec in row.models:
-        if spec.key != "model" and spec.key not in config:
-            raise ConfigError(f"config is missing required key {spec.key!r}")
-        try:
-            fields = dict(config.get(spec.key) or config.get("model") or {})
-            model_config = ModelConfig(**{"seed": seed, **fields})
-            objective = spec.objective(config)
-            opt = config.get("optimizer", {})
-            l2 = 0.0 if objective.penalizes_parameters else float(opt.get("l2_penalty", 0.0))
-            optimizer = AdamState(
-                float(opt.get("learning_rate", 1e-3)), float(opt.get("beta1", 0.9)),
-                float(opt.get("beta2", 0.999)), float(opt.get("epsilon", 1e-8)), l2)
-            epochs, batch_size = int(config.get("epochs", 100)), int(config.get("batch_size", 32))
-        except (AttributeError, TypeError, ValueError, ContractError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from None
+        if spec.key != "model":
+            setting(config, spec.key, dict)  # required
+        model_config = section(config, spec.key, ModelConfig, seed=seed)
+        optimizer = section(config, "optimizer", AdamState)
+        objective = spec.objective(config)
+        if objective.penalizes_parameters:
+            optimizer.l2_penalty = 0.0
         runs.append((DagTransformer(model_config, dag, spec.base, kinds), objective, optimizer,
                      epochs, batch_size))
     return runs

@@ -5,11 +5,12 @@ the moment updates, i.e. the penalty is part of the risk being minimized
 rather than a decoupled weight-decay step.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 
@@ -26,10 +27,20 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     l2_penalty: float = 0.0
-    step: int = 0
-    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sizes: tuple = ()
+    step: int = field(default=0, init=False)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    sizes: tuple = field(default=(), init=False)
+
+    def __post_init__(self):
+        for key, ok, rule in (
+                ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("epsilon", 0.0 < self.epsilon < math.inf, "finite and > 0"),
+                ("l2_penalty", 0.0 <= self.l2_penalty < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
     def _ensure_moments(self, params: list):
         if not self.sizes:

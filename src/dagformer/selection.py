@@ -20,7 +20,7 @@ from .errors import (
 from .data import csv_text
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, build_models, cast
+from .methods import METHODS, build_models, setting
 from .model import DagTransformer, train_model
 
 
@@ -123,15 +123,17 @@ def fit_plugin(validation, dag: CausalDag, config: ForestConfig | None = None) -
 # grid search
 # ---------------------------------------------------------------------------
 
-GRID_KEYS = ("epochs", "batch_size", "learning_rate", "l2_penalty", "mlp_width",
-             "mlp_depth", "encoder_layers", "dropout", "embedding_dim",
-             "feedforward_dim", "num_heads", "alpha")
+GRID_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float, "l2_penalty": float,
+             "mlp_width": int, "mlp_depth": int, "encoder_layers": int, "dropout": float,
+             "embedding_dim": int, "feedforward_dim": int, "num_heads": int, "alpha": float}
 
 SEARCH_METHODS = tuple(name for name, row in METHODS.items() if row.tunable)
 
 
 def expand_grid(grid: dict) -> list[dict]:
     """Cartesian product of per-parameter value lists, in stable key order."""
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be a JSON object, got {grid!r}")
     missing = [k for k in GRID_KEYS if k not in grid]
     if missing:
         raise ConfigError(f"grid is missing parameters {missing}")
@@ -153,15 +155,15 @@ def config_hash(point: dict) -> str:
 
 
 def _run_config(point: dict) -> dict:
-    """A grid point as the model, optimizer and training keys of a run config."""
-    model = {k: cast(int, point[k], f"grid.{k}") for k in (
+    """A grid point as the model, optimizer and training keys of a run config;
+    a value of the wrong kind is a ConfigError naming its grid key."""
+    v = {key: setting({"grid": point}, f"grid.{key}", kind) for key, kind in GRID_KEYS.items()}
+    model = {k: v[k] for k in (
         "embedding_dim", "num_heads", "feedforward_dim", "mlp_width", "mlp_depth")}
-    model.update(num_encoder_layers=cast(int, point["encoder_layers"], "grid.encoder_layers"),
-                 dropout_rate=cast(float, point["dropout"], "grid.dropout"),
-                 alpha=cast(float, point["alpha"], "grid.alpha"))
-    return {"model": model, "epochs": point["epochs"], "batch_size": point["batch_size"],
-            "optimizer": {"learning_rate": point["learning_rate"],
-                          "l2_penalty": point["l2_penalty"]}}
+    model.update(num_encoder_layers=v["encoder_layers"], dropout_rate=v["dropout"],
+                 alpha=v["alpha"])
+    return {"model": model, "epochs": v["epochs"], "batch_size": v["batch_size"],
+            "optimizer": {"learning_rate": v["learning_rate"], "l2_penalty": v["l2_penalty"]}}
 
 
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
@@ -201,10 +203,12 @@ def check_reference(tau: np.ndarray):
 
 
 def map_jobs(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], in `jobs` processes if jobs > 1; raises the first error by index."""
-    if jobs <= 1:
+    """[fn(x) for x in items], in up to `jobs` processes, one per item at most;
+    raises the first error by index."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -226,14 +230,15 @@ def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
     if mode not in ("cate", "ate"):
         raise ConfigError(f"mode must be 'cate' or 'ate', got {mode!r}")
     points = expand_grid(grid)
+    run_configs = [_run_config(point) for point in points]  # checked before the plug-in fits
     plugin_tau = None
     if not METHODS[method].proxy:
         plugin_tau = fit_plugin(validation, dag, plugin_config).cate(validation)
         check_reference(plugin_tau)
 
     results = map_jobs(_evaluate_grid_point, [
-        (index, point, _run_config(point), train, validation, method, dag, seed, mode, plugin_tau)
-        for index, point in enumerate(points)], jobs)
+        (index, point, run_config, train, validation, method, dag, seed, mode, plugin_tau)
+        for index, (point, run_config) in enumerate(zip(points, run_configs))], jobs)
 
     rows = [entry for entry, _ in results]
     snapshots = {entry["grid_index"]: snap for entry, snap in results}

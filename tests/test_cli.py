@@ -1,12 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from dagformer import cli, selection
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
 from dagformer.graph import demand_dag
-from dagformer.methods import METHODS
+from dagformer.errors import ConfigError
+from dagformer.methods import METHODS, setting
 from dagformer.selection import SEARCH_METHODS
 
 
@@ -507,6 +509,28 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("estimate", "gformula", 'model="no/such/model.json"', 2),
     ("estimate", "gformula", "model=5", 2),
     ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 3),
+    # an integer must be a JSON integer, and a number is never a bool or a string
+    ("train", "gformula", "epochs=2.7", 2),
+    ("train", "gformula", 'epochs="3"', 2),
+    ("train", "gformula", "batch_size=true", 2),
+    ("train", "gformula", "optimizer.learning_rate=true", 2),
+    ("train", "gformula", 'optimizer.learning_rate="0.01"', 2),
+    ("train", "gformula", "split.seed=1.5", 2),
+    ("train", "gformula", "data.seed=true", 2),
+    ("train", "gformula", "data.simulator.n=60.7", 2),
+    ("train", "gformula", "model.alpha=abc", 2),
+    ("tune", "gformula", "grid.epochs=[2.7]", 2),
+    ("tune", "gformula", "grid=5", 2),
+    # the optimizer's ranges, and keys that no dataclass-backed section has
+    ("train", "gformula", "optimizer.learning_rate=NaN", 2),
+    ("train", "gformula", "optimizer.beta1=5", 2),
+    ("train", "gformula", "optimizer.beta2=1", 2),
+    ("train", "gformula", "optimizer.epsilon=-1", 2),
+    ("train", "gformula", "optimizer.l2_penalty=NaN", 2),
+    ("train", "gformula", "optimizer.lr=0.1", 2),
+    ("evaluate", "gformula", "plugin.n_tree=5", 2),
+    # a proximal candidate's lambda is its grid point's l2_penalty
+    ("tune", "proximal-u", "nmmr.lambda=1e-6", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -550,9 +574,55 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("tune", "gformula", 'grid="no/such/grid.json"', "'grid'"),
     ("estimate", "gformula", 'model="no/such/model.json"', "'model'"),
     ("estimate", "gformula", "model=5", "'model'"),
+    ("train", "gformula", "epochs=2.7", "'epochs'"),
+    ("train", "gformula", 'epochs="3"', "'epochs'"),
+    ("train", "gformula", "epochs=abc", "'epochs'"),
+    ("train", "gformula", "batch_size=true", "'batch_size'"),
+    ("train", "gformula", "optimizer.learning_rate=true", "'optimizer.learning_rate'"),
+    ("train", "gformula", 'optimizer.learning_rate="0.01"', "'optimizer.learning_rate'"),
+    ("train", "gformula", "optimizer.learning_rate=NaN", "optimizer.learning_rate must be"),
+    ("train", "gformula", "optimizer.beta1=5", "optimizer.beta1 must be in [0, 1)"),
+    ("train", "gformula", "optimizer.epsilon=-1", "optimizer.epsilon must be"),
+    ("train", "gformula", "split.seed=1.5", "'split.seed'"),
+    ("train", "gformula", "data.seed=true", "'data.seed'"),
+    ("train", "gformula", "data.simulator.n=60.7", "'simulator.n'"),
+    ("train", "gformula", "model.alpha=abc", "'model.alpha'"),
+    ("train", "gformula", "model.encoder_bypass=true", "'model.encoder_bypass'"),
+    ("train", "gformula", "optimizer.lr=0.1", "'optimizer.lr'"),
+    ("tune", "gformula", "grid.epochs=[2.7]", "'grid.epochs'"),
+    ("tune", "proximal-u", "nmmr.lambda=1e-6", "'nmmr.lambda'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     config = dict(_method_config(name), grid=_grid())
     sets = [arg for item in override.split() for arg in ("--set", item)]
     assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, value, want", [
+    (int, 3, 3), (int, np.int64(3), 3), (float, 3, 3.0), (float, np.int32(2), 2.0),
+    (float, 2.5, 2.5), (float, float("nan"), float("nan")), ([float], [1, 2.5], [1.0, 2.5]),
+    (str, "a", "a"), (dict, {}, {}), (object, True, True),
+])
+def test_setting_takes_a_value_of_its_kind(kind, value, want):
+    got = setting({"a": {"b": value}}, "a.b", kind)
+    assert repr(got) == repr(want) and type(got) is type(want)
+
+
+@pytest.mark.parametrize("kind, value", [
+    (int, 2.7), (int, 3.0), (int, True), (int, "3"), (int, None), (float, True), (float, "0.01"),
+    (float, None), ([float], "abc"), ([float], [1, "x"]), ([float], [True]), (str, 5),
+    (dict, [1]),
+])
+def test_setting_rejects_a_value_of_another_kind_naming_the_key(kind, value):
+    with pytest.raises(ConfigError, match="'a.b'"):
+        setting({"a": {"b": value}}, "a.b", kind)
+
+
+def test_setting_defaults_requires_and_walks_only_objects():
+    assert setting({}, "a.b", int, 7) == 7
+    assert setting({"a": {}}, "a.b", int, None) is None
+    with pytest.raises(ConfigError, match="missing required key 'a.b'"):
+        setting({"a": {}}, "a.b", int)
+    with pytest.raises(ConfigError, match="'a'"):
+        setting({"a": 5}, "a.b", int, 7)

@@ -44,6 +44,13 @@ def _proximal(method: str, **extra) -> dict:
             "epochs": 6, "batch_size": 32, "seed": 13, "heldout": {"draws": 100}, **extra}
 
 
+def _tune_proximal(method: str, **extra) -> dict:
+    """A proximal `tune` config: its candidates' lambda is the grid's `l2_penalty`, so no `nmmr`."""
+    config = _proximal(method, **extra)
+    del config["nmmr"]
+    return config
+
+
 def _linear(method: str, **extra) -> dict:
     return {"method": method, "data": {"simulator": {"name": "linear-scm", "n": 240, "x_dim": 2,
                                                      "effect_of_x1": 1.0}},
@@ -73,7 +80,8 @@ _CSV = {"data": {"csv": "simulate/data.csv", "schema": "simulate/schema.json"},
 RUNS = {
     "train-estimate-proximal-u": _train_estimate("proximal-u"),
     "train-estimate-proximal-v": _train_estimate("proximal-v"),
-    "tune-proximal-u": [("tune", _proximal("proximal-u", grid=_GRID, split=_SPLIT), "tune", ())],
+    "tune-proximal-u": [("tune", _tune_proximal("proximal-u", grid=_GRID, split=_SPLIT), "tune",
+                         ())],
     "evaluate-demand-jobs1": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "1"))],
     "evaluate-demand-jobs2": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "2"))],
     **{f"train-estimate-{method}": _train_estimate(method)

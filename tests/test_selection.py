@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dagformer import rng
+from dagformer import rng, selection
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
 )
 from dagformer.forest import ForestConfig, HonestForestRegressor
 from dagformer.selection import (
-    c_mse, config_hash, expand_grid, fit_plugin, grid_search, nrmse,
+    c_mse, config_hash, expand_grid, fit_plugin, grid_search, map_jobs, nrmse,
     nrmse_scalar_replicates, ranking_csv,
 )
 
@@ -202,3 +202,27 @@ def test_ranking_csv_format():
 def test_config_hash_stable():
     point = {"alpha": 0.1, "epochs": 10}
     assert config_hash(point) == config_hash(dict(reversed(list(point.items()))))
+
+
+def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch):
+    # a stand-in pool that records its size and maps in this process: no process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+    monkeypatch.setattr(selection.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert map_jobs(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+    assert map_jobs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert map_jobs(abs, [-5], 64) == [5]  # one item runs here, in no pool
+    assert map_jobs(abs, [], 8) == []
+    assert sizes == [4, 2]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dagformer import rng, tensor as T
-from dagformer.errors import ContractError, DegenerateInputError, ShapeError
+from dagformer.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from dagformer.optim import AdamState, adam_step
 
 
@@ -288,6 +288,23 @@ def test_adam_pure_decay_shrinks_parameter():
         adam_step([p], state)
         assert abs(p.data[0]) < before
         before = abs(p.data[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("beta1", -0.1), ("beta1", 1.0), ("beta1", float("nan")),
+    ("beta2", 1.0), ("beta2", 5.0), ("epsilon", 0.0), ("epsilon", -1.0),
+    ("epsilon", float("inf")), ("l2_penalty", -1e-3), ("l2_penalty", float("nan")),
+    ("l2_penalty", float("inf")),
+])
+def test_adam_state_rejects_a_hyperparameter_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        AdamState(**{field: value})
+
+
+def test_adam_state_takes_the_edges_of_its_ranges():
+    state = AdamState(learning_rate=1e150, beta1=0.0, beta2=0.0, epsilon=1e-300, l2_penalty=0.0)
+    assert state.step == 0 and state.sizes == ()
 
 
 def test_adam_missing_grad_rejected():
