@@ -27,7 +27,9 @@ from .estimators import (  # noqa: F401
 )
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
-from .methods import METHODS, Method, build_models, section, setting
+from .methods import (
+    METHODS, NMMR_KEYS, Method, build_models, keys_of, section, setting, training_settings,
+)
 from .model import DagTransformer, train_model
 from .selection import (
     c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
@@ -136,9 +138,20 @@ def _linear_scm_from(data: dict) -> data_mod.LinearScm:
         raise ConfigError(f"bad simulator config: {exc}") from None
 
 
+# the `simulator` section's keys, by its name
+SIMULATOR_KEYS = {
+    "linear-scm": ("name", "n", "x_dim", "treatment_effect", "effect_of_x1", "propensity_weights",
+                   "propensity_intercept", "outcome_weights", "noise_sd"),
+    "demand": ("name", "n"),
+}
+
+
 def _simulate(data: dict, seed: int):
     """(rows, graph, () -> truth.json payload, scm_version) of `data.simulator`'s draw."""
     name = setting(data, "simulator.name", str)
+    if name not in SIMULATOR_KEYS:
+        raise ConfigError(f"unknown simulator {name!r}")
+    keys_of(data, "simulator", SIMULATOR_KEYS[name])
     n = setting(data, "simulator.n", int)
     if n < 1:
         raise ConfigError(f"simulator needs n >= 1, got {n}")
@@ -149,14 +162,12 @@ def _simulate(data: dict, seed: int):
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},
                 "linear-scm-v1")
-    if name == "demand":
-        sample = data_mod.simulate_demand(n, seed)
-        return (sample.to_dataset(), demand_dag(),
-                lambda: {"u": [float(v) for v in sample.u],
-                         "price_grid": list(data_mod.DEMAND_PRICE_GRID),
-                         "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
-                data_mod.DEMAND_SCM_VERSION)
-    raise ConfigError(f"unknown simulator {name!r}")
+    sample = data_mod.simulate_demand(n, seed)
+    return (sample.to_dataset(), demand_dag(),
+            lambda: {"u": [float(v) for v in sample.u],
+                     "price_grid": list(data_mod.DEMAND_PRICE_GRID),
+                     "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
+            data_mod.DEMAND_SCM_VERSION)
 
 
 def _resolve_data(config: dict, seed: int, replicate: int | None = None):
@@ -165,6 +176,7 @@ def _resolve_data(config: dict, seed: int, replicate: int | None = None):
     graph, truth or version. Replicate r draws with that seed + r, or
     bootstraps the CSV with it."""
     data = setting(config, "data", dict)
+    keys_of(config, "data", ("simulator", "seed", "csv", "schema"))
     seed = setting(config, "data.seed", int, seed) + (replicate or 0)
     if setting(config, "data.simulator", dict, None) is not None:
         return _simulate(data, seed)
@@ -179,6 +191,7 @@ def _resolve_data(config: dict, seed: int, replicate: int | None = None):
 
 def _split(dataset, config: dict, seed: int, offset: int = 0):
     """(train, validation) by the config's split; `offset` shifts its seed."""
+    keys_of(config, "split", ("train_fraction", "seed"))
     try:
         return dataset.split(setting(config, "split.train_fraction", float, 0.7),
                              setting(config, "split.seed", int, seed) + offset)
@@ -202,6 +215,7 @@ def _estimator(row: Method, config: dict, seed: int):
     over the dataset's own outcome-proxy and confounder rows."""
     if not row.proxy:
         return lambda models, dataset: row.estimate(*models, dataset)
+    keys_of(config, "heldout", ("draws", "seed"))
     m = setting(config, "heldout.draws", int, data_mod.DEMAND_HELDOUT_DRAWS)
     draw_seed = setting(config, "heldout.seed", int, seed)
     grid, draws = setting(config, "a_grid", [float], None), None
@@ -282,10 +296,9 @@ def cmd_estimate(args) -> int:
 def cmd_tune(args) -> int:
     config, seed, out = _load_config(args)
     row = _method_of(config)
-    for key in ("kernel_bandwidth", "lambda"):
-        if key in setting(config, "nmmr", dict, {}):
-            raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
-                              "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
+    for key in keys_of(config, "nmmr", NMMR_KEYS):
+        raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
+                          "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
     dataset, simulated, *_ = _resolve_data(config, seed)
     dag = _resolve_dag(config, simulated)
     train, validation = _split(dataset, config, seed)
@@ -369,7 +382,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("the demand experiment needs a proximal method")
     if experiment not in ("ate", "cate", "demand"):
         raise ConfigError(f"unknown experiment {experiment!r}")
-    # a bad value fails here, before any replicate trains
+    # a bad value fails here, before any replicate starts
+    training_settings(config, row, seed)
     least = 2 if experiment == "ate" else 1  # ate normalizes by the spread over replicates
     if replicates < least:
         raise ConfigError(f"experiment {experiment!r} needs 'replicates' >= {least}, "

@@ -44,8 +44,12 @@ class Method:
         return self.models[0].base == "proximal"
 
 
+NMMR_KEYS = ("kernel_bandwidth", "lambda")  # the `nmmr` section's keys
+
+
 def _nmmr(variant: str) -> Callable:
     def objective(config: dict) -> Nmmr:
+        keys_of(config, "nmmr", NMMR_KEYS)
         optimizer = section(config, "optimizer", AdamState)
         lam = setting(config, "nmmr.lambda", float, optimizer.l2_penalty)
         try:
@@ -108,12 +112,20 @@ def _as(kind, value, key: str):
     raise ConfigError(f"bad value for {key!r}: {value!r}, expected {_KINDS[kind]}")
 
 
+def keys_of(config: dict, key: str, known) -> dict:
+    """The run config's `key` section, {} if it has none; a key of it that is not
+    in `known` is a ConfigError naming it."""
+    values = setting(config, key, dict, {})
+    for name in sorted(values.keys() - set(known)):
+        raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
+    return values
+
+
 def section(config: dict, key: str, cls, **defaults):
     """`cls` from the run config's `key` section, each field read as its type with the default
     of `defaults`, else of `cls`; an unknown or rejected key is a ConfigError naming it."""
     known = {f.name: f for f in fields(cls) if f.init}
-    for name in sorted(setting(config, key, dict, {}).keys() - known.keys()):
-        raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
+    keys_of(config, key, known)
     values = {name: setting(config, f"{key}.{name}", f.type, defaults.get(name, f.default))
               for name, f in known.items()}
     try:
@@ -122,14 +134,14 @@ def section(config: dict, key: str, cls, **defaults):
         raise ConfigError(f"{key}.{exc}") from None
 
 
-def build_models(config: dict, row: Method, dag, dataset, seed: int) -> list:
-    """[(untrained DagTransformer, objective, AdamState, epochs, batch_size)] of
-    a method's models in row order, each input node typed as in `dataset`. When
-    the objective penalizes the parameters (NMMR's lambda, default
-    `optimizer.l2_penalty`), Adam does not."""
-    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
-                                if r is not NodeRole.UNMEASURED])
+def training_settings(config: dict, row: Method, seed: int) -> list:
+    """[(ModelConfig, objective, AdamState, epochs, batch_size)] of a method's
+    models in row order, read from the run config alone. When the objective
+    penalizes the parameters (NMMR's lambda, default `optimizer.l2_penalty`),
+    Adam does not."""
     epochs, batch_size = setting(config, "epochs", int, 100), setting(config, "batch_size", int, 32)
+    if epochs < 0 or batch_size < 1:
+        raise ConfigError(f"need 'epochs' >= 0 and 'batch_size' >= 1, got {epochs}, {batch_size}")
     runs = []
     for spec in row.models:
         if spec.key != "model":
@@ -139,6 +151,15 @@ def build_models(config: dict, row: Method, dag, dataset, seed: int) -> list:
         objective = spec.objective(config)
         if objective.penalizes_parameters:
             optimizer.l2_penalty = 0.0
-        runs.append((DagTransformer(model_config, dag, spec.base, kinds), objective, optimizer,
-                     epochs, batch_size))
+        runs.append((model_config, objective, optimizer, epochs, batch_size))
     return runs
+
+
+def build_models(config: dict, row: Method, dag, dataset, seed: int) -> list:
+    """`training_settings` with each ModelConfig built into an untrained
+    DagTransformer, each input node typed as in `dataset`."""
+    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
+                                if r is not NodeRole.UNMEASURED])
+    return [(DagTransformer(model_config, dag, spec.base, kinds), *rest)
+            for spec, (model_config, *rest) in zip(row.models,
+                                                   training_settings(config, row, seed))]

@@ -282,7 +282,8 @@ class DagTransformer:
     def attention_maps(self, batch: np.ndarray) -> list[np.ndarray]:
         """Post-softmax attention weights per layer, each (n, heads, d, d)."""
         maps: list[np.ndarray] = []
-        self.forward(batch, train=False, collect_attention=maps)
+        with T.no_grad():
+            self.forward(batch, train=False, collect_attention=maps)
         return maps
 
     # -- prediction ----------------------------------------------------------
@@ -294,8 +295,9 @@ class DagTransformer:
         return values * self.col_sd[i] + self.col_mean[i]
 
     def predict(self, batch: np.ndarray) -> dict[str, np.ndarray]:
-        """Deterministic raw-scale predictions per head."""
-        outs = self.forward(batch, train=False)
+        """Deterministic raw-scale predictions per head, with no graph recorded."""
+        with T.no_grad():
+            outs = self.forward(batch, train=False)
         return {head: self._destandardize_head(head, t.data) for head, t in outs.items()}
 
     def counterfactual_predict(self, batch: np.ndarray, value: float) -> dict[str, np.ndarray]:

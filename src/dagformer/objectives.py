@@ -123,8 +123,9 @@ class Nmmr(Objective):
         """The model's risk over all rows of `batch`, without the parameter
         penalty: `bind`'s loss over every row, computed in row bands by `nmmr_risk`."""
         outcome, y, features, bandwidth = self._targets(model, model._standardize(batch))
-        return nmmr_risk(y, model.forward(batch)[outcome].data, features, bandwidth,
-                         self.variant)
+        with T.no_grad():
+            h_vals = model.forward(batch)[outcome].data
+        return nmmr_risk(y, h_vals, features, bandwidth, self.variant)
 
 
 def _as_tensor(x) -> Tensor:

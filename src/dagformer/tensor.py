@@ -5,12 +5,14 @@ tensor; ``backward(loss)`` replays those rules in reverse topological order.
 Sized for models with at most a few hundred thousand parameters, CPU only.
 """
 
+import contextlib
+
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ShapeError
 
 __all__ = [
-    "Tensor", "GradientTape", "tensor", "constant", "parameter", "backward",
+    "Tensor", "GradientTape", "tensor", "constant", "parameter", "backward", "no_grad",
     "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
     "concat_lastdim", "take_node", "sum_all", "mean_all", "sum_axis",
@@ -158,8 +160,23 @@ def backward(loss: Tensor):
     GradientTape(loss).run()
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops in the block record no graph: each output is a plain Tensor with no
+    parents, freed once unused. The arithmetic, so every float, is unchanged."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data: np.ndarray, parents, bwd) -> Tensor:
-    if any(p._needs_grad() for p in parents):
+    if _recording and any(p._needs_grad() for p in parents):
         return Tensor(data, _parents=tuple(p for p in parents if p._needs_grad()), _backward=bwd)
     return Tensor(data)
 

@@ -531,6 +531,21 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     ("evaluate", "gformula", "plugin.n_tree=5", 2),
     # a proximal candidate's lambda is its grid point's l2_penalty
     ("tune", "proximal-u", "nmmr.lambda=1e-6", 2),
+    # a key that its section does not read; a simulator's keys depend on its name
+    ("train", "gformula", "split.train_fractio=0.5", 2),
+    ("evaluate", "gformula", "split.train_fractio=0.5", 2),
+    ("tune", "gformula", "split.sed=3", 2),
+    ("evaluate", "proximal-u", "experiment=demand heldout.draw=10", 2),
+    ("train", "proximal-u", "nmmr.lamda=1e-6", 2),
+    ("evaluate", "proximal-u", "experiment=demand nmmr.bandwidth=1", 2),
+    ("tune", "proximal-u", "nmmr.bandwidth=1.0", 2),
+    ("train", "gformula", "data.sead=3", 2),
+    ("train", "gformula", "data.simulator.x_dimm=2", 2),
+    ("simulate", "gformula", "data.simulator.noise=0.5", 2),
+    ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", 2),
+    # training sizes, read before any replicate starts
+    ("evaluate", "gformula", "epochs=-1", 2),
+    ("evaluate", "gformula", "batch_size=0", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -591,12 +606,40 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "gformula", "optimizer.lr=0.1", "'optimizer.lr'"),
     ("tune", "gformula", "grid.epochs=[2.7]", "'grid.epochs'"),
     ("tune", "proximal-u", "nmmr.lambda=1e-6", "'nmmr.lambda'"),
+    ("train", "gformula", "split.train_fractio=0.5", "'split.train_fractio'"),
+    ("evaluate", "proximal-u", "experiment=demand heldout.draw=10", "'heldout.draw'"),
+    ("estimate", "proximal-u", "heldout.sead=1", "'heldout.sead'"),
+    ("train", "proximal-u", "nmmr.lamda=1e-6", "'nmmr.lamda'"),
+    ("tune", "proximal-u", "nmmr.bandwidth=1.0", "'nmmr.bandwidth'"),
+    ("train", "gformula", "data.sead=3", "'data.sead'"),
+    ("train", "gformula", "data.simulator.x_dimm=2", "'simulator.x_dimm'"),
+    ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", "'simulator.x_dim'"),
+    ("evaluate", "gformula", "epochs=-1", "'epochs'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     config = dict(_method_config(name), grid=_grid())
     sets = [arg for item in override.split() for arg in ("--set", item)]
     assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, override, named", [
+    ("gformula", "optimizer.beta1=5", "optimizer.beta1"),
+    ("gformula", "model.mlp_depth=0", "model.mlp_depth"),
+    ("aipw-separate", "model_propensity.mlp_width=0", "model_propensity.mlp_width"),
+    ("gformula", "batch_size=0", "'batch_size'"),
+    ("proximal-u", "experiment=demand nmmr.lambda=NaN", "nmmr.lambda"),
+])
+def test_evaluate_reads_training_settings_before_any_replicate(tmp_path, monkeypatch, capsys,
+                                                               name, override, named):
+    def no_plugin(*args, **kwargs):
+        raise AssertionError("a bad training setting must stop evaluate before a plug-in fits")
+    monkeypatch.setattr(cli, "fit_plugin", no_plugin)
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert run(tmp_path, "evaluate", _method_config(name),
+               extra=("--out", str(tmp_path / "x"), *sets)) == 2
+    err = capsys.readouterr().err
+    assert named in err and "replicate 0" not in err
 
 
 @pytest.mark.parametrize("kind, value, want", [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -437,3 +438,65 @@ def test_counterfactuals_on_null_effect_model():
     gap = np.abs(model.counterfactual_predict(batch, 1.0)["Y"]
                  - model.counterfactual_predict(batch, 0.0)["Y"])
     assert gap.mean() < 0.25
+
+
+def _model_of_base(base: str, alpha: float):
+    """An untrained two-layer model of a base method, its standardizer fit to a batch."""
+    config = small_config(num_encoder_layers=2, alpha=alpha)
+    if base == "proximal":
+        model = DagTransformer(config, demand_dag(), base, {n: "continuous" for n in "ZWAY"})
+        batch = rng.stream(6, "demand-batch").normal(20.0, 5.0, (40, 4))
+    else:
+        model = DagTransformer(config, triangle_dag(), base, TRIANGLE_KINDS)
+        batch = triangle_batch(40)[:, :len(model.input_nodes)]
+        batch[:, 0] = 3.0 * batch[:, 0] + 1.0  # so the standardizer is not the identity
+    model.fit_standardizer(batch)
+    return model, batch
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.0])
+@pytest.mark.parametrize("base", ["gformula", "ipw", "aipw", "proximal"])
+def test_predict_equals_a_recording_forward_bit_for_bit(base, alpha):
+    model, batch = _model_of_base(base, alpha)
+    recorded = model.forward(batch, train=False)
+    assert all(out._parents for out in recorded.values())
+    predicted = model.predict(batch)
+    assert set(predicted) == set(recorded)
+    for head, out in recorded.items():
+        assert np.array_equal(predicted[head], model._destandardize_head(head, out.data)), head
+    if alpha > 0:
+        maps = []
+        model.forward(batch, train=False, collect_attention=maps)
+        assert all(np.array_equal(a, b) for a, b in zip(model.attention_maps(batch), maps,
+                                                        strict=True))
+
+
+def test_a_failed_predict_leaves_training_recording():
+    model, batch = _model_of_base("aipw", 0.5)
+    bad = batch.copy()
+    bad[3, 1] = 0.5  # the binary treatment column
+    with pytest.raises(DataError):
+        model.predict(bad)
+    outs = model.forward(batch, train=True)
+    tensor.backward(tensor.sum_all(outs["A"]) + tensor.sum_all(outs["Y"]))
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_counterfactual_predict_keeps_no_tape_in_memory():
+    scm = LinearScm(x_dim=1, treatment_effect=2.0)
+    config = ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=1, feedforward_dim=16,
+                         mlp_width=16, mlp_depth=2, alpha=0.1, seed=3)
+    model = DagTransformer(config, linear_scm_dag(1), "gformula", SCM_KINDS)
+    batch = simulate_linear_scm(5000, scm, seed=3).matrix(model.input_nodes)
+    model.fit_standardizer(batch)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a recording forward keeps every intermediate alive until its outputs go
+    assert peak(lambda: model.counterfactual_predict(batch, 1.0)) <= \
+        0.5 * peak(lambda: model.forward(batch, train=False))

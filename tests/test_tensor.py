@@ -383,3 +383,36 @@ def test_streams_are_deterministic_and_distinct():
     c = rng.stream(42, "shuffle").standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _graph_of_many_ops(identity, table, w, gain, bias):
+    h = T.embed_nodes(identity, np.array([[1.0, 0.5], [0.0, -2.0]]), [(table,), ()])  # (2, 2, 3)
+    h = T.relu(T.matmul(h, w) + 1.0)  # folded (..., K) @ (K, M)
+    h = T.softmax_lastdim(T.matmul(T.layer_norm(h, gain, bias), T.swap_last2(h)))  # batched
+    return T.sigmoid(T.sum_axis(h, -1)) + T.sum_squares([identity, table])
+
+
+def test_no_grad_records_no_graph_and_computes_the_same_floats():
+    g = rng.stream(41, "no-grad")
+    params = [T.parameter(g.standard_normal(shape))
+              for shape in ((2, 3), (2, 3), (3, 3), (3,), (3,))]
+    recorded = _graph_of_many_ops(*params)
+    with T.no_grad():
+        plain = _graph_of_many_ops(*params)
+    assert recorded._parents and recorded._backward is not None
+    assert plain._parents == () and plain._backward is None
+    assert np.array_equal(plain.data, recorded.data)
+
+
+def test_no_grad_restores_recording_after_nesting_and_after_raising():
+    w = T.parameter(np.array([1.0, -2.0]))
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert (w * 3.0)._parents == ()  # still off once the inner block ends
+    assert (w * 3.0)._parents
+    with pytest.raises(ShapeError):
+        with T.no_grad():
+            T.matmul(w, w)
+    T.backward(T.sum_all(w * w))
+    assert np.array_equal(w.grad, 2.0 * w.data)
