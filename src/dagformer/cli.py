@@ -13,22 +13,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
 from .errors import (
-    ConfigError, ContractError, DagformerError, DataError, SelectionFailedError,
-    TrainingDivergedError,
+    ConfigError, DagformerError, DataError, SelectionFailedError, TrainingDivergedError,
 )
 # not called here; perfbench's tests check that its tracer patches cli's names too
 from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
-from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
 from .methods import (
-    METHODS, NMMR_KEYS, Method, build_models, keys_of, section, setting, training_settings,
+    METHODS, Data, Method, Run, Split, build_models, model_configs, resolve, seeded,
 )
 from .model import DagTransformer, train_model
 from .selection import (
@@ -56,8 +55,11 @@ def _read(key: str, path, load=None, error=ConfigError):
         raise error(f"{key!r} file: {exc}") from None
 
 
-def _load_config(args) -> tuple[dict, int, str]:
-    """(run config with the `--set` and `--seed` overrides, its seed, output directory)."""
+def _load_config(args) -> tuple[dict, Run, str]:
+    """(run config with the `--set` and `--seed` overrides, its resolved Run,
+    output directory)."""
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"'--jobs' must be >= 1, got {args.jobs}")
     config = _read("--config", args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError(f"the '--config' file must hold a JSON object, "
@@ -79,18 +81,12 @@ def _load_config(args) -> tuple[dict, int, str]:
         target[parts[-1]] = value
     if args.seed is not None:
         config["seed"] = args.seed
-    return config, _seed(config), args.out or setting(config, "out", str, "") or "."
+    run = resolve(config)
+    return config, run, args.out or run.out or "."
 
 
-def _seed(config: dict) -> int:
-    return setting(config, "seed", int, 0)
-
-
-def _method_of(config: dict) -> Method:
-    method = setting(config, "method", str)
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
-    return METHODS[method]
+def _method_of(run: Run) -> Method:
+    return METHODS[run.required("method")]
 
 
 def _write_text(path: str, text: str):
@@ -103,66 +99,25 @@ def _write_json(path: str, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_dag(config: dict, simulated):
-    """The config's `dag`, inline or a file path, else the `simulated` graph."""
-    dag = setting(config, "dag", object, None)
-    if dag is not None:
-        return CausalDag.from_dict(dag if isinstance(dag, dict) else _read("dag", dag))
-    if simulated is None:
+def _resolve_dag(run: Run, simulated):
+    """The run's `dag`, inline or read from its file, else the `simulated` graph."""
+    if isinstance(run.dag, str):
+        return CausalDag.from_dict(_read("dag", run.dag))
+    if run.dag is None and simulated is None:
         raise ConfigError("config needs a 'dag' path or inline graph")
-    return simulated
+    return simulated if run.dag is None else run.dag
 
 
-def _linear_scm_from(data: dict) -> data_mod.LinearScm:
-    def number(key, default):
-        return setting(data, f"simulator.{key}", float, default)
-
-    def weights(key, default):
-        values = setting(data, f"simulator.{key}", [float], [default] * x_dim)
-        if len(values) != x_dim:
-            raise ConfigError(f"bad value for 'simulator.{key}': {values!r}, "
-                              f"expected a list of x_dim = {x_dim} numbers")
-        return tuple(values)
-    x_dim = setting(data, "simulator.x_dim", int, 1)
-    base_effect, slope = number("treatment_effect", 2.0), number("effect_of_x1", 0.0)
-    effect = base_effect if slope == 0.0 else data_mod.LinearEffect(base_effect, slope)
-    try:
-        return data_mod.LinearScm(
-            x_dim=x_dim,
-            propensity_weights=weights("propensity_weights", 0.5),
-            propensity_intercept=number("propensity_intercept", 0.0),
-            outcome_weights=weights("outcome_weights", 1.0),
-            treatment_effect=effect,
-            noise_sd=number("noise_sd", 1.0))
-    except ContractError as exc:
-        raise ConfigError(f"bad simulator config: {exc}") from None
-
-
-# the `simulator` section's keys, by its name
-SIMULATOR_KEYS = {
-    "linear-scm": ("name", "n", "x_dim", "treatment_effect", "effect_of_x1", "propensity_weights",
-                   "propensity_intercept", "outcome_weights", "noise_sd"),
-    "demand": ("name", "n"),
-}
-
-
-def _simulate(data: dict, seed: int):
-    """(rows, graph, () -> truth.json payload, scm_version) of `data.simulator`'s draw."""
-    name = setting(data, "simulator.name", str)
-    if name not in SIMULATOR_KEYS:
-        raise ConfigError(f"unknown simulator {name!r}")
-    keys_of(data, "simulator", SIMULATOR_KEYS[name])
-    n = setting(data, "simulator.n", int)
-    if n < 1:
-        raise ConfigError(f"simulator needs n >= 1, got {n}")
-    if name == "linear-scm":
-        scm = _linear_scm_from(data)
-        rows = data_mod.simulate_linear_scm(n, scm, seed)
+def _simulate(simulator, seed: int):
+    """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
+    if simulator.name == "linear-scm":
+        scm = simulator.scm
+        rows = data_mod.simulate_linear_scm(simulator.n, scm, seed)
         return (rows, data_mod.linear_scm_dag(scm.x_dim),
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},
                 "linear-scm-v1")
-    sample = data_mod.simulate_demand(n, seed)
+    sample = data_mod.simulate_demand(simulator.n, seed)
     return (sample.to_dataset(), demand_dag(),
             lambda: {"u": [float(v) for v in sample.u],
                      "price_grid": list(data_mod.DEMAND_PRICE_GRID),
@@ -170,57 +125,46 @@ def _simulate(data: dict, seed: int):
             data_mod.DEMAND_SCM_VERSION)
 
 
-def _resolve_data(config: dict, seed: int, replicate: int | None = None):
+def _resolve_data(run: Run, seed: int, replicate: int | None = None):
     """The rows the `data` section names, as `_simulate`'s tuple: the simulator's
     draw seeded by `data.seed` (default `seed`), or the CSV file, which has no
     graph, truth or version. Replicate r draws with that seed + r, or
     bootstraps the CSV with it."""
-    data = setting(config, "data", dict)
-    keys_of(config, "data", ("simulator", "seed", "csv", "schema"))
-    seed = setting(config, "data.seed", int, seed) + (replicate or 0)
-    if setting(config, "data.simulator", dict, None) is not None:
-        return _simulate(data, seed)
-    if "csv" in data:
-        schema = _read("data.schema", setting(data, "schema", object), data_mod.load_schema,
-                       DataError)
-        rows = _read("data.csv", data["csv"], lambda path: data_mod.load_csv(path, schema),
-                     DataError)
-        return (rows if replicate is None else data_mod.bootstrap(rows, seed)), None, None, None
-    raise ConfigError("data config needs either 'simulator' or 'csv'+'schema'")
+    data = run.required("data")
+    seed = seeded(data, seed).seed + (replicate or 0)
+    if data.simulator is not None:
+        return _simulate(data.simulator, seed)
+    schema = _read("data.schema", data.schema, data_mod.load_schema, DataError)
+    rows = _read("data.csv", data.csv, lambda path: data_mod.load_csv(path, schema), DataError)
+    return (rows if replicate is None else data_mod.bootstrap(rows, seed)), None, None, None
 
 
-def _split(dataset, config: dict, seed: int, offset: int = 0):
-    """(train, validation) by the config's split; `offset` shifts its seed."""
-    keys_of(config, "split", ("train_fraction", "seed"))
-    try:
-        return dataset.split(setting(config, "split.train_fraction", float, 0.7),
-                             setting(config, "split.seed", int, seed) + offset)
-    except ContractError as exc:  # its message starts with the argument's name
-        raise ConfigError(f"split.{exc}") from None
+def _split(dataset, run: Run, seed: int, offset: int = 0):
+    """(train, validation) by the run's split; `offset` shifts its seed."""
+    split = seeded(run.split or Split(), seed)
+    return dataset.split(split.train_fraction, split.seed + offset)
 
 
-def _train_one(row: Method, dag, dataset, config: dict, seed: int):
-    """Train a method's models; returns them in row order and the logs by role."""
-    runs = build_models(config, row, dag, dataset, seed)
-    logs = {spec.role: train_model(model, dataset, objective, optimizer, epochs, batch_size,
-                                   seed=seed)
-            for spec, (model, objective, optimizer, epochs, batch_size) in zip(row.models, runs)}
-    return [run[0] for run in runs], logs
+def _train_one(run: Run, dag, dataset, seed: int):
+    """Train the run method's models; returns them in row order and the logs by role."""
+    built = build_models(run, dag, dataset, seed)
+    logs = {spec.role: train_model(model, dataset, objective, optimizer, run.epochs,
+                                   run.batch_size, seed=seed)
+            for spec, (model, objective, optimizer) in zip(METHODS[run.method].models, built)}
+    return [entry[0] for entry in built], logs
 
 
-def _estimator(row: Method, config: dict, seed: int):
-    """(trained models, dataset) -> EstimateReport of `row`, its settings read
-    before anything trains. A proxy method averages its bridge at the `a_grid`
-    treatments over fresh held-out draws of the demand W, for demand data, else
-    over the dataset's own outcome-proxy and confounder rows."""
+def _estimator(row: Method, run: Run, seed: int):
+    """(trained models, dataset) -> EstimateReport of `row`. A proxy method
+    averages its bridge at the `a_grid` treatments over fresh held-out draws of
+    the demand W, for demand data, else over the dataset's own outcome-proxy and
+    confounder rows."""
     if not row.proxy:
         return lambda models, dataset: row.estimate(*models, dataset)
-    keys_of(config, "heldout", ("draws", "seed"))
-    m = setting(config, "heldout.draws", int, data_mod.DEMAND_HELDOUT_DRAWS)
-    draw_seed = setting(config, "heldout.seed", int, seed)
-    grid, draws = setting(config, "a_grid", [float], None), None
-    if setting(config, "data.simulator.name", str, None) == "demand":
-        draws = {"W": data_mod.heldout_w_draws(m, draw_seed)}
+    grid, draws = run.a_grid, None
+    if run.demand:
+        heldout = seeded(run.heldout, seed)
+        draws = {"W": data_mod.heldout_w_draws(heldout.draws, heldout.seed)}
         grid = grid or data_mod.DEMAND_PRICE_GRID
     elif grid is None:
         raise ConfigError("proximal estimation on external data needs 'a_grid'")
@@ -238,12 +182,13 @@ def _estimator(row: Method, config: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    config, seed, out = _load_config(args)
+    config, run, out = _load_config(args)
     # a top-level `simulator` is drawn as a `data.simulator` without a `data.seed`
-    run = {"data": {"simulator": config["simulator"]}} if "simulator" in config else config
-    if "simulator" not in setting(run, "data", dict, {}):
+    if run.simulator is not None:
+        run = replace(run, data=Data(simulator=run.simulator))
+    if run.data is None or run.data.simulator is None:
         raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")
-    dataset, dag, truth, version = _resolve_data(run, seed)
+    dataset, dag, truth, version = _resolve_data(run, run.seed)
     os.makedirs(out, exist_ok=True)
     data_mod.write_csv(dataset, os.path.join(out, "data.csv"))
     schema = dataset.schema()
@@ -252,7 +197,7 @@ def cmd_simulate(args) -> int:
     _write_json(os.path.join(out, "schema.json"), schema)
     _write_json(os.path.join(out, "dag.json"), dag.to_dict())
     _write_json(os.path.join(out, "truth.json"), truth())
-    manifest = {"simulator": run["data"]["simulator"]["name"], "seed": seed, "n": dataset.n,
+    manifest = {"simulator": run.data.simulator.name, "seed": run.seed, "n": dataset.n,
                 "scm_version": version, "config": config}
     _write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"wrote {dataset.n}-row dataset to {out}")
@@ -260,13 +205,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, seed, out = _load_config(args)
-    row = _method_of(config)
-    dataset, simulated, *_ = _resolve_data(config, seed)
-    dag = _resolve_dag(config, simulated)
-    if setting(config, "split", dict, {}):
-        dataset, _ = _split(dataset, config, seed)
-    models, logs = _train_one(row, dag, dataset, config, seed)
+    config, run, out = _load_config(args)
+    row, seed = _method_of(run), run.seed
+    dataset, simulated, *_ = _resolve_data(run, seed)
+    dag = _resolve_dag(run, simulated)
+    if run.split is not None:
+        dataset, _ = _split(dataset, run, seed)
+    models, logs = _train_one(run, dag, dataset, seed)
     os.makedirs(out, exist_ok=True)
     for spec, model in zip(row.models, models):
         model.save(os.path.join(out, f"{spec.key}.json"))
@@ -277,12 +222,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config, seed, out = _load_config(args)
-    row = _method_of(config)
-    dataset = _resolve_data(config, seed)[0]
-    estimate = _estimator(row, config, seed)
-    models = [_read(spec.key, setting(config, spec.key, object), DagTransformer.load)
-              for spec in row.models]
+    config, run, out = _load_config(args)
+    row, seed = _method_of(run), run.seed
+    paths = [run.required(spec.key) for spec in row.models]
+    dataset = _resolve_data(run, seed)[0]
+    estimate = _estimator(row, run, seed)
+    models = [_read(spec.key, path, DagTransformer.load) for spec, path in zip(row.models, paths)]
     report = estimate(models, dataset)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
@@ -294,20 +239,20 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config, seed, out = _load_config(args)
-    row = _method_of(config)
-    for key in keys_of(config, "nmmr", NMMR_KEYS):
-        raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
-                          "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
-    dataset, simulated, *_ = _resolve_data(config, seed)
-    dag = _resolve_dag(config, simulated)
-    train, validation = _split(dataset, config, seed)
-    grid = setting(config, "grid", object)
+    config, run, out = _load_config(args)
+    row, seed = _method_of(run), run.seed
+    for key, value in (("kernel_bandwidth", run.nmmr.kernel_bandwidth),
+                       ("lambda", run.nmmr.lambda_)):
+        if value is not None:
+            raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
+                              "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
+    grid = run.required("grid")
+    dataset, simulated, *_ = _resolve_data(run, seed)
+    dag = _resolve_dag(run, simulated)
+    train, validation = _split(dataset, run, seed)
     grid = _read("grid", grid) if isinstance(grid, str) else grid
-    rows, best = grid_search(grid, train, validation, row.name, dag,
-                             mode=setting(config, "mode", str, "cate"), seed=seed,
-                             plugin_config=section(config, "plugin", ForestConfig, seed=seed),
-                             jobs=args.jobs or setting(config, "jobs", int, 1))
+    rows, best = grid_search(grid, train, validation, row.name, dag, mode=run.mode, seed=seed,
+                             plugin_config=seeded(run.plugin, seed), jobs=args.jobs or run.jobs)
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
     best.save(os.path.join(out, "best_model.json"))
@@ -319,22 +264,20 @@ def cmd_tune(args) -> int:
 
 # -- evaluate ---------------------------------------------------------------
 
-def _effect_replicate(config: dict, replicate: int) -> dict:
+def _effect_replicate(run: Run, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
-    row = _method_of(config)
-    seed = _seed(config)
-    estimate = _estimator(row, config, seed + replicate)
-    dataset, simulated, *_ = _resolve_data(config, seed, replicate)
-    dag = _resolve_dag(config, simulated)
-    train, validation = _split(dataset, config, seed, offset=replicate)
-    forests = section(config, "plugin", ForestConfig, seed=seed + replicate)
+    row, seed = _method_of(run), run.seed
+    estimate = _estimator(row, run, seed + replicate)
+    dataset, simulated, *_ = _resolve_data(run, seed, replicate)
+    dag = _resolve_dag(run, simulated)
+    train, validation = _split(dataset, run, seed, offset=replicate)
     # keep the plug-in's effects, not its forests, alive through training
-    plugin_tau = fit_plugin(validation, dag, forests).cate(validation)
-    cate = setting(config, "experiment", str, None) == "cate"
+    plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, seed + replicate)).cate(validation)
+    cate = run.experiment == "cate"
     reference = plugin_tau if validation.true_cate is None else validation.true_cate
     if cate:
         check_reference(reference)
-    models, _ = _train_one(row, dag, train, config, seed + replicate)
+    models, _ = _train_one(run, dag, train, seed + replicate)
     report = estimate(models, validation)
     row = {"replicate": replicate, "candidate_ate": report.ate,
            "plugin_ate": float(plugin_tau.mean()), "true_ate": validation.true_ate}
@@ -343,13 +286,12 @@ def _effect_replicate(config: dict, replicate: int) -> dict:
     return row
 
 
-def _demand_replicate(config: dict, replicate: int) -> dict:
+def _demand_replicate(run: Run, replicate: int) -> dict:
     """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
-    row = _method_of(config)
-    seed = _seed(config)
-    estimate = _estimator(row, config, seed + replicate)
-    dataset, simulated, *_ = _resolve_data(config, seed, replicate)
-    models, _ = _train_one(row, _resolve_dag(config, simulated), dataset, config, seed + replicate)
+    row, seed = _method_of(run), run.seed
+    estimate = _estimator(row, run, seed + replicate)
+    dataset, simulated, *_ = _resolve_data(run, seed, replicate)
+    models, _ = _train_one(run, _resolve_dag(run, simulated), dataset, seed + replicate)
     report = estimate(models, dataset)
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
@@ -361,43 +303,38 @@ def _demand_replicate(config: dict, replicate: int) -> dict:
 
 
 def _replicate_with_context(job: tuple) -> dict:
-    """Run one (worker, config, replicate) job, tagging a failure with its index and config hash."""
-    worker, config, replicate = job
+    """Run one (worker, run, replicate, config hash) job, tagging a failure with
+    its index and config hash."""
+    worker, run, replicate, label = job
     try:
-        return worker(config, replicate)
+        return worker(run, replicate)
     except DagformerError as exc:
-        exc.args = (f"replicate {replicate} (config {config_hash(config)}): {exc}",)
+        exc.args = (f"replicate {replicate} (config {label}): {exc}",)
         raise
 
 
 def cmd_evaluate(args) -> int:
-    config, seed, out = _load_config(args)
-    replicates = setting(config, "replicates", int, 10)
-    experiment = setting(config, "experiment", str, "ate")
-    jobs = args.jobs or setting(config, "jobs", int, 1)
-    row = _method_of(config)
+    config, run, out = _load_config(args)
+    experiment, row = run.experiment, _method_of(run)
     if experiment == "cate" and not row.cate:
         raise ConfigError(f"{row.name} produces no per-unit effects; use experiment 'ate'")
     if experiment == "demand" and not row.proxy:
         raise ConfigError("the demand experiment needs a proximal method")
-    if experiment not in ("ate", "cate", "demand"):
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    # a bad value fails here, before any replicate starts
-    training_settings(config, row, seed)
+    model_configs(run, run.seed)  # a missing model section fails before any replicate starts
     least = 2 if experiment == "ate" else 1  # ate normalizes by the spread over replicates
-    if replicates < least:
+    if run.replicates < least:
         raise ConfigError(f"experiment {experiment!r} needs 'replicates' >= {least}, "
-                          f"got {replicates}")
+                          f"got {run.replicates}")
     if experiment == "demand":
-        if setting(config, "data.simulator.name", str, None) != "demand":
+        if not run.demand:
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
-        if "a_grid" in config:
+        if run.a_grid is not None:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
-    else:
-        section(config, "plugin", ForestConfig, seed=seed)
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
-    rows = map_jobs(_replicate_with_context, [(worker, config, r) for r in range(replicates)], jobs)
+    label = config_hash(config)
+    rows = map_jobs(_replicate_with_context,
+                    [(worker, run, r, label) for r in range(run.replicates)], args.jobs or run.jobs)
     if experiment == "demand":
         values = np.asarray([r["c_mse"] for r in rows])
         naive = np.asarray([r["c_mse_naive"] for r in rows])
@@ -417,7 +354,7 @@ def cmd_evaluate(args) -> int:
         aggregate = {"mean_nrmse": float(scores.mean()),
                      "se_nrmse": float(scores.std(ddof=1) / np.sqrt(len(scores)))
                      if len(scores) > 1 else 0.0}
-    payload = {"config": config, "seed": seed, "replicates": rows, "aggregate": aggregate}
+    payload = {"config": config, "seed": run.seed, "replicates": rows, "aggregate": aggregate}
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "evaluate.json"), payload)
     header = sorted({k for r in rows for k in r if k != "curve"})

@@ -20,7 +20,7 @@ from .errors import (
 from .data import csv_text
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, build_models, setting
+from .methods import METHODS, build_models, resolve, setting
 from .model import DagTransformer, train_model
 
 
@@ -168,23 +168,22 @@ def _run_config(point: dict) -> dict:
 
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     """Train and score one grid point; module-level so workers can pickle it."""
-    index, point, run_config, train, validation, method, dag, seed, mode, plugin_tau = payload
+    index, point, run, train, validation, dag, seed, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
-    row = METHODS[method]
-    ((model, objective, optimizer, epochs, batch_size),) = build_models(
-        run_config, row, dag, train, seed)
+    row = METHODS[run.method]
+    ((model, objective, optimizer),) = build_models(run, dag, train, seed)
     entry["param_count"] = model.param_count
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            log = train_model(model, train, objective, optimizer, epochs=epochs,
-                              batch_size=batch_size, seed=seed)
+            log = train_model(model, train, objective, optimizer, epochs=run.epochs,
+                              batch_size=run.batch_size, seed=seed)
             entry["train_loss"] = log[-1]["loss"] if log else None
             if row.proxy:
                 entry["score"] = objective.risk(model, validation.matrix(model.input_nodes))
             else:
                 report = (row.tune_estimate or row.estimate)(model, validation)
-                tau = report.cate if mode == "cate" and report.cate is not None \
+                tau = report.cate if run.mode == "cate" and report.cate is not None \
                     else np.full(validation.n, report.ate)
                 entry["score"] = nrmse(plugin_tau, tau)
             if not np.isfinite(entry["score"]):
@@ -227,18 +226,17 @@ def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
     """
     if method not in SEARCH_METHODS:
         raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {method!r}")
-    if mode not in ("cate", "ate"):
-        raise ConfigError(f"mode must be 'cate' or 'ate', got {mode!r}")
     points = expand_grid(grid)
-    run_configs = [_run_config(point) for point in points]  # checked before the plug-in fits
+    # each candidate is a run config, checked before the plug-in fits
+    runs = [resolve(dict(_run_config(point), method=method, mode=mode)) for point in points]
     plugin_tau = None
     if not METHODS[method].proxy:
         plugin_tau = fit_plugin(validation, dag, plugin_config).cate(validation)
         check_reference(plugin_tau)
 
     results = map_jobs(_evaluate_grid_point, [
-        (index, point, run_config, train, validation, method, dag, seed, mode, plugin_tau)
-        for index, (point, run_config) in enumerate(zip(points, run_configs))], jobs)
+        (index, point, run, train, validation, dag, seed, plugin_tau)
+        for index, (point, run) in enumerate(zip(points, runs))], jobs)
 
     rows = [entry for entry, _ in results]
     snapshots = {entry["grid_index"]: snap for entry, snap in results}

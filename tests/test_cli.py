@@ -1,15 +1,21 @@
+import builtins
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from dagformer import cli, selection
+from dagformer import cli, methods, selection
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
 from dagformer.graph import demand_dag
 from dagformer.errors import ConfigError
-from dagformer.methods import METHODS, setting
+from dagformer.methods import METHODS, Split, resolve, setting
 from dagformer.selection import SEARCH_METHODS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SNAPSHOT = ROOT / "tests" / "fixtures" / "snapshot_v1_aipw.json"
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -66,6 +72,20 @@ def test_simulate_demand_draws_the_sample_once(tmp_path, monkeypatch):
     config = {"simulator": {"name": "demand", "n": 30}, "seed": 2}
     assert run(tmp_path, "simulate", config, extra=("--out", str(tmp_path / "d"))) == 0
     assert calls == [(30, 2)]
+
+
+def test_simulate_linear_scm_builds_its_scm_once(tmp_path, monkeypatch):
+    # resolve builds the SCM to check it, and the draw uses that same one
+    built = []
+    linear_scm = methods.LinearScm
+
+    def counting(**kwargs):
+        built.append(kwargs)
+        return linear_scm(**kwargs)
+    monkeypatch.setattr(methods, "LinearScm", counting)
+    config = {"simulator": {"name": "linear-scm", "n": 20, "x_dim": 2}, "seed": 1}
+    assert run(tmp_path, "simulate", config, extra=("--out", str(tmp_path / "d"))) == 0
+    assert len(built) == 1
 
 
 def test_simulate_unknown_simulator_is_config_error(tmp_path):
@@ -432,6 +452,22 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     assert trained["params"] == best["params"]
 
 
+def _table_config(command, name):
+    """A config that every command of the tables below runs as it is; `estimate`
+    reads a snapshot that exists."""
+    config = dict(_method_config(name), grid=_grid())
+    if command == "estimate":
+        config["model"] = str(SNAPSHOT)
+    return config
+
+
+def _overrides(override):
+    """Command-line arguments for a table row: `--flag=value` items as they are, the
+    others `--set` overrides."""
+    return [arg for item in override.split()
+            for arg in ((item,) if item.startswith("--") else ("--set", item))]
+
+
 @pytest.mark.parametrize("command, name, override, code", [
     ("train", "gformula", "model.embedding_dim=abc", 2),
     ("train", "gformula", "model.embedding_dim=8.0", 2),
@@ -546,16 +582,33 @@ def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, nam
     # training sizes, read before any replicate starts
     ("evaluate", "gformula", "epochs=-1", 2),
     ("evaluate", "gformula", "batch_size=0", 2),
+    # one schema for every command: each key is read, and checked, whatever the command
+    *[("train", "gformula", override, 2) for override in (
+        "nmmr.lamda=1", "heldout.drawz=5", "a_grid=abc", "experimnt=cate", "nmmr.lambda=NaN",
+        "plugin.n_trees=0", "mode=xyz", "replicates=abc", "jobs=abc", "grid=5")],
+    *[("estimate", "gformula", override, 2) for override in (
+        "epochs=abc", "optimizer.beta1=5", "experimnt=cate", "plugin.n_tree=3",
+        "split.train_fractio=0.5")],
+    *[("simulate", "gformula", override, 2) for override in (
+        "method=nope", "epochs=abc", "model.alpha=abc")],
+    *[("tune", "gformula", override, 2) for override in (
+        "epochs=abc", "optimizer.beta1=5", "model.embedding_dim=abc", "heldout.drawz=1")],
+    # no held-out draws to average over
+    ("estimate", "proximal-u", "heldout.draws=0", 2),
+    ("estimate", "proximal-u", "heldout.draws=-3", 2),
+    # fewer than one process, from the config or the flag
+    ("evaluate", "gformula", "jobs=0", 2),
+    ("evaluate", "gformula", "--jobs=0", 2),
+    ("tune", "gformula", "--jobs=-1", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
         raise AssertionError("a config or data error must stop the run before training")
-    if command in ("evaluate", "tune"):
+    if code == 2 or command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "train_model", no_training)
         monkeypatch.setattr(selection, "train_model", no_training)
-    config = dict(_method_config(name), grid=_grid())
-    sets = [arg for item in override.split() for arg in ("--set", item)]
-    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == code
+    assert run(tmp_path, command, _table_config(command, name),
+               extra=("--out", str(tmp_path / "x"), *_overrides(override))) == code
 
 
 @pytest.mark.parametrize("command, name, override, named", [
@@ -615,11 +668,35 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "gformula", "data.simulator.x_dimm=2", "'simulator.x_dimm'"),
     ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", "'simulator.x_dim'"),
     ("evaluate", "gformula", "epochs=-1", "'epochs'"),
+    ("train", "gformula", "nmmr.lamda=1", "'nmmr.lamda'"),
+    ("train", "gformula", "heldout.drawz=5", "'heldout.drawz'"),
+    ("train", "gformula", "a_grid=abc", "'a_grid'"),
+    ("train", "gformula", "experimnt=cate", "'experimnt'"),
+    ("train", "gformula", "nmmr.lambda=NaN", "nmmr.lambda must be"),
+    ("train", "gformula", "plugin.n_trees=0", "plugin.n_trees must be"),
+    ("train", "gformula", "mode=xyz", "'mode'"),
+    ("train", "gformula", "replicates=abc", "'replicates'"),
+    ("train", "gformula", "jobs=abc", "'jobs'"),
+    ("train", "gformula", "grid=5", "'grid'"),
+    ("estimate", "gformula", "epochs=abc", "'epochs'"),
+    ("estimate", "gformula", "optimizer.beta1=5", "optimizer.beta1 must be in [0, 1)"),
+    ("estimate", "gformula", "experimnt=cate", "'experimnt'"),
+    ("estimate", "gformula", "plugin.n_tree=3", "'plugin.n_tree'"),
+    ("estimate", "gformula", "split.train_fractio=0.5", "'split.train_fractio'"),
+    ("simulate", "gformula", "method=nope", "'method'"),
+    ("simulate", "gformula", "epochs=abc", "'epochs'"),
+    ("simulate", "gformula", "model.alpha=abc", "'model.alpha'"),
+    ("tune", "gformula", "epochs=abc", "'epochs'"),
+    ("tune", "gformula", "optimizer.beta1=5", "optimizer.beta1 must be in [0, 1)"),
+    ("tune", "gformula", "model.embedding_dim=abc", "'model.embedding_dim'"),
+    ("tune", "gformula", "heldout.drawz=1", "'heldout.drawz'"),
+    ("estimate", "proximal-u", "heldout.draws=0", "heldout.draws must be >= 1"),
+    ("evaluate", "gformula", "jobs=0", "'jobs'"),
+    ("evaluate", "gformula", "--jobs=0", "'--jobs'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
-    config = dict(_method_config(name), grid=_grid())
-    sets = [arg for item in override.split() for arg in ("--set", item)]
-    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"), *sets)) == 2
+    assert run(tmp_path, command, _table_config(command, name),
+               extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 2
     assert named in capsys.readouterr().err
 
 
@@ -669,3 +746,25 @@ def test_setting_defaults_requires_and_walks_only_objects():
         setting({"a": {}}, "a.b", int)
     with pytest.raises(ConfigError, match="'a'"):
         setting({"a": 5}, "a.b", int, 7)
+
+
+def test_readme_example_configs_resolve_without_reading_a_file(tmp_path, monkeypatch):
+    # the docs teach only configs the schema takes, and resolving names files, never opens them
+    readme = (ROOT / "README.md").read_text()
+    configs = dict(re.findall(r"cat > (\S+) <<'JSON'\n(.*?)\nJSON", readme, re.S))
+    assert sorted(configs) == ["sim.json", "train.json"]
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("resolve opened a file")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(builtins, "open", no_file)
+    sim, train = (json.loads(configs[name]) for name in ("sim.json", "train.json"))
+    assert resolve(sim).simulator.n == 2000
+    assert resolve(train).model.embedding_dim == 8
+    assert resolve(dict(train, model="run/model.json")).model == "run/model.json"
+
+
+def test_an_empty_split_is_no_split():
+    # `train` trains on every row unless the config sets a split value
+    assert resolve({"split": {}}).split is None
+    assert resolve({"split": {"seed": 1}}).split == Split(train_fraction=0.7, seed=1)
