@@ -32,7 +32,7 @@ from .methods import (
 from .model import DagTransformer, train_model
 from .selection import (
     c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
-    nrmse_scalar_replicates, ranking_csv,
+    nrmse_scalar_replicates, plugin_covariates, ranking_csv,
 )
 
 
@@ -108,17 +108,23 @@ def _resolve_dag(run: Run, simulated):
     return simulated if run.dag is None else run.dag
 
 
+def _simulated_dag(simulator) -> CausalDag:
+    """The graph a simulator draws from, known before any row is drawn."""
+    if simulator.name == "linear-scm":
+        return data_mod.linear_scm_dag(simulator.scm.x_dim)
+    return demand_dag()
+
+
 def _simulate(simulator, seed: int):
     """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
     if simulator.name == "linear-scm":
-        scm = simulator.scm
-        rows = data_mod.simulate_linear_scm(simulator.n, scm, seed)
-        return (rows, data_mod.linear_scm_dag(scm.x_dim),
+        rows = data_mod.simulate_linear_scm(simulator.n, simulator.scm, seed)
+        return (rows, _simulated_dag(simulator),
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},
                 "linear-scm-v1")
     sample = data_mod.simulate_demand(simulator.n, seed)
-    return (sample.to_dataset(), demand_dag(),
+    return (sample.to_dataset(), _simulated_dag(simulator),
             lambda: {"u": [float(v) for v in sample.u],
                      "price_grid": list(data_mod.DEMAND_PRICE_GRID),
                      "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
@@ -330,6 +336,10 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
         if run.a_grid is not None:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
+    else:  # each replicate fits the plug-in forest on the graph's confounders
+        simulator = run.required("data").simulator
+        plugin_covariates(_resolve_dag(run, None if simulator is None
+                                       else _simulated_dag(simulator)))
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     label = config_hash(config)

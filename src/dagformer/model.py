@@ -11,6 +11,19 @@ At alpha = 0, the raw-input MLP baseline, it builds and runs no encoder.
 Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
 makes every head's prediction exactly invariant to non-ancestor columns.
+
+Each head reads only its own node's row of the last layer, and past
+attention a row depends on no other row. So the last layer runs Q, K, V,
+the scores, the softmax and `attn @ v` on every node (the attention maps
+are whole), and its output projection, residuals, second norm, FFN and
+the final norm on the head rows only. Earlier layers run on every node.
+Its three products still run at the full (batch * nodes, width) shape,
+forward and in both gradients, with each head row in its own place and
+zero rows for the other nodes (`tensor.linear` with a node mask): BLAS
+picks its kernel by shape, and a smaller product rounds some rows
+differently. So the cut layer gives the floats of the full layer bit for
+bit. A criterion-6 training step has 74 tape nodes, a criterion-9 NMMR-U
+step 84.
 """
 
 import json
@@ -80,6 +93,11 @@ class DagTransformer:
         for n, kind in self.node_kinds.items():
             if kind not in ("continuous", "binary"):
                 raise ConfigError(f"node {n}: unknown kind {kind!r}")
+        # the nodes that carry a head, in input order: past its attention, the
+        # last encoder layer computes only these rows, as nothing reads the others
+        kept = [n for n in self.input_nodes if n in self.head_nodes]
+        self._head_mask = np.array([n in kept for n in self.input_nodes])
+        self._head_row = {h: kept.index(h) for h in self.head_nodes}
         self.mask = build_mask(build_adjacency(self.graph))
         self._additive_mask = mask_to_additive(self.mask)
         self.head_parents = {h: [p for p in self.graph.names if p in self.graph.parents_of(h)]
@@ -206,14 +224,15 @@ class DagTransformer:
         if cfg.alpha > 0:
             h = T.embed_nodes(self.params["node_identity"], std,
                               [self._value_embedding(node) for node in self.input_nodes])
+            last = cfg.num_encoder_layers - 1
             for i in range(cfg.num_encoder_layers):
-                h = self._encoder_layer(h, i, train, dropout_rng, collect_attention)
+                keep = self._head_mask if i == last else None
+                h = self._encoder_layer(h, i, keep, train, dropout_rng, collect_attention)
             h = T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
 
         outputs: dict[str, Tensor] = {}
         for head in self.head_nodes:
-            idx = self._node_index(head)
-            combined = T.take_node(h, idx) * cfg.alpha if cfg.alpha > 0 \
+            combined = T.take_node(h, self._head_row[head]) * cfg.alpha if cfg.alpha > 0 \
                 else Tensor(np.zeros((batch.shape[0], cfg.embedding_dim)))
             parents = self.head_parents[head]
             if parents:
@@ -236,8 +255,10 @@ class DagTransformer:
             return (self.params[f"embed/{node}/table"],)
         return (self.params[f"embed/{node}/weight"], self.params[f"embed/{node}/bias"])
 
-    def _encoder_layer(self, x: Tensor, layer: int, train: bool,
+    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, train: bool,
                        dropout_rng, collect_attention) -> Tensor:
+        """One pre-norm layer. Attention runs over all nodes; from its output
+        projection on, only the nodes in `keep` (all when None) are computed."""
         cfg = self.config
         p = f"enc{layer}"
         n, d, e = x.shape
@@ -259,14 +280,14 @@ class DagTransformer:
             collect_attention.append(attn.data.copy())
         ctx = T.matmul(attn, v)  # (n, heads, d, dh)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, d, e))
-        ctx = T.matmul(ctx, self.params[f"{p}/attn/wo"]) + self.params[f"{p}/attn/bo"]
-        ctx = T.dropout(ctx, cfg.dropout_rate, train, dropout_rng)
-        x = x + ctx
+        ctx = T.linear(ctx, self.params[f"{p}/attn/wo"], self.params[f"{p}/attn/bo"], keep)
+        ctx = T.dropout(ctx, cfg.dropout_rate, train, dropout_rng, keep)
+        x = T.take_nodes(x, keep) + ctx
 
         xn = T.layer_norm(x, self.params[f"{p}/ln2/gain"], self.params[f"{p}/ln2/bias"])
-        ff = T.relu(T.matmul(xn, self.params[f"{p}/ffn/w1"]) + self.params[f"{p}/ffn/b1"])
-        ff = T.matmul(ff, self.params[f"{p}/ffn/w2"]) + self.params[f"{p}/ffn/b2"]
-        ff = T.dropout(ff, cfg.dropout_rate, train, dropout_rng)
+        ff = T.relu(T.linear(xn, self.params[f"{p}/ffn/w1"], self.params[f"{p}/ffn/b1"], keep))
+        ff = T.linear(ff, self.params[f"{p}/ffn/w2"], self.params[f"{p}/ffn/b2"], keep)
+        ff = T.dropout(ff, cfg.dropout_rate, train, dropout_rng, keep)
         return x + ff
 
     def _head_mlp(self, head: str, z: Tensor, train: bool, dropout_rng) -> Tensor:

@@ -93,14 +93,20 @@ class PlugInEstimator:
         return float(self.cate(dataset).mean())
 
 
+def plugin_covariates(dag: CausalDag) -> list[str]:
+    """The plug-in's covariate nodes: the graph's confounders, at least one."""
+    covariates = dag.nodes_with_role(NodeRole.CONFOUNDER)
+    if not covariates:
+        raise ConfigError("plug-in estimator needs at least one confounder column")
+    return covariates
+
+
 def fit_plugin(validation, dag: CausalDag, config: ForestConfig | None = None) -> PlugInEstimator:
     """Fit one honest forest per treatment arm on the validation split."""
     config = config or ForestConfig()
     treatment = dag.single_node(NodeRole.TREATMENT)
     outcome = dag.single_node(NodeRole.OUTCOME)
-    covariates = dag.nodes_with_role(NodeRole.CONFOUNDER)
-    if not covariates:
-        raise ConfigError("plug-in estimator needs at least one confounder column")
+    covariates = plugin_covariates(dag)
     a = validation.node_column(treatment).values
     if not np.isin(a, (0.0, 1.0)).all():
         raise DataError("plug-in estimator requires a binary treatment")

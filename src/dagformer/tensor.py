@@ -15,7 +15,7 @@ __all__ = [
     "Tensor", "GradientTape", "tensor", "constant", "parameter", "backward", "no_grad",
     "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
-    "concat_lastdim", "take_node", "sum_all", "mean_all", "sum_axis",
+    "concat_lastdim", "take_node", "take_nodes", "linear", "sum_all", "mean_all", "sum_axis",
     "sum_squares", "softmax_lastdim", "layer_norm", "dropout", "embed_nodes",
 ]
 
@@ -23,11 +23,15 @@ __all__ = [
 class Tensor:
     """A node in the autodiff graph wrapping a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "requires_grad", "needs_grad", "_parents", "_backward",
+                 "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
+        # whether a gradient reaches this tensor: a parameter, or an op output
+        # recorded with a parent that needs one; fixed once the node is built
+        self.needs_grad = self.requires_grad or bool(_parents)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -43,9 +47,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def _needs_grad(self) -> bool:
-        return self.requires_grad or bool(self._parents)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -137,7 +138,7 @@ class GradientTape:
             if expanded:
                 self.order.append(node)
                 continue
-            if id(node) in seen or not node._needs_grad():
+            if id(node) in seen or not node.needs_grad:
                 continue
             seen.add(id(node))
             stack.append((node, True))
@@ -176,8 +177,10 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents, bwd) -> Tensor:
-    if _recording and any(p._needs_grad() for p in parents):
-        return Tensor(data, _parents=tuple(p for p in parents if p._needs_grad()), _backward=bwd)
+    if _recording:
+        parents = tuple([p for p in parents if p.needs_grad])
+        if parents:
+            return Tensor(data, _parents=parents, _backward=bwd)
     return Tensor(data)
 
 
@@ -189,9 +192,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        if a._needs_grad():
+        if a.needs_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -201,9 +204,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def bwd(g):
-        if a._needs_grad():
+        if a.needs_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -213,9 +216,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        if a._needs_grad():
+        if a.needs_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -225,9 +228,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def bwd(g):
-        if a._needs_grad():
+        if a.needs_grad:
             _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -276,8 +279,8 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -309,10 +312,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        if a._needs_grad():
+        if a.needs_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accumulate(a, _unbroadcast(ga, a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             _accumulate(b, _unbroadcast(gb, b.data.shape))
 
@@ -331,12 +334,50 @@ def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if a._needs_grad():
+        if a.needs_grad:
             _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        if b._needs_grad():
+        if b.needs_grad:
             _accumulate(b, a2.T @ g2)
 
     return _make(out_data, (a, b), bwd)
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> Tensor:
+    """a @ w + b over the last axis of an (N, D, K) operand, as one node.
+
+    The product is one (N*D, K) @ (K, M) GEMM, as in the folded matmul, and
+    so is each gradient. `keep`, a boolean mask over the D nodes, returns only
+    the kept nodes, (N, kept, M); `a` may then hold all D nodes or only the
+    kept ones. Every product still runs at the full (N*D, ...) shape, with
+    each kept node in its own rows and zero rows for the others: BLAS picks
+    its kernel by shape, and a smaller product could round a row otherwise.
+    Only the bias add and the bias gradient's row sum shrink.
+    """
+    full = a.data
+    if keep is not None and full.shape[1] != keep.size:
+        full = np.zeros(full.shape[:1] + keep.shape + full.shape[2:])
+        full[:, keep] = a.data
+    a2 = full.reshape(-1, full.shape[-1])
+    prod = (a2 @ w.data).reshape(full.shape[:-1] + w.data.shape[-1:])
+    out_data = (prod if keep is None else np.compress(keep, prod, axis=1)) + b.data
+    out_shape = prod.shape
+
+    def bwd(g):
+        if keep is not None:
+            g_full = np.zeros(out_shape)
+            g_full[:, keep] = g
+        else:
+            g_full = g
+        g2 = g_full.reshape(-1, out_shape[-1])
+        if a.needs_grad:
+            ga = (g2 @ w.data.T).reshape(full.shape)
+            _accumulate(a, ga if ga.shape == a.data.shape else np.compress(keep, ga, axis=1))
+        if w.needs_grad:
+            _accumulate(w, a2.T @ g2)
+        if b.needs_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _make(out_data, (a, w, b), bwd)
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -370,7 +411,7 @@ def concat_lastdim(parts: list) -> Tensor:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._needs_grad():
+            if p.needs_grad:
                 _accumulate(p, g[..., lo:hi])
 
     return _make(out_data, tuple(parts), bwd)
@@ -386,6 +427,23 @@ def take_node(a: Tensor, index: int) -> Tensor:
         _accumulate(a, full)
 
     return _make(out_data, (a,), bwd)
+
+
+def take_nodes(a: Tensor, keep: np.ndarray | None) -> Tensor:
+    """Select the nodes of (N, D, E) that a boolean mask `keep` over the D
+    nodes marks, as (N, kept, E) in node order; `None` keeps every node.
+
+    The result is C-contiguous, unlike `a[:, keep]`: a reduction over a
+    strided copy would add in another order, and round differently."""
+    if keep is None:
+        return a
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[:, keep] = g
+        _accumulate(a, full)
+
+    return _make(np.compress(keep, a.data, axis=1), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +488,7 @@ def sum_squares(parts: list) -> Tensor:
 
     def bwd(g):
         for p in parts:
-            if p._needs_grad():
+            if p.needs_grad:
                 _accumulate(p, 2.0 * g * p.data)
 
     return _make(np.asarray(total), tuple(parts), bwd)
@@ -461,18 +519,18 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
     out_data = xhat * gain.data + bias.data
 
     def bwd(g):
-        if gain._needs_grad():
+        if gain.needs_grad:
             _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        if bias._needs_grad():
+        if bias.needs_grad:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if x._needs_grad():
+        if x.needs_grad:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -481,17 +539,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out_data, (x, gain, bias), bwd)
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when train is False or rate is 0."""
+def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator,
+            keep: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout; identity when train is False or rate is 0.
+
+    With a boolean node mask `keep`, x holds the kept nodes (axis 1) of an
+    (N, D, ...) tensor: the mask is drawn for all D nodes, so the stream
+    advances as it does for the whole tensor, and the kept nodes' part is used.
+    """
     if not train or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out_data = x.data * keep
+    shape = x.data.shape if keep is None else x.data.shape[:1] + keep.shape + x.data.shape[2:]
+    scale = (rng.random(shape) >= rate) / (1.0 - rate)
+    if keep is not None:
+        scale = np.compress(keep, scale, axis=1)
+    out_data = x.data * scale
 
     def bwd(g):
-        _accumulate(x, g * keep)
+        _accumulate(x, g * scale)
 
     return _make(out_data, (x,), bwd)
 
@@ -519,17 +586,17 @@ def embed_nodes(identity: Tensor, values: np.ndarray, embeddings: list) -> Tenso
             out_data[:, i] = ident[i]
 
     def bwd(g):
-        if identity._needs_grad():
+        if identity.needs_grad:
             _accumulate(identity, g.sum(axis=0))
         for i, params in enumerate(embeddings):
             gi = g[:, i]
             if len(params) == 2:
                 weight, bias = params
-                if weight._needs_grad():
+                if weight.needs_grad:
                     _accumulate(weight, values[:, i:i + 1].T @ gi)
-                if bias._needs_grad():
+                if bias.needs_grad:
                     _accumulate(bias, gi.sum(axis=0))
-            elif len(params) == 1 and params[0]._needs_grad():
+            elif len(params) == 1 and params[0].needs_grad:
                 table = np.zeros_like(params[0].data)
                 np.add.at(table, rows[i], gi)
                 _accumulate(params[0], table)

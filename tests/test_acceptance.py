@@ -163,6 +163,29 @@ def test_criterion_02_gradient_fidelity():
           f"{ {k: f'{v:.2e}' for k, v in results.items()} }; {elapsed:.1f}s")
 
 
+def test_two_layer_gradient_fidelity():
+    # criterion 2's models have one layer; here a full layer feeds the last
+    # one, which computes only the head rows past its attention
+    g = rng.stream(8, "two-layer")
+    model = DagTransformer(ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=2,
+                                       feedforward_dim=16, mlp_width=8, mlp_depth=1,
+                                       alpha=0.4, seed=6),
+                           TRIANGLE_DAG, "aipw", TRIANGLE_KINDS)
+    for p in model.parameters():  # no zero bias or unit gain
+        p.data = p.data + g.standard_normal(p.data.shape) * 0.1
+    batch = np.column_stack([g.standard_normal(8), (g.random(8) < 0.5).astype(float),
+                             g.standard_normal(8)])
+    model.fit_standardizer(batch)
+    y, a = model._standardize(batch)[:, 2], batch[:, 1]
+
+    def joint_loss():
+        preds = model.forward(batch)
+        return loss_aipw_joint(preds["Y"], y, preds["A"], a)
+
+    worst = _finite_difference_max_err(joint_loss, model.parameters())
+    assert worst < 1e-4, f"max relative gradient error {worst:.2e}"
+
+
 def test_criterion_03_nmmr_loss_oracles():
     g = rng.stream(12, "c3")
     worst_value = 0.0

@@ -8,7 +8,7 @@ import pytest
 from dagformer import rng, tensor
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.errors import ConfigError, DataError, ShapeError, TrainingDivergedError
-from dagformer.graph import CausalDag, demand_dag
+from dagformer.graph import CausalDag, NodeRole, demand_dag
 from dagformer.model import DagTransformer, ModelConfig, train_model
 from dagformer.objectives import AipwJoint, GFormula, Iptw, Nmmr
 from dagformer.optim import AdamState
@@ -170,10 +170,12 @@ def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
                       mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
     model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
     assert len(model.params) == 28
-    # 28 parameters and 48 ops: 1 embedding, 31 in the encoder layer, 4 from
-    # the final norm to the head input, 9 in the head MLP, 3 in the loss
+    # 28 parameters and 46 ops: 1 embedding, 29 in the encoder layer (each
+    # product past attention is one node with its bias, and the residual
+    # stream is cut to the head row), 4 from the final norm to the head
+    # input, 9 in the head MLP, 3 in the loss
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {76}
+                                256) == {74}
 
 
 def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
@@ -185,7 +187,7 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     assert len(model.params) == 31
     # the penalty over all 31 parameters is one node
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
-                                Nmmr(variant="U", lam=3e-6), 64) == {86}
+                                Nmmr(variant="U", lam=3e-6), 64) == {84}
 
 
 def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):
@@ -500,3 +502,135 @@ def test_counterfactual_predict_keeps_no_tape_in_memory():
     # a recording forward keeps every intermediate alive until its outputs go
     assert peak(lambda: model.counterfactual_predict(batch, 1.0)) <= \
         0.5 * peak(lambda: model.forward(batch, train=False))
+
+
+# -- the last encoder layer computes only the head rows, with the full layer's floats --
+
+def _full_encoder_layer(model, x, layer, train, dropout_rng):
+    """One encoder layer computed on every node: the reference the cut layer must match."""
+    T, params, cfg = tensor, model.params, model.config
+    p = f"enc{layer}"
+    n, d, e = x.shape
+    heads, dh = cfg.num_heads, e // cfg.num_heads
+    xn = T.layer_norm(x, params[f"{p}/ln1/gain"], params[f"{p}/ln1/bias"])
+    q = T.matmul(xn, params[f"{p}/attn/wq"]) + params[f"{p}/attn/bq"]
+    k = T.matmul(xn, params[f"{p}/attn/wk"]) + params[f"{p}/attn/bk"]
+    v = T.matmul(xn, params[f"{p}/attn/wv"]) + params[f"{p}/attn/bv"]
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (n, d, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    scores = T.matmul(q, T.swap_last2(k)) * (1.0 / np.sqrt(dh))
+    attn = T.softmax_lastdim(scores + tensor.Tensor(model._additive_mask))
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
+    ctx = T.matmul(ctx, params[f"{p}/attn/wo"]) + params[f"{p}/attn/bo"]
+    x = x + T.dropout(ctx, cfg.dropout_rate, train, dropout_rng)
+    xn = T.layer_norm(x, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"])
+    ff = T.relu(T.matmul(xn, params[f"{p}/ffn/w1"]) + params[f"{p}/ffn/b1"])
+    ff = T.matmul(ff, params[f"{p}/ffn/w2"]) + params[f"{p}/ffn/b2"]
+    return x + T.dropout(ff, cfg.dropout_rate, train, dropout_rng)
+
+
+def _full_forward(model, batch, train=False, dropout_rng=None):
+    """`DagTransformer.forward` with every layer on every node, each head
+    reading its node of the full final norm."""
+    T, cfg = tensor, model.config
+    std = model._standardize(np.asarray(batch, dtype=np.float64))
+    h = T.embed_nodes(model.params["node_identity"], std,
+                      [model._value_embedding(node) for node in model.input_nodes])
+    for i in range(cfg.num_encoder_layers):
+        h = _full_encoder_layer(model, h, i, train, dropout_rng)
+    h = T.layer_norm(h, model.params["final_ln/gain"], model.params["final_ln/bias"])
+    outputs = {}
+    for head in model.head_nodes:
+        z = T.take_node(h, model._node_index(head)) * cfg.alpha
+        parents = model.head_parents[head]
+        if parents:
+            raw = tensor.Tensor(std[:, [model._node_index(p) for p in parents]])
+            z = T.concat_lastdim([z, raw])
+        out = model._head_mlp(head, z, train, dropout_rng)
+        if model.graph.role_of(head) is NodeRole.TREATMENT:
+            out = T.sigmoid(out)
+        outputs[head] = out
+    return outputs
+
+
+CRITERION_6 = dict(embedding_dim=8, num_heads=2, num_encoder_layers=1, feedforward_dim=16,
+                   mlp_width=16, mlp_depth=2, alpha=0.1, seed=1)
+NMMR_U = dict(embedding_dim=40, num_heads=1, num_encoder_layers=1, feedforward_dim=40,
+              mlp_width=48, mlp_depth=2, alpha=0.01, seed=1)
+AIPW_KINDS = {"A": "binary", **{n: "continuous" for n in ("X1", "X2", "X3", "X4", "X5", "Y")}}
+CUT_SHAPES = {
+    "criterion-6": (CRITERION_6, SCM_DAG, "gformula", SCM_KINDS),
+    "nmmr-u": (NMMR_U, demand_dag(), "proximal", {n: "continuous" for n in "ZWAY"}),
+    "aipw-joint": (CRITERION_6, linear_scm_dag(5), "aipw", AIPW_KINDS),
+    "two-layer": (dict(CRITERION_6, num_encoder_layers=2), linear_scm_dag(5), "aipw",
+                  AIPW_KINDS),
+}
+
+
+def _generic_model(shape, n):
+    """A model of one of CUT_SHAPES with every parameter drawn at random, so no
+    bias is zero and no gain is one, and a standardized batch of n rows."""
+    config, dag, method, kinds = CUT_SHAPES[shape]
+    model = DagTransformer(ModelConfig(**config), dag, method, kinds)
+    g = rng.stream(11, "generic", shape, n)
+    for p in model.parameters():
+        p.data = g.standard_normal(p.data.shape) * 0.5
+    batch = g.standard_normal((n, len(model.input_nodes)))
+    for i, node in enumerate(model.input_nodes):
+        if kinds[node] == "binary":
+            batch[:, i] = g.random(n) < 0.5
+    return model, batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 136, 256])
+@pytest.mark.parametrize("shape", list(CUT_SHAPES))
+def test_cut_last_layer_equals_the_full_layer_bit_for_bit(shape, n):
+    model, batch = _generic_model(shape, n)
+    weights = {head: rng.stream(12, head, n).standard_normal(n) for head in model.head_nodes}
+    grads = []
+    for forward in (model.forward, lambda b: _full_forward(model, b)):
+        for p in model.parameters():
+            p.zero_grad()
+        outs = forward(batch)
+        loss = None
+        for head, out in outs.items():
+            term = tensor.sum_all(out * weights[head])
+            loss = term if loss is None else loss + term
+        tensor.backward(loss)
+        grads.append(({h: o.data for h, o in outs.items()},
+                      {name: p.grad for name, p in model.params.items()}))
+    (cut_outs, cut_grads), (full_outs, full_grads) = grads
+    for head in model.head_nodes:
+        assert np.array_equal(cut_outs[head], full_outs[head]), head
+    for name in model.params:
+        assert np.array_equal(cut_grads[name], full_grads[name]), name
+
+
+@pytest.mark.parametrize("shape, rows, batch_size, dropout", [
+    ("nmmr-u", 5000, 64, 0.0),   # a whole proximal epoch; its last batch has 8 rows
+    ("aipw-joint", 400, 64, 0.2),  # dropout draws the mask of every node
+])
+def test_cut_training_leaves_the_parameters_of_full_training(monkeypatch, shape, rows,
+                                                             batch_size, dropout):
+    from dagformer.data import simulate_demand
+    config, dag, method, kinds = CUT_SHAPES[shape]
+    if method == "proximal":
+        dataset, objective = simulate_demand(rows, seed=2).to_dataset(), Nmmr("U", 3e-6)
+    else:
+        scm = LinearScm(x_dim=5, propensity_weights=(0.5,) * 5, outcome_weights=(1.0,) * 5)
+        dataset, objective = simulate_linear_scm(rows, scm, 3), AipwJoint()
+    trained = []
+    for full in (False, True):
+        model = DagTransformer(ModelConfig(**dict(config, dropout_rate=dropout)), dag, method,
+                               kinds)
+        if full:
+            monkeypatch.setattr(model, "forward",
+                                lambda *args, m=model, **kw: _full_forward(m, *args, **kw))
+        train_model(model, dataset, objective, AdamState(), epochs=1, batch_size=batch_size)
+        trained.append(model)
+    cut, full = trained
+    for name, p in cut.params.items():
+        assert np.array_equal(p.data, full.params[name].data), name

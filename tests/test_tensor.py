@@ -203,6 +203,85 @@ def test_folded_matmul_matches_batched_matmul():
     assert np.array_equal(T.matmul(T.tensor(x), T.tensor(w)).data, np.matmul(x, w))
 
 
+def test_linear_and_take_nodes_gradients_match_finite_differences():
+    g = rng.stream(27, "linear")
+    x = g.standard_normal((5, 4, 3))
+    w = g.standard_normal((3, 6))
+    b = g.standard_normal(6)
+    keep = np.array([False, True, False, True])
+
+    def build(ps):
+        xx, ww, bb = ps
+        full = T.linear(xx, ww, bb)                           # (5,4,6)
+        cut = T.linear(xx, ww, bb, keep)                      # (5,2,6), from all nodes
+        again = T.linear(T.take_nodes(xx, keep), ww, bb, keep)  # from the kept nodes only
+        return T.mean_all(full * full) + T.sum_all(cut * 0.3) + T.mean_all(again * cut)
+
+    _check_grads(build, [x, w, b], tol=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 136])
+def test_linear_keeps_the_full_products_floats(n):
+    # the kept rows equal the full product's rows, and so do the gradients of
+    # the weight and of the kept input rows, whatever the batch
+    g = rng.stream(28, "linear", n)
+    x = g.standard_normal((n, 4, 40))
+    w, b = T.parameter(g.standard_normal((40, 40))), T.parameter(g.standard_normal(40))
+    up = g.standard_normal((n, 1, 40))
+    keep = np.array([False, False, False, True])
+
+    xa = T.parameter(x)
+    ref = T.matmul(xa, w) + b
+    T.backward(T.sum_all(T.take_node(ref, 3) * up[:, 0]))
+    ref_grads = [xa.grad, w.grad, b.grad]
+    for p in (w, b):
+        p.zero_grad()
+    xb = T.parameter(x[:, keep])
+    cut = T.linear(xb, w, b, keep)
+    assert cut.data.flags.c_contiguous
+    assert np.array_equal(cut.data, ref.data[:, keep])
+    T.backward(T.sum_all(cut * up))
+    assert np.array_equal(xb.grad, ref_grads[0][:, keep])
+    assert np.array_equal(w.grad, ref_grads[1])
+    assert np.array_equal(b.grad, ref_grads[2])
+
+
+def test_take_nodes_is_contiguous_and_none_keeps_every_node():
+    x = T.parameter(np.arange(24.0).reshape(2, 4, 3))
+    keep = np.array([True, False, False, True])
+    out = T.take_nodes(x, keep)
+    assert out.data.flags.c_contiguous
+    assert np.array_equal(out.data, x.data[:, [0, 3]])
+    assert T.take_nodes(x, None) is x
+
+
+def test_dropout_on_kept_nodes_draws_the_mask_of_all_nodes():
+    x = T.parameter(np.ones((6, 4, 5)))
+    keep = np.array([False, True, False, True])
+    full = T.dropout(x, 0.3, train=True, rng=rng.stream(2, "d"))
+    cut = T.dropout(T.take_nodes(x, keep), 0.3, train=True, rng=rng.stream(2, "d"), keep=keep)
+    assert np.array_equal(cut.data, full.data[:, keep])
+
+
+def test_layer_norm_and_sigmoid_equal_the_expressions_they_replace():
+    # layer_norm centres once and sums the squares itself, which is what
+    # np.var computes; sigmoid takes exp(-|x|) once
+    g = rng.stream(29, "ln")
+    for i in range(120):
+        n = (1, 5000)[i] if i < 2 else int(g.integers(1, 5001))
+        shape = (n, int(g.integers(3, 8)), 8)
+        x = g.standard_normal(shape) * g.uniform(0.01, 100.0) + g.uniform(-50.0, 50.0)
+        gain, bias = g.standard_normal(8), g.standard_normal(8)
+        mu = x.mean(axis=-1, keepdims=True)
+        old = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)) * gain + bias
+        assert np.array_equal(T.layer_norm(T.tensor(x), T.tensor(gain), T.tensor(bias)).data,
+                              old)
+        z = x * g.uniform(0.1, 10.0)
+        old = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                       np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+        assert np.array_equal(T.sigmoid(T.tensor(z)).data, old)
+
+
 def test_embed_nodes_gradients_match_finite_differences():
     g = rng.stream(23, "embed")
     n = 6
