@@ -115,6 +115,12 @@ def _simulated_dag(simulator) -> CausalDag:
     return demand_dag()
 
 
+def _dag_before_data(run: Run) -> CausalDag:
+    """The run's graph, known before any row is drawn or read."""
+    simulator = run.required("data").simulator
+    return _resolve_dag(run, None if simulator is None else _simulated_dag(simulator))
+
+
 def _simulate(simulator, seed: int):
     """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
     if simulator.name == "linear-scm":
@@ -253,6 +259,8 @@ def cmd_tune(args) -> int:
             raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
                               "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
     grid = run.required("grid")
+    if not row.proxy:  # the plug-in forest needs a confounder, which the graph shows first
+        plugin_covariates(_dag_before_data(run))
     dataset, simulated, *_ = _resolve_data(run, seed)
     dag = _resolve_dag(run, simulated)
     train, validation = _split(dataset, run, seed)
@@ -337,9 +345,7 @@ def cmd_evaluate(args) -> int:
         if run.a_grid is not None:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
     else:  # each replicate fits the plug-in forest on the graph's confounders
-        simulator = run.required("data").simulator
-        plugin_covariates(_resolve_dag(run, None if simulator is None
-                                       else _simulated_dag(simulator)))
+        plugin_covariates(_dag_before_data(run))
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     label = config_hash(config)

@@ -12,18 +12,19 @@ Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
 makes every head's prediction exactly invariant to non-ancestor columns.
 
-Each head reads only its own node's row of the last layer, and past
-attention a row depends on no other row. So the last layer runs Q, K, V,
-the scores, the softmax and `attn @ v` on every node (the attention maps
-are whole), and its output projection, residuals, second norm, FFN and
-the final norm on the head rows only. Earlier layers run on every node.
-Its three products still run at the full (batch * nodes, width) shape,
-forward and in both gradients, with each head row in its own place and
-zero rows for the other nodes (`tensor.linear` with a node mask): BLAS
-picks its kernel by shape, and a smaller product rounds some rows
-differently. So the cut layer gives the floats of the full layer bit for
-bit. A criterion-6 training step has 74 tape nodes, a criterion-9 NMMR-U
-step 84.
+Each weight product of a layer, Q, K and V included, is one tape node with
+its bias (`tensor.linear`). Each head reads only its own node's row of the
+last layer, and past attention a row depends on no other row. So the last
+layer runs Q, K, V, the scores, the softmax and `attn @ v` on every node
+(the attention maps are whole), and its output projection, residuals,
+second norm, FFN and the final norm on the head rows only. Earlier layers
+run on every node. Its three products past attention still run at the full
+(batch * nodes, width) shape, forward and in both gradients, with each head
+row in its own place and zero rows for the other nodes (`tensor.linear`
+with a node mask): BLAS picks its kernel by shape, and a smaller product
+rounds some rows differently. So the cut layer gives the floats of the full
+layer bit for bit. A criterion-6 training step has 71 tape nodes, a
+criterion-9 NMMR-U step 81.
 """
 
 import json
@@ -265,9 +266,9 @@ class DagTransformer:
         heads, dh = cfg.num_heads, e // cfg.num_heads
 
         xn = T.layer_norm(x, self.params[f"{p}/ln1/gain"], self.params[f"{p}/ln1/bias"])
-        q = T.matmul(xn, self.params[f"{p}/attn/wq"]) + self.params[f"{p}/attn/bq"]
-        k = T.matmul(xn, self.params[f"{p}/attn/wk"]) + self.params[f"{p}/attn/bk"]
-        v = T.matmul(xn, self.params[f"{p}/attn/wv"]) + self.params[f"{p}/attn/bv"]
+        q = T.linear(xn, self.params[f"{p}/attn/wq"], self.params[f"{p}/attn/bq"])
+        k = T.linear(xn, self.params[f"{p}/attn/wk"], self.params[f"{p}/attn/bk"])
+        v = T.linear(xn, self.params[f"{p}/attn/wv"], self.params[f"{p}/attn/bv"])
 
         def split_heads(t):
             return T.transpose(T.reshape(t, (n, d, heads, dh)), (0, 2, 1, 3))

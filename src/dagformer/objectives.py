@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as T
+from . import rng, tensor as T
 from .errors import ContractError, DataError
 from .graph import NodeRole
 from .tensor import Tensor
@@ -169,17 +169,32 @@ def loss_aipw_joint(y_hat, y, a_hat, a) -> Tensor:
 # at about 1 MiB each, whatever the number of rows
 _BAND_ENTRIES = 2 ** 17
 # the median is selected on the float64 bit patterns of the squared distances,
-# which for non-negative floats sort as the int64 integers they view as: a
-# counting pass bins a bin's entries by their next 16 bits, from the top down
+# which for non-negative floats sort as the int64 integers they view as, all
+# in [0, 2^63): a counting pass counts a bin's entries in at most 2^16
+# sub-intervals, each an aligned block of 2^shift patterns
 _DIGIT = 16
+_ALL_BITS = 1 << 63
 # a bin of at most this many entries (8 MiB) is collected and partitioned
 _COLLECT_CAP = 2 ** 20
+# pairs in the sample that brackets the middle ranks (4 MiB of arrays at d = 2,
+# freed before the first pass), and the sample ranks on each side of its middle
+# that the bracket spans: six standard deviations of the sample rank of the
+# true median, sqrt(m) / 2 each
+_SAMPLE = 2 ** 16
+_SPREAD = 6 * 128
+# bit patterns added on each side of the bracket (about 1e-6 relative), so a
+# tie that the sample's own floats place a few ulps away still falls inside
+_MARGIN = 2 ** 32
 
 
-def _sq_dists(rows, sq, lo, hi, start=0):
-    """Unclamped squared distances of rows lo:hi to rows start:. Every caller
-    uses this one expression, so each pair gets the same float in any band."""
-    return sq[lo:hi, None] + sq[None, start:] - 2.0 * rows[lo:hi] @ rows[start:].T
+def _sq_dists(rows, twice, sq, lo, hi, start=0, out=None):
+    """Unclamped squared distances of rows lo:hi to rows start:, where `twice`
+    is 2.0 * rows, into `out` if given. Every caller uses this one expression,
+    sq_i + sq_j - (2.0 * rows_i) @ rows_j, so each pair gets the same float in
+    any band."""
+    prod = twice[lo:hi] @ rows[start:].T
+    d2 = np.add(sq[lo:hi, None], sq[None, start:], out=out)
+    return np.subtract(d2, prod, out=d2)
 
 
 def _bands(n: int, last: int):
@@ -190,19 +205,53 @@ def _bands(n: int, last: int):
 
 def _upper_bits(rows, sq):
     """The clamped squared distances of the pairs i < j, band by band, as int64
-    bit patterns. Band lo:hi holds the distances to rows lo:, so its pairs
-    j <= i are there too, set to +inf: they sort above every finite
-    distance, and no rank counted from the bottom moves."""
+    bit patterns in one buffer that the next band overwrites. Band lo:hi holds
+    the distances to rows lo:, so its pairs j <= i are there too, set to +inf:
+    they sort above every finite distance, and no rank counted from the bottom
+    moves."""
     n = rows.shape[0]
-    for lo, hi in _bands(n, n - 1):
-        d2 = _sq_dists(rows, sq, lo, hi, lo)
+    twice = 2.0 * rows
+    bands = _bands(n, n - 1)
+    space = np.empty((bands[0][1] - bands[0][0]) * n)
+    lower = np.tri(bands[0][1] - bands[0][0], dtype=bool)
+    for lo, hi in bands:
+        d2 = _sq_dists(rows, twice, sq, lo, hi, lo,
+                       out=space[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo))
         np.maximum(d2, 0.0, out=d2)
-        d2[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = np.inf
+        d2[:, :hi - lo][lower[:hi - lo, :hi - lo]] = np.inf
         yield d2.view(np.int64).ravel()
 
 
-def _in_bin(bits, shift, key):
-    return bits if shift == 64 else bits[(bits >> shift) == key]
+def _shift(width: int) -> int:
+    """log2 of the sub-interval width that counts [base, base + width) in at most 2^16."""
+    return max(0, (width - 1).bit_length() - _DIGIT)
+
+
+def _sample_bracket(rows, sq):
+    """(base, width, expected): the bit interval [base, base + width) from the
+    0.5 - 1.2% to the 0.5 + 1.2% quantile of the squared distances of
+    `_SAMPLE` random pairs, widened by `_MARGIN`, and the number of pairs it
+    should hold, six standard deviations high. It is counted in aligned blocks
+    of 2^shift patterns, as few as fit it, so it holds about 2.3% of the pairs.
+    The pairs come from a fixed stream, so an input always gets one bracket."""
+    n = rows.shape[0]
+    g = rng.stream(0, "median-heuristic-sample")
+    i = g.integers(0, n, _SAMPLE)
+    j = g.integers(0, n - 1, _SAMPLE)
+    j += j >= i
+    d2 = sq[i] + sq[j] - 2.0 * np.einsum("ij,ij->i", rows[i], rows[j])
+    bits = np.maximum(d2, 0.0, out=d2).view(np.int64)
+    mid = _SAMPLE // 2
+    bits.partition([mid - _SPREAD, mid + _SPREAD])
+    lo = max(0, int(bits[mid - _SPREAD]) - _MARGIN)
+    hi = min(_ALL_BITS - 1, int(bits[mid + _SPREAD]) + _MARGIN)
+    shift = 0
+    while (hi >> shift) - (lo >> shift) >= 1 << _DIGIT:
+        shift += 1
+    base, top = lo >> shift << shift, (hi >> shift) + 1 << shift
+    sampled = np.count_nonzero((bits >= base) & (bits < top))
+    expected = math.ceil((sampled + 6 * math.sqrt(sampled)) * (n * (n - 1) // 2) / _SAMPLE)
+    return base, top - base, expected
 
 
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
@@ -210,11 +259,22 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
 
     Each pair's squared distance is the float `_pairwise_sq_dists` gives it,
     computed in row bands that are never kept. The middle order statistics
-    are selected on the distances' bit patterns: one pass counts the
-    entries by their top 16 bits, and while the bin that holds a middle rank
-    has more than `_COLLECT_CAP` entries, another pass counts that bin by its
-    next 16 bits. A bin at full resolution holds one value, which is the
-    answer; a smaller bin is collected in one more pass and partitioned.
+    are selected on the distances' bit patterns. A bin is a bit interval
+    [base, base + width); each distance pass counts the entries of a middle
+    rank's bin in at most 2^16 aligned sub-intervals, or collects the bin when
+    it holds at most `_COLLECT_CAP` entries. When every entry fits under that
+    cap, one pass collects them all. Otherwise the first bin is the bracket
+    that a fixed sample of pairs predicts (`_sample_bracket`). The first pass
+    counts the entries below it and counts it, and collects it if the sample
+    expects at most the cap. If the ranks fall inside and all of it was
+    collected, they are partitioned out of it: one pass. If it held more
+    than expected but at most the cap, the next pass collects it. If it held
+    more than the cap, the rank's sub-interval is the next bin, and so on: a
+    bin at full resolution holds one value, which is the answer. If the
+    sample missed a rank, its next bin is every bit pattern. Sub-intervals
+    are aligned blocks no wider than the parts of a count of every pattern
+    by its top 16 bits, so unless the sample misses, no input takes more
+    passes than counting from every pattern would.
     Only the selected values are square-rooted; sqrt is monotone, so this is
     exactly the median of the distances. Beyond the n row norms, memory is
     a band's temporaries and at most `_COLLECT_CAP` entries, whatever n.
@@ -230,39 +290,63 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     pairs = n * (n - 1) // 2
     entries = sum((hi - lo) * (n - lo) for lo, hi in _bands(n, n - 1))
     middle = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
-    # a middle rank's bin is the entries whose bits >> shift == key, `count` of
-    # them, and `rank` is its rank among them; shift 64 is every entry
-    bins = {r: (64, 0, entries, r) for r in middle}
+    # a middle rank's bin holds `count` entries, and `rank` is its rank among
+    # them; for the bracket, `rank` is None and `count` the sample's estimate
+    # until a pass has counted it
+    bins = {r: (0, _ALL_BITS, entries, r) for r in middle}
+    if entries > _COLLECT_CAP:
+        bins = dict.fromkeys(middle, (*_sample_bracket(rows, sq), None))
     found = {}
     while bins:
-        counts = {(s, k): np.zeros(1 << _DIGIT, np.int64)
-                  for s, k, count, _ in bins.values() if count > _COLLECT_CAP}
-        kept = {(s, k): np.empty(count, np.int64)
-                for s, k, count, _ in bins.values() if count <= _COLLECT_CAP}
-        filled = dict.fromkeys(kept, 0)
+        spans = {b[:2]: b[2:] for b in bins.values()}
+        hists = {span: np.zeros(1 << _DIGIT, np.int64) for span, (count, rank) in spans.items()
+                 if rank is None or count > _COLLECT_CAP}
+        kept = {span: np.empty(count, np.int64) for span, (count, _) in spans.items()
+                if count <= _COLLECT_CAP}
+        below = {span: 0 for span, (_, rank) in spans.items() if rank is None}
+        inside = dict.fromkeys(spans, 0)
         for bits in _upper_bits(rows, sq):
-            for (s, k), hist in counts.items():
-                part = np.bincount((_in_bin(bits, s, k) >> (s - _DIGIT)) & ((1 << _DIGIT) - 1))
-                hist[:part.size] += part
-            for (s, k), buf in kept.items():
-                chosen = _in_bin(bits, s, k)
-                buf[filled[s, k]:filled[s, k] + chosen.size] = chosen
-                filled[s, k] += chosen.size
-        for (s, k), buf in kept.items():
-            ranks = sorted(r for r, b in bins.items() if b[:2] == (s, k))
-            buf.partition([bins[r][3] for r in ranks])
-            for r in ranks:
-                found[r] = int(buf[bins.pop(r)[3]])
-        for r, (s, k, _, rank) in list(bins.items()):
-            below = np.cumsum(counts[s, k])
-            digit = int(np.searchsorted(below, rank, side="right"))
-            key, shift = (k << _DIGIT) | digit, s - _DIGIT
-            rank -= int(below[digit - 1]) if digit else 0
-            if shift == 0:  # every entry in the bin has these bits
-                found[r] = key
-                del bins[r]
+            for base, width in spans:
+                under = bits < base
+                chosen = np.compress(under ^ (bits < base + width), bits)
+                if (base, width) in below:
+                    below[base, width] += np.count_nonzero(under)
+                if (base, width) in hists:
+                    part = np.bincount((chosen - base) >> _shift(width))
+                    hists[base, width][:part.size] += part
+                if (base, width) in kept:
+                    buf, at = kept[base, width], inside[base, width]
+                    buf[at:at + chosen.size] = chosen[:max(0, buf.size - at)]
+                inside[base, width] += chosen.size
+        ranks = {}
+        for r, (base, width, count, rank) in list(bins.items()):
+            span = base, width
+            if rank is None:  # the bracket, counted by this pass
+                count, rank = inside[span], r - below[span]
+                if not 0 <= rank < count:  # the sample missed this rank
+                    bins[r] = (0, _ALL_BITS, entries, r)
+                    continue
+            if span in kept and count <= kept[span].size:
+                ranks.setdefault(span, {})[r] = rank
+            elif count <= _COLLECT_CAP:  # more than the estimate: collected next
+                bins[r] = (base, width, count, rank)
             else:
-                bins[r] = (shift, key, int(counts[s, k][digit]), rank)
+                hist, shift = hists[span], _shift(width)
+                cumulative = np.cumsum(hist)
+                digit = int(np.searchsorted(cumulative, rank, side="right"))
+                rank -= int(cumulative[digit - 1]) if digit else 0
+                base += digit << shift
+                if shift == 0:  # every entry in the sub-interval has these bits
+                    found[r] = base
+                    del bins[r]
+                else:
+                    bins[r] = (base, 1 << shift, int(hist[digit]), rank)
+        for span, chosen_ranks in ranks.items():
+            buf = kept[span][:inside[span]]
+            buf.partition(sorted(chosen_ranks.values()))
+            for r, rank in chosen_ranks.items():
+                found[r] = int(buf[rank])
+                del bins[r]
     values = np.array([found[r] for r in middle], dtype=np.int64).view(np.float64)
     med = float(np.median(np.sqrt(values)))
     if med == 0.0:
@@ -273,7 +357,7 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
 
 def _pairwise_sq_dists(rows: np.ndarray) -> np.ndarray:
     sq = (rows * rows).sum(axis=1)
-    return np.maximum(_sq_dists(rows, sq, 0, rows.shape[0]), 0.0)
+    return np.maximum(_sq_dists(rows, 2.0 * rows, sq, 0, rows.shape[0]), 0.0)
 
 
 def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -330,11 +414,11 @@ def nmmr_risk(y, h_vals, features: np.ndarray, bandwidth: float, variant: str) -
     rows = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
     if rows.shape[0] != n:
         raise ContractError(f"need {n} feature rows, got {rows.shape[0]}")
-    sq = (rows * rows).sum(axis=1)
+    sq, twice = (rows * rows).sum(axis=1), 2.0 * rows
     r_col = (np.asarray(y, dtype=np.float64) - np.asarray(h_vals, dtype=np.float64)).reshape(n, 1)
     k_r = np.empty((n, 1))
     for lo, hi in _bands(n, n):
-        kernel = np.exp(-np.maximum(_sq_dists(rows, sq, lo, hi), 0.0)
+        kernel = np.exp(-np.maximum(_sq_dists(rows, twice, sq, lo, hi), 0.0)
                         / (2.0 * bandwidth * bandwidth))
         if variant == "U":
             kernel[np.arange(hi - lo), np.arange(lo, hi)] = 0.0

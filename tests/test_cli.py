@@ -584,6 +584,7 @@ def _overrides(override):
     ("evaluate", "gformula", "batch_size=0", 2),
     # the plug-in forest needs a confounder, which the graph shows before any row is drawn
     ("evaluate", "gformula", "data.simulator.x_dim=0", 2),
+    ("tune", "gformula", "data.simulator.x_dim=0", 2),
     # one schema for every command: each key is read, and checked, whatever the command
     *[("train", "gformula", override, 2) for override in (
         "nmmr.lamda=1", "heldout.drawz=5", "a_grid=abc", "experimnt=cate", "nmmr.lambda=NaN",
@@ -607,11 +608,12 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     def no_training(*args, **kwargs):
         raise AssertionError("a config or data error must stop the run before training")
     def no_rows(*args, **kwargs):
-        raise AssertionError("a config error must stop evaluate before any replicate draws")
+        raise AssertionError("a config error must stop evaluate and tune before any row is drawn")
     if code == 2 or command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "train_model", no_training)
         monkeypatch.setattr(selection, "train_model", no_training)
-    if code == 2 and command == "evaluate":
+    # tune reads and casts its grid only after its rows are drawn
+    if code == 2 and (command == "evaluate" or command == "tune" and "grid" not in override):
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == code

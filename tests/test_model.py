@@ -170,12 +170,12 @@ def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
                       mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
     model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
     assert len(model.params) == 28
-    # 28 parameters and 46 ops: 1 embedding, 29 in the encoder layer (each
-    # product past attention is one node with its bias, and the residual
-    # stream is cut to the head row), 4 from the final norm to the head
-    # input, 9 in the head MLP, 3 in the loss
+    # 28 parameters and 43 ops: 1 embedding, 26 in the encoder layer (each
+    # weight product, Q, K and V included, is one node with its bias, and the
+    # residual stream is cut to the head row), 4 from the final norm to the
+    # head input, 9 in the head MLP, 3 in the loss
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {74}
+                                256) == {71}
 
 
 def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
@@ -187,7 +187,7 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     assert len(model.params) == 31
     # the penalty over all 31 parameters is one node
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
-                                Nmmr(variant="U", lam=3e-6), 64) == {84}
+                                Nmmr(variant="U", lam=3e-6), 64) == {81}
 
 
 def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):

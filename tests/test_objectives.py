@@ -212,6 +212,120 @@ def test_median_heuristic_peak_memory_below_5_n_squared_bytes():
     assert peak < 5 * n * n, f"peak {peak / n / n:.2f} n^2 bytes"
 
 
+def _median_test_inputs():
+    """(group, rows, cap) of every input the median-heuristic tests above give
+    `median_heuristic_bandwidth`, drawn as they draw them, in their order."""
+    cap = objectives._COLLECT_CAP
+    yield "two points", np.array([[0.0, 0.0], [3.0, 4.0]]), cap
+    yield "two points", np.ones((4, 2)), cap
+    for n in (2, 3, 17, 300, 1001, 5000):
+        g = rng.stream(41, "median", n)
+        for d in (1, 2, 3, 5, 7):
+            yield "dense", g.standard_normal((n, d)) * g.uniform(0.1, 10.0), cap
+    for tied_cap in (cap, 1000, 1):
+        for kind, n in (("binary", 1500), ("rounded", 2000), ("identical", 1000),
+                        ("binary", 301), ("rounded", 300), ("identical", 300)):
+            yield "tied", _tied_rows(kind, n, np.random.default_rng(n)), tied_cap
+    for n in (2, 3, 17, 300):
+        g = rng.stream(43, "median-cap", n)
+        for small_cap in (1, 7, 1000):
+            for d in (1, 3, 7):
+                yield "cap", g.standard_normal((n, d)) * g.uniform(0.1, 10.0), small_cap
+    rows = np.vstack([np.ones((8, 2)), [[0.0, 1.0], [2.0, 3.0]]])
+    yield "zero median", rows.copy(), cap
+    rows[7] = [5.0, 5.0]
+    yield "zero median", rows, cap
+    yield "n=20000", rng.stream(44, "median-mem").standard_normal((20_000, 3)), cap
+    yield "tied bins", (rng.stream(45, "median-binary").random((4000, 3)) < 0.5).astype(float), cap
+    yield "n=3000", rng.stream(42, "median-mem").standard_normal((3000, 3)), cap
+
+
+# distance passes per input of each group, measured before the sampled bracket
+# replaced the first pass over every entry
+_PASSES_BEFORE = {
+    "two points": [1, 1],
+    "dense": [1] * 25 + [2] * 5,
+    "tied": [2, 2, 1, 1, 1, 1] + [4, 4, 3, 4, 3, 2] + [4, 4, 3, 4, 4, 4],
+    "cap": [2] * 3 + [1] * 6 + [2] * 3 + [1] * 6 + [3] * 3 + [2] * 3 + [1] * 3
+           + [3] * 6 + [2, 3, 3],
+    "zero median": [1, 1],
+    "n=20000": [3],
+    "tied bins": [4],
+    "n=3000": [2],
+}
+
+
+def _distance_passes(monkeypatch, rows):
+    """The number of passes over the pairwise distances that the bandwidth takes."""
+    passes = []
+    upper_bits = objectives._upper_bits
+
+    def counted(*args):
+        passes.append(args)
+        return upper_bits(*args)
+    monkeypatch.setattr(objectives, "_upper_bits", counted)
+    try:
+        median_heuristic_bandwidth(rows)
+    except DataError:  # the zero median is found after its passes
+        pass
+    monkeypatch.setattr(objectives, "_upper_bits", upper_bits)
+    return len(passes)
+
+
+def test_median_heuristic_takes_no_more_passes_than_before(monkeypatch):
+    passes = {group: [] for group in _PASSES_BEFORE}
+    for group, rows, cap in _median_test_inputs():
+        monkeypatch.setattr(objectives, "_COLLECT_CAP", cap)
+        passes[group].append(_distance_passes(monkeypatch, rows))
+    for group, before in _PASSES_BEFORE.items():
+        assert len(passes[group]) == len(before), group
+        assert all(now <= then for now, then in zip(passes[group], before)), (group, passes[group])
+    # the bracket holds the middle ranks in one pass where two were taken
+    assert passes["dense"][-5:] == [1] * 5 and passes["n=20000"] == [2]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_median_heuristic_takes_one_pass_at_5000_continuous_rows(monkeypatch, d):
+    rows = rng.stream(46, "median-one-pass", d).standard_normal((5000, d))
+    assert _distance_passes(monkeypatch, rows) == 1
+
+
+def _missing_below(rows, sq):
+    return 0, 1, rows.shape[0]  # exact zeros only: fewer than half of the pairs
+
+
+def _missing_above(rows, sq):
+    return int(np.float64(1e300).view(np.int64)), 1 << 40, 0  # above every pair
+
+
+def _holding_every_entry(rows, sq):
+    return 0, objectives._ALL_BITS, rows.shape[0] ** 2
+
+
+def _underestimated(rows, sq, sample_bracket=objectives._sample_bracket):
+    return *sample_bracket(rows, sq)[:2], 1
+
+
+def _overestimated(rows, sq, sample_bracket=objectives._sample_bracket):
+    return *sample_bracket(rows, sq)[:2], objectives._COLLECT_CAP + 1
+
+
+@pytest.mark.parametrize("bracket", [_missing_below, _missing_above, _holding_every_entry,
+                                     _underestimated, _overestimated])
+@pytest.mark.parametrize("kind", ["continuous", "binary", "rounded", "identical"])
+@pytest.mark.parametrize("n, cap", [(1500, objectives._COLLECT_CAP), (300, 1000)])
+def test_median_heuristic_failed_bracket_equals_dense_reference(monkeypatch, bracket, kind, n,
+                                                                cap):
+    # a bracket that misses the middle ranks sends them to the whole range; one
+    # that holds more than the cap is refined from its own counts; one that
+    # holds more than its estimate, or less, is collected in the next pass
+    monkeypatch.setattr(objectives, "_COLLECT_CAP", cap)
+    monkeypatch.setattr(objectives, "_sample_bracket", bracket)
+    g = np.random.default_rng(n)
+    rows = g.standard_normal((n, 3)) if kind == "continuous" else _tied_rows(kind, n, g)
+    assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows)
+
+
 def test_nmmr_zero_residuals_zero_loss():
     y = np.array([1.0, 2.0, 3.0])
     k = rbf_kernel_matrix(y[:, None], 1.0)
