@@ -27,11 +27,11 @@ from .estimators import (  # noqa: F401
 )
 from .graph import CausalDag, NodeRole, demand_dag
 from .methods import (
-    METHODS, Data, Method, Run, Split, build_models, model_configs, resolve, seeded,
+    METHODS, Data, Method, Run, Split, build_models, model_configs, overridden, resolve, seeded,
 )
 from .model import DagTransformer, train_model
 from .selection import (
-    c_mse, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
+    c_mse, candidates, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
     nrmse_scalar_replicates, plugin_covariates, ranking_csv,
 )
 
@@ -64,23 +64,18 @@ def _load_config(args) -> tuple[dict, Run, str]:
     if not isinstance(config, dict):
         raise ConfigError(f"the '--config' file must hold a JSON object, "
                           f"not a {type(config).__name__}")
+    overrides = []
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            overrides.append((key, json.loads(raw)))
         except json.JSONDecodeError:
-            value = raw
-        target = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ConfigError(f"--set path {key!r} collides with a non-object value")
-        target[parts[-1]] = value
+            overrides.append((key, raw))
     if args.seed is not None:
-        config["seed"] = args.seed
+        overrides.append(("seed", args.seed))
+    config = overridden(config, overrides)
     run = resolve(config)
     return config, run, args.out or run.out or "."
 
@@ -253,20 +248,15 @@ def cmd_estimate(args) -> int:
 def cmd_tune(args) -> int:
     config, run, out = _load_config(args)
     row, seed = _method_of(run), run.seed
-    for key, value in (("kernel_bandwidth", run.nmmr.kernel_bandwidth),
-                       ("lambda", run.nmmr.lambda_)):
-        if value is not None:
-            raise ConfigError(f"tune does not read 'nmmr.{key}': a candidate's kernel uses the "
-                              "median-heuristic bandwidth, and its lambda is its 'l2_penalty'")
     grid = run.required("grid")
+    # every candidate is read before any row is drawn
+    runs = candidates(config, _read("grid", grid) if isinstance(grid, str) else grid)
     if not row.proxy:  # the plug-in forest needs a confounder, which the graph shows first
         plugin_covariates(_dag_before_data(run))
     dataset, simulated, *_ = _resolve_data(run, seed)
     dag = _resolve_dag(run, simulated)
     train, validation = _split(dataset, run, seed)
-    grid = _read("grid", grid) if isinstance(grid, str) else grid
-    rows, best = grid_search(grid, train, validation, row.name, dag, mode=run.mode, seed=seed,
-                             plugin_config=seeded(run.plugin, seed), jobs=args.jobs or run.jobs)
+    rows, best = grid_search(run, runs, train, validation, dag, jobs=args.jobs or run.jobs)
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
     best.save(os.path.join(out, "best_model.json"))

@@ -4,6 +4,7 @@ and the run config, which `resolve` reads and checks whole into a `Run`.
 `cli` and `selection` take every per-method decision and config value from
 here."""
 
+import copy
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Callable, Literal, Optional, Union, get_args, get_origin
@@ -257,15 +258,21 @@ def section(values: dict, key: str, cls):
         raise ConfigError(_dotted(key, str(exc))) from None
 
 
-def setting(config: dict, key: str, kind, default=MISSING):
-    """The run config's value at the dotted `key` as `kind`, else `default` (required without
-    one). An int is a Python or NumPy integer, a float any such integer or a float, neither a
-    bool or a string; `[kind]` or `list[kind]` is a list of `kind`, `Optional[kind]` is
-    `kind`. Else it is a ConfigError naming the key."""
-    *path, name = key.split(".")
-    for depth, part in enumerate(path, 1):
-        config = _as(dict, config.get(part, {}), ".".join(path[:depth]))
-    return _read(config, ".".join(path), name, kind, default)
+def overridden(config: dict, values) -> dict:
+    """A deep copy of `config` with each (dotted key, value) of `values` written
+    in order, as `--set` and each `tune` grid point write them; an object on
+    the key's path is made if missing. A path through a value that is not an
+    object is a ConfigError naming the key."""
+    config = copy.deepcopy(config)
+    for key, value in values:
+        *path, name = key.split(".")
+        target = config
+        for part in path:
+            target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"path {key!r} collides with a non-object value")
+        target[name] = value
+    return config
 
 
 def _dotted(key: str, name: str) -> str:

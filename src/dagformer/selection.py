@@ -20,7 +20,7 @@ from .errors import (
 from .data import csv_text
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, build_models, resolve, setting
+from .methods import METHODS, Run, build_models, overridden, resolve, seeded
 from .model import DagTransformer, train_model
 
 
@@ -129,30 +129,45 @@ def fit_plugin(validation, dag: CausalDag, config: ForestConfig | None = None) -
 # grid search
 # ---------------------------------------------------------------------------
 
-GRID_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float, "l2_penalty": float,
-             "mlp_width": int, "mlp_depth": int, "encoder_layers": int, "dropout": float,
-             "embedding_dim": int, "feedforward_dim": int, "num_heads": int, "alpha": float}
-
 SEARCH_METHODS = tuple(name for name, row in METHODS.items() if row.tunable)
+
+# the grid's names before it took run-config keys, read only to name the new key in an error
+_OLD_GRID_KEYS = {"learning_rate": "optimizer.learning_rate", "l2_penalty": "optimizer.l2_penalty",
+                  "encoder_layers": "model.num_encoder_layers", "dropout": "model.dropout_rate",
+                  **{key: f"model.{key}" for key in ("mlp_width", "mlp_depth", "embedding_dim",
+                                                     "feedforward_dim", "num_heads", "alpha")}}
 
 
 def expand_grid(grid: dict) -> list[dict]:
-    """Cartesian product of per-parameter value lists, in stable key order."""
+    """Every point of `grid`, which maps dotted run-config keys to nonempty value
+    lists: one value per key, the product in the grid's key order. A key is
+    `epochs`, `batch_size` or a `model`, `optimizer` or `nmmr` key: the rows,
+    split, seed and plug-in are drawn once for all candidates."""
     if not isinstance(grid, dict):
         raise ConfigError(f"grid must be a JSON object, got {grid!r}")
-    missing = [k for k in GRID_KEYS if k not in grid]
-    if missing:
-        raise ConfigError(f"grid is missing parameters {missing}")
-    unknown = [k for k in grid if k not in GRID_KEYS]
-    if unknown:
-        raise ConfigError(f"grid has unknown parameters {unknown}")
-    lists = []
-    for key in GRID_KEYS:
-        values = grid[key]
+    for key, values in grid.items():
+        section, _, name = key.partition(".")
+        if key not in ("epochs", "batch_size") and not (
+                section in ("model", "optimizer", "nmmr") and name):
+            new = f"; it is now {_OLD_GRID_KEYS[key]!r}" if key in _OLD_GRID_KEYS else ""
+            raise ConfigError(f"grid key {key!r} is not 'epochs', 'batch_size' or a 'model', "
+                              f"'optimizer' or 'nmmr' key{new}")
         if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError(f"grid parameter {key!r} must be a nonempty list")
-        lists.append(values)
-    return [dict(zip(GRID_KEYS, combo)) for combo in itertools.product(*lists)]
+            raise ConfigError(f"grid key {key!r} must be a nonempty list")
+    return [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
+
+
+def candidates(config: dict, grid: dict) -> list[tuple[dict, Run]]:
+    """(point, run) for each point of `grid`: the run of `config` with the point's
+    keys written as `--set` writes them, so a candidate is a `train` run. A value
+    that the run config rejects is a ConfigError naming its key."""
+    runs = []
+    for point in expand_grid(grid):
+        try:
+            runs.append((point, resolve(overridden(config, point.items()))))
+        except ConfigError as exc:
+            raise ConfigError(f"grid point {point}: {exc}") from None
+    return runs
 
 
 def config_hash(point: dict) -> str:
@@ -160,24 +175,12 @@ def config_hash(point: dict) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _run_config(point: dict) -> dict:
-    """A grid point as the model, optimizer and training keys of a run config;
-    a value of the wrong kind is a ConfigError naming its grid key."""
-    v = {key: setting({"grid": point}, f"grid.{key}", kind) for key, kind in GRID_KEYS.items()}
-    model = {k: v[k] for k in (
-        "embedding_dim", "num_heads", "feedforward_dim", "mlp_width", "mlp_depth")}
-    model.update(num_encoder_layers=v["encoder_layers"], dropout_rate=v["dropout"],
-                 alpha=v["alpha"])
-    return {"model": model, "epochs": v["epochs"], "batch_size": v["batch_size"],
-            "optimizer": {"learning_rate": v["learning_rate"], "l2_penalty": v["l2_penalty"]}}
-
-
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
     """Train and score one grid point; module-level so workers can pickle it."""
-    index, point, run, train, validation, dag, seed, plugin_tau = payload
+    index, point, run, train, validation, dag, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
-    row = METHODS[run.method]
+    row, seed = METHODS[run.method], run.seed
     ((model, objective, optimizer),) = build_models(run, dag, train, seed)
     entry["param_count"] = model.param_count
     try:
@@ -217,32 +220,27 @@ def map_jobs(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def grid_search(grid: dict, train, validation, method: str, dag: CausalDag,
-                mode: str = "cate", seed: int = 0,
-                plugin_config: ForestConfig | None = None, jobs: int = 1):
-    """Train one candidate per grid point and rank them.
+def grid_search(run: Run, runs: list, train, validation, dag: CausalDag, jobs: int = 1):
+    """Train each of `runs`, the `candidates` of the base `run`, and rank them.
 
     Unconfoundedness methods score by NRMSE of the candidate's effects
     (per-unit in "cate" mode, its ATE broadcast in "ate" mode) against the
-    per-unit effects of a plug-in fit on the validation split; in "ate" mode
-    that ranks by the ATE difference. Proxy methods score by validation risk.
-    Ties break toward fewer parameters, then earlier grid order. Grid
-    points are independent and run concurrently when jobs > 1. Returns
-    (ranked table, best fitted model).
+    per-unit effects of the run's plug-in fit on the validation split; in
+    "ate" mode that ranks by the ATE difference. Proxy methods score by
+    validation risk. Ties break toward fewer parameters, then earlier grid
+    order. Candidates are independent and run concurrently when jobs > 1.
+    Returns (ranked table, best fitted model).
     """
-    if method not in SEARCH_METHODS:
-        raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {method!r}")
-    points = expand_grid(grid)
-    # each candidate is a run config, checked before the plug-in fits
-    runs = [resolve(dict(_run_config(point), method=method, mode=mode)) for point in points]
+    if run.method not in SEARCH_METHODS:
+        raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {run.method!r}")
     plugin_tau = None
-    if not METHODS[method].proxy:
-        plugin_tau = fit_plugin(validation, dag, plugin_config).cate(validation)
+    if not METHODS[run.method].proxy:
+        plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, run.seed)).cate(validation)
         check_reference(plugin_tau)
 
     results = map_jobs(_evaluate_grid_point, [
-        (index, point, run, train, validation, dag, seed, plugin_tau)
-        for index, (point, run) in enumerate(zip(points, runs))], jobs)
+        (index, point, candidate, train, validation, dag, plugin_tau)
+        for index, (point, candidate) in enumerate(runs)], jobs)
 
     rows = [entry for entry, _ in results]
     snapshots = {entry["grid_index"]: snap for entry, snap in results}

@@ -20,7 +20,6 @@ from dagformer.estimators import (
     TableNuisance, aipw_from_nuisances, estimate_aipw, estimate_gformula,
     estimate_iptw, estimate_proximal,
 )
-from dagformer.forest import ForestConfig
 from dagformer.graph import CausalDag, backdoor_dag, demand_dag
 from dagformer.model import DagTransformer, ModelConfig, train_model
 from dagformer.objectives import (
@@ -28,7 +27,8 @@ from dagformer.objectives import (
     median_heuristic_bandwidth, rbf_kernel_matrix,
 )
 from dagformer.optim import AdamState
-from dagformer.selection import c_mse, grid_search, nrmse
+from dagformer.methods import resolve
+from dagformer.selection import c_mse, candidates, grid_search, nrmse
 
 TRIANGLE_DAG = CausalDag([("X", "confounder"), ("A", "treatment"), ("Y", "outcome")],
                     [("X", "A"), ("X", "Y"), ("A", "Y")])
@@ -408,16 +408,18 @@ def test_criterion_10_metric_identities():
 
 def test_criterion_11_selection_sanity():
     start = time.monotonic()
-    grid = {"epochs": [15], "batch_size": [32], "learning_rate": [3e-3, 10.0],
-            "l2_penalty": [0.0], "mlp_width": [8], "mlp_depth": [1],
-            "encoder_layers": [1], "dropout": [0.0], "embedding_dim": [8],
-            "feedforward_dim": [16], "num_heads": [2], "alpha": [0.1]}
+    grid = {"epochs": [15], "batch_size": [32], "optimizer.learning_rate": [3e-3, 10.0],
+            "optimizer.l2_penalty": [0.0], "model.mlp_width": [8], "model.mlp_depth": [1],
+            "model.num_encoder_layers": [1], "model.dropout_rate": [0.0],
+            "model.embedding_dim": [8], "model.feedforward_dim": [16], "model.num_heads": [2],
+            "model.alpha": [0.1]}
     wins = 0
     for seed in range(10):
         ds = simulate_linear_scm(400, LinearScm(), seed=200 + seed)
         train, validation = ds.split(0.7, seed=seed)
-        rows, _ = grid_search(grid, train, validation, "gformula", SCM_DAG,
-                              seed=seed, plugin_config=ForestConfig(n_trees=25, seed=seed))
-        wins += rows[0]["config"]["learning_rate"] == 3e-3
+        config = {"method": "gformula", "seed": seed, "plugin": {"n_trees": 25}}
+        rows, _ = grid_search(resolve(config), candidates(config, grid), train, validation,
+                              SCM_DAG)
+        wins += rows[0]["config"]["optimizer.learning_rate"] == 3e-3
     elapsed = time.monotonic() - start
     check(11, wins == 10, f"sane configuration ranked first on {wins}/10 seeds; {elapsed:.0f}s")

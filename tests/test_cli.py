@@ -11,7 +11,7 @@ from dagformer.cli import main
 from dagformer.data import linear_scm_dag
 from dagformer.graph import demand_dag
 from dagformer.errors import ConfigError
-from dagformer.methods import METHODS, Split, resolve, setting
+from dagformer.methods import METHODS, Split, _as, _read, overridden, resolve
 from dagformer.selection import SEARCH_METHODS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -243,10 +243,11 @@ def test_estimate_missing_csv_is_data_error(tmp_path):
 
 
 def _grid():
-    return {"epochs": [8], "batch_size": [32], "learning_rate": [3e-3],
-            "l2_penalty": [0.0], "mlp_width": [8], "mlp_depth": [1],
-            "encoder_layers": [1], "dropout": [0.0], "embedding_dim": [8],
-            "feedforward_dim": [16], "num_heads": [2], "alpha": [0.1]}
+    return {"epochs": [8], "batch_size": [32], "optimizer.learning_rate": [3e-3],
+            "optimizer.l2_penalty": [0.0], "model.mlp_width": [8], "model.mlp_depth": [1],
+            "model.num_encoder_layers": [1], "model.dropout_rate": [0.0],
+            "model.embedding_dim": [8], "model.feedforward_dim": [16], "model.num_heads": [2],
+            "model.alpha": [0.1]}
 
 
 def test_tune_writes_ranking_and_best_model(tmp_path):
@@ -262,7 +263,7 @@ def test_tune_writes_ranking_and_best_model(tmp_path):
 
 def test_tune_grid_from_file_and_selection_failure_exit(tmp_path):
     grid = _grid()
-    grid["learning_rate"] = [1e150]
+    grid["optimizer.learning_rate"] = [1e150]
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(grid))
     config = {"method": "gformula", "data": linear_data(n=150, seed=9),
@@ -386,7 +387,7 @@ def test_tune_parallel_jobs_byte_identical(tmp_path):
     config = {"method": "gformula", "data": linear_data(n=420, seed=30),
               "grid": _grid(), "seed": 7, "plugin": {"n_trees": 25}}
     grid2 = _grid()
-    grid2["alpha"] = [0.1, 0.2]
+    grid2["model.alpha"] = [0.1, 0.2]
     config["grid"] = grid2
     out1, out2 = tmp_path / "ser", tmp_path / "par"
     assert run(tmp_path, "tune", config, extra=("--out", str(out1))) == 0
@@ -429,27 +430,32 @@ def test_every_method_trains_estimates_and_tunes(tmp_path, name):
     assert run(tmp_path, "estimate", est, name="est.json", extra=("--out", str(out))) == 0
     report = json.loads((out / "estimate.json").read_text())["report"]
     assert (report["cate"] is not None) == row.cate
-    tune = dict(config, grid=dict(_grid(), epochs=[2]))
+    tune = dict(_tune_config(config), grid=dict(_grid(), epochs=[2]))
     assert run(tmp_path, "tune", tune, name="tune.json",
                extra=("--out", str(tmp_path / "tune"))) == (0 if row.tunable else 2)
 
 
-@pytest.mark.parametrize("l2", [0.0, 1e-3])
 @pytest.mark.parametrize("name", SEARCH_METHODS)
-def test_train_writes_the_params_tune_picks_for_its_one_grid_point(tmp_path, name, l2):
-    # NMMR's lambda is the proximal methods' only parameter penalty in both commands
-    config = dict(_method_config(name, n=300), split={"train_fraction": 0.7, "seed": 9})
-    tune = dict(config, grid=dict(_grid(), epochs=[2], l2_penalty=[l2]))
-    assert run(tmp_path, "tune", tune, name="tune.json",
+def test_tune_best_model_is_the_train_run_of_the_winning_config(tmp_path, name):
+    # a candidate is the base config with its grid point written in, as `--set` writes
+    config = dict(_method_config(name, n=300), split={"train_fraction": 0.7, "seed": 9},
+                  grid={"optimizer.learning_rate": [1e-3, 3e-3]})
+    if METHODS[name].proxy:  # tune reads the nmmr section, as train does
+        config.update(nmmr={"kernel_bandwidth": 2.0}, grid={"nmmr.lambda": [1e-6, 1e-3]})
+    assert run(tmp_path, "tune", config, name="tune.json",
                extra=("--out", str(tmp_path / "tune"))) == 0
-    config["model"] = {"embedding_dim": 8, "num_heads": 2, "num_encoder_layers": 1,
-                       "feedforward_dim": 16, "mlp_width": 8, "mlp_depth": 1,
-                       "dropout_rate": 0.0, "alpha": 0.1}
-    config["optimizer"] = {"learning_rate": 3e-3, "l2_penalty": l2}
-    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "train"))) == 0
-    trained = json.loads((tmp_path / "train" / "model.json").read_text())
-    best = json.loads((tmp_path / "tune" / "best_model.json").read_text())
-    assert trained["params"] == best["params"]
+    report = json.loads((tmp_path / "tune" / "tune_report.json").read_text())
+    assert report["config"] == config  # the writer changed no object of the base config
+    winner = overridden(config, report["table"][0]["config"].items())
+    assert run(tmp_path, "train", winner, extra=("--out", str(tmp_path / "train"))) == 0
+    assert ((tmp_path / "tune" / "best_model.json").read_bytes()
+            == (tmp_path / "train" / "model.json").read_bytes())
+
+
+def _tune_config(config):
+    """`config` as the base of a `_grid` tune: the grid sets every model key but
+    `seed`, so a candidate's model takes the run's seed."""
+    return {key: value for key, value in config.items() if key != "model"}
 
 
 def _table_config(command, name):
@@ -458,7 +464,7 @@ def _table_config(command, name):
     config = dict(_method_config(name), grid=_grid())
     if command == "estimate":
         config["model"] = str(SNAPSHOT)
-    return config
+    return _tune_config(config) if command == "tune" else config
 
 
 def _overrides(override):
@@ -520,9 +526,7 @@ def _overrides(override):
     # the demand experiment simulates its own data and scores its own price grid
     ("evaluate", "proximal-u", "experiment=demand data.simulator.name=linear-scm", 2),
     ("evaluate", "proximal-u", "experiment=demand a_grid=[10,20]", 2),
-    # tune's candidates use the median-heuristic bandwidth, whatever the config sets
     ("tune", "proximal-u", "nmmr.kernel_bandwidth=NaN", 2),
-    ("tune", "proximal-v", "nmmr.kernel_bandwidth=1.0", 2),
     # read before the snapshot loads
     ("estimate", "proximal-u", 'a_grid="abc"', 2),
     # too few replicates to score: ate normalizes by their spread
@@ -557,6 +561,15 @@ def _overrides(override):
     ("train", "gformula", "model.alpha=abc", 2),
     ("tune", "gformula", "grid.epochs=[2.7]", 2),
     ("tune", "gformula", "grid=5", 2),
+    # a grid key that is not a candidate's training key, or one of the old grid names
+    ("tune", "gformula", 'grid={"split.seed":[1,2]}', 2),
+    ("tune", "gformula", 'grid={"seed":[1,2]}', 2),
+    ("tune", "gformula", 'grid={"data.simulator.n":[100]}', 2),
+    ("tune", "gformula", 'grid={"encoder_layers":[1]}', 2),
+    ("tune", "gformula", 'grid={"epochs":[]}', 2),
+    # a candidate value that the run config rejects
+    ("tune", "gformula", 'grid={"model.embedding_dim":["abc"]}', 2),
+    ("tune", "gformula", 'grid={"optimizer.beta1":[5]}', 2),
     # the optimizer's ranges, and keys that no dataclass-backed section has
     ("train", "gformula", "optimizer.learning_rate=NaN", 2),
     ("train", "gformula", "optimizer.beta1=5", 2),
@@ -565,8 +578,6 @@ def _overrides(override):
     ("train", "gformula", "optimizer.l2_penalty=NaN", 2),
     ("train", "gformula", "optimizer.lr=0.1", 2),
     ("evaluate", "gformula", "plugin.n_tree=5", 2),
-    # a proximal candidate's lambda is its grid point's l2_penalty
-    ("tune", "proximal-u", "nmmr.lambda=1e-6", 2),
     # a key that its section does not read; a simulator's keys depend on its name
     ("train", "gformula", "split.train_fractio=0.5", 2),
     ("evaluate", "gformula", "split.train_fractio=0.5", 2),
@@ -612,8 +623,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     if code == 2 or command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "train_model", no_training)
         monkeypatch.setattr(selection, "train_model", no_training)
-    # tune reads and casts its grid only after its rows are drawn
-    if code == 2 and (command == "evaluate" or command == "tune" and "grid" not in override):
+    if code == 2 and command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == code
@@ -637,7 +647,6 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("evaluate", "proximal-u", "experiment=demand data.simulator.name=linear-scm",
      "'data.simulator.name'"),
     ("evaluate", "proximal-u", "experiment=demand a_grid=[10,20]", "'a_grid'"),
-    ("tune", "proximal-u", "nmmr.kernel_bandwidth=1.0", "'nmmr.kernel_bandwidth'"),
     ("evaluate", "gformula", "replicates=1", "'replicates'"),
     ("evaluate", "gformula", "experiment=cate replicates=0", "'replicates'"),
     ("evaluate", "proximal-u", "experiment=demand replicates=0", "'replicates'"),
@@ -665,8 +674,14 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "gformula", "model.alpha=abc", "'model.alpha'"),
     ("train", "gformula", "model.encoder_bypass=true", "'model.encoder_bypass'"),
     ("train", "gformula", "optimizer.lr=0.1", "'optimizer.lr'"),
-    ("tune", "gformula", "grid.epochs=[2.7]", "'grid.epochs'"),
-    ("tune", "proximal-u", "nmmr.lambda=1e-6", "'nmmr.lambda'"),
+    ("tune", "gformula", "grid.epochs=[2.7]", "'epochs'"),
+    ("tune", "gformula", 'grid={"split.seed":[1,2]}', "'split.seed'"),
+    ("tune", "gformula", 'grid={"seed":[1,2]}', "'seed'"),
+    ("tune", "gformula", 'grid={"data.simulator.n":[100]}', "'data.simulator.n'"),
+    ("tune", "gformula", 'grid={"encoder_layers":[1]}', "'model.num_encoder_layers'"),
+    ("tune", "gformula", 'grid={"epochs":[]}', "'epochs'"),
+    ("tune", "gformula", 'grid={"model.embedding_dim":["abc"]}', "'model.embedding_dim'"),
+    ("tune", "gformula", 'grid={"optimizer.beta1":[5]}', "optimizer.beta1 must be in [0, 1)"),
     ("train", "gformula", "split.train_fractio=0.5", "'split.train_fractio'"),
     ("evaluate", "proximal-u", "experiment=demand heldout.draw=10", "'heldout.draw'"),
     ("estimate", "proximal-u", "heldout.sead=1", "'heldout.sead'"),
@@ -732,8 +747,8 @@ def test_evaluate_reads_training_settings_before_any_replicate(tmp_path, monkeyp
     (float, 2.5, 2.5), (float, float("nan"), float("nan")), ([float], [1, 2.5], [1.0, 2.5]),
     (str, "a", "a"), (dict, {}, {}), (object, True, True),
 ])
-def test_setting_takes_a_value_of_its_kind(kind, value, want):
-    got = setting({"a": {"b": value}}, "a.b", kind)
+def test_a_value_of_its_kind_is_taken(kind, value, want):
+    got = _as(kind, value, "a.b")
     assert repr(got) == repr(want) and type(got) is type(want)
 
 
@@ -742,18 +757,16 @@ def test_setting_takes_a_value_of_its_kind(kind, value, want):
     (float, None), ([float], "abc"), ([float], [1, "x"]), ([float], [True]), (str, 5),
     (dict, [1]),
 ])
-def test_setting_rejects_a_value_of_another_kind_naming_the_key(kind, value):
+def test_a_value_of_another_kind_is_rejected_naming_the_key(kind, value):
     with pytest.raises(ConfigError, match="'a.b'"):
-        setting({"a": {"b": value}}, "a.b", kind)
+        _as(kind, value, "a.b")
 
 
-def test_setting_defaults_requires_and_walks_only_objects():
-    assert setting({}, "a.b", int, 7) == 7
-    assert setting({"a": {}}, "a.b", int, None) is None
+def test_a_key_left_out_takes_its_default_or_is_required():
+    assert _read({}, "a", "b", int, 7) == 7
+    assert _read({}, "a", "b", int, None) is None
     with pytest.raises(ConfigError, match="missing required key 'a.b'"):
-        setting({"a": {}}, "a.b", int)
-    with pytest.raises(ConfigError, match="'a'"):
-        setting({"a": 5}, "a.b", int, 7)
+        _read({}, "a", "b", int)
 
 
 def test_readme_example_configs_resolve_without_reading_a_file(tmp_path, monkeypatch):

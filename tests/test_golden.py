@@ -36,6 +36,8 @@ STACK_RTOL = 1e-9
 # criterion 8's sizes: n = 240 rows, a 1-layer model of width 8, a few epochs
 _MODEL = {"embedding_dim": 8, "num_heads": 2, "num_encoder_layers": 1, "feedforward_dim": 16,
           "mlp_width": 8, "mlp_depth": 1, "dropout_rate": 0.0, "alpha": 0.1, "seed": 3}
+# a `tune` base model: its candidates seed their models with the run's seed
+_TUNE_MODEL = {key: value for key, value in _MODEL.items() if key != "seed"}
 
 
 def _proximal(method: str, **extra) -> dict:
@@ -45,8 +47,9 @@ def _proximal(method: str, **extra) -> dict:
 
 
 def _tune_proximal(method: str, **extra) -> dict:
-    """A proximal `tune` config: its candidates' lambda is the grid's `l2_penalty`, so no `nmmr`."""
-    config = _proximal(method, **extra)
+    """A proximal `tune` config: without `nmmr`, a candidate's lambda is its
+    `optimizer.l2_penalty`."""
+    config = _proximal(method, model=_TUNE_MODEL, **extra)
     del config["nmmr"]
     return config
 
@@ -66,10 +69,8 @@ def _train_estimate(method: str) -> list:
             ("estimate", config(method, **snapshots), "estimate", ())]
 
 
-_GRID = {"epochs": [4], "batch_size": [32], "learning_rate": [1e-3, 3e-3],
-         "l2_penalty": [0.0, 1e-4], "mlp_width": [8], "mlp_depth": [1], "encoder_layers": [1],
-         "dropout": [0.0], "embedding_dim": [8], "feedforward_dim": [16], "num_heads": [2],
-         "alpha": [0.1]}
+_GRID = {"epochs": [4], "optimizer.learning_rate": [1e-3, 3e-3],
+         "optimizer.l2_penalty": [0.0, 1e-4]}
 _EVALUATE = _proximal("proximal-u", experiment="demand", replicates=2)
 _SPLIT = {"train_fraction": 0.7, "seed": 9}
 # the rows and graph a `simulate` of a run config writes, read back as CSV data
@@ -86,9 +87,10 @@ RUNS = {
     "evaluate-demand-jobs2": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "2"))],
     **{f"train-estimate-{method}": _train_estimate(method)
        for method in METHODS if not METHODS[method].proxy},
-    "tune-gformula-cate": [("tune", _linear("gformula", grid=_GRID, split=_SPLIT), "tune", ())],
-    "tune-aipw-joint-ate": [("tune", _linear("aipw-joint", grid=_GRID, split=_SPLIT, mode="ate"),
-                             "tune", ())],
+    "tune-gformula-cate": [("tune", _linear("gformula", model=_TUNE_MODEL, grid=_GRID,
+                                            split=_SPLIT), "tune", ())],
+    "tune-aipw-joint-ate": [("tune", _linear("aipw-joint", model=_TUNE_MODEL, grid=_GRID,
+                                             split=_SPLIT, mode="ate"), "tune", ())],
     **{f"evaluate-{experiment}-jobs{jobs}": [
         ("evaluate", _linear(method, experiment=experiment, replicates=2), "evaluate",
          ("--jobs", jobs))]

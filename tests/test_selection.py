@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from dagformer.errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
 )
 from dagformer.forest import ForestConfig, HonestForestRegressor
+from dagformer.methods import resolve
 from dagformer.selection import (
-    c_mse, config_hash, expand_grid, fit_plugin, grid_search, map_jobs, nrmse,
+    c_mse, candidates, config_hash, expand_grid, fit_plugin, grid_search, map_jobs, nrmse,
     nrmse_scalar_replicates, ranking_csv,
 )
 
@@ -122,35 +125,61 @@ def test_fit_plugin_insufficient_arm_rows():
 
 
 def _grid(**overrides):
-    base = {"epochs": [15], "batch_size": [32], "learning_rate": [3e-3],
-            "l2_penalty": [0.0], "mlp_width": [8], "mlp_depth": [1],
-            "encoder_layers": [1], "dropout": [0.0], "embedding_dim": [8],
-            "feedforward_dim": [16], "num_heads": [2], "alpha": [0.1]}
+    base = {"epochs": [15], "batch_size": [32], "optimizer.learning_rate": [3e-3],
+            "optimizer.l2_penalty": [0.0], "model.mlp_width": [8], "model.mlp_depth": [1],
+            "model.num_encoder_layers": [1], "model.dropout_rate": [0.0],
+            "model.embedding_dim": [8], "model.feedforward_dim": [16], "model.num_heads": [2],
+            "model.alpha": [0.1]}
     base.update(overrides)
     return base
 
 
-def test_expand_grid_requires_all_keys():
-    grid = _grid()
-    del grid["alpha"]
-    with pytest.raises(ConfigError, match="alpha"):
-        expand_grid(grid)
-    with pytest.raises(ConfigError, match="unknown"):
-        expand_grid(_grid(bogus=[1]))
+def _search(grid, train, validation, **config):
+    """grid_search of `grid`'s candidates over the base run config `config`."""
+    return grid_search(resolve(config), candidates(config, grid), train, validation,
+                       linear_scm_dag(1))
 
 
-def test_expand_grid_cartesian_order():
-    points = expand_grid(_grid(num_heads=[1, 2], alpha=[0.1, 0.2]))
-    assert len(points) == 4
-    assert (points[0]["num_heads"], points[0]["alpha"]) == (1, 0.1)
-    assert (points[1]["num_heads"], points[1]["alpha"]) == (1, 0.2)
+@pytest.mark.parametrize("key, named", [
+    ("seed", "'seed'"), ("split.seed", "'split.seed'"), ("plugin.n_trees", "'plugin.n_trees'"),
+    ("data.simulator.n", "'data.simulator.n'"), ("model", "'model'"), ("model.", "'model.'"),
+    ("encoder_layers", "it is now 'model.num_encoder_layers'"),
+    ("dropout", "it is now 'model.dropout_rate'"),
+    ("learning_rate", "it is now 'optimizer.learning_rate'"),
+])
+def test_expand_grid_takes_only_training_keys_and_names_an_old_one_by_its_new_key(key, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        expand_grid({key: [1]})
+
+
+def test_expand_grid_takes_any_subset_of_keys_in_key_order():
+    assert expand_grid({}) == [{}]
+    points = expand_grid({"model.num_heads": [1, 2], "nmmr.lambda": [0.1, 0.2]})
+    assert points == [{"model.num_heads": 1, "nmmr.lambda": 0.1},
+                      {"model.num_heads": 1, "nmmr.lambda": 0.2},
+                      {"model.num_heads": 2, "nmmr.lambda": 0.1},
+                      {"model.num_heads": 2, "nmmr.lambda": 0.2}]
+    with pytest.raises(ConfigError, match="'epochs' must be a nonempty list"):
+        expand_grid({"epochs": []})
+
+
+def test_a_candidate_is_the_base_config_with_its_point_written_in():
+    config = {"method": "gformula", "model": {"num_heads": 2, "seed": 3}, "epochs": 6}
+    (point, run), = candidates(config, {"model.embedding_dim": [16], "optimizer.beta1": [0.5]})
+    assert point == {"model.embedding_dim": 16, "optimizer.beta1": 0.5}
+    want = resolve({"method": "gformula", "epochs": 6, "optimizer": {"beta1": 0.5},
+                    "model": {"num_heads": 2, "seed": 3, "embedding_dim": 16}})
+    assert (run.model, run.optimizer.beta1, run.epochs) == (want.model, 0.5, 6)
+    assert config == {"method": "gformula", "model": {"num_heads": 2, "seed": 3}, "epochs": 6}
+    with pytest.raises(ConfigError, match="'model.embedding_dim'"):
+        candidates(config, {"model.embedding_dim": ["abc"]})
 
 
 def test_grid_search_singleton():
     ds = _plugin_dataset(400, 2.0, seed=7)
     train, validation = ds.split(0.7, seed=1)
-    rows, best = grid_search(_grid(), train, validation, "gformula", linear_scm_dag(1),
-                             seed=3, plugin_config=ForestConfig(n_trees=30))
+    rows, best = _search(_grid(), train, validation, method="gformula", seed=3,
+                         plugin={"n_trees": 30, "seed": 0})
     assert len(rows) == 1
     assert rows[0]["rank"] == 0 and not rows[0]["diverged"]
     assert np.isfinite(rows[0]["score"])
@@ -160,11 +189,10 @@ def test_grid_search_singleton():
 def test_grid_search_broken_lr_ranks_last():
     ds = _plugin_dataset(400, 2.0, seed=8)
     train, validation = ds.split(0.7, seed=2)
-    rows, best = grid_search(_grid(learning_rate=[3e-3, 10.0]), train, validation,
-                             "gformula", linear_scm_dag(1), seed=4,
-                             plugin_config=ForestConfig(n_trees=30))
-    assert rows[0]["config"]["learning_rate"] == 3e-3
-    assert rows[1]["config"]["learning_rate"] == 10.0
+    rows, best = _search(_grid(**{"optimizer.learning_rate": [3e-3, 10.0]}), train, validation,
+                         method="gformula", seed=4, plugin={"n_trees": 30, "seed": 0})
+    assert rows[0]["config"]["optimizer.learning_rate"] == 3e-3
+    assert rows[1]["config"]["optimizer.learning_rate"] == 10.0
     assert rows[1]["diverged"] or rows[1]["score"] > rows[0]["score"]
 
 
@@ -172,16 +200,16 @@ def test_grid_search_all_diverged_raises():
     ds = _plugin_dataset(200, 2.0, seed=9)
     train, validation = ds.split(0.7, seed=3)
     with pytest.raises(SelectionFailedError) as info:
-        grid_search(_grid(learning_rate=[1e150]), train, validation, "gformula",
-                    linear_scm_dag(1), seed=5, plugin_config=ForestConfig(n_trees=10))
+        _search(_grid(**{"optimizer.learning_rate": [1e150]}), train, validation,
+                method="gformula", seed=5, plugin={"n_trees": 10, "seed": 0})
     assert info.value.table is not None
 
 
 def test_grid_search_ate_mode_uses_scalar_broadcast():
     ds = _plugin_dataset(300, 2.0, seed=10)
     train, validation = ds.split(0.7, seed=4)
-    rows, _ = grid_search(_grid(epochs=[5]), train, validation, "ipw", linear_scm_dag(1),
-                          mode="ate", seed=6, plugin_config=ForestConfig(n_trees=20))
+    rows, _ = _search(_grid(epochs=[5]), train, validation, method="ipw", mode="ate", seed=6,
+                      plugin={"n_trees": 20, "seed": 0})
     # the plug-in's per-unit effects are the reference: the broadcast ATE scores
     # sqrt(1 + (ATE gap / their sd)^2 * n/(n-1)), never a division by ~0
     assert 1.0 <= rows[0]["score"] <= 10.0
