@@ -216,6 +216,11 @@ class Run:
         for key, least in (("epochs", 0), ("batch_size", 1), ("jobs", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key!r} must be >= {least}, got {getattr(self, key)}")
+        if self.method is not None:  # a batch below its objective's minimum never trains
+            least = max(spec.objective(self).min_rows for spec in METHODS[self.method].models)
+            if self.batch_size < least:
+                raise ConfigError(f"'batch_size' must be >= {least} for method "
+                                  f"{self.method!r}, got {self.batch_size}")
 
     def required(self, key: str):
         """The value of the top-level `key`, which the command needs."""

@@ -12,9 +12,9 @@ Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
 makes every head's prediction exactly invariant to non-ancestor columns.
 
-Each weight product of a layer, Q, K and V included, is one tape node with
-its bias (`tensor.linear`). Each head reads only its own node's row of the
-last layer, and past attention a row depends on no other row. So the last
+Each weight product, Q, K, V and the head MLP's included, is one tape node
+with its bias (`tensor.linear`). Each head reads only its own node's row of
+the last layer, and past attention a row depends on no other row. So the last
 layer runs Q, K, V, the scores, the softmax and `attn @ v` on every node
 (the attention maps are whole), and its output projection, residuals,
 second norm, FFN and the final norm on the head rows only. Earlier layers
@@ -23,8 +23,8 @@ run on every node. Its three products past attention still run at the full
 row in its own place and zero rows for the other nodes (`tensor.linear`
 with a node mask): BLAS picks its kernel by shape, and a smaller product
 rounds some rows differently. So the cut layer gives the floats of the full
-layer bit for bit. A criterion-6 training step has 71 tape nodes, a
-criterion-9 NMMR-U step 81.
+layer bit for bit. A criterion-6 training step has 68 tape nodes, a
+criterion-9 NMMR-U step 78.
 """
 
 import json
@@ -256,10 +256,9 @@ class DagTransformer:
             return (self.params[f"embed/{node}/table"],)
         return (self.params[f"embed/{node}/weight"], self.params[f"embed/{node}/bias"])
 
-    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, train: bool,
-                       dropout_rng, collect_attention) -> Tensor:
-        """One pre-norm layer. Attention runs over all nodes; from its output
-        projection on, only the nodes in `keep` (all when None) are computed."""
+    def _attention(self, x: Tensor, layer: int, collect_attention) -> Tensor:
+        """The attention context of every node, (n, d, e), before the output projection;
+        its q, k, v and scores are freed on return when no graph keeps them."""
         cfg = self.config
         p = f"enc{layer}"
         n, d, e = x.shape
@@ -280,8 +279,16 @@ class DagTransformer:
         if collect_attention is not None:
             collect_attention.append(attn.data.copy())
         ctx = T.matmul(attn, v)  # (n, heads, d, dh)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, d, e))
-        ctx = T.linear(ctx, self.params[f"{p}/attn/wo"], self.params[f"{p}/attn/bo"], keep)
+        return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, d, e))
+
+    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, train: bool,
+                       dropout_rng, collect_attention) -> Tensor:
+        """One pre-norm layer. Attention runs over all nodes; from its output
+        projection on, only the nodes in `keep` (all when None) are computed."""
+        cfg = self.config
+        p = f"enc{layer}"
+        ctx = T.linear(self._attention(x, layer, collect_attention),
+                       self.params[f"{p}/attn/wo"], self.params[f"{p}/attn/bo"], keep)
         ctx = T.dropout(ctx, cfg.dropout_rate, train, dropout_rng, keep)
         x = T.take_nodes(x, keep) + ctx
 
@@ -295,7 +302,7 @@ class DagTransformer:
         cfg = self.config
         out = z
         for j in range(cfg.mlp_depth + 1):
-            out = T.matmul(out, self.params[f"head/{head}/w{j}"]) + self.params[f"head/{head}/b{j}"]
+            out = T.linear(out, self.params[f"head/{head}/w{j}"], self.params[f"head/{head}/b{j}"])
             if j < cfg.mlp_depth:
                 out = T.relu(out)
                 out = T.dropout(out, cfg.dropout_rate, train, dropout_rng)
@@ -421,8 +428,9 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
     """Mini-batch training; returns the per-epoch log. The model is updated
     in place and is unchanged when epochs == 0.
     """
-    if epochs < 0 or batch_size < 1:
-        raise ConfigError(f"bad training sizes: epochs={epochs}, batch_size={batch_size}")
+    if epochs < 0 or batch_size < objective.min_rows:  # a smaller batch would be skipped
+        raise ConfigError(f"bad training sizes: epochs={epochs}, batch_size={batch_size}; "
+                          f"the objective needs batches of at least {objective.min_rows} rows")
     heads = [model.dag.single_node(role) for role in objective.head_roles]
     if sorted(heads) != sorted(model.head_nodes):
         raise ConfigError(f"{type(objective).__name__} objective trains heads {heads}; "
@@ -431,8 +439,9 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
     seed = model.config.seed if seed is None else seed
     batch_all = dataset.matrix(model.input_nodes)
     n = batch_all.shape[0]
-    if n == 0:
-        raise DataError("training dataset has no rows")
+    if n < objective.min_rows:
+        raise DataError(f"the training dataset's row count, {n}, is below the "
+                        f"objective's minimum of {objective.min_rows}")
     model.fit_standardizer(batch_all)
     batch_loss = objective.bind(model, batch_all, model._standardize(batch_all))
 

@@ -282,7 +282,7 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
     if n < 2:
-        raise ContractError("median heuristic needs at least two rows")
+        raise DataError(f"median heuristic needs at least two rows, got {n}")
     sq = (rows * rows).sum(axis=1)
     if not np.isfinite(4.0 * sq).all():  # then every squared distance is finite too
         raise DataError("median heuristic needs finite feature rows whose squared "

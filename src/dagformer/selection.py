@@ -159,14 +159,18 @@ def expand_grid(grid: dict) -> list[dict]:
 
 def candidates(config: dict, grid: dict) -> list[tuple[dict, Run]]:
     """(point, run) for each point of `grid`: the run of `config` with the point's
-    keys written as `--set` writes them, so a candidate is a `train` run. A value
-    that the run config rejects is a ConfigError naming its key."""
+    keys written as `--set` writes them, so a candidate is a `train` run. A
+    method that trains more than one model, or a value that the run config
+    rejects, is a ConfigError naming it."""
     runs = []
     for point in expand_grid(grid):
         try:
             runs.append((point, resolve(overridden(config, point.items()))))
         except ConfigError as exc:
             raise ConfigError(f"grid point {point}: {exc}") from None
+    method = runs[0][1].method  # no grid key sets it
+    if method not in SEARCH_METHODS:
+        raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {method!r}")
     return runs
 
 
@@ -231,12 +235,13 @@ def grid_search(run: Run, runs: list, train, validation, dag: CausalDag, jobs: i
     order. Candidates are independent and run concurrently when jobs > 1.
     Returns (ranked table, best fitted model).
     """
-    if run.method not in SEARCH_METHODS:
-        raise ConfigError(f"tune takes one of {SEARCH_METHODS}, not {run.method!r}")
     plugin_tau = None
     if not METHODS[run.method].proxy:
         plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, run.seed)).cate(validation)
         check_reference(plugin_tau)
+    elif min(train.n, validation.n) < 2:  # for the U-statistic and the median heuristic
+        raise DataError(f"tune of a proxy method needs at least two training and two "
+                        f"validation rows, got {train.n} and {validation.n}")
 
     results = map_jobs(_evaluate_grid_point, [
         (index, point, candidate, train, validation, dag, plugin_tau)

@@ -307,8 +307,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrix operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        return _matmul_folded(a, b)
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -322,36 +320,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
-    """(..., K) @ (K, M) as one (rows, K) @ (K, M) GEMM.
-
-    Folding the leading axes into rows gives one BLAS call per product,
-    where np.matmul loops over the batch and the weight gradient would be
-    summed over it afterwards.
-    """
-    a2 = a.data.reshape(-1, a.data.shape[-1])
-    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (b.data.shape[-1],))
-
-    def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if a.needs_grad:
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        if b.needs_grad:
-            _accumulate(b, a2.T @ g2)
-
-    return _make(out_data, (a, b), bwd)
-
-
 def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> Tensor:
-    """a @ w + b over the last axis of an (N, D, K) operand, as one node.
+    """a @ w + b over the last axis of a (..., K) operand, as one node.
 
-    The product is one (N*D, K) @ (K, M) GEMM, as in the folded matmul, and
-    so is each gradient. `keep`, a boolean mask over the D nodes, returns only
-    the kept nodes, (N, kept, M); `a` may then hold all D nodes or only the
-    kept ones. Every product still runs at the full (N*D, ...) shape, with
-    each kept node in its own rows and zero rows for the others: BLAS picks
-    its kernel by shape, and a smaller product could round a row otherwise.
-    Only the bias add and the bias gradient's row sum shrink.
+    The leading axes fold into rows: the product is one (rows, K) @ (K, M)
+    GEMM, and so is each gradient, where np.matmul would loop over a batch
+    axis. `keep`, a boolean mask over the D nodes of an (N, D, K) operand,
+    returns only the kept nodes, (N, kept, M); `a` may then hold all D nodes
+    or only the kept ones. Every product still runs at the full (N*D, ...)
+    shape, with each kept node in its own rows and zero rows for the others:
+    BLAS picks its kernel by shape, and a smaller product could round a row
+    otherwise. Only the bias add and the bias gradient's row sum shrink.
     """
     full = a.data
     if keep is not None and full.shape[1] != keep.size:

@@ -593,6 +593,17 @@ def _overrides(override):
     # training sizes, read before any replicate starts
     ("evaluate", "gformula", "epochs=-1", 2),
     ("evaluate", "gformula", "batch_size=0", 2),
+    # a batch below the objective's minimum (the U-statistic's two rows) would train nothing
+    ("train", "proximal-u", "batch_size=1", 2),
+    ("tune", "proximal-u", 'grid={"batch_size":[1]}', 2),
+    ("evaluate", "proximal-u", "experiment=demand batch_size=1", 2),
+    # too few rows for a proximal run: training, the median heuristic, the validation risk
+    ("train", "proximal-u", "data.simulator.n=1", 3),
+    ("train", "proximal-v", "data.simulator.n=1", 3),
+    ("tune", "proximal-u", "data.simulator.n=3", 3),
+    ("tune", "proximal-u", "data.simulator.n=3 nmmr.kernel_bandwidth=1.0", 3),
+    # tune takes a method that trains one model, which it knows before any row is drawn
+    ("tune", "aipw-separate", "", 2),
     # the plug-in forest needs a confounder, which the graph shows before any row is drawn
     ("evaluate", "gformula", "data.simulator.x_dim=0", 2),
     ("tune", "gformula", "data.simulator.x_dim=0", 2),
@@ -691,6 +702,10 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "gformula", "data.simulator.x_dimm=2", "'simulator.x_dimm'"),
     ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", "'simulator.x_dim'"),
     ("evaluate", "gformula", "epochs=-1", "'epochs'"),
+    ("train", "proximal-u", "batch_size=1", "'batch_size'"),
+    ("tune", "proximal-u", 'grid={"batch_size":[1]}', "'batch_size'"),
+    ("evaluate", "proximal-u", "experiment=demand batch_size=1", "'batch_size'"),
+    ("tune", "aipw-separate", "", "'aipw-separate'"),
     ("train", "gformula", "nmmr.lamda=1", "'nmmr.lamda'"),
     ("train", "gformula", "heldout.drawz=5", "'heldout.drawz'"),
     ("train", "gformula", "a_grid=abc", "'a_grid'"),
@@ -720,6 +735,19 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, override, named", [
+    ("train", "proximal-u", "data.simulator.n=1", "row count, 1, is below"),
+    ("train", "proximal-v", "data.simulator.n=1", "two rows, got 1"),
+    ("tune", "proximal-u", "data.simulator.n=3", "got 2 and 1"),
+    ("tune", "proximal-u", "data.simulator.n=3 nmmr.kernel_bandwidth=1.0", "got 2 and 1"),
+])
+def test_too_few_rows_for_a_proximal_run_is_a_data_error_naming_the_count(
+        tmp_path, capsys, command, name, override, named):
+    assert run(tmp_path, command, _table_config(command, name),
+               extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 3
     assert named in capsys.readouterr().err
 
 

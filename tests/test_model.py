@@ -170,12 +170,13 @@ def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
                       mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
     model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
     assert len(model.params) == 28
-    # 28 parameters and 43 ops: 1 embedding, 26 in the encoder layer (each
+    # 28 parameters and 40 ops: 1 embedding, 26 in the encoder layer (each
     # weight product, Q, K and V included, is one node with its bias, and the
     # residual stream is cut to the head row), 4 from the final norm to the
-    # head input, 9 in the head MLP, 3 in the loss
+    # head input, 6 in the head MLP (one node per weight product, with its
+    # bias), 3 in the loss
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {71}
+                                256) == {68}
 
 
 def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
@@ -187,17 +188,26 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     assert len(model.params) == 31
     # the penalty over all 31 parameters is one node
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
-                                Nmmr(variant="U", lam=3e-6), 64) == {81}
+                                Nmmr(variant="U", lam=3e-6), 64) == {78}
+
+
+def test_tape_nodes_per_step_two_head_aipw_joint_config(monkeypatch):
+    config, dag, method, kinds = CUT_SHAPES["aipw-joint"]
+    model = DagTransformer(ModelConfig(**config), dag, method, kinds)
+    scm = LinearScm(x_dim=5, propensity_weights=(0.5,) * 5, outcome_weights=(1.0,) * 5)
+    # each head MLP is 6 nodes: 3 weight products with their biases, 2 ReLUs and a reshape
+    assert _tape_nodes_per_step(monkeypatch, model, simulate_linear_scm(512, scm, 3),
+                                AipwJoint(), 256) == {102}
 
 
 def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):
     model = DagTransformer(small_config(alpha=0.0, mlp_width=16, mlp_depth=2), SCM_DAG,
                            "gformula", SCM_KINDS)
     assert len(model.params) == 6
-    # 6 head parameters and 12 ops: 9 in the head MLP, 3 in the loss; the head
+    # 6 head parameters and 9 ops: 6 in the head MLP, 3 in the loss; the head
     # input (zeros next to the raw parents) is a constant
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {18}
+                                256) == {15}
 
 
 def _alpha_zero_snapshot():
@@ -359,6 +369,21 @@ def test_train_nmmr_smoke():
         assert len(log) == 2 and np.isfinite(log[-1]["loss"])
 
 
+def test_train_nmmr_u_rejects_a_batch_or_a_dataset_below_two_rows():
+    # every batch of fewer than two rows is skipped, so nothing would train
+    from dagformer.data import simulate_demand
+    kinds = {n: "continuous" for n in ("Z", "W", "A", "Y")}
+    model = DagTransformer(small_config(), demand_dag(), "proximal", kinds)
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    with pytest.raises(ConfigError, match="batch_size=1"):
+        train_model(model, simulate_demand(64, seed=3).to_dataset(), Nmmr("U", 1.0),
+                    AdamState(), epochs=1, batch_size=1)
+    with pytest.raises(DataError, match="row count, 1, is below the objective's minimum of 2"):
+        train_model(model, simulate_demand(1, seed=3).to_dataset(), Nmmr("U", 1.0),
+                    AdamState(), epochs=1, batch_size=32)
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
+
+
 def test_train_objective_head_mismatch():
     ds = _toy_dataset()
     model = DagTransformer(small_config(), SCM_DAG, "ipw", SCM_KINDS)
@@ -507,15 +532,16 @@ def test_counterfactual_predict_keeps_no_tape_in_memory():
 # -- the last encoder layer computes only the head rows, with the full layer's floats --
 
 def _full_encoder_layer(model, x, layer, train, dropout_rng):
-    """One encoder layer computed on every node: the reference the cut layer must match."""
+    """One encoder layer computed on every node, each weight product the full
+    (N*D, K) GEMM: the reference the cut layer must match."""
     T, params, cfg = tensor, model.params, model.config
     p = f"enc{layer}"
     n, d, e = x.shape
     heads, dh = cfg.num_heads, e // cfg.num_heads
     xn = T.layer_norm(x, params[f"{p}/ln1/gain"], params[f"{p}/ln1/bias"])
-    q = T.matmul(xn, params[f"{p}/attn/wq"]) + params[f"{p}/attn/bq"]
-    k = T.matmul(xn, params[f"{p}/attn/wk"]) + params[f"{p}/attn/bk"]
-    v = T.matmul(xn, params[f"{p}/attn/wv"]) + params[f"{p}/attn/bv"]
+    q = T.linear(xn, params[f"{p}/attn/wq"], params[f"{p}/attn/bq"])
+    k = T.linear(xn, params[f"{p}/attn/wk"], params[f"{p}/attn/bk"])
+    v = T.linear(xn, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
 
     def split_heads(t):
         return T.transpose(T.reshape(t, (n, d, heads, dh)), (0, 2, 1, 3))
@@ -524,11 +550,11 @@ def _full_encoder_layer(model, x, layer, train, dropout_rng):
     scores = T.matmul(q, T.swap_last2(k)) * (1.0 / np.sqrt(dh))
     attn = T.softmax_lastdim(scores + tensor.Tensor(model._additive_mask))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
-    ctx = T.matmul(ctx, params[f"{p}/attn/wo"]) + params[f"{p}/attn/bo"]
+    ctx = T.linear(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
     x = x + T.dropout(ctx, cfg.dropout_rate, train, dropout_rng)
     xn = T.layer_norm(x, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"])
-    ff = T.relu(T.matmul(xn, params[f"{p}/ffn/w1"]) + params[f"{p}/ffn/b1"])
-    ff = T.matmul(ff, params[f"{p}/ffn/w2"]) + params[f"{p}/ffn/b2"]
+    ff = T.relu(T.linear(xn, params[f"{p}/ffn/w1"], params[f"{p}/ffn/b1"]))
+    ff = T.linear(ff, params[f"{p}/ffn/w2"], params[f"{p}/ffn/b2"])
     return x + T.dropout(ff, cfg.dropout_rate, train, dropout_rng)
 
 

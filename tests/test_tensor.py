@@ -183,24 +183,26 @@ def test_shape_op_gradients_match_finite_differences():
     _check_grads(build, [a, b], tol=1e-6)
 
 
-def test_folded_matmul_gradients_match_finite_differences():
+def test_matmul_broadcast_weight_gradients_match_finite_differences():
     g = rng.stream(24, "fold")
     x = g.standard_normal((5, 3, 4))
     w = g.standard_normal((4, 6))
 
     def build(ps):
         xx, ww = ps
-        out = T.matmul(xx, ww)                                # (5,3,6) as one GEMM
+        out = T.matmul(xx, ww)                                # (5,3,6), w broadcast over 5
         return T.mean_all(out * out) + T.sum_all(T.matmul(T.swap_last2(xx), xx) * 0.01)
 
     _check_grads(build, [x, w], tol=1e-5)
 
 
-def test_folded_matmul_matches_batched_matmul():
+def test_linear_is_one_gemm_over_the_folded_rows():
     g = rng.stream(25, "fold")
     x = g.standard_normal((256, 3, 8))
     w = g.standard_normal((8, 8))
-    assert np.array_equal(T.matmul(T.tensor(x), T.tensor(w)).data, np.matmul(x, w))
+    b = g.standard_normal(8)
+    want = (x.reshape(-1, 8) @ w).reshape(256, 3, 8) + b
+    assert np.array_equal(T.linear(T.tensor(x), T.tensor(w), T.tensor(b)).data, want)
 
 
 def test_linear_and_take_nodes_gradients_match_finite_differences():
@@ -231,7 +233,7 @@ def test_linear_keeps_the_full_products_floats(n):
     keep = np.array([False, False, False, True])
 
     xa = T.parameter(x)
-    ref = T.matmul(xa, w) + b
+    ref = T.linear(xa, w, b)
     T.backward(T.sum_all(T.take_node(ref, 3) * up[:, 0]))
     ref_grads = [xa.grad, w.grad, b.grad]
     for p in (w, b):
@@ -466,7 +468,7 @@ def test_streams_are_deterministic_and_distinct():
 
 def _graph_of_many_ops(identity, table, w, gain, bias):
     h = T.embed_nodes(identity, np.array([[1.0, 0.5], [0.0, -2.0]]), [(table,), ()])  # (2, 2, 3)
-    h = T.relu(T.matmul(h, w) + 1.0)  # folded (..., K) @ (K, M)
+    h = T.relu(T.matmul(h, w) + 1.0)  # (..., K) @ (K, M), w broadcast
     h = T.softmax_lastdim(T.matmul(T.layer_norm(h, gain, bias), T.swap_last2(h)))  # batched
     return T.sigmoid(T.sum_axis(h, -1)) + T.sum_squares([identity, table])
 
