@@ -94,15 +94,6 @@ def _write_json(path: str, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_dag(run: Run, simulated):
-    """The run's `dag`, inline or read from its file, else the `simulated` graph."""
-    if isinstance(run.dag, str):
-        return CausalDag.from_dict(_read("dag", run.dag))
-    if run.dag is None and simulated is None:
-        raise ConfigError("config needs a 'dag' path or inline graph")
-    return simulated if run.dag is None else run.dag
-
-
 def _simulated_dag(simulator) -> CausalDag:
     """The graph a simulator draws from, known before any row is drawn."""
     if simulator.name == "linear-scm":
@@ -110,22 +101,27 @@ def _simulated_dag(simulator) -> CausalDag:
     return demand_dag()
 
 
-def _dag_before_data(run: Run) -> CausalDag:
-    """The run's graph, known before any row is drawn or read."""
-    simulator = run.required("data").simulator
-    return _resolve_dag(run, None if simulator is None else _simulated_dag(simulator))
+def _dag(run: Run) -> CausalDag:
+    """The run's graph, known before any row is drawn or read: its inline `dag`,
+    else its `dag` file, else the graph of its `data.simulator`."""
+    if run.dag is None:
+        simulator = run.required("data").simulator
+        if simulator is None:
+            raise ConfigError("config needs a 'dag' path or inline graph")
+        return _simulated_dag(simulator)
+    return CausalDag.from_dict(_read("dag", run.dag)) if isinstance(run.dag, str) else run.dag
 
 
 def _simulate(simulator, seed: int):
-    """(rows, graph, () -> truth.json payload, scm_version) of the simulator's draw."""
+    """(rows, () -> truth.json payload, scm_version) of the simulator's draw."""
     if simulator.name == "linear-scm":
         rows = data_mod.simulate_linear_scm(simulator.n, simulator.scm, seed)
-        return (rows, _simulated_dag(simulator),
+        return (rows,
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},
                 "linear-scm-v1")
     sample = data_mod.simulate_demand(simulator.n, seed)
-    return (sample.to_dataset(), _simulated_dag(simulator),
+    return (sample.to_dataset(),
             lambda: {"u": [float(v) for v in sample.u],
                      "price_grid": list(data_mod.DEMAND_PRICE_GRID),
                      "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
@@ -133,17 +129,16 @@ def _simulate(simulator, seed: int):
 
 
 def _resolve_data(run: Run, seed: int, replicate: int | None = None):
-    """The rows the `data` section names, as `_simulate`'s tuple: the simulator's
-    draw seeded by `data.seed` (default `seed`), or the CSV file, which has no
-    graph, truth or version. Replicate r draws with that seed + r, or
-    bootstraps the CSV with it."""
+    """The rows the `data` section names: the simulator's draw seeded by
+    `data.seed` (default `seed`), or the CSV file. Replicate r draws with that
+    seed + r, or bootstraps the CSV with it."""
     data = run.required("data")
     seed = seeded(data, seed).seed + (replicate or 0)
     if data.simulator is not None:
-        return _simulate(data.simulator, seed)
+        return _simulate(data.simulator, seed)[0]
     schema = _read("data.schema", data.schema, data_mod.load_schema, DataError)
     rows = _read("data.csv", data.csv, lambda path: data_mod.load_csv(path, schema), DataError)
-    return (rows if replicate is None else data_mod.bootstrap(rows, seed)), None, None, None
+    return rows if replicate is None else data_mod.bootstrap(rows, seed)
 
 
 def _split(dataset, run: Run, seed: int, offset: int = 0):
@@ -195,16 +190,17 @@ def cmd_simulate(args) -> int:
         run = replace(run, data=Data(simulator=run.simulator))
     if run.data is None or run.data.simulator is None:
         raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")
-    dataset, dag, truth, version = _resolve_data(run, run.seed)
+    simulator = run.data.simulator
+    dataset, truth, version = _simulate(simulator, seeded(run.data, run.seed).seed)
     os.makedirs(out, exist_ok=True)
     data_mod.write_csv(dataset, os.path.join(out, "data.csv"))
     schema = dataset.schema()
     schema["treatment"] = "A"
     schema["outcome"] = "Y"
     _write_json(os.path.join(out, "schema.json"), schema)
-    _write_json(os.path.join(out, "dag.json"), dag.to_dict())
+    _write_json(os.path.join(out, "dag.json"), _simulated_dag(simulator).to_dict())
     _write_json(os.path.join(out, "truth.json"), truth())
-    manifest = {"simulator": run.data.simulator.name, "seed": run.seed, "n": dataset.n,
+    manifest = {"simulator": simulator.name, "seed": run.seed, "n": dataset.n,
                 "scm_version": version, "config": config}
     _write_json(os.path.join(out, "manifest.json"), manifest)
     print(f"wrote {dataset.n}-row dataset to {out}")
@@ -214,8 +210,9 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     config, run, out = _load_config(args)
     row, seed = _method_of(run), run.seed
-    dataset, simulated, *_ = _resolve_data(run, seed)
-    dag = _resolve_dag(run, simulated)
+    model_configs(run, seed)  # a model section that `train` rejects fails before any row loads
+    dag = _dag(run)
+    dataset = _resolve_data(run, seed)
     if run.split is not None:
         dataset, _ = _split(dataset, run, seed)
     models, logs = _train_one(run, dag, dataset, seed)
@@ -232,10 +229,9 @@ def cmd_estimate(args) -> int:
     config, run, out = _load_config(args)
     row, seed = _method_of(run), run.seed
     paths = [run.required(spec.key) for spec in row.models]
-    dataset = _resolve_data(run, seed)[0]
     estimate = _estimator(row, run, seed)
     models = [_read(spec.key, path, DagTransformer.load) for spec, path in zip(row.models, paths)]
-    report = estimate(models, dataset)
+    report = estimate(models, _resolve_data(run, seed))
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
     if report.cate is not None:
@@ -251,11 +247,11 @@ def cmd_tune(args) -> int:
     grid = run.required("grid")
     # every candidate is read before any row is drawn
     runs = candidates(config, _read("grid", grid) if isinstance(grid, str) else grid)
+    model_configs(run, seed)  # a model section that a candidate rejects fails before any row
+    dag = _dag(run)
     if not row.proxy:  # the plug-in forest needs a confounder, which the graph shows first
-        plugin_covariates(_dag_before_data(run))
-    dataset, simulated, *_ = _resolve_data(run, seed)
-    dag = _resolve_dag(run, simulated)
-    train, validation = _split(dataset, run, seed)
+        plugin_covariates(dag)
+    train, validation = _split(_resolve_data(run, seed), run, seed)
     rows, best = grid_search(run, runs, train, validation, dag, jobs=args.jobs or run.jobs)
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
@@ -272,9 +268,8 @@ def _effect_replicate(run: Run, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
     row, seed = _method_of(run), run.seed
     estimate = _estimator(row, run, seed + replicate)
-    dataset, simulated, *_ = _resolve_data(run, seed, replicate)
-    dag = _resolve_dag(run, simulated)
-    train, validation = _split(dataset, run, seed, offset=replicate)
+    dag = _dag(run)
+    train, validation = _split(_resolve_data(run, seed, replicate), run, seed, offset=replicate)
     # keep the plug-in's effects, not its forests, alive through training
     plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, seed + replicate)).cate(validation)
     cate = run.experiment == "cate"
@@ -294,8 +289,9 @@ def _demand_replicate(run: Run, replicate: int) -> dict:
     """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
     row, seed = _method_of(run), run.seed
     estimate = _estimator(row, run, seed + replicate)
-    dataset, simulated, *_ = _resolve_data(run, seed, replicate)
-    models, _ = _train_one(run, _resolve_dag(run, simulated), dataset, seed + replicate)
+    dag = _dag(run)
+    dataset = _resolve_data(run, seed, replicate)
+    models, _ = _train_one(run, dag, dataset, seed + replicate)
     report = estimate(models, dataset)
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
@@ -334,8 +330,9 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
         if run.a_grid is not None:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
-    else:  # each replicate fits the plug-in forest on the graph's confounders
-        plugin_covariates(_dag_before_data(run))
+    run = replace(run, dag=_dag(run))  # a `dag` file is read once, not once per replicate
+    if experiment != "demand":  # each replicate fits the plug-in forest on its confounders
+        plugin_covariates(run.dag)
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     label = config_hash(config)

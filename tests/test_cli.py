@@ -237,7 +237,8 @@ def test_estimate_missing_csv_is_data_error(tmp_path):
         {"name": "t", "kind": "binary", "node": "A"}]}))
     missing = tmp_path / "missing.csv"
     missing.write_text("wrong_header\n1\n")
-    config = {"method": "gformula", "model": "irrelevant.json",
+    # the snapshot is read before the rows, so it must exist for the CSV to be reached
+    config = {"method": "gformula", "model": str(SNAPSHOT),
               "data": {"csv": str(missing), "schema": str(schema)}}
     assert run(tmp_path, "estimate", config) == 3
 
@@ -548,7 +549,17 @@ def _overrides(override):
     ("tune", "gformula", 'grid="no/such/grid.json"', 2),
     ("estimate", "gformula", 'model="no/such/model.json"', 2),
     ("estimate", "gformula", "model=5", 2),
-    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 3),
+    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"} '
+     'dag={"nodes":[{"name":"A","role":"treatment"},{"name":"Y","role":"outcome"}],'
+     '"edges":[["A","Y"]]}', 3),
+    # CSV rows carry no graph, so a CSV run without a `dag` fails before the file is read
+    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 2),
+    # model sections and snapshot files are read before any row is drawn or read
+    ("train", "gformula", 'model="m.json"', 2),
+    ("train", "gformula", "method=aipw-separate", 2),
+    ("tune", "gformula", 'model="m.json" grid={"epochs":[2]}', 2),
+    ("estimate", "proximal-u", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}',
+     2),
     # an integer must be a JSON integer, and a number is never a bool or a string
     ("train", "gformula", "epochs=2.7", 2),
     ("train", "gformula", 'epochs="3"', 2),
@@ -630,11 +641,11 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     def no_training(*args, **kwargs):
         raise AssertionError("a config or data error must stop the run before training")
     def no_rows(*args, **kwargs):
-        raise AssertionError("a config error must stop evaluate and tune before any row is drawn")
+        raise AssertionError("a config error must stop the run before any row is drawn or read")
     if code == 2 or command in ("evaluate", "tune"):
         monkeypatch.setattr(cli, "train_model", no_training)
         monkeypatch.setattr(selection, "train_model", no_training)
-    if code == 2 and command in ("evaluate", "tune"):
+    if code == 2 and command != "simulate":
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == code
@@ -670,6 +681,13 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("tune", "gformula", 'grid="no/such/grid.json"', "'grid'"),
     ("estimate", "gformula", 'model="no/such/model.json"', "'model'"),
     ("estimate", "gformula", "model=5", "'model'"),
+    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}',
+     "'dag'"),
+    ("train", "gformula", 'model="m.json"', "'model'"),
+    ("train", "gformula", "method=aipw-separate", "'model_outcome'"),
+    ("tune", "gformula", 'model="m.json" grid={"epochs":[2]}', "'model'"),
+    ("estimate", "proximal-u", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}',
+     "'a_grid'"),
     ("train", "gformula", "epochs=2.7", "'epochs'"),
     ("train", "gformula", 'epochs="3"', "'epochs'"),
     ("train", "gformula", "epochs=abc", "'epochs'"),
@@ -749,6 +767,18 @@ def test_too_few_rows_for_a_proximal_run_is_a_data_error_naming_the_count(
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 3
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "evaluate"])
+def test_a_dag_file_is_read_once_per_command(tmp_path, monkeypatch, command):
+    # the graph depends only on the config, so neither a second check nor a replicate rereads it
+    dag = tmp_path / "dag.json"
+    dag.write_text(json.dumps(linear_scm_dag(1).to_dict()))
+    keys, read = [], cli._read
+    monkeypatch.setattr(cli, "_read", lambda key, *args: keys.append(key) or read(key, *args))
+    config = dict(_table_config(command, "gformula"), dag=str(dag), replicates=3)
+    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"))) == 0
+    assert keys.count("dag") == 1
 
 
 @pytest.mark.parametrize("name, override, named", [
