@@ -58,7 +58,7 @@ def _read(key: str, path, load=None, error=ConfigError):
 def _load_config(args) -> tuple[dict, Run, str]:
     """(run config with the `--set` and `--seed` overrides, its resolved Run,
     output directory)."""
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         raise ConfigError(f"'--jobs' must be >= 1, got {args.jobs}")
     config = _read("--config", args.config) if args.config else {}
     if not isinstance(config, dict):
@@ -76,8 +76,7 @@ def _load_config(args) -> tuple[dict, Run, str]:
     if args.seed is not None:
         overrides.append(("seed", args.seed))
     config = overridden(config, overrides)
-    run = resolve(config)
-    return config, run, args.out or run.out or "."
+    return config, resolve(config), args.out or "."
 
 
 def _method_of(run: Run) -> Method:
@@ -252,7 +251,7 @@ def cmd_tune(args) -> int:
     if not row.proxy:  # the plug-in forest needs a confounder, which the graph shows first
         plugin_covariates(dag)
     train, validation = _split(_resolve_data(run, seed), run, seed)
-    rows, best = grid_search(run, runs, train, validation, dag, jobs=args.jobs or run.jobs)
+    rows, best = grid_search(run, runs, train, validation, dag, jobs=args.jobs)
     os.makedirs(out, exist_ok=True)
     _write_text(os.path.join(out, "ranking.csv"), ranking_csv(rows))
     best.save(os.path.join(out, "best_model.json"))
@@ -337,7 +336,7 @@ def cmd_evaluate(args) -> int:
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
     label = config_hash(config)
     rows = map_jobs(_replicate_with_context,
-                    [(worker, run, r, label) for r in range(run.replicates)], args.jobs or run.jobs)
+                    [(worker, run, r, label) for r in range(run.replicates)], args.jobs)
     if experiment == "demand":
         values = np.asarray([r["c_mse"] for r in rows])
         naive = np.asarray([r["c_mse_naive"] for r in rows])
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config entry (dotted keys, JSON values)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=int, default=1,
                        help="parallel replicates/grid points")
         p.set_defaults(handler=handler)
     return parser

@@ -16,7 +16,7 @@ import numpy as np
 from .data import csv_text
 from .errors import ConfigError, ContractError, DataError
 
-DEFAULT_PROPENSITY_CLAMP = 0.01
+PROPENSITY_CLAMP = 0.01  # propensities are clipped to [c, 1 - c]
 POSITIVITY_BOUNDS = (0.01, 0.99)
 
 
@@ -55,7 +55,8 @@ def _validate_binary(a: np.ndarray):
         raise DataError("treatment column must be 0/1")
 
 
-def _propensity_diagnostics(pi_raw: np.ndarray, clamp: float) -> tuple[np.ndarray, dict]:
+def _propensity_diagnostics(pi_raw: np.ndarray) -> tuple[np.ndarray, dict]:
+    clamp = PROPENSITY_CLAMP
     pi = np.clip(pi_raw, clamp, 1.0 - clamp)
     lo, hi = POSITIVITY_BOUNDS
     return pi, {
@@ -85,8 +86,7 @@ def gformula_from_mu(mu1: np.ndarray, mu0: np.ndarray) -> EstimateReport:
     )
 
 
-def iptw_from_pi(a: np.ndarray, y: np.ndarray, pi_raw: np.ndarray,
-                 clamp: float = DEFAULT_PROPENSITY_CLAMP) -> EstimateReport:
+def iptw_from_pi(a: np.ndarray, y: np.ndarray, pi_raw: np.ndarray) -> EstimateReport:
     """Inverse-probability weighting on the pseudo-population.
 
     ate = mean(a y / pi - (1 - a) y / (1 - pi)); no per-unit effect vector
@@ -98,7 +98,7 @@ def iptw_from_pi(a: np.ndarray, y: np.ndarray, pi_raw: np.ndarray,
     if not (a.shape == y.shape == pi_raw.shape) or a.ndim != 1 or a.size == 0:
         raise ContractError("a, y, pi must be matching nonempty vectors")
     _validate_binary(a)
-    pi, diag = _propensity_diagnostics(pi_raw, clamp)
+    pi, diag = _propensity_diagnostics(pi_raw)
     terms = a * y / pi - (1.0 - a) * y / (1.0 - pi)
     weights = a / pi + (1.0 - a) / (1.0 - pi)
     diag["n"] = int(a.size)
@@ -114,15 +114,14 @@ def iptw_from_pi(a: np.ndarray, y: np.ndarray, pi_raw: np.ndarray,
 
 
 def aipw_from_nuisances(a: np.ndarray, y: np.ndarray, mu1: np.ndarray, mu0: np.ndarray,
-                        pi_raw: np.ndarray,
-                        clamp: float = DEFAULT_PROPENSITY_CLAMP) -> EstimateReport:
+                        pi_raw: np.ndarray) -> EstimateReport:
     """Doubly robust pseudo-outcome contrast per unit; ate = mean(cate)."""
     arrays = [np.asarray(v, dtype=np.float64) for v in (a, y, mu1, mu0, pi_raw)]
     a, y, mu1, mu0, pi_raw = arrays
     if len({v.shape for v in arrays}) != 1 or a.ndim != 1 or a.size == 0:
         raise ContractError("a, y, mu1, mu0, pi must be matching nonempty vectors")
     _validate_binary(a)
-    pi, diag = _propensity_diagnostics(pi_raw, clamp)
+    pi, diag = _propensity_diagnostics(pi_raw)
     treated = mu1 + a * (y - mu1) / pi
     control = mu0 + (1.0 - a) * (y - mu0) / (1.0 - pi)
     cate = treated - control
@@ -144,21 +143,20 @@ def estimate_gformula(model, dataset) -> EstimateReport:
     return gformula_from_mu(model.mu_hat(dataset, 1.0), model.mu_hat(dataset, 0.0))
 
 
-def estimate_iptw(model, dataset, clamp: float = DEFAULT_PROPENSITY_CLAMP) -> EstimateReport:
+def estimate_iptw(model, dataset) -> EstimateReport:
     a = dataset.node_column(model.treatment_node).values
     y = dataset.node_column(_outcome_node(model)).values
-    return iptw_from_pi(a, y, model.pi_hat(dataset), clamp=clamp)
+    return iptw_from_pi(a, y, model.pi_hat(dataset))
 
 
-def estimate_aipw(outcome_model, propensity_model, dataset,
-                  clamp: float = DEFAULT_PROPENSITY_CLAMP) -> EstimateReport:
+def estimate_aipw(outcome_model, propensity_model, dataset) -> EstimateReport:
     """Doubly robust estimate; pass the same model twice for joint training."""
     a = dataset.node_column(outcome_model.treatment_node).values
     y = dataset.node_column(_outcome_node(outcome_model)).values
     return aipw_from_nuisances(
         a, y,
         outcome_model.mu_hat(dataset, 1.0), outcome_model.mu_hat(dataset, 0.0),
-        propensity_model.pi_hat(dataset), clamp=clamp)
+        propensity_model.pi_hat(dataset))
 
 
 def estimate_proximal(model, heldout_draws: dict, a_grid) -> EstimateReport:

@@ -105,15 +105,20 @@ class LinearScmSimulator(Simulator):
 
     @cached_property
     def scm(self) -> LinearScm:
-        """Built once, when `resolve` reads the section. A weight list that is
-        not `x_dim` long, or a coefficient that is not finite, is a ConfigError."""
+        """Built once, when `resolve` reads the section. A coefficient that is
+        not finite, or a weight list that is not `x_dim` finite numbers, is a
+        ConfigError naming its key."""
+        for key in ("treatment_effect", "effect_of_x1", "propensity_intercept", "noise_sd"):
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(f"bad value for 'simulator.{key}': {getattr(self, key)!r}, "
+                                  "expected a finite number")
         def weights(key, default):
             values = getattr(self, key)
             if values is None:
                 return (default,) * self.x_dim
-            if len(values) != self.x_dim:
+            if len(values) != self.x_dim or not np.isfinite(values).all():
                 raise ConfigError(f"bad value for 'simulator.{key}': {values!r}, "
-                                  f"expected a list of x_dim = {self.x_dim} numbers")
+                                  f"expected a list of x_dim = {self.x_dim} finite numbers")
             return tuple(values)
         effect = (self.treatment_effect if self.effect_of_x1 == 0.0
                   else LinearEffect(self.treatment_effect, self.effect_of_x1))
@@ -195,7 +200,6 @@ class Run:
     plugin: ForestConfig
     method: Optional[Literal[tuple(METHODS)]] = None
     seed: int = 0
-    out: str = ""
     data: Optional[Data] = None
     simulator: Optional[Simulator] = None  # `simulate` draws it as a `data.simulator`
     dag: Union[CausalDag, str, None] = None  # an inline graph, or a file path
@@ -210,12 +214,14 @@ class Run:
     mode: Literal["cate", "ate"] = "cate"
     experiment: Literal["ate", "cate", "demand"] = "ate"
     replicates: int = 10
-    jobs: int = 1
 
     def __post_init__(self):
-        for key, least in (("epochs", 0), ("batch_size", 1), ("jobs", 1)):
+        for key, least in (("epochs", 0), ("batch_size", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key!r} must be >= {least}, got {getattr(self, key)}")
+        if self.a_grid is not None and not (self.a_grid and np.isfinite(self.a_grid).all()):
+            raise ConfigError(f"'a_grid' must be a nonempty list of finite numbers, "
+                              f"got {self.a_grid}")
         if self.method is not None:  # a batch below its objective's minimum never trains
             least = max(spec.objective(self).min_rows for spec in METHODS[self.method].models)
             if self.batch_size < least:

@@ -70,8 +70,8 @@ class ModelConfig:
                 f"embedding_dim {self.embedding_dim} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not self.alpha >= 0.0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 class DagTransformer:
@@ -208,18 +208,17 @@ class DagTransformer:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, batch: np.ndarray, train: bool = False,
-                dropout_rng: np.random.Generator | None = None,
+    def forward(self, batch: np.ndarray, dropout_rng: np.random.Generator | None = None,
                 collect_attention: list | None = None) -> dict[str, Tensor]:
         """Predictions per head node, on the model (standardized) scale.
 
         Treatment-head outputs pass through a sigmoid and live in (0, 1).
+        Dropout runs when a `dropout_rng` stream is given, as in training;
+        without one the forward pass is deterministic.
         """
         batch = np.asarray(batch, dtype=np.float64)
         self._check_batch(batch)
         cfg = self.config
-        if train and cfg.dropout_rate > 0 and dropout_rng is None:
-            raise ConfigError("training forward with dropout needs a dropout stream")
         std = self._standardize(batch)
 
         if cfg.alpha > 0:
@@ -228,7 +227,7 @@ class DagTransformer:
             last = cfg.num_encoder_layers - 1
             for i in range(cfg.num_encoder_layers):
                 keep = self._head_mask if i == last else None
-                h = self._encoder_layer(h, i, keep, train, dropout_rng, collect_attention)
+                h = self._encoder_layer(h, i, keep, dropout_rng, collect_attention)
             h = T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
 
         outputs: dict[str, Tensor] = {}
@@ -241,7 +240,7 @@ class DagTransformer:
                 z = T.concat_lastdim([combined, raw])
             else:
                 z = combined
-            out = self._head_mlp(head, z, train, dropout_rng)
+            out = self._head_mlp(head, z, dropout_rng)
             if self.graph.role_of(head) is NodeRole.TREATMENT:
                 out = T.sigmoid(out)
             outputs[head] = out
@@ -281,38 +280,38 @@ class DagTransformer:
         ctx = T.matmul(attn, v)  # (n, heads, d, dh)
         return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, d, e))
 
-    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, train: bool,
-                       dropout_rng, collect_attention) -> Tensor:
+    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, dropout_rng,
+                       collect_attention) -> Tensor:
         """One pre-norm layer. Attention runs over all nodes; from its output
         projection on, only the nodes in `keep` (all when None) are computed."""
         cfg = self.config
         p = f"enc{layer}"
         ctx = T.linear(self._attention(x, layer, collect_attention),
                        self.params[f"{p}/attn/wo"], self.params[f"{p}/attn/bo"], keep)
-        ctx = T.dropout(ctx, cfg.dropout_rate, train, dropout_rng, keep)
+        ctx = T.dropout(ctx, cfg.dropout_rate, dropout_rng, keep)
         x = T.take_nodes(x, keep) + ctx
 
         xn = T.layer_norm(x, self.params[f"{p}/ln2/gain"], self.params[f"{p}/ln2/bias"])
         ff = T.relu(T.linear(xn, self.params[f"{p}/ffn/w1"], self.params[f"{p}/ffn/b1"], keep))
         ff = T.linear(ff, self.params[f"{p}/ffn/w2"], self.params[f"{p}/ffn/b2"], keep)
-        ff = T.dropout(ff, cfg.dropout_rate, train, dropout_rng, keep)
+        ff = T.dropout(ff, cfg.dropout_rate, dropout_rng, keep)
         return x + ff
 
-    def _head_mlp(self, head: str, z: Tensor, train: bool, dropout_rng) -> Tensor:
+    def _head_mlp(self, head: str, z: Tensor, dropout_rng) -> Tensor:
         cfg = self.config
         out = z
         for j in range(cfg.mlp_depth + 1):
             out = T.linear(out, self.params[f"head/{head}/w{j}"], self.params[f"head/{head}/b{j}"])
             if j < cfg.mlp_depth:
                 out = T.relu(out)
-                out = T.dropout(out, cfg.dropout_rate, train, dropout_rng)
+                out = T.dropout(out, cfg.dropout_rate, dropout_rng)
         return T.reshape(out, (out.shape[0],))
 
     def attention_maps(self, batch: np.ndarray) -> list[np.ndarray]:
         """Post-softmax attention weights per layer, each (n, heads, d, d)."""
         maps: list[np.ndarray] = []
         with T.no_grad():
-            self.forward(batch, train=False, collect_attention=maps)
+            self.forward(batch, collect_attention=maps)
         return maps
 
     # -- prediction ----------------------------------------------------------
@@ -326,7 +325,7 @@ class DagTransformer:
     def predict(self, batch: np.ndarray) -> dict[str, np.ndarray]:
         """Deterministic raw-scale predictions per head, with no graph recorded."""
         with T.no_grad():
-            outs = self.forward(batch, train=False)
+            outs = self.forward(batch)
         return {head: self._destandardize_head(head, t.data) for head, t in outs.items()}
 
     def counterfactual_predict(self, batch: np.ndarray, value: float) -> dict[str, np.ndarray]:
@@ -460,8 +459,7 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                 if rows.size < objective.min_rows:
                     continue
                 try:
-                    preds = model.forward(batch_all[rows], train=True,
-                                          dropout_rng=dropout_rng)
+                    preds = model.forward(batch_all[rows], dropout_rng)
                 except DegenerateInputError as exc:
                     # scores overflowing to -inf across a whole row means the
                     # parameters blew up, not that the mask is malformed

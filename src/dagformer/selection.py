@@ -45,18 +45,17 @@ def nrmse(tau_hat: np.ndarray, tau_tilde: np.ndarray) -> float:
 
 
 def nrmse_scalar_replicates(reference: np.ndarray, candidate: np.ndarray,
-                            variance_source: np.ndarray | None = None) -> np.ndarray:
+                            variance_source: np.ndarray) -> np.ndarray:
     """Per-replicate normalized error of scalar estimates.
 
-    The normalizing variance is taken across replicates of `variance_source`
-    (defaults to the reference itself), matching the bootstrap-replicate
-    reading of the scalar-estimand protocol.
+    The normalizing variance is taken across replicates of `variance_source`,
+    matching the bootstrap-replicate reading of the scalar-estimand protocol.
     """
     reference = np.asarray(reference, dtype=np.float64)
     candidate = np.asarray(candidate, dtype=np.float64)
     if reference.shape != candidate.shape or reference.ndim != 1:
         raise ContractError("need matching replicate vectors")
-    source = reference if variance_source is None else np.asarray(variance_source)
+    source = np.asarray(variance_source)
     if source.size < 2:
         raise ContractError("need at least two replicates")
     variance = source.var(ddof=1)
@@ -101,9 +100,8 @@ def plugin_covariates(dag: CausalDag) -> list[str]:
     return covariates
 
 
-def fit_plugin(validation, dag: CausalDag, config: ForestConfig | None = None) -> PlugInEstimator:
+def fit_plugin(validation, dag: CausalDag, config: ForestConfig) -> PlugInEstimator:
     """Fit one honest forest per treatment arm on the validation split."""
-    config = config or ForestConfig()
     treatment = dag.single_node(NodeRole.TREATMENT)
     outcome = dag.single_node(NodeRole.OUTCOME)
     covariates = plugin_covariates(dag)

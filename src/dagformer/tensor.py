@@ -23,15 +23,13 @@ __all__ = [
 class Tensor:
     """A node in the autodiff graph wrapping a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "needs_grad", "_parents", "_backward",
-                 "_consumed")
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         # whether a gradient reaches this tensor: a parameter, or an op output
         # recorded with a parent that needs one; fixed once the node is built
-        self.needs_grad = self.requires_grad or bool(_parents)
+        self.needs_grad = bool(requires_grad or _parents)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -49,7 +47,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, needs_grad={self.needs_grad})"
 
     # operator sugar; scalars and ndarrays are wrapped as constants
     def __add__(self, other):
@@ -496,11 +494,11 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     d = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = d * inv
     out_data = xhat * gain.data + bias.data
 
@@ -518,15 +516,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out_data, (x, gain, bias), bwd)
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator,
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
             keep: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout; identity when train is False or rate is 0.
+    """Inverted dropout with masks drawn from the stream `rng`; the identity
+    when there is no stream (prediction) or the rate is 0.
 
     With a boolean node mask `keep`, x holds the kept nodes (axis 1) of an
     (N, D, ...) tensor: the mask is drawn for all D nodes, so the stream
     advances as it does for the whole tensor, and the kept nodes' part is used.
     """
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")

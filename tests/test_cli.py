@@ -636,6 +636,19 @@ def _overrides(override):
     ("evaluate", "gformula", "jobs=0", 2),
     ("evaluate", "gformula", "--jobs=0", 2),
     ("tune", "gformula", "--jobs=-1", 2),
+    # the output directory and the worker count are flags, not config keys
+    ("train", "gformula", 'out="x"', 2),
+    ("evaluate", "gformula", "jobs=2", 2),
+    # values that must be finite: alpha, the simulator's coefficients, the treatment grid
+    ("train", "gformula", "model.alpha=Infinity", 2),
+    ("train", "gformula", "data.simulator.effect_of_x1=Infinity", 2),
+    ("train", "gformula", "data.simulator.effect_of_x1=1 data.simulator.treatment_effect=NaN", 2),
+    ("train", "proximal-u", "a_grid=[]", 2),
+    ("estimate", "proximal-u", "a_grid=[]", 2),
+    ("estimate", "proximal-u", "a_grid=[NaN,1]", 2),
+    ("estimate", "proximal-u", "a_grid=[Infinity]", 2),
+    ("estimate", "proximal-u",
+     'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"} a_grid=[]', 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
     def no_training(*args, **kwargs):
@@ -749,6 +762,22 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("estimate", "proximal-u", "heldout.draws=0", "heldout.draws must be >= 1"),
     ("evaluate", "gformula", "jobs=0", "'jobs'"),
     ("evaluate", "gformula", "--jobs=0", "'--jobs'"),
+    ("train", "gformula", 'out="x"', "'out'"),
+    ("evaluate", "gformula", "jobs=2", "'jobs'"),
+    ("train", "gformula", "model.alpha=Infinity", "model.alpha must be finite"),
+    ("train", "gformula", "data.simulator.effect_of_x1=Infinity",
+     "'simulator.effect_of_x1'"),
+    ("train", "gformula", "data.simulator.effect_of_x1=1 data.simulator.treatment_effect=NaN",
+     "'simulator.treatment_effect'"),
+    ("train", "gformula", "data.simulator.noise_sd=Infinity", "'simulator.noise_sd'"),
+    ("simulate", "gformula", "data.simulator.propensity_intercept=NaN",
+     "'simulator.propensity_intercept'"),
+    ("train", "gformula", "data.simulator.outcome_weights=[Infinity]",
+     "'simulator.outcome_weights'"),
+    ("train", "proximal-u", "a_grid=[]", "'a_grid'"),
+    ("estimate", "proximal-u", "a_grid=[]", "'a_grid'"),
+    ("estimate", "proximal-u", "a_grid=[NaN,1]", "'a_grid'"),
+    ("evaluate", "gformula", "a_grid=[Infinity]", "'a_grid'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
     assert run(tmp_path, command, _table_config(command, name),

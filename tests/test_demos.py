@@ -1,4 +1,5 @@
-"""Each demo script runs to completion (exit 0) in a fresh interpreter."""
+"""Each demo script runs to completion (exit 0) in a fresh interpreter, where a
+NumPy RuntimeWarning is an error, as it is under pytest."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.
 def test_demo_exits_zero(tmp_path, name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(ROOT, "demos", name)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, f"{name} exited {done.returncode}:\n{done.stderr[-2000:]}"

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -46,10 +47,23 @@ def test_config_validation():
         ModelConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
         ModelConfig(alpha=float("nan"))  # would otherwise pass as alpha = 0
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        ModelConfig(alpha=math.inf)  # the encoder slice would be inf, the first loss NaN
     with pytest.raises(ConfigError):
         ModelConfig(mlp_depth=0)
     with pytest.raises(ConfigError):
         ModelConfig(embedding_dim=8.0)
+
+
+def test_forward_drops_out_only_with_a_stream():
+    model = DagTransformer(small_config(dropout_rate=0.5), triangle_dag(), "aipw",
+                           TRIANGLE_KINDS)
+    batch = triangle_batch(32)
+    first, again = model.forward(batch), model.forward(batch)
+    dropped = model.forward(batch, dropout_rng=rng.stream(1, "dropout"))
+    for head in model.head_nodes:
+        assert np.array_equal(first[head].data, again[head].data), head
+        assert not np.array_equal(first[head].data, dropped[head].data), head
 
 
 def test_forward_shapes_two_heads():
@@ -485,7 +499,7 @@ def _model_of_base(base: str, alpha: float):
 @pytest.mark.parametrize("base", ["gformula", "ipw", "aipw", "proximal"])
 def test_predict_equals_a_recording_forward_bit_for_bit(base, alpha):
     model, batch = _model_of_base(base, alpha)
-    recorded = model.forward(batch, train=False)
+    recorded = model.forward(batch)
     assert all(out._parents for out in recorded.values())
     predicted = model.predict(batch)
     assert set(predicted) == set(recorded)
@@ -493,7 +507,7 @@ def test_predict_equals_a_recording_forward_bit_for_bit(base, alpha):
         assert np.array_equal(predicted[head], model._destandardize_head(head, out.data)), head
     if alpha > 0:
         maps = []
-        model.forward(batch, train=False, collect_attention=maps)
+        model.forward(batch, collect_attention=maps)
         assert all(np.array_equal(a, b) for a, b in zip(model.attention_maps(batch), maps,
                                                         strict=True))
 
@@ -504,7 +518,7 @@ def test_a_failed_predict_leaves_training_recording():
     bad[3, 1] = 0.5  # the binary treatment column
     with pytest.raises(DataError):
         model.predict(bad)
-    outs = model.forward(batch, train=True)
+    outs = model.forward(batch)
     tensor.backward(tensor.sum_all(outs["A"]) + tensor.sum_all(outs["Y"]))
     assert all(p.grad is not None for p in model.parameters())
 
@@ -526,12 +540,12 @@ def test_counterfactual_predict_keeps_no_tape_in_memory():
             tracemalloc.stop()
     # a recording forward keeps every intermediate alive until its outputs go
     assert peak(lambda: model.counterfactual_predict(batch, 1.0)) <= \
-        0.5 * peak(lambda: model.forward(batch, train=False))
+        0.5 * peak(lambda: model.forward(batch))
 
 
 # -- the last encoder layer computes only the head rows, with the full layer's floats --
 
-def _full_encoder_layer(model, x, layer, train, dropout_rng):
+def _full_encoder_layer(model, x, layer, dropout_rng):
     """One encoder layer computed on every node, each weight product the full
     (N*D, K) GEMM: the reference the cut layer must match."""
     T, params, cfg = tensor, model.params, model.config
@@ -551,14 +565,14 @@ def _full_encoder_layer(model, x, layer, train, dropout_rng):
     attn = T.softmax_lastdim(scores + tensor.Tensor(model._additive_mask))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
     ctx = T.linear(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
-    x = x + T.dropout(ctx, cfg.dropout_rate, train, dropout_rng)
+    x = x + T.dropout(ctx, cfg.dropout_rate, dropout_rng)
     xn = T.layer_norm(x, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"])
     ff = T.relu(T.linear(xn, params[f"{p}/ffn/w1"], params[f"{p}/ffn/b1"]))
     ff = T.linear(ff, params[f"{p}/ffn/w2"], params[f"{p}/ffn/b2"])
-    return x + T.dropout(ff, cfg.dropout_rate, train, dropout_rng)
+    return x + T.dropout(ff, cfg.dropout_rate, dropout_rng)
 
 
-def _full_forward(model, batch, train=False, dropout_rng=None):
+def _full_forward(model, batch, dropout_rng=None):
     """`DagTransformer.forward` with every layer on every node, each head
     reading its node of the full final norm."""
     T, cfg = tensor, model.config
@@ -566,7 +580,7 @@ def _full_forward(model, batch, train=False, dropout_rng=None):
     h = T.embed_nodes(model.params["node_identity"], std,
                       [model._value_embedding(node) for node in model.input_nodes])
     for i in range(cfg.num_encoder_layers):
-        h = _full_encoder_layer(model, h, i, train, dropout_rng)
+        h = _full_encoder_layer(model, h, i, dropout_rng)
     h = T.layer_norm(h, model.params["final_ln/gain"], model.params["final_ln/bias"])
     outputs = {}
     for head in model.head_nodes:
@@ -575,7 +589,7 @@ def _full_forward(model, batch, train=False, dropout_rng=None):
         if parents:
             raw = tensor.Tensor(std[:, [model._node_index(p) for p in parents]])
             z = T.concat_lastdim([z, raw])
-        out = model._head_mlp(head, z, train, dropout_rng)
+        out = model._head_mlp(head, z, dropout_rng)
         if model.graph.role_of(head) is NodeRole.TREATMENT:
             out = T.sigmoid(out)
         outputs[head] = out

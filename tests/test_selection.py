@@ -45,11 +45,11 @@ def test_nrmse_degenerate_reference():
 def test_nrmse_scalar_replicates():
     reference = np.array([1.0, 2.0, 3.0])
     candidate = np.array([1.5, 2.0, 2.0])
-    out = nrmse_scalar_replicates(reference, candidate)
+    out = nrmse_scalar_replicates(reference, candidate, reference)
     sd = reference.std(ddof=1)
     assert np.allclose(out, np.abs(reference - candidate) / sd)
     with pytest.raises(DegenerateInputError):
-        nrmse_scalar_replicates(np.ones(3), np.zeros(3))
+        nrmse_scalar_replicates(np.ones(3), np.zeros(3), np.ones(3))
 
 
 def test_cmse_identities():

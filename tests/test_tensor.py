@@ -260,8 +260,8 @@ def test_take_nodes_is_contiguous_and_none_keeps_every_node():
 def test_dropout_on_kept_nodes_draws_the_mask_of_all_nodes():
     x = T.parameter(np.ones((6, 4, 5)))
     keep = np.array([False, True, False, True])
-    full = T.dropout(x, 0.3, train=True, rng=rng.stream(2, "d"))
-    cut = T.dropout(T.take_nodes(x, keep), 0.3, train=True, rng=rng.stream(2, "d"), keep=keep)
+    full = T.dropout(x, 0.3, rng=rng.stream(2, "d"))
+    cut = T.dropout(T.take_nodes(x, keep), 0.3, rng=rng.stream(2, "d"), keep=keep)
     assert np.array_equal(cut.data, full.data[:, keep])
 
 
@@ -327,13 +327,13 @@ def test_sum_squares_is_one_node_with_the_chained_value_and_gradient():
 
 def test_dropout_semantics():
     x = T.parameter(np.ones((100, 10)))
-    out_eval = T.dropout(x, 0.4, train=False, rng=rng.stream(1, "d"))
+    out_eval = T.dropout(x, 0.4, rng=None)
     assert out_eval is x
-    out_train = T.dropout(x, 0.4, train=True, rng=rng.stream(1, "d"))
+    out_train = T.dropout(x, 0.4, rng=rng.stream(1, "d"))
     kept = out_train.data != 0.0
     assert np.all(np.isin(np.round(out_train.data[kept], 12), np.round(1 / 0.6, 12)))
     # same stream key -> identical mask
-    again = T.dropout(x, 0.4, train=True, rng=rng.stream(1, "d"))
+    again = T.dropout(x, 0.4, rng=rng.stream(1, "d"))
     assert np.array_equal(out_train.data, again.data)
 
 
