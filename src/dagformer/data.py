@@ -258,6 +258,10 @@ class LinearEffect:
     base: float = 0.0
     slope_x1: float = 1.0
 
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.base, self.slope_x1])):
+            raise ContractError("linear effect coefficients must be finite")
+
     def __call__(self, row) -> float:
         return self.base + self.slope_x1 * row[0]
 

@@ -106,8 +106,11 @@ class LinearScmSimulator(Simulator):
     @cached_property
     def scm(self) -> LinearScm:
         """Built once, when `resolve` reads the section. A coefficient that is
-        not finite, or a weight list that is not `x_dim` finite numbers, is a
-        ConfigError naming its key."""
+        not finite, a negative `x_dim`, or a weight list that is not `x_dim`
+        finite numbers, is a ConfigError naming its key."""
+        if self.x_dim < 0:  # 0 is the graph A -> Y
+            raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, "
+                              "expected an integer >= 0")
         for key in ("treatment_effect", "effect_of_x1", "propensity_intercept", "noise_sd"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"bad value for 'simulator.{key}': {getattr(self, key)!r}, "

@@ -12,19 +12,22 @@ Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
 makes every head's prediction exactly invariant to non-ancestor columns.
 
-Each weight product, Q, K, V and the head MLP's included, is one tape node
-with its bias (`tensor.linear`). Each head reads only its own node's row of
-the last layer, and past attention a row depends on no other row. So the last
-layer runs Q, K, V, the scores, the softmax and `attn @ v` on every node
-(the attention maps are whole), and its output projection, residuals,
-second norm, FFN and the final norm on the head rows only. Earlier layers
-run on every node. Its three products past attention still run at the full
-(batch * nodes, width) shape, forward and in both gradients, with each head
-row in its own place and zero rows for the other nodes (`tensor.linear`
-with a node mask): BLAS picks its kernel by shape, and a smaller product
-rounds some rows differently. So the cut layer gives the floats of the full
-layer bit for bit. A criterion-6 training step has 68 tape nodes, a
-criterion-9 NMMR-U step 78.
+Attention, from a layer's input through its first norm, Q, K, V, the masked
+softmax and `attn @ v` to the merged heads, is one tape node
+(`tensor.attention`), with the floats of that chain of ops. Every other
+weight product, the head MLP's included, is one tape node with its bias
+(`tensor.linear`). Each head reads only its own node's row of the last layer,
+and past attention a row depends on no other row. So the last layer runs
+attention on every node (the attention maps are whole), and its output
+projection, residuals, second norm, FFN and the final norm on the head rows
+only. Earlier layers run on every node. Its three products past attention
+still run at the full (batch * nodes, width) shape, forward and in both
+gradients, with each head row in its own place and zero rows for the other
+nodes (`tensor.linear` with a node mask): BLAS picks its kernel by shape, and
+a smaller product rounds some rows differently. So the cut layer gives the
+floats of the full layer bit for bit. The tape lists ops only, not the
+parameters they read: a criterion-6 training step has 23 tape nodes, a
+criterion-9 NMMR-U step 30.
 """
 
 import json
@@ -256,29 +259,11 @@ class DagTransformer:
         return (self.params[f"embed/{node}/weight"], self.params[f"embed/{node}/bias"])
 
     def _attention(self, x: Tensor, layer: int, collect_attention) -> Tensor:
-        """The attention context of every node, (n, d, e), before the output projection;
-        its q, k, v and scores are freed on return when no graph keeps them."""
-        cfg = self.config
-        p = f"enc{layer}"
-        n, d, e = x.shape
-        heads, dh = cfg.num_heads, e // cfg.num_heads
-
-        xn = T.layer_norm(x, self.params[f"{p}/ln1/gain"], self.params[f"{p}/ln1/bias"])
-        q = T.linear(xn, self.params[f"{p}/attn/wq"], self.params[f"{p}/attn/bq"])
-        k = T.linear(xn, self.params[f"{p}/attn/wk"], self.params[f"{p}/attn/bk"])
-        v = T.linear(xn, self.params[f"{p}/attn/wv"], self.params[f"{p}/attn/bv"])
-
-        def split_heads(t):
-            return T.transpose(T.reshape(t, (n, d, heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = split_heads(q), split_heads(k), split_heads(v)
-        scores = T.matmul(q, T.swap_last2(k)) * (1.0 / np.sqrt(dh))
-        scores = scores + Tensor(self._additive_mask)
-        attn = T.softmax_lastdim(scores)
-        if collect_attention is not None:
-            collect_attention.append(attn.data.copy())
-        ctx = T.matmul(attn, v)  # (n, heads, d, dh)
-        return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, d, e))
+        """The attention context of every node, (n, d, e), before the output projection."""
+        names = ("ln1/gain", "ln1/bias", "attn/wq", "attn/bq", "attn/wk", "attn/bk",
+                 "attn/wv", "attn/bv")
+        return T.attention(x, *(self.params[f"enc{layer}/{name}"] for name in names),
+                           self._additive_mask, self.config.num_heads, collect_attention)
 
     def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, dropout_rng,
                        collect_attention) -> Tensor:

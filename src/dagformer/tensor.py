@@ -16,7 +16,7 @@ __all__ = [
     "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
     "concat_lastdim", "take_node", "take_nodes", "linear", "sum_all", "mean_all", "sum_axis",
-    "sum_squares", "softmax_lastdim", "layer_norm", "dropout", "embed_nodes",
+    "sum_squares", "softmax_lastdim", "layer_norm", "attention", "dropout", "embed_nodes",
 ]
 
 
@@ -118,7 +118,8 @@ def _accumulate(t: Tensor, grad: np.ndarray):
 
 
 class GradientTape:
-    """Reverse-topological record of the ops reaching a scalar loss.
+    """Reverse-topological record of the ops reaching a scalar loss; the
+    leaves they read (parameters) receive their gradients but are not listed.
 
     A tape is replayable exactly once; re-running without rebuilding the
     graph is rejected because accumulated gradients would double-count.
@@ -141,7 +142,8 @@ class GradientTape:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                stack.append((p, False))
+                if p._parents:  # a leaf (a parameter) has no backward to order
+                    stack.append((p, False))
 
     def run(self):
         """Populate .grad on every reachable tensor that needs one."""
@@ -349,12 +351,19 @@ def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
         if a.needs_grad:
             ga = (g2 @ w.data.T).reshape(full.shape)
             _accumulate(a, ga if ga.shape == a.data.shape else np.compress(keep, ga, axis=1))
-        if w.needs_grad:
-            _accumulate(w, a2.T @ g2)
-        if b.needs_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        _weight_grads(w, b, a2, g2, g)
 
     return _make(out_data, (a, w, b), bwd)
+
+
+def _weight_grads(w: Tensor, b: Tensor, a2: np.ndarray, g2: np.ndarray, g: np.ndarray):
+    """Accumulate the gradients of w and b in a2 @ w + b: a2 is the (R, K)
+    operand, g2 the output gradient as (R, M) rows, and g that gradient in the
+    shape the bias was added to."""
+    if w.needs_grad:
+        _accumulate(w, a2.T @ g2)
+    if b.needs_grad:
+        _accumulate(b, _unbroadcast(g, b.data.shape))
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -481,39 +490,109 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     Entries may be -inf (masked positions map to exactly 0); a slice that is
     entirely -inf has no permitted targets and is rejected.
     """
-    m = a.data.max(axis=-1, keepdims=True)
-    if np.isneginf(m).any():
-        raise DegenerateInputError("softmax slice is entirely -inf: no permitted attention targets")
-    e = np.exp(a.data - m)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(a.data)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
+        _accumulate(a, _softmax_grad(g, out_data))
 
     return _make(out_data, (a,), bwd)
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    m = a.max(axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise DegenerateInputError("softmax slice is entirely -inf: no permitted attention targets")
+    e = np.exp(a - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    d = x.data - x.data.mean(axis=-1, keepdims=True)
+    out_data, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
+
+    def bwd(g):
+        _layer_norm_grads(g, x, gain, bias, xhat, inv)
+
+    return _make(out_data, (x, gain, bias), bwd)
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
+    """The layer norm of x, with the normalized x and the 1 / std its backward reads."""
+    d = x - x.mean(axis=-1, keepdims=True)
     var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = d * inv
-    out_data = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
+                      xhat: np.ndarray, inv: np.ndarray):
+    if gain.needs_grad:
+        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+    if bias.needs_grad:
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+    if x.needs_grad:
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+
+
+def attention(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, bq: Tensor,
+              wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, additive_mask: np.ndarray,
+              heads: int, collect: list | None = None) -> Tensor:
+    """Pre-norm multi-head attention over the nodes of x (N, D, E), as one node.
+
+    layer_norm(x), then Q, K and V as `linear`s, split into `heads` heads;
+    softmax(q k^T / sqrt(E / heads) + additive_mask) @ v, heads merged back
+    into (N, D, E), before any output projection. The post-softmax maps
+    (N, heads, D, D) are appended to `collect`. The forward makes the NumPy
+    calls of that chain of ops in their order, and the backward those of the
+    chain's backward in tape order, so every float equals the chain's: the
+    gradient into the normalized input is summed as (q + k) + v, and each
+    Q/K/V gradient is C-contiguous where the chain copies it.
+    """
+    n, d, e = x.data.shape
+    dh = e // heads
+    parents = (x, ln_gain, ln_bias, wq, bq, wk, bk, wv, bv)
+    record = _recording and any(p.needs_grad for p in parents)
+    xn, xhat, inv = _layer_norm(x.data, ln_gain.data, ln_bias.data)
+    rows = xn.reshape(-1, e)
+    q, k, v = [((rows @ w.data).reshape(n, d, e) + b.data).reshape(n, d, heads, dh)
+               .transpose(0, 2, 1, 3) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+    if not record:  # free what only the backward reads before the next allocation
+        xn = xhat = inv = rows = None
+    scale = np.asarray(1.0 / np.sqrt(dh))
+    attn = _softmax(np.matmul(q, np.swapaxes(k, -1, -2)) * scale + additive_mask)
+    if collect is not None:
+        collect.append(attn.copy())
+    ctx = np.matmul(attn, v)
+    if not record:
+        q = k = v = attn = None
+    out_data = ctx.transpose(0, 2, 1, 3).reshape(n, d, e)
 
     def bwd(g):
-        if gain.needs_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-        if bias.needs_grad:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if x.needs_grad:
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+        g_ctx = np.ascontiguousarray(g.reshape(n, d, heads, dh).transpose(0, 2, 1, 3))
+        g_scores = _softmax_grad(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), attn) * scale
+        g_v = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        g_q = np.matmul(g_scores, k)
+        g_k = np.matmul(np.swapaxes(q, -1, -2), g_scores)
+        g_rows = None
+        for gh, axes, w, b in ((g_q, (0, 2, 1, 3), wq, bq), (g_k, (0, 3, 1, 2), wk, bk),
+                               (g_v, (0, 2, 1, 3), wv, bv)):
+            gp = np.ascontiguousarray(gh.transpose(axes)).reshape(n, d, e)
+            g2 = gp.reshape(-1, e)
+            _weight_grads(w, b, rows, g2, gp)
+            g_in = g2 @ w.data.T
+            g_rows = g_in if g_rows is None else g_rows + g_in
+        _layer_norm_grads(g_rows.reshape(n, d, e), x, ln_gain, ln_bias, xhat, inv)
 
-    return _make(out_data, (x, gain, bias), bwd)
+    return _make(out_data, parents, bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,

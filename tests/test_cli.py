@@ -599,6 +599,8 @@ def _overrides(override):
     ("tune", "proximal-u", "nmmr.bandwidth=1.0", 2),
     ("train", "gformula", "data.sead=3", 2),
     ("train", "gformula", "data.simulator.x_dimm=2", 2),
+    ("train", "gformula", "data.simulator.x_dim=-1", 2),
+    ("simulate", "gformula", "data.simulator.x_dim=-1", 2),
     ("simulate", "gformula", "data.simulator.noise=0.5", 2),
     ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", 2),
     # training sizes, read before any replicate starts
@@ -770,6 +772,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("train", "gformula", "data.simulator.effect_of_x1=1 data.simulator.treatment_effect=NaN",
      "'simulator.treatment_effect'"),
     ("train", "gformula", "data.simulator.noise_sd=Infinity", "'simulator.noise_sd'"),
+    ("train", "gformula", "data.simulator.x_dim=-1", "'simulator.x_dim'"),
     ("simulate", "gformula", "data.simulator.propensity_intercept=NaN",
      "'simulator.propensity_intercept'"),
     ("train", "gformula", "data.simulator.outcome_weights=[Infinity]",
@@ -783,6 +786,15 @@ def test_config_error_names_the_key(tmp_path, capsys, command, name, override, n
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 2
     assert named in capsys.readouterr().err
+
+
+def test_a_linear_scm_without_covariates_trains(tmp_path):
+    # x_dim = 0 draws the graph A -> Y, which trains; only a negative x_dim is rejected
+    config = _method_config("gformula")
+    config["data"]["simulator"]["x_dim"] = 0
+    out = tmp_path / "run"
+    assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
+    assert (out / "model.json").exists()
 
 
 @pytest.mark.parametrize("command, name, override, named", [

@@ -5,8 +5,8 @@ from dagformer import rng
 from dagformer.data import (
     Column, DEMAND_HELDOUT_DRAWS, DEMAND_PRICE_GRID, DEMAND_REPLICATES,
     DEMAND_SAMPLE_SIZES, LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS,
-    LALONDE_TREATED, LALONDE_TRUE_ATE, LinearScm, TabularDataset, bootstrap, csv_text,
-    demand_mc_moments, demand_psi, demand_true_curve, demand_true_potential_outcome,
+    LALONDE_TREATED, LALONDE_TRUE_ATE, LinearEffect, LinearScm, TabularDataset, bootstrap,
+    csv_text, demand_mc_moments, demand_psi, demand_true_curve, demand_true_potential_outcome,
     heldout_w_draws, lalonde_dag, lalonde_schema, linear_scm_dag, load_csv,
     simulate_demand, simulate_linear_scm, write_csv, write_schema,
 )
@@ -173,6 +173,10 @@ def test_linear_scm_heterogeneous_effect():
 def test_linear_scm_rejects_nonfinite():
     with pytest.raises(ContractError):
         LinearScm(propensity_weights=(np.inf,))
+    # a heterogeneous effect's coefficients too, before any row is drawn
+    for base, slope in ((np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ContractError, match="linear effect coefficients must be finite"):
+            LinearScm(treatment_effect=LinearEffect(base, slope))
 
 
 def test_linear_scm_dag_matches_columns():

@@ -184,13 +184,13 @@ def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
                       mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
     model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
     assert len(model.params) == 28
-    # 28 parameters and 40 ops: 1 embedding, 26 in the encoder layer (each
-    # weight product, Q, K and V included, is one node with its bias, and the
-    # residual stream is cut to the head row), 4 from the final norm to the
-    # head input, 6 in the head MLP (one node per weight product, with its
-    # bias), 3 in the loss
+    # 23 ops; the tape lists no parameter leaf. 1 embedding, 9 in the encoder
+    # layer (attention, from the layer input to the merged heads, is one node;
+    # each other weight product is one node with its bias; the residual stream
+    # is cut to the head row), 4 from the final norm to the head input, 6 in
+    # the head MLP (one node per weight product, with its bias), 3 in the loss
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {68}
+                                256) == {23}
 
 
 def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
@@ -200,28 +200,30 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     kinds = {n: "continuous" for n in ("Z", "W", "A", "Y")}
     model = DagTransformer(cfg, demand_dag(), "proximal", kinds)
     assert len(model.params) == 31
-    # the penalty over all 31 parameters is one node
+    # 30 ops and no parameter leaf: attention is one node, and so is the
+    # penalty over all 31 parameters
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
-                                Nmmr(variant="U", lam=3e-6), 64) == {78}
+                                Nmmr(variant="U", lam=3e-6), 64) == {30}
 
 
 def test_tape_nodes_per_step_two_head_aipw_joint_config(monkeypatch):
     config, dag, method, kinds = CUT_SHAPES["aipw-joint"]
     model = DagTransformer(ModelConfig(**config), dag, method, kinds)
     scm = LinearScm(x_dim=5, propensity_weights=(0.5,) * 5, outcome_weights=(1.0,) * 5)
-    # each head MLP is 6 nodes: 3 weight products with their biases, 2 ReLUs and a reshape
+    # 44 ops and no parameter leaf: attention is one node, and each head MLP is
+    # 6: 3 weight products with their biases, 2 ReLUs and a reshape
     assert _tape_nodes_per_step(monkeypatch, model, simulate_linear_scm(512, scm, 3),
-                                AipwJoint(), 256) == {102}
+                                AipwJoint(), 256) == {44}
 
 
 def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):
     model = DagTransformer(small_config(alpha=0.0, mlp_width=16, mlp_depth=2), SCM_DAG,
                            "gformula", SCM_KINDS)
     assert len(model.params) == 6
-    # 6 head parameters and 9 ops: 6 in the head MLP, 3 in the loss; the head
-    # input (zeros next to the raw parents) is a constant
+    # 9 ops, and the tape lists none of the 6 head parameters: 6 in the head
+    # MLP, 3 in the loss; the head input (zeros next to the raw parents) is a constant
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {15}
+                                256) == {9}
 
 
 def _alpha_zero_snapshot():
@@ -417,6 +419,20 @@ def test_train_divergence_reports_epoch_and_batch():
         train_model(model, ds, GFormula(), AdamState(learning_rate=1e150),
                     epochs=50, batch_size=16)
     assert info.value.epoch is not None and info.value.batch is not None
+
+
+def test_train_reports_overflowed_attention_scores_as_divergence():
+    # q = 1e200 x and k = -1e200 x: the root node X1 attends only to itself,
+    # and its one score is -inf, so its whole softmax row is -inf
+    model = DagTransformer(small_config(), SCM_DAG, "gformula", SCM_KINDS)
+    eye = np.eye(model.config.embedding_dim)
+    model.params["enc0/attn/wq"].data = 1e200 * eye
+    model.params["enc0/attn/wk"].data = -1e200 * eye
+    with pytest.raises(TrainingDivergedError,
+                       match="attention scores overflowed at epoch 0, batch 0") as info:
+        train_model(model, _toy_dataset(n=64, seed=9), GFormula(), AdamState(), epochs=2,
+                    batch_size=16)
+    assert (info.value.epoch, info.value.batch) == (0, 0)
 
 
 def test_snapshot_roundtrip_bit_exact(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from dagformer import rng, tensor as T
 from dagformer.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
+from dagformer.graph import build_adjacency, build_mask, demand_dag, mask_to_additive
 from dagformer.optim import AdamState, adam_step
 
 
@@ -284,6 +285,89 @@ def test_layer_norm_and_sigmoid_equal_the_expressions_they_replace():
         assert np.array_equal(T.sigmoid(T.tensor(z)).data, old)
 
 
+def _attention_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, additive_mask, heads, collect):
+    """`T.attention` spelled out as its chain of ops: the reference it must equal."""
+    n, d, e = x.shape
+    dh = e // heads
+    xn = T.layer_norm(x, gain, bias)
+
+    def split_heads(w, b):
+        return T.transpose(T.reshape(T.linear(xn, w, b), (n, d, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split_heads(wq, bq), split_heads(wk, bk), split_heads(wv, bv)
+    scores = T.matmul(q, T.swap_last2(k)) * (1.0 / np.sqrt(dh))
+    attn = T.softmax_lastdim(scores + T.Tensor(additive_mask))
+    collect.append(attn.data.copy())
+    return T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
+
+
+def _attention_inputs(g, n, e=8):
+    """Random layer input and parameters, and the additive mask of the demand
+    graph (parents plus self)."""
+    additive = mask_to_additive(build_mask(build_adjacency(demand_dag())))
+    d = additive.shape[0]
+    arrays = [g.standard_normal((n, d, e)), g.standard_normal(e) * 0.5 + 1.0,
+              g.standard_normal(e) * 0.5]
+    for _ in range(3):
+        arrays += [g.standard_normal((e, e)), g.standard_normal(e) * 0.5]
+    return arrays, additive
+
+
+@pytest.mark.parametrize("n", [1, 8, 256])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_equals_its_chain_of_ops_bit_for_bit(heads, n):
+    g = rng.stream(30, "attention", heads, n)
+    arrays, additive = _attention_inputs(g, n)
+    assert np.isneginf(additive).any()
+    upstream = g.standard_normal(arrays[0].shape)
+    results = []
+    for op in (T.attention, _attention_chain):
+        params = [T.parameter(a.copy()) for a in arrays]
+        maps = []
+        out = op(*params, additive, heads, maps)
+        T.backward(T.sum_all(out * upstream))
+        results.append((out.data, [p.grad for p in params], maps))
+    (out, grads, maps), (want, want_grads, want_maps) = results
+    assert np.array_equal(out, want)
+    assert len(grads) == 9
+    for i, (grad, want_grad) in enumerate(zip(grads, want_grads)):
+        assert np.array_equal(grad, want_grad), i
+    assert len(maps) == 1 and np.array_equal(maps[0], want_maps[0])
+
+
+def test_attention_is_one_tape_node_and_equal_without_a_tape():
+    g = rng.stream(31, "attention")
+    arrays, additive = _attention_inputs(g, 5)
+    params = [T.parameter(a) for a in arrays]
+    out = T.attention(*params, additive, 2)
+    assert len(T.GradientTape(T.sum_all(out)).order) == 2
+    maps = []
+    with T.no_grad():
+        plain = T.attention(*params, additive, 2, maps)
+    assert plain._parents == () and np.array_equal(plain.data, out.data)
+    assert maps[0].shape == (5, 2) + additive.shape and np.all(maps[0][:, :, additive == -np.inf] == 0.0)
+
+
+def test_attention_rejects_a_score_row_that_is_entirely_minus_inf():
+    g = rng.stream(32, "attention")
+    arrays, additive = _attention_inputs(g, 3)
+    additive = additive.copy()
+    additive[0, 0] = -np.inf  # the root node may attend to nothing
+    with pytest.raises(DegenerateInputError, match="entirely -inf"):
+        T.attention(*[T.parameter(a) for a in arrays], additive, 2)
+
+
+def test_attention_gradients_match_finite_differences():
+    g = rng.stream(33, "fd-attention")
+    arrays, additive = _attention_inputs(g, 3, e=4)
+    upstream = g.standard_normal(arrays[0].shape)
+
+    def build(ps):
+        return T.sum_all(T.attention(*ps, additive, 2) * upstream)
+
+    _check_grads(build, arrays, tol=1e-5)
+
+
 def test_embed_nodes_gradients_match_finite_differences():
     g = rng.stream(23, "embed")
     n = 6
@@ -321,7 +405,7 @@ def test_sum_squares_is_one_node_with_the_chained_value_and_gradient():
         chained = chained + T.sum_all(p * p)
     one = T.sum_squares(params)
     assert one.data == chained.data
-    assert len(T.GradientTape(one).order) == 1 + len(params)
+    assert len(T.GradientTape(one).order) == 1  # the tape lists no parameter leaf
     _check_grads(lambda ps: T.sum_squares(ps) * 0.7, arrays, tol=1e-6)
 
 
