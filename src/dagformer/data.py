@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import ContractError, DataError
-from .graph import CausalDag, backdoor_dag
+from .graph import CausalDag, NodeRole, backdoor_dag
 
 COLUMN_KINDS = ("continuous", "binary")
 
@@ -123,7 +123,6 @@ class TabularDataset:
 
     def validate_against(self, dag: CausalDag):
         """Every non-unmeasured DAG node must be bound to exactly one column."""
-        from .graph import NodeRole
         for name, role in zip(dag.names, dag.roles):
             if role is NodeRole.UNMEASURED:
                 if name in self._by_node:

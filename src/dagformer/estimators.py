@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import csv_text
 from .errors import ConfigError, ContractError, DataError
+from .graph import NodeRole
 
 PROPENSITY_CLAMP = 0.01  # propensities are clipped to [c, 1 - c]
 POSITIVITY_BOUNDS = (0.01, 0.99)
@@ -145,14 +146,14 @@ def estimate_gformula(model, dataset) -> EstimateReport:
 
 def estimate_iptw(model, dataset) -> EstimateReport:
     a = dataset.node_column(model.treatment_node).values
-    y = dataset.node_column(_outcome_node(model)).values
+    y = dataset.node_column(model.outcome_node).values
     return iptw_from_pi(a, y, model.pi_hat(dataset))
 
 
 def estimate_aipw(outcome_model, propensity_model, dataset) -> EstimateReport:
     """Doubly robust estimate; pass the same model twice for joint training."""
     a = dataset.node_column(outcome_model.treatment_node).values
-    y = dataset.node_column(_outcome_node(outcome_model)).values
+    y = dataset.node_column(outcome_model.outcome_node).values
     return aipw_from_nuisances(
         a, y,
         outcome_model.mu_hat(dataset, 1.0), outcome_model.mu_hat(dataset, 0.0),
@@ -191,11 +192,6 @@ def cate_by_group(report: EstimateReport, groups) -> dict:
     return {label: float(report.cate[groups == label].mean()) for label in np.unique(groups)}
 
 
-def _outcome_node(model) -> str:
-    from .graph import NodeRole
-    return model.dag.single_node(NodeRole.OUTCOME)
-
-
 @dataclass
 class TableNuisance:
     """Lookup-table nuisances exposing the same surface as a fitted model.
@@ -209,6 +205,10 @@ class TableNuisance:
     mu0: Optional[np.ndarray] = None
     pi: Optional[np.ndarray] = None
     h: Optional[Callable] = None
+
+    @property
+    def outcome_node(self) -> str:
+        return self.dag.single_node(NodeRole.OUTCOME)
 
     def mu_hat(self, dataset, a: float) -> np.ndarray:
         table = self.mu1 if a == 1.0 else self.mu0

@@ -27,7 +27,8 @@ class CausalDag:
 
     Immutable after construction; acyclicity, name uniqueness and role
     multiplicity (at most one treatment, at most one outcome) are verified
-    up front. Edges may be given as name pairs or index pairs.
+    up front. An edge is a (parent, child) pair of node names; an end is
+    converted by `str`, as a node's name is, so a JSON number names a node.
     """
 
     def __init__(self, nodes, edges):
@@ -47,10 +48,8 @@ class CausalDag:
         self.index = {name: i for i, name in enumerate(self.names)}
         edge_idx = set()
         for parent, child in edges:
-            p, c = (self.index.get(end, -1) if isinstance(end, str)
-                    else int(end) if isinstance(end, (int, np.integer)) else -1
-                    for end in (parent, child))
-            if not (0 <= p < len(self.names) and 0 <= c < len(self.names)):
+            p, c = (self.index.get(str(end), -1) for end in (parent, child))
+            if p < 0 or c < 0:
                 raise ConfigError(f"edge ({parent}, {child}) references unknown node")
             if p == c:
                 raise ConfigError(f"self-loop on node {self.names[p]}")
@@ -177,42 +176,36 @@ def mask_to_additive(mask: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(mask) == 0, 0.0, -np.inf)
 
 
-VALID_METHODS = ("gformula", "ipw", "aipw", "proximal")
+# Per base method: the roles of its model's inputs, and the roles of its heads
+# in head order. No row lists the unmeasured role, so such a node is never an
+# input. Every input role but the confounder must be held by some node.
+METHOD_ROLES = {
+    "gformula": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,)),
+    "ipw": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT), (NodeRole.TREATMENT,)),
+    "aipw": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME),
+             (NodeRole.TREATMENT, NodeRole.OUTCOME)),
+    "proximal": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT_PROXY, NodeRole.OUTCOME_PROXY,
+                  NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,)),
+}
 
 
 def input_nodes_for(method: str, dag: CausalDag) -> tuple[list[str], list[str]]:
     """Model input nodes and output-head nodes for an estimation method.
 
-    Returns (input node names in DAG order, head node names). Unmeasured
-    nodes are always excluded from the inputs.
+    Returns (input node names in DAG order, head node names), as read from
+    `METHOD_ROLES`. Every method needs one treatment and one outcome node.
     """
-    if method not in VALID_METHODS:
-        raise ConfigError(f"unknown method {method!r}, expected one of {VALID_METHODS}")
-    treatment = dag.single_node(NodeRole.TREATMENT)
-    outcome = dag.single_node(NodeRole.OUTCOME)
-    confounders = dag.nodes_with_role(NodeRole.CONFOUNDER)
-
-    if method == "gformula":
-        keep = set(confounders) | {treatment, outcome}
-        heads = [outcome]
-    elif method == "ipw":
-        keep = set(confounders) | {treatment}
-        heads = [treatment]
-    elif method == "aipw":
-        keep = set(confounders) | {treatment, outcome}
-        heads = [treatment, outcome]
-    else:  # proximal
-        t_proxies = dag.nodes_with_role(NodeRole.TREATMENT_PROXY)
-        o_proxies = dag.nodes_with_role(NodeRole.OUTCOME_PROXY)
-        if not t_proxies:
-            raise ConfigError("proximal method requires a treatment_proxy node")
-        if not o_proxies:
-            raise ConfigError("proximal method requires an outcome_proxy node")
-        keep = set(confounders) | set(t_proxies) | set(o_proxies) | {treatment, outcome}
-        heads = [outcome]
-
-    inputs = [n for n in dag.names if n in keep and dag.role_of(n) is not NodeRole.UNMEASURED]
-    return inputs, heads
+    if method not in METHOD_ROLES:
+        raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHOD_ROLES)}")
+    dag.single_node(NodeRole.TREATMENT)
+    dag.single_node(NodeRole.OUTCOME)
+    input_roles, head_roles = METHOD_ROLES[method]
+    for role in input_roles:
+        if role is not NodeRole.CONFOUNDER and not dag.nodes_with_role(role):
+            article = "an" if role.value[0] in "aeiou" else "a"
+            raise ConfigError(f"{method} method requires {article} {role.value} node")
+    inputs = [n for n, r in zip(dag.names, dag.roles) if r in input_roles]
+    return inputs, [dag.single_node(role) for role in head_roles]
 
 
 # -- stock graphs -----------------------------------------------------------

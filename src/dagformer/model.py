@@ -7,6 +7,8 @@ mask compiled from the DAG (parents plus self). Each output head reads the
 alpha-weighted encoder slice of its node concatenated with the raw
 (standardized) values of that node's observed parents, through a small MLP.
 At alpha = 0, the raw-input MLP baseline, it builds and runs no encoder.
+Which roles a method's model reads, and which carry its heads, is one table,
+`graph.METHOD_ROLES`; the model names its treatment and outcome nodes once.
 
 Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
@@ -90,6 +92,7 @@ class DagTransformer:
         self.input_nodes = list(self.graph.names)
         self.head_nodes = list(heads)
         self.treatment_node = dag.single_node(NodeRole.TREATMENT)
+        self.outcome_node = dag.single_node(NodeRole.OUTCOME)
         missing = [n for n in self.input_nodes if n not in node_kinds]
         if missing:
             raise ConfigError(f"no column kind given for nodes {missing}")
@@ -244,7 +247,7 @@ class DagTransformer:
             else:
                 z = combined
             out = self._head_mlp(head, z, dropout_rng)
-            if self.graph.role_of(head) is NodeRole.TREATMENT:
+            if head == self.treatment_node:
                 out = T.sigmoid(out)
             outputs[head] = out
         return outputs
@@ -302,7 +305,7 @@ class DagTransformer:
     # -- prediction ----------------------------------------------------------
 
     def _destandardize_head(self, head: str, values: np.ndarray) -> np.ndarray:
-        if self.graph.role_of(head) is NodeRole.TREATMENT:
+        if head == self.treatment_node:
             return values  # probability scale
         i = self._node_index(head)
         return values * self.col_sd[i] + self.col_mean[i]
@@ -319,18 +322,19 @@ class DagTransformer:
         batch[:, self._node_index(self.treatment_node)] = value
         return self.predict(batch)
 
+    def _require_head(self, node: str, role: str):
+        if node not in self.head_nodes:
+            raise ConfigError(f"model has no {role} head (heads: {self.head_nodes})")
+
     def mu_hat(self, dataset, a: float) -> np.ndarray:
         """Counterfactual outcome predictions on a dataset's rows."""
-        outcome = self.dag.single_node(NodeRole.OUTCOME)
-        if outcome not in self.head_nodes:
-            raise ConfigError(f"model has no outcome head (heads: {self.head_nodes})")
+        self._require_head(self.outcome_node, "outcome")
         batch = dataset.matrix(self.input_nodes)
-        return self.counterfactual_predict(batch, a)[outcome]
+        return self.counterfactual_predict(batch, a)[self.outcome_node]
 
     def pi_hat(self, dataset) -> np.ndarray:
         """Propensity predictions on a dataset's rows."""
-        if self.treatment_node not in self.head_nodes:
-            raise ConfigError(f"model has no treatment head (heads: {self.head_nodes})")
+        self._require_head(self.treatment_node, "treatment")
         batch = dataset.matrix(self.input_nodes)
         return self.predict(batch)[self.treatment_node]
 
@@ -340,9 +344,7 @@ class DagTransformer:
         Input columns absent from `draws` (other than the treatment) are
         filled with their training means.
         """
-        outcome = self.dag.single_node(NodeRole.OUTCOME)
-        if outcome not in self.head_nodes:
-            raise ConfigError(f"model has no outcome head (heads: {self.head_nodes})")
+        self._require_head(self.outcome_node, "outcome")
         sizes = {np.asarray(v).size for v in draws.values()}
         if len(sizes) != 1:
             raise ShapeError(f"heldout draws have unequal lengths: {sorted(sizes)}")
@@ -351,7 +353,7 @@ class DagTransformer:
         for node, values in draws.items():
             batch[:, self._node_index(node)] = np.asarray(values, dtype=np.float64)
         batch[:, self._node_index(self.treatment_node)] = a
-        return self.predict(batch)[outcome]
+        return self.predict(batch)[self.outcome_node]
 
     # -- snapshots -----------------------------------------------------------
 
@@ -467,8 +469,7 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                 losses.append(value)
             entry = {"epoch": epoch, "loss": float(np.mean(losses))}
             if mses:
-                outcome = model.dag.single_node(NodeRole.OUTCOME)
-                outcome_sd = float(model.col_sd[model._node_index(outcome)])
+                outcome_sd = float(model.col_sd[model._node_index(model.outcome_node)])
                 entry["mse_raw"] = float(np.mean(mses)) * outcome_sd ** 2
             log.append(entry)
     return log

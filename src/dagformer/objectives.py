@@ -34,7 +34,7 @@ class GFormula(Objective):
     head_roles = (NodeRole.OUTCOME,)
 
     def bind(self, model, batch, std):
-        outcome = model.dag.single_node(NodeRole.OUTCOME)
+        outcome = model.outcome_node
         y = std[:, model._node_index(outcome)]
 
         def batch_loss(preds, rows):
@@ -60,7 +60,7 @@ class AipwJoint(Objective):
     head_roles = (NodeRole.TREATMENT, NodeRole.OUTCOME)
 
     def bind(self, model, batch, std):
-        outcome, treatment = model.dag.single_node(NodeRole.OUTCOME), model.treatment_node
+        outcome, treatment = model.outcome_node, model.treatment_node
         y, a = std[:, model._node_index(outcome)], batch[:, model._node_index(treatment)]
 
         def batch_loss(preds, rows):
@@ -99,19 +99,18 @@ class Nmmr(Objective):
         self.min_rows = 2 if self.variant == "U" else 1
 
     def _targets(self, model, std):
-        """(outcome node, standardized outcome, kernel features, bandwidth) of a run."""
-        outcome = model.dag.single_node(NodeRole.OUTCOME)
+        """(standardized outcome, kernel features, bandwidth) of a run."""
         roles = (NodeRole.TREATMENT, NodeRole.TREATMENT_PROXY, NodeRole.CONFOUNDER)
         features = std[:, [i for i, node in enumerate(model.input_nodes)
                            if model.graph.role_of(node) in roles]]
         bandwidth = self.kernel_bandwidth
         if bandwidth is None:
             bandwidth = median_heuristic_bandwidth(features)
-        return outcome, std[:, model._node_index(outcome)], features, bandwidth
+        return std[:, model._node_index(model.outcome_node)], features, bandwidth
 
     def bind(self, model, batch, std):
-        outcome, y, features, bandwidth = self._targets(model, std)
-        params = model.parameters()
+        y, features, bandwidth = self._targets(model, std)
+        outcome, params = model.outcome_node, model.parameters()
 
         def batch_loss(preds, rows):
             kernel = rbf_kernel_matrix(features[rows], bandwidth)
@@ -122,9 +121,9 @@ class Nmmr(Objective):
     def risk(self, model, batch) -> float:
         """The model's risk over all rows of `batch`, without the parameter
         penalty: `bind`'s loss over every row, computed in row bands by `nmmr_risk`."""
-        outcome, y, features, bandwidth = self._targets(model, model._standardize(batch))
+        y, features, bandwidth = self._targets(model, model._standardize(batch))
         with T.no_grad():
-            h_vals = model.forward(batch)[outcome].data
+            h_vals = model.forward(batch)[model.outcome_node].data
         return nmmr_risk(y, h_vals, features, bandwidth, self.variant)
 
 

@@ -356,6 +356,16 @@ def test_set_overrides_nested_keys(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_a_seed_beyond_128_bits_draws_its_own_rows(tmp_path):
+    config = {"simulator": {"name": "linear-scm", "n": 10}}
+
+    def drawn(seed):
+        out = tmp_path / str(seed)
+        assert run(tmp_path, "simulate", config, extra=("--seed", str(seed), "--out", str(out))) == 0
+        return (out / "data.csv").read_bytes()
+    assert drawn(10**40) != drawn(10**40 + 1)
+
+
 def test_unknown_method_is_config_error(tmp_path):
     config = {"method": "psm", "data": linear_data(n=50)}
     assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 2
@@ -540,6 +550,9 @@ def _overrides(override):
     ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"}],"edges":[["A","B"]]}',
      2),
     ("train", "gformula", 'dag={"edges":[]}', 2),
+    # an edge end is a node name, never a node index
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"},'
+     '{"name":"Y","role":"outcome"}],"edges":[[0,1]]}', 2),
     ("train", "gformula", 'dag={"nodes":[{"role":"treatment"}],"edges":[]}', 2),
     ("train", "gformula", 'dag={"nodes":[{"name":"A"}],"edges":[]}', 2),
     ("train", "gformula", 'dag={"nodes":"AY","edges":[]}', 2),

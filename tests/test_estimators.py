@@ -11,6 +11,8 @@ from dagformer.estimators import (
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
     gformula_from_mu, iptw_from_pi,
 )
+from dagformer.graph import NodeRole
+from dagformer.model import DagTransformer, ModelConfig
 
 
 def test_gformula_hand_table():
@@ -153,6 +155,14 @@ def test_model_wrappers_with_lookup_tables():
     assert abs(ipw.ate - want) < 1e-12
     ai = estimate_aipw(nuisance, nuisance, ds)
     assert ai.cate.shape == (40,)
+
+
+def test_outcome_node_is_the_graphs_outcome():
+    dag = linear_scm_dag(1)
+    model = DagTransformer(ModelConfig(embedding_dim=8), dag, "ipw",
+                           {"X1": "continuous", "A": "binary"})
+    for nuisance in (model, TableNuisance("A", dag)):
+        assert nuisance.outcome_node == dag.single_node(NodeRole.OUTCOME) == "Y"
 
 
 def test_missing_head_is_config_error():

@@ -139,6 +139,37 @@ def test_input_nodes_missing_role_is_config_error():
         input_nodes_for("proximal", triangle_dag())
 
 
+def six_role_dag():
+    return CausalDag(
+        [("U", "unmeasured"), ("Z", "treatment_proxy"), ("X", "confounder"),
+         ("W", "outcome_proxy"), ("A", "treatment"), ("Y", "outcome")],
+        [("U", "Z"), ("U", "W"), ("U", "A"), ("U", "Y"), ("X", "A"), ("X", "Y"),
+         ("Z", "A"), ("W", "Y"), ("A", "Y")],
+    )
+
+
+@pytest.mark.parametrize("method, inputs, heads", [
+    ("gformula", ["X", "A", "Y"], ["Y"]),
+    ("ipw", ["X", "A"], ["A"]),
+    ("aipw", ["X", "A", "Y"], ["A", "Y"]),
+    ("proximal", ["Z", "X", "W", "A", "Y"], ["Y"]),
+])
+def test_input_nodes_on_a_graph_with_every_role(method, inputs, heads):
+    # inputs in DAG order, heads in head order; the unmeasured node is never an input
+    assert input_nodes_for(method, six_role_dag()) == (inputs, heads)
+
+
+def test_numeric_node_names_are_names_not_indices():
+    # node "1" is the treatment and "0" the outcome: the edge [1, 0] is 1 -> 0
+    dag = CausalDag([(1, "treatment"), (0, "outcome")], [(1, 0)])
+    assert dag.names == ["1", "0"]
+    assert dag.parents_of("0") == ["1"] and dag.parents_of("1") == []
+    assert CausalDag.from_json('{"nodes": [{"name": 1, "role": "treatment"}, '
+                               '{"name": 0, "role": "outcome"}], "edges": [[1, 0]]}') == dag
+    with pytest.raises(ConfigError, match="references unknown node"):
+        CausalDag([("A", "treatment"), ("Y", "outcome")], [(0, 1)])
+
+
 def test_json_roundtrip_is_bit_exact():
     dag = demand_dag()
     text = dag.to_json()

@@ -315,6 +315,10 @@ def test_bridge_head_reads_treatment_and_outcome_proxy_only():
     shifted = batch.copy()
     shifted[:, 3] += 9.0
     assert np.array_equal(base, model.predict(shifted)["Y"])
+    # Z is A's parent, not Y's: one layer of attention cannot carry it to Y
+    shifted = batch.copy()
+    shifted[:, 0] += 9.0
+    assert np.array_equal(base, model.predict(shifted)["Y"])
     # W and A are parents, so they must matter
     shifted = batch.copy()
     shifted[:, 1] += 9.0

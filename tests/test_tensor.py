@@ -550,6 +550,19 @@ def test_streams_are_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def test_derive_key_keeps_the_16_byte_keys_and_takes_any_seed():
+    # keys of seeds in [-2**127, 2**127) are those of their 16-byte signed encoding
+    pinned = {0: 142466425999280531237757167579222049654,
+              -1: 36317370609677011585954483456928570716,
+              2**127 - 1: 220766671893036434646641335615831789200,
+              -2**127: 327251395364978330326576346029065131180}
+    for seed, key in pinned.items():
+        assert rng.derive_key(seed, "init", "x") == key
+    keys = {rng.derive_key(seed, "init", "x")
+            for seed in (2**127, -2**127 - 1, 10**40, 10**40 + 1, *pinned)}
+    assert len(keys) == 8
+
+
 def _graph_of_many_ops(identity, table, w, gain, bias):
     h = T.embed_nodes(identity, np.array([[1.0, 0.5], [0.0, -2.0]]), [(table,), ()])  # (2, 2, 3)
     h = T.relu(T.matmul(h, w) + 1.0)  # (..., K) @ (K, M), w broadcast
