@@ -23,12 +23,12 @@ print("hand gradient:", by_hand.ravel())
 # finite-difference check on a gnarlier composite
 def f(v):
     h = T.softmax_lastdim(T.tensor(v))
-    return float(T.mean_all(T.exp(h) * T.sigmoid(h)).data)
+    return float(T.mean_all(T.log(h + 1.0) * T.sigmoid(h)).data)
 
 v = np.array([0.3, -1.2, 0.8])
 param = T.parameter(v.copy())
 h = T.softmax_lastdim(param)
-T.backward(T.mean_all(T.exp(h) * T.sigmoid(h)))
+T.backward(T.mean_all(T.log(h + 1.0) * T.sigmoid(h)))
 eps = 1e-6
 fd = np.array([(f(v + eps * e) - f(v - eps * e)) / (2 * eps) for e in np.eye(3)])
 print("\nanalytic:", np.round(param.grad, 8))

@@ -25,7 +25,7 @@ from .errors import (
 from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
-from .graph import CausalDag, NodeRole, demand_dag
+from .graph import METHOD_ROLES, CausalDag, NodeRole, demand_dag
 from .methods import (
     METHODS, Data, Method, Run, Split, build_models, model_configs, overridden, resolve, seeded,
 )
@@ -230,7 +230,17 @@ def cmd_estimate(args) -> int:
     paths = [run.required(spec.key) for spec in row.models]
     estimate = _estimator(row, run, seed)
     models = [_read(spec.key, path, DagTransformer.load) for spec, path in zip(row.models, paths)]
-    report = estimate(models, _resolve_data(run, seed))
+    # a snapshot serves a model key if it reads the same roles and has at least its heads
+    for spec, model in zip(row.models, models):
+        (inputs, heads), (need_inputs, need_heads) = (METHOD_ROLES[model.method],
+                                                      METHOD_ROLES[spec.base])
+        if set(inputs) != set(need_inputs) or not set(need_heads) <= set(heads):
+            raise ConfigError(f"{spec.key!r} holds a snapshot of a {model.method!r} model, "
+                              f"which cannot serve the {spec.base!r} model of {row.name!r}")
+    dataset = _resolve_data(run, seed)
+    for model in models:
+        dataset.validate_against(model.dag)
+    report = estimate(models, dataset)
     payload = {"config": config, "seed": seed, "report": report.to_dict()}
     _write_json(os.path.join(out, "estimate.json"), payload)
     if report.cate is not None:

@@ -225,12 +225,6 @@ def csv_text(header: list, rows) -> str:
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
-def write_schema(dataset: TabularDataset, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset.schema(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def lalonde_schema() -> dict:
     """Column schema for the job-training earnings study CSVs."""
     covariates = [("age", "continuous"), ("education", "continuous"), ("race", "binary"),
@@ -240,11 +234,6 @@ def lalonde_schema() -> dict:
     cols.append({"name": "treatment", "kind": "binary", "node": "A"})
     cols.append({"name": "earnings_1978", "kind": "continuous", "node": "Y"})
     return {"columns": cols, "treatment": "treatment", "outcome": "earnings_1978"}
-
-
-def lalonde_dag() -> CausalDag:
-    covariates = ["age", "education", "race", "married", "earnings_1974", "earnings_1975"]
-    return backdoor_dag(covariates)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ lookup tables in tests; the model-facing wrappers pull nuisances out of any
 object exposing mu_hat / pi_hat / h_hat.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -41,9 +40,6 @@ class EstimateReport:
             "nuisances": {k: [float(x) for x in v] for k, v in self.nuisances.items()},
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def cate_csv(self) -> str:
         if self.cate is None:

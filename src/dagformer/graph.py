@@ -5,7 +5,6 @@ column order of the adjacency matrix, the attention mask, and every derived
 model structure, and it is preserved by serialization.
 """
 
-import json
 from enum import Enum
 
 import numpy as np
@@ -133,13 +132,6 @@ class CausalDag:
             raise ConfigError("a graph needs 'nodes', a list of objects with a 'name' and a "
                               "'role', and 'edges', a list of [parent, child] pairs")
         return cls([(nd["name"], nd["role"]) for nd in nodes], [tuple(e) for e in edges])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CausalDag":
-        return cls.from_dict(json.loads(text))
 
     def __eq__(self, other):
         return (isinstance(other, CausalDag) and self.names == other.names

@@ -370,7 +370,9 @@ def build_models(run: Run, dag, dataset, seed: int) -> list:
     """[(untrained DagTransformer, objective, AdamState)] of the run method's models
     in row order, from `model_configs`, each input node typed as in `dataset`. Each
     model gets a fresh objective and AdamState; when the objective penalizes the
-    parameters (NMMR's λ), Adam does not."""
+    parameters (NMMR's λ), Adam does not. A graph node that `dataset` leaves
+    unbound, or an unmeasured one that it binds, is a DataError naming it."""
+    dataset.validate_against(dag)
     kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
                                 if r is not NodeRole.UNMEASURED])
     models = []

@@ -177,8 +177,9 @@ def config_hash(point: dict) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
-    """Train and score one grid point; module-level so workers can pickle it."""
+def _evaluate_grid_point(payload: tuple) -> tuple[dict, DagTransformer | None]:
+    """Train and score one grid point: (its ranking entry, the trained model, or
+    None if it diverged); module-level so workers can pickle it."""
     index, point, run, train, validation, dag, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
@@ -203,7 +204,7 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, dict | None]:
         entry["diverged"] = True
         entry["score"] = None
         return entry, None
-    return entry, model.to_dict()
+    return entry, model
 
 
 def check_reference(tau: np.ndarray):
@@ -246,15 +247,13 @@ def grid_search(run: Run, runs: list, train, validation, dag: CausalDag, jobs: i
         for index, (point, candidate) in enumerate(runs)], jobs)
 
     rows = [entry for entry, _ in results]
-    snapshots = {entry["grid_index"]: snap for entry, snap in results}
     rows.sort(key=lambda e: (e["diverged"], e["score"] if e["score"] is not None else np.inf,
                              e["param_count"], e["grid_index"]))
     for rank, entry in enumerate(rows):
         entry["rank"] = rank
     if rows[0]["diverged"]:
         raise SelectionFailedError("every grid configuration diverged", table=rows)
-    best = DagTransformer.from_dict(snapshots[rows[0]["grid_index"]])
-    return rows, best
+    return rows, results[rows[0]["grid_index"]][1]  # results are in grid order
 
 
 def ranking_csv(rows: list[dict]) -> str:

@@ -13,9 +13,9 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 
 __all__ = [
     "Tensor", "GradientTape", "tensor", "constant", "parameter", "backward", "no_grad",
-    "matmul", "add", "sub", "mul", "div", "neg", "pow_scalar", "exp", "log",
+    "matmul", "add", "sub", "mul", "neg", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
-    "concat_lastdim", "take_node", "take_nodes", "linear", "sum_all", "mean_all", "sum_axis",
+    "concat_lastdim", "take_node", "take_nodes", "linear", "sum_all", "mean_all",
     "sum_squares", "softmax_lastdim", "layer_norm", "attention", "dropout", "embed_nodes",
 ]
 
@@ -68,17 +68,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -224,41 +218,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def bwd(g):
-        if a.needs_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.needs_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), bwd)
-
-
 def neg(a: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, -g)
 
     return _make(-a.data, (a,), bwd)
-
-
-def pow_scalar(a: Tensor, p: float) -> Tensor:
-    out_data = a.data ** p
-
-    def bwd(g):
-        _accumulate(a, g * p * a.data ** (p - 1))
-
-    return _make(out_data, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -450,16 +414,6 @@ def mean_all(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
 
     return _make(np.asarray(a.data.mean()), (a,), bwd)
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
-
-    return _make(out_data, (a,), bwd)
 
 
 def sum_squares(parts: list) -> Tensor:

@@ -12,6 +12,7 @@ from dagformer.data import linear_scm_dag
 from dagformer.graph import demand_dag
 from dagformer.errors import ConfigError
 from dagformer.methods import METHODS, Split, _as, _read, overridden, resolve
+from dagformer.model import DagTransformer, ModelConfig
 from dagformer.selection import SEARCH_METHODS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -478,11 +479,54 @@ def _table_config(command, name):
     return _tune_config(config) if command == "tune" else config
 
 
-def _overrides(override):
+def _overrides(override, snapshots=None):
     """Command-line arguments for a table row: `--flag=value` items as they are, the
-    others `--set` overrides."""
+    others `--set` overrides, where `@<base>` is the path of that `snapshots` entry."""
+    override = re.sub(r"@(\w+)", lambda m: json.dumps(snapshots[m.group(1)]), override)
     return [arg for item in override.split()
             for arg in ((item,) if item.startswith("--") else ("--set", item))]
+
+
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """Paths of untrained snapshots by base method: a G-formula model of the
+    one-covariate graph and a proximal bridge of the demand graph."""
+    out = tmp_path_factory.mktemp("snapshots")
+    paths = {}
+    for base, dag, kinds in (
+            ("gformula", linear_scm_dag(1), {"X1": "continuous", "A": "binary",
+                                             "Y": "continuous"}),
+            ("proximal", demand_dag(), dict.fromkeys("ZWAY", "continuous"))):
+        paths[base] = str(out / f"{base}.json")
+        DagTransformer(ModelConfig(**small_model()), dag, base, kinds).save(paths[base])
+    return paths
+
+
+def test_a_column_bound_to_an_unmeasured_node_is_a_data_error(tmp_path, monkeypatch, capsys):
+    # the simulator binds X1's column, and the graph says X1 is never measured
+    def no_training(*args, **kwargs):
+        raise AssertionError("the rows must be checked against the graph before training")
+    monkeypatch.setattr(cli, "train_model", no_training)
+    dag = linear_scm_dag(1).to_dict()
+    dag["nodes"][0]["role"] = "unmeasured"
+    config = dict(_method_config("gformula"), dag=dag)
+    assert run(tmp_path, "train", config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert "unmeasured node 'X1'" in capsys.readouterr().err
+
+
+def test_estimate_of_a_column_bound_to_an_unmeasured_node_is_a_data_error(
+        tmp_path, capsys, snapshots):
+    # the bridge's graph never measures U, and the CSV binds a column to it
+    csv = tmp_path / "rows.csv"
+    csv.write_text("U,Z,W,A,Y\n" + "".join(f"{i},{-i},{i / 2},{i + 1},{i * i}\n"
+                                             for i in range(6)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [{"name": n, "kind": "continuous", "node": n}
+                                              for n in "UZWAY"]}))
+    config = {"method": "proximal-u", "model": snapshots["proximal"], "a_grid": [1.0, 2.0],
+              "data": {"csv": str(csv), "schema": str(schema)}}
+    assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert "unmeasured node 'U'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, name, override, code", [
@@ -664,8 +708,13 @@ def _overrides(override):
     ("estimate", "proximal-u", "a_grid=[Infinity]", 2),
     ("estimate", "proximal-u",
      'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"} a_grid=[]', 2),
+    # a snapshot serves a model key only with the same input roles and at least its heads
+    ("estimate", "gformula", "model=@proximal", 2),
+    ("estimate", "proximal-u", "model=@gformula", 2),
+    ("estimate", "ipw", "", 2),  # the default snapshot is an aipw model, which reads Y
 ])
-def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, override, code):
+def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, name, override,
+                                    code):
     def no_training(*args, **kwargs):
         raise AssertionError("a config or data error must stop the run before training")
     def no_rows(*args, **kwargs):
@@ -676,7 +725,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     if code == 2 and command != "simulate":
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
-               extra=("--out", str(tmp_path / "x"), *_overrides(override))) == code
+               extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == code
 
 
 @pytest.mark.parametrize("command, name, override, named", [
@@ -794,10 +843,12 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, command, name, overri
     ("estimate", "proximal-u", "a_grid=[]", "'a_grid'"),
     ("estimate", "proximal-u", "a_grid=[NaN,1]", "'a_grid'"),
     ("evaluate", "gformula", "a_grid=[Infinity]", "'a_grid'"),
+    ("estimate", "gformula", "model=@proximal", "'model' holds a snapshot of a 'proximal'"),
+    ("estimate", "proximal-u", "model=@gformula", "'model' holds a snapshot of a 'gformula'"),
 ])
-def test_config_error_names_the_key(tmp_path, capsys, command, name, override, named):
+def test_config_error_names_the_key(tmp_path, capsys, snapshots, command, name, override, named):
     assert run(tmp_path, command, _table_config(command, name),
-               extra=("--out", str(tmp_path / "x"), *_overrides(override))) == 2
+               extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == 2
     assert named in capsys.readouterr().err
 
 

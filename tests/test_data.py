@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from dagformer.data import (
     DEMAND_SAMPLE_SIZES, LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS,
     LALONDE_TREATED, LALONDE_TRUE_ATE, LinearEffect, LinearScm, TabularDataset, bootstrap,
     csv_text, demand_mc_moments, demand_psi, demand_true_curve, demand_true_potential_outcome,
-    heldout_w_draws, lalonde_dag, lalonde_schema, linear_scm_dag, load_csv,
-    simulate_demand, simulate_linear_scm, write_csv, write_schema,
+    heldout_w_draws, lalonde_schema, linear_scm_dag, load_csv,
+    simulate_demand, simulate_linear_scm, write_csv,
 )
 from dagformer.errors import ContractError, DataError
-from dagformer.graph import demand_dag
+from dagformer.graph import backdoor_dag, demand_dag
 
 
 def test_column_binary_validation():
@@ -51,11 +53,8 @@ def test_dataset_basic_contracts():
 def test_csv_roundtrip(tmp_path):
     ds = simulate_linear_scm(20, LinearScm(), seed=8)
     csv_path = tmp_path / "toy.csv"
-    schema_path = tmp_path / "toy.schema.json"
     write_csv(ds, str(csv_path))
-    write_schema(ds, str(schema_path))
-    import json
-    schema = json.loads(schema_path.read_text())
+    schema = json.loads(json.dumps(ds.schema()))
     again = load_csv(str(csv_path), schema)
     assert again.n == 20
     for col in ds.columns:
@@ -98,8 +97,8 @@ def test_lalonde_schema_shape():
     names = [c["name"] for c in schema["columns"]]
     assert names == ["age", "education", "race", "married", "earnings_1974",
                      "earnings_1975", "treatment", "earnings_1978"]
-    dag = lalonde_dag()
-    assert dag.single_node
+    # every node of the back-door graph over the six covariates is bound, in graph order
+    assert [c["node"] for c in schema["columns"]] == backdoor_dag(names[:6]).names
 
     assert LALONDE_TRUE_ATE == 1794.34
     assert (LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS, LALONDE_TREATED) == (15992, 2490, 185)

@@ -135,7 +135,7 @@ def test_cate_by_group_requires_cate():
 
 def test_report_json_and_csv():
     report = gformula_from_mu(np.array([2.0]), np.array([1.0]))
-    d = json.loads(report.to_json())
+    d = json.loads(json.dumps(report.to_dict()))
     assert d["method"] == "gformula" and d["ate"] == 1.0
     csv_text = report.cate_csv()
     assert csv_text.startswith("unit,cate\n0,1.0")

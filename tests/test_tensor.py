@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+import dagformer
 from dagformer import rng, tensor as T
 from dagformer.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from dagformer.graph import build_adjacency, build_mask, demand_dag, mask_to_additive
 from dagformer.optim import AdamState, adam_step
+
+
+@pytest.mark.parametrize("module", [dagformer, T], ids=["dagformer", "tensor"])
+def test_every_export_resolves(module):
+    # a deleted name left in `__all__` fails here, and so does one listed twice
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_matmul_identity():
@@ -164,7 +172,7 @@ def test_primitive_gradients_match_finite_differences():
         h = T.layer_norm(T.matmul(xx, ww), gg, bb)
         h = T.relu(h) + T.sigmoid(h) * 0.3
         h = T.softmax_lastdim(h)
-        return T.mean_all(T.exp(h * 0.5) + (h + 1.1) ** 2.0)
+        return T.mean_all(T.log(h + 1.1) + (h + 1.1) * (h + 1.1))
 
     _check_grads(build, [x, w, gain, bias], tol=1e-5)
 
@@ -178,8 +186,7 @@ def test_shape_op_gradients_match_finite_differences():
         aa, bb = ps
         cat = T.concat_lastdim([aa, bb])                      # (2,3,6)
         piece = T.take_node(T.transpose(cat, (0, 2, 1)), 2)   # (2,3)
-        s = T.sum_axis(cat, axis=1)                           # (2,6)
-        return T.mean_all(piece) + T.sum_all(s * 0.1) + T.mean_all(T.reshape(aa, (6, 4)))
+        return T.mean_all(piece) + T.sum_all(cat * 0.1) + T.mean_all(T.reshape(aa, (6, 4)))
 
     _check_grads(build, [a, b], tol=1e-6)
 
@@ -567,7 +574,7 @@ def _graph_of_many_ops(identity, table, w, gain, bias):
     h = T.embed_nodes(identity, np.array([[1.0, 0.5], [0.0, -2.0]]), [(table,), ()])  # (2, 2, 3)
     h = T.relu(T.matmul(h, w) + 1.0)  # (..., K) @ (K, M), w broadcast
     h = T.softmax_lastdim(T.matmul(T.layer_norm(h, gain, bias), T.swap_last2(h)))  # batched
-    return T.sigmoid(T.sum_axis(h, -1)) + T.sum_squares([identity, table])
+    return T.sigmoid(h) + T.sum_squares([identity, table])
 
 
 def test_no_grad_records_no_graph_and_computes_the_same_floats():
