@@ -232,8 +232,8 @@ def cmd_estimate(args) -> int:
     models = [_read(spec.key, path, DagTransformer.load) for spec, path in zip(row.models, paths)]
     # a snapshot serves a model key if it reads the same roles and has at least its heads
     for spec, model in zip(row.models, models):
-        (inputs, heads), (need_inputs, need_heads) = (METHOD_ROLES[model.method],
-                                                      METHOD_ROLES[spec.base])
+        (inputs, heads, _), (need_inputs, need_heads, _) = (METHOD_ROLES[model.method],
+                                                            METHOD_ROLES[spec.base])
         if set(inputs) != set(need_inputs) or not set(need_heads) <= set(heads):
             raise ConfigError(f"{spec.key!r} holds a snapshot of a {model.method!r} model, "
                               f"which cannot serve the {spec.base!r} model of {row.name!r}")

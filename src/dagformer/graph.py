@@ -168,16 +168,20 @@ def mask_to_additive(mask: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(mask) == 0, 0.0, -np.inf)
 
 
-# Per base method: the roles of its model's inputs, and the roles of its heads
-# in head order. No row lists the unmeasured role, so such a node is never an
-# input. Every input role but the confounder must be held by some node.
+# Per base method: the roles of its model's inputs, the roles of its heads in
+# head order, and the input roles that only its objective reads, which no
+# other position attends to: the bridge h(A, W, X) never reads the treatment
+# proxy. No row lists the unmeasured role, so such a node is never an input.
+# Every input role but the confounder must be held by some node.
 METHOD_ROLES = {
-    "gformula": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,)),
-    "ipw": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT), (NodeRole.TREATMENT,)),
+    "gformula": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,),
+                 ()),
+    "ipw": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT), (NodeRole.TREATMENT,), ()),
     "aipw": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME),
-             (NodeRole.TREATMENT, NodeRole.OUTCOME)),
+             (NodeRole.TREATMENT, NodeRole.OUTCOME), ()),
     "proximal": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT_PROXY, NodeRole.OUTCOME_PROXY,
-                  NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,)),
+                  NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,),
+                 (NodeRole.TREATMENT_PROXY,)),
 }
 
 
@@ -191,7 +195,7 @@ def input_nodes_for(method: str, dag: CausalDag) -> tuple[list[str], list[str]]:
         raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHOD_ROLES)}")
     dag.single_node(NodeRole.TREATMENT)
     dag.single_node(NodeRole.OUTCOME)
-    input_roles, head_roles = METHOD_ROLES[method]
+    input_roles, head_roles, _ = METHOD_ROLES[method]
     for role in input_roles:
         if role is not NodeRole.CONFOUNDER and not dag.nodes_with_role(role):
             article = "an" if role.value[0] in "aeiou" else "a"

@@ -13,6 +13,8 @@ Which roles a method's model reads, and which carry its heads, is one table,
 Positions that carry an output head feed their identity embedding only, so
 a head can never read its own observed value; together with the mask this
 makes every head's prediction exactly invariant to non-ancestor columns.
+No position but its own attends to a column that only the method's
+objective reads (the table's third entry), so no head reads it at any depth.
 
 Attention, from a layer's input through its first norm, Q, K, V, the masked
 softmax and `attn @ v` to the merged heads, is one tape node
@@ -42,12 +44,11 @@ from .errors import (
     ConfigError, DataError, DegenerateInputError, ShapeError, TrainingDivergedError,
 )
 from .graph import (
-    CausalDag, NodeRole, build_adjacency, build_mask, input_nodes_for, mask_to_additive,
+    METHOD_ROLES, CausalDag, NodeRole, build_adjacency, build_mask, input_nodes_for,
+    mask_to_additive,
 )
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import Tensor
-
-SNAPSHOT_VERSION = 1
 
 
 @dataclass
@@ -106,6 +107,9 @@ class DagTransformer:
         self._head_mask = np.array([n in kept for n in self.input_nodes])
         self._head_row = {h: kept.index(h) for h in self.head_nodes}
         self.mask = build_mask(build_adjacency(self.graph))
+        self._barred = np.array([role in METHOD_ROLES[method][2] for role in self.graph.roles])
+        self.mask[:, self._barred] = 1
+        self.mask[self._barred, self._barred] = 0  # its own row keeps its self-attention
         self._additive_mask = mask_to_additive(self.mask)
         self.head_parents = {h: [p for p in self.graph.names if p in self.graph.parents_of(h)]
                              for h in self.head_nodes}
@@ -357,9 +361,17 @@ class DagTransformer:
 
     # -- snapshots -----------------------------------------------------------
 
+    @property
+    def _snapshot_version(self) -> int:
+        """2 for a model that bars a column its heads would otherwise reach: one
+        with a barred column and two or more encoder layers. 1 for every other
+        model, whose floats the barring does not change."""
+        cfg = self.config
+        return 2 if self._barred.any() and cfg.alpha > 0 and cfg.num_encoder_layers > 1 else 1
+
     def to_dict(self) -> dict:
         return {
-            "format_version": SNAPSHOT_VERSION,
+            "format_version": self._snapshot_version,
             "config": asdict(self.config),
             "method": self.method,
             "dag": self.dag.to_dict(),
@@ -371,8 +383,9 @@ class DagTransformer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DagTransformer":
-        if d.get("format_version") != SNAPSHOT_VERSION:
-            raise ConfigError(f"unsupported snapshot version {d.get('format_version')!r}")
+        version = d.get("format_version")
+        if version not in (1, 2):
+            raise ConfigError(f"unsupported snapshot version {version!r}")
         config = dict(d["config"])
         if config.pop("encoder_bypass", False):  # older format-1 name of alpha = 0
             config["alpha"] = 0.0
@@ -380,6 +393,10 @@ class DagTransformer:
                     d["method"], d["node_kinds"])
         if model.input_nodes != d["input_nodes"]:
             raise ConfigError("snapshot node order does not match rebuilt model")
+        if version < model._snapshot_version:
+            barred = [n for n, b in zip(model.input_nodes, model._barred) if b]
+            raise ConfigError(f"snapshot version 1 predates barring {barred} from the heads "
+                              f"of a model with more than one encoder layer; retrain it")
         model.col_mean = np.asarray(d["standardizer"]["mean"], dtype=np.float64)
         model.col_sd = np.asarray(d["standardizer"]["sd"], dtype=np.float64)
         for name, values in d["params"].items():

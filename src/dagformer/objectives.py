@@ -169,11 +169,11 @@ def loss_aipw_joint(y_hat, y, a_hat, a) -> Tensor:
 _BAND_ENTRIES = 2 ** 17
 # the median is selected on the float64 bit patterns of the squared distances,
 # which for non-negative floats sort as the int64 integers they view as, all
-# in [0, 2^63): a counting pass counts a bin's entries in at most 2^16
+# in [0, 2^63): a counting pass counts an interval's entries in at most 2^16
 # sub-intervals, each an aligned block of 2^shift patterns
 _DIGIT = 16
 _ALL_BITS = 1 << 63
-# a bin of at most this many entries (8 MiB) is collected and partitioned
+# an interval of at most this many entries (8 MiB) is collected and partitioned
 _COLLECT_CAP = 2 ** 20
 # pairs in the sample that brackets the middle ranks (4 MiB of arrays at d = 2,
 # freed before the first pass), and the sample ranks on each side of its middle
@@ -253,27 +253,37 @@ def _sample_bracket(rows, sq):
     return base, top - base, expected
 
 
+def _straddle(rows, sq, split):
+    """(the largest entry below `split`, the smallest at or above it), in one pass."""
+    lower, upper = -1, _ALL_BITS - 1
+    for bits in _upper_bits(rows, sq):
+        under = bits < split
+        lower = max(lower, int(bits.max(where=under, initial=-1)))
+        upper = min(upper, int(bits.min(where=~under, initial=_ALL_BITS - 1)))
+    return lower, upper
+
+
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the feature rows.
 
     Each pair's squared distance is the float `_pairwise_sq_dists` gives it,
-    computed in row bands that are never kept. The middle order statistics
-    are selected on the distances' bit patterns. A bin is a bit interval
-    [base, base + width); each distance pass counts the entries of a middle
-    rank's bin in at most 2^16 aligned sub-intervals, or collects the bin when
-    it holds at most `_COLLECT_CAP` entries. When every entry fits under that
-    cap, one pass collects them all. Otherwise the first bin is the bracket
-    that a fixed sample of pairs predicts (`_sample_bracket`). The first pass
-    counts the entries below it and counts it, and collects it if the sample
-    expects at most the cap. If the ranks fall inside and all of it was
-    collected, they are partitioned out of it: one pass. If it held more
-    than expected but at most the cap, the next pass collects it. If it held
-    more than the cap, the rank's sub-interval is the next bin, and so on: a
-    bin at full resolution holds one value, which is the answer. If the
-    sample missed a rank, its next bin is every bit pattern. Sub-intervals
-    are aligned blocks no wider than the parts of a count of every pattern
-    by its top 16 bits, so unless the sample misses, no input takes more
-    passes than counting from every pattern would.
+    computed in row bands that are never kept. The two middle order
+    statistics (one rank twice for an odd pair count) are selected on the
+    distances' bit patterns, from one interval [base, base + width) that
+    holds both. Each distance pass counts it in at most 2^16 aligned
+    sub-intervals, or collects it if it holds at most `_COLLECT_CAP` entries;
+    when every entry fits, one pass collects them all. Otherwise the first
+    interval is the bracket a fixed sample of pairs predicts
+    (`_sample_bracket`), and the first pass also counts the entries below it.
+    A collected interval gives the ranks by a partition; one that held more
+    than the sample expected but at most the cap is collected next; a larger
+    one narrows to the ranks' sub-interval. The ranks are adjacent, so where
+    a boundary parts them the lower is the largest entry below it and the
+    upper the smallest at or above it: one more pass (`_straddle`). If the
+    sample missed both, the next interval is every bit pattern. Sub-intervals
+    are aligned blocks no wider than the parts of a count of every pattern by
+    its top 16 bits, so unless the sample misses, no input takes more passes
+    than counting from every pattern would.
     Only the selected values are square-rooted; sqrt is monotone, so this is
     exactly the median of the distances. Beyond the n row norms, memory is
     a band's temporaries and at most `_COLLECT_CAP` entries, whatever n.
@@ -288,66 +298,55 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
                         "distances are finite")
     pairs = n * (n - 1) // 2
     entries = sum((hi - lo) * (n - lo) for lo, hi in _bands(n, n - 1))
-    middle = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
-    # a middle rank's bin holds `count` entries, and `rank` is its rank among
-    # them; for the bracket, `rank` is None and `count` the sample's estimate
-    # until a pass has counted it
-    bins = {r: (0, _ALL_BITS, entries, r) for r in middle}
+    middle = (pairs - 1) // 2  # the lower middle rank; the upper is the next, or it again
+    # the interval holds `count` entries, and the lower middle rank is `lo`
+    # among them; for the bracket, `lo` is None and `count` the sample's
+    # estimate until the first pass has counted them
+    base, width, count, lo = 0, _ALL_BITS, entries, middle
     if entries > _COLLECT_CAP:
-        bins = dict.fromkeys(middle, (*_sample_bracket(rows, sq), None))
-    found = {}
-    while bins:
-        spans = {b[:2]: b[2:] for b in bins.values()}
-        hists = {span: np.zeros(1 << _DIGIT, np.int64) for span, (count, rank) in spans.items()
-                 if rank is None or count > _COLLECT_CAP}
-        kept = {span: np.empty(count, np.int64) for span, (count, _) in spans.items()
-                if count <= _COLLECT_CAP}
-        below = {span: 0 for span, (_, rank) in spans.items() if rank is None}
-        inside = dict.fromkeys(spans, 0)
+        (base, width, count), lo = _sample_bracket(rows, sq), None
+    while True:
+        counting, shift = lo is None, _shift(width)
+        hist = np.zeros(1 << _DIGIT, np.int64) if counting or count > _COLLECT_CAP else None
+        kept = np.empty(count, np.int64) if count <= _COLLECT_CAP else None
+        under = inside = 0
         for bits in _upper_bits(rows, sq):
-            for base, width in spans:
-                under = bits < base
-                chosen = np.compress(under ^ (bits < base + width), bits)
-                if (base, width) in below:
-                    below[base, width] += np.count_nonzero(under)
-                if (base, width) in hists:
-                    part = np.bincount((chosen - base) >> _shift(width))
-                    hists[base, width][:part.size] += part
-                if (base, width) in kept:
-                    buf, at = kept[base, width], inside[base, width]
-                    buf[at:at + chosen.size] = chosen[:max(0, buf.size - at)]
-                inside[base, width] += chosen.size
-        ranks = {}
-        for r, (base, width, count, rank) in list(bins.items()):
-            span = base, width
-            if rank is None:  # the bracket, counted by this pass
-                count, rank = inside[span], r - below[span]
-                if not 0 <= rank < count:  # the sample missed this rank
-                    bins[r] = (0, _ALL_BITS, entries, r)
-                    continue
-            if span in kept and count <= kept[span].size:
-                ranks.setdefault(span, {})[r] = rank
-            elif count <= _COLLECT_CAP:  # more than the estimate: collected next
-                bins[r] = (base, width, count, rank)
-            else:
-                hist, shift = hists[span], _shift(width)
-                cumulative = np.cumsum(hist)
-                digit = int(np.searchsorted(cumulative, rank, side="right"))
-                rank -= int(cumulative[digit - 1]) if digit else 0
-                base += digit << shift
-                if shift == 0:  # every entry in the sub-interval has these bits
-                    found[r] = base
-                    del bins[r]
-                else:
-                    bins[r] = (base, 1 << shift, int(hist[digit]), rank)
-        for span, chosen_ranks in ranks.items():
-            buf = kept[span][:inside[span]]
-            buf.partition(sorted(chosen_ranks.values()))
-            for r, rank in chosen_ranks.items():
-                found[r] = int(buf[rank])
-                del bins[r]
-    values = np.array([found[r] for r in middle], dtype=np.int64).view(np.float64)
-    med = float(np.median(np.sqrt(values)))
+            low = bits < base
+            chosen = np.compress(low ^ (bits < base + width), bits)
+            if counting:
+                under += np.count_nonzero(low)
+            if hist is not None:
+                part = np.bincount((chosen - base) >> shift)
+                hist[:part.size] += part
+            if kept is not None:
+                kept[inside:inside + chosen.size] = chosen[:max(0, kept.size - inside)]
+            inside += chosen.size
+        if counting:
+            count, lo = inside, middle - under
+        hi = lo + 1 - pairs % 2
+        if lo < 0 or hi >= count:  # the sample's bracket missed a middle rank
+            if lo < hi and hi in (0, count):  # its boundary parts them
+                values = _straddle(rows, sq, base if hi == 0 else base + width)
+                break
+            base, width, count, lo = 0, _ALL_BITS, entries, middle
+            continue
+        if kept is not None and count <= kept.size:  # all of it was collected
+            kept[:count].partition([lo, hi])
+            values = kept[lo], kept[hi]
+            break
+        if count <= _COLLECT_CAP:  # more than the sample expected: collected next
+            continue
+        cumulative = np.cumsum(hist)
+        digit, top = (int(d) for d in np.searchsorted(cumulative, [lo, hi], side="right"))
+        if shift == 0:  # every entry of a sub-interval has its bits
+            values = base + digit, base + top
+            break
+        if digit != top:  # the higher rank's sub-interval starts above the lower rank
+            values = _straddle(rows, sq, base + (top << shift))
+            break
+        lo -= int(cumulative[digit - 1]) if digit else 0
+        base, width, count = base + (digit << shift), 1 << shift, int(hist[digit])
+    med = float(np.median(np.sqrt(np.array(values, dtype=np.int64).view(np.float64))))
     if med == 0.0:
         raise DataError("more than half of the pairwise feature distances are zero; "
                         "the median-heuristic bandwidth is undefined")

@@ -101,7 +101,9 @@ def plugin_covariates(dag: CausalDag) -> list[str]:
 
 
 def fit_plugin(validation, dag: CausalDag, config: ForestConfig) -> PlugInEstimator:
-    """Fit one honest forest per treatment arm on the validation split."""
+    """Fit one honest forest per treatment arm on the validation split, once
+    its rows are checked against the graph."""
+    validation.validate_against(dag)
     treatment = dag.single_node(NodeRole.TREATMENT)
     outcome = dag.single_node(NodeRole.OUTCOME)
     covariates = plugin_covariates(dag)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dagformer import cli, methods, selection
+from dagformer import cli, forest, methods, selection
 from dagformer.cli import main
 from dagformer.data import linear_scm_dag
 from dagformer.graph import demand_dag
@@ -527,6 +527,42 @@ def test_estimate_of_a_column_bound_to_an_unmeasured_node_is_a_data_error(
               "data": {"csv": str(csv), "schema": str(schema)}}
     assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 3
     assert "unmeasured node 'U'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tune", "evaluate"])
+def test_rows_are_checked_against_the_graph_before_the_plugin_forest_fits(
+        tmp_path, monkeypatch, capsys, command):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the rows must be checked against the graph before a forest fits")
+    monkeypatch.setattr(forest.HonestForestRegressor, "fit", no_fit)
+    dag = linear_scm_dag(2).to_dict()
+    dag["nodes"][0]["role"] = "unmeasured"
+    data = {"simulator": {"name": "linear-scm", "n": 150, "x_dim": 2}, "seed": 5}
+    config = {"method": "gformula", "data": data, "dag": dag, "seed": 4,
+              "plugin": {"n_trees": 10}}
+    if command == "tune":
+        config["grid"] = _grid()
+    else:
+        config.update(experiment="ate", model=small_model(), epochs=2, batch_size=32,
+                      replicates=2)
+    assert run(tmp_path, command, config, extra=("--out", str(tmp_path / "x"))) == 3
+    assert "unmeasured node 'X1'" in capsys.readouterr().err
+
+
+def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_error(
+        tmp_path, capsys):
+    # a version-1 writer let the Y head of a two-layer bridge read Z through attention
+    model = DagTransformer(ModelConfig(**dict(small_model(), num_encoder_layers=2)),
+                           demand_dag(), "proximal", dict.fromkeys("ZWAY", "continuous"))
+    snapshot = model.to_dict()
+    assert snapshot["format_version"] == 2
+    path = tmp_path / "bridge.json"
+    path.write_text(json.dumps(dict(snapshot, format_version=1)))
+    config = {"method": "proximal-u", "model": str(path), "a_grid": [1.0, 2.0],
+              "data": {"simulator": {"name": "demand", "n": 60}}, "heldout": {"draws": 20}}
+    assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 2
+    err = capsys.readouterr().err
+    assert "'model' file" in err and "version 1" in err
 
 
 @pytest.mark.parametrize("command, name, override, code", [

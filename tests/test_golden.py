@@ -62,11 +62,11 @@ def _linear(method: str, **extra) -> dict:
             "plugin": {"n_trees": 20}, **extra}
 
 
-def _train_estimate(method: str) -> list:
+def _train_estimate(method: str, **extra) -> list:
     config = _proximal if METHODS[method].proxy else _linear
     snapshots = {spec.key: f"train/{spec.key}.json" for spec in METHODS[method].models}
-    return [("train", config(method), "train", ()),
-            ("estimate", config(method, **snapshots), "estimate", ())]
+    return [("train", config(method, **extra), "train", ()),
+            ("estimate", config(method, **{**extra, **snapshots}), "estimate", ())]
 
 
 _GRID = {"epochs": [4], "optimizer.learning_rate": [1e-3, 3e-3],
@@ -81,6 +81,9 @@ _CSV = {"data": {"csv": "simulate/data.csv", "schema": "simulate/schema.json"},
 RUNS = {
     "train-estimate-proximal-u": _train_estimate("proximal-u"),
     "train-estimate-proximal-v": _train_estimate("proximal-v"),
+    # two layers: no position but Z's own attends to Z, and the snapshot is version 2
+    "train-estimate-proximal-u-2layer": _train_estimate(
+        "proximal-u", model=dict(_MODEL, num_encoder_layers=2)),
     "tune-proximal-u": [("tune", _tune_proximal("proximal-u", grid=_GRID, split=_SPLIT), "tune",
                          ())],
     "evaluate-demand-jobs1": [("evaluate", _EVALUATE, "evaluate", ("--jobs", "1"))],

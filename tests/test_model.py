@@ -259,6 +259,27 @@ def test_format_1_alpha_zero_snapshot_with_encoder_parameters_loads():
         DagTransformer.from_dict(stray)
 
 
+@pytest.mark.parametrize("method, layers, alpha, version", [
+    ("proximal", 2, 0.5, 2), ("proximal", 1, 0.5, 1), ("proximal", 2, 0.0, 1), ("aipw", 2, 0.5, 1)])
+def test_snapshot_version_2_marks_a_model_whose_barred_column_reaches_past_one_layer(
+        method, layers, alpha, version):
+    dag, kinds = ((demand_dag(), dict.fromkeys("ZWAY", "continuous")) if method == "proximal"
+                  else (SCM_DAG, SCM_KINDS))
+    model = DagTransformer(small_config(num_encoder_layers=layers, alpha=alpha), dag, method,
+                           kinds)
+    snapshot = model.to_dict()
+    assert snapshot["format_version"] == version
+    DagTransformer.from_dict(snapshot)
+    old = dict(snapshot, format_version=1)  # a version-1 writer let the heads read Z
+    if version == 2:
+        with pytest.raises(ConfigError, match="version 1.*'Z'"):
+            DagTransformer.from_dict(old)
+    else:
+        DagTransformer.from_dict(old)
+    with pytest.raises(ConfigError, match="unsupported snapshot version 3"):
+        DagTransformer.from_dict(dict(snapshot, format_version=3))
+
+
 def test_snapshot_with_stray_parameter_is_rejected():
     snapshot = DagTransformer(small_config(), SCM_DAG, "aipw", SCM_KINDS).to_dict()
     snapshot["params"]["enc9/ffn/w1"] = [[0.0]]
@@ -323,6 +344,12 @@ def test_bridge_head_reads_treatment_and_outcome_proxy_only():
     shifted = batch.copy()
     shifted[:, 1] += 9.0
     assert not np.array_equal(base, model.predict(shifted)["Y"])
+    # at two layers Z would reach Y through A's row, but no position but Z's
+    # own attends to the treatment proxy
+    model = DagTransformer(small_config(num_encoder_layers=2), demand_dag(), "proximal", kinds)
+    shifted = batch.copy()
+    shifted[:, 0] += 9.0
+    assert np.array_equal(model.predict(batch)["Y"], model.predict(shifted)["Y"])
 
 
 def test_model_determinism_same_seed():

@@ -255,6 +255,20 @@ _PASSES_BEFORE = {
 }
 
 
+# distance passes per input of each group, measured when each middle rank had
+# its own bins, before one bit interval held both
+_PASSES_PER_RANK_BINS = {
+    "two points": [1, 1],
+    "dense": [1] * 30,
+    "tied": [1] * 6 + [3, 3, 2, 3, 2, 2] + [3, 3, 2, 3, 3, 4],
+    "cap": ([2] * 3 + [1] * 6) * 3 + [2] * 9,
+    "zero median": [1, 1],
+    "n=20000": [2],
+    "tied bins": [4],
+    "n=3000": [1],
+}
+
+
 def _distance_passes(monkeypatch, rows):
     """The number of passes over the pairwise distances that the bandwidth takes."""
     passes = []
@@ -282,12 +296,29 @@ def test_median_heuristic_takes_no_more_passes_than_before(monkeypatch):
         assert all(now <= then for now, then in zip(passes[group], before)), (group, passes[group])
     # the bracket holds the middle ranks in one pass where two were taken
     assert passes["dense"][-5:] == [1] * 5 and passes["n=20000"] == [2]
+    # and none takes more than when each middle rank had its own bins
+    for group, before in _PASSES_PER_RANK_BINS.items():
+        assert len(passes[group]) == len(before), group
+        assert all(now <= then for now, then in zip(passes[group], before)), (group, passes[group])
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_median_heuristic_takes_one_pass_at_5000_continuous_rows(monkeypatch, d):
     rows = rng.stream(46, "median-one-pass", d).standard_normal((5000, d))
     assert _distance_passes(monkeypatch, rows) == 1
+
+
+def test_median_heuristic_ranks_in_the_first_and_last_sub_intervals(monkeypatch):
+    # the squared distances are 1, 4, 9, 16, 36 and 49; the middle two, 9 and
+    # 16, fall in the first and the last sub-interval of the bracket
+    def bits(value):
+        return int(np.float64(value).view(np.int64))
+    monkeypatch.setattr(objectives, "_COLLECT_CAP", 1)
+    monkeypatch.setattr(objectives, "_sample_bracket",
+                        lambda rows, sq: (bits(9.0), bits(16.0) - bits(9.0) + 1, 2))
+    rows = np.array([[0.0], [1.0], [3.0], [7.0]])
+    assert median_heuristic_bandwidth(rows) == 3.5
+    assert _distance_passes(monkeypatch, rows) == 2
 
 
 def _missing_below(rows, sq):
