@@ -25,7 +25,7 @@ from .errors import (
 from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
-from .graph import METHOD_ROLES, CausalDag, NodeRole, demand_dag
+from .graph import METHOD_ROLES, CausalDag, NodeRole, demand_dag, input_nodes_for
 from .methods import (
     METHODS, Data, Method, Run, Split, build_models, model_configs, overridden, resolve, seeded,
 )
@@ -102,13 +102,18 @@ def _simulated_dag(simulator) -> CausalDag:
 
 def _dag(run: Run) -> CausalDag:
     """The run's graph, known before any row is drawn or read: its inline `dag`,
-    else its `dag` file, else the graph of its `data.simulator`."""
+    else its `dag` file, else the graph of its `data.simulator`. It is checked
+    against the roles and graph rules of each of the run method's models."""
     if run.dag is None:
         simulator = run.required("data").simulator
         if simulator is None:
             raise ConfigError("config needs a 'dag' path or inline graph")
-        return _simulated_dag(simulator)
-    return CausalDag.from_dict(_read("dag", run.dag)) if isinstance(run.dag, str) else run.dag
+        dag = _simulated_dag(simulator)
+    else:
+        dag = CausalDag.from_dict(_read("dag", run.dag)) if isinstance(run.dag, str) else run.dag
+    for spec in _method_of(run).models:
+        input_nodes_for(spec.base, dag)
+    return dag
 
 
 def _simulate(simulator, seed: int):
@@ -274,10 +279,10 @@ def cmd_tune(args) -> int:
 # -- evaluate ---------------------------------------------------------------
 
 def _effect_replicate(run: Run, replicate: int) -> dict:
-    """One ATE/CATE replicate: fit plug-in, train candidate, record effects."""
-    row, seed = _method_of(run), run.seed
+    """One ATE/CATE replicate: fit plug-in, train candidate, record effects.
+    `run.dag` is the graph `cmd_evaluate` read and checked."""
+    row, seed, dag = _method_of(run), run.seed, run.dag
     estimate = _estimator(row, run, seed + replicate)
-    dag = _dag(run)
     train, validation = _split(_resolve_data(run, seed, replicate), run, seed, offset=replicate)
     # keep the plug-in's effects, not its forests, alive through training
     plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, seed + replicate)).cate(validation)
@@ -296,9 +301,8 @@ def _effect_replicate(run: Run, replicate: int) -> dict:
 
 def _demand_replicate(run: Run, replicate: int) -> dict:
     """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
-    row, seed = _method_of(run), run.seed
+    row, seed, dag = _method_of(run), run.seed, run.dag
     estimate = _estimator(row, run, seed + replicate)
-    dag = _dag(run)
     dataset = _resolve_data(run, seed, replicate)
     models, _ = _train_one(run, dag, dataset, seed + replicate)
     report = estimate(models, dataset)
@@ -339,6 +343,9 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("the demand experiment needs 'data.simulator.name' 'demand'")
         if run.a_grid is not None:
             raise ConfigError("the demand experiment scores its own price grid; drop 'a_grid'")
+    elif row.proxy and set(run.a_grid or ()) != {0.0, 1.0}:  # else the bridge reports no ATE
+        raise ConfigError(f"experiment 'ate' with {row.name} contrasts the treatments 0 and 1, "
+                          f"so 'a_grid' must hold exactly 0 and 1, got {run.a_grid}")
     run = replace(run, dag=_dag(run))  # a `dag` file is read once, not once per replicate
     if experiment != "demand":  # each replicate fits the plug-in forest on its confounders
         plugin_covariates(run.dag)

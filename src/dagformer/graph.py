@@ -170,9 +170,10 @@ def mask_to_additive(mask: np.ndarray) -> np.ndarray:
 
 # Per base method: the roles of its model's inputs, the roles of its heads in
 # head order, and the input roles that only its objective reads, which no
-# other position attends to: the bridge h(A, W, X) never reads the treatment
-# proxy. No row lists the unmeasured role, so such a node is never an input.
-# Every input role but the confounder must be held by some node.
+# other position attends to and no head has as a parent: the bridge h(A, W, X)
+# never reads the treatment proxy. No row lists the unmeasured role, so such a
+# node is never an input. Every input role but the confounder must be held by
+# some node.
 METHOD_ROLES = {
     "gformula": ((NodeRole.CONFOUNDER, NodeRole.TREATMENT, NodeRole.OUTCOME), (NodeRole.OUTCOME,),
                  ()),
@@ -190,18 +191,42 @@ def input_nodes_for(method: str, dag: CausalDag) -> tuple[list[str], list[str]]:
 
     Returns (input node names in DAG order, head node names), as read from
     `METHOD_ROLES`. Every method needs one treatment and one outcome node.
+    No head may have a parent whose role only the objective reads. For a
+    method that reads proxies, an outcome proxy may not descend from the
+    treatment or a treatment proxy, and a treatment proxy may not descend
+    from the outcome (Tchetgen Tchetgen et al. 2020). A graph that breaks a
+    rule is a ConfigError naming the method and both nodes.
     """
     if method not in METHOD_ROLES:
         raise ConfigError(f"unknown method {method!r}, expected one of {tuple(METHOD_ROLES)}")
-    dag.single_node(NodeRole.TREATMENT)
-    dag.single_node(NodeRole.OUTCOME)
-    input_roles, head_roles, _ = METHOD_ROLES[method]
+    treatment = dag.single_node(NodeRole.TREATMENT)
+    outcome = dag.single_node(NodeRole.OUTCOME)
+    input_roles, head_roles, objective_roles = METHOD_ROLES[method]
     for role in input_roles:
         if role is not NodeRole.CONFOUNDER and not dag.nodes_with_role(role):
             article = "an" if role.value[0] in "aeiou" else "a"
             raise ConfigError(f"{method} method requires {article} {role.value} node")
+    heads = [dag.single_node(role) for role in head_roles]
+    for head in heads:
+        for parent in dag.parents_of(head):
+            if dag.role_of(parent) in objective_roles:
+                raise ConfigError(f"{method} method: the {dag.role_of(parent).value} "
+                                  f"{parent!r} is a parent of the head {head!r}, which must "
+                                  f"not read it")
+    if NodeRole.OUTCOME_PROXY in input_roles:
+        treatment_proxies = dag.nodes_with_role(NodeRole.TREATMENT_PROXY)
+        for proxy in dag.nodes_with_role(NodeRole.OUTCOME_PROXY):
+            ancestors = dag.ancestors_of(proxy)
+            for cause in [treatment] + treatment_proxies:
+                if cause in ancestors:
+                    raise ConfigError(f"{method} method: the outcome_proxy {proxy!r} descends "
+                                      f"from the {dag.role_of(cause).value} {cause!r}")
+        for proxy in treatment_proxies:
+            if outcome in dag.ancestors_of(proxy):
+                raise ConfigError(f"{method} method: the treatment_proxy {proxy!r} descends "
+                                  f"from the outcome {outcome!r}")
     inputs = [n for n, r in zip(dag.names, dag.roles) if r in input_roles]
-    return inputs, [dag.single_node(role) for role in head_roles]
+    return inputs, heads
 
 
 # -- stock graphs -----------------------------------------------------------

@@ -32,6 +32,10 @@ a smaller product rounds some rows differently. So the cut layer gives the
 floats of the full layer bit for bit. The tape lists ops only, not the
 parameters they read: a criterion-6 training step has 23 tape nodes, a
 criterion-9 NMMR-U step 30.
+
+Each parameter is named once, where it is registered in `params`, and is
+bound there to the embedding, encoder layer or head that reads it; `forward`
+reads the bound tensors and looks up no name.
 """
 
 import json
@@ -81,7 +85,13 @@ class ModelConfig:
 
 
 class DagTransformer:
-    """Masked-attention model bound to a causal graph and estimation method."""
+    """Masked-attention model bound to a causal graph and estimation method.
+
+    `params` maps each parameter's name to its Tensor in registration order,
+    which `parameters()` keeps. The same Tensors are bound, when the model is
+    built, to the code that reads them, so a parameter's `.data` may be
+    replaced, but never its `Tensor`.
+    """
 
     def __init__(self, config: ModelConfig, dag: CausalDag, method: str,
                  node_kinds: dict[str, str]):
@@ -105,7 +115,6 @@ class DagTransformer:
         # last encoder layer computes only these rows, as nothing reads the others
         kept = [n for n in self.input_nodes if n in self.head_nodes]
         self._head_mask = np.array([n in kept for n in self.input_nodes])
-        self._head_row = {h: kept.index(h) for h in self.head_nodes}
         self.mask = build_mask(build_adjacency(self.graph))
         self._barred = np.array([role in METHOD_ROLES[method][2] for role in self.graph.roles])
         self.mask[:, self._barred] = 1
@@ -118,7 +127,7 @@ class DagTransformer:
         self.col_mean = np.zeros(d)
         self.col_sd = np.ones(d)
         self.params: dict[str, Tensor] = {}
-        self._build_params()
+        self._build_params(kept)
 
     # -- construction --------------------------------------------------------
 
@@ -133,48 +142,60 @@ class DagTransformer:
         self.params[name] = t
         return t
 
-    def _build_params(self):
+    def _build_params(self, kept: list[str]):
+        """Registers every parameter in `params` and binds it to what reads it:
+        per head its row among the `kept` rows of the last layer, its parents'
+        columns and its MLP's (weight, bias) pairs."""
         cfg = self.config
         if cfg.alpha > 0:
             self._build_encoder_params()
+        self._heads = {}
         for head in self.head_nodes:
-            widths = [cfg.embedding_dim + len(self.head_parents[head])]
+            parents = self.head_parents[head]
+            widths = [cfg.embedding_dim + len(parents)]
             widths += [cfg.mlp_width] * cfg.mlp_depth
             widths.append(1)
-            for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
-                self._init(f"head/{head}/w{j}", (w_in, w_out), 1.0 / np.sqrt(w_in))
-                self._const_param(f"head/{head}/b{j}", np.zeros(w_out))
+            mlp = [(self._init(f"head/{head}/w{j}", (w_in, w_out), 1.0 / np.sqrt(w_in)),
+                    self._const_param(f"head/{head}/b{j}", np.zeros(w_out)))
+                   for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:]))]
+            self._heads[head] = (kept.index(head), [self._node_index(p) for p in parents], mlp)
 
     def _build_encoder_params(self):
-        """Embedding, identity, encoder and final layer-norm parameters,
-        which only the encoder path reads."""
+        """Embedding, identity, encoder and final layer-norm parameters, which
+        only the encoder path reads: each node's value embedding in
+        `T.embed_nodes`' form, and each layer's 16 tensors in the order
+        `_encoder_layer` unpacks them."""
         cfg = self.config
         e, f = cfg.embedding_dim, cfg.feedforward_dim
         bound_e = 1.0 / np.sqrt(e)
+        self._embeddings = []
         for node in self.input_nodes:
             if node in self.head_nodes:
-                continue  # head positions feed their identity embedding only
-            if self.node_kinds[node] == "binary":
-                self._init(f"embed/{node}/table", (2, e), bound_e)
+                embedding = ()  # head positions feed their identity embedding only
+            elif self.node_kinds[node] == "binary":  # 0/1 on the standardized scale too
+                embedding = (self._init(f"embed/{node}/table", (2, e), bound_e),)
             else:
-                self._init(f"embed/{node}/weight", (1, e), bound_e)
-                self._const_param(f"embed/{node}/bias", np.zeros(e))
-        self._init("node_identity", (len(self.input_nodes), e), bound_e)
+                embedding = (self._init(f"embed/{node}/weight", (1, e), bound_e),
+                             self._const_param(f"embed/{node}/bias", np.zeros(e)))
+            self._embeddings.append(embedding)
+        self._identity = self._init("node_identity", (len(self.input_nodes), e), bound_e)
+        self._layers = []
         for i in range(cfg.num_encoder_layers):
             p = f"enc{i}"
-            self._const_param(f"{p}/ln1/gain", np.ones(e))
-            self._const_param(f"{p}/ln1/bias", np.zeros(e))
+            layer = [self._const_param(f"{p}/ln1/gain", np.ones(e)),
+                     self._const_param(f"{p}/ln1/bias", np.zeros(e))]
             for proj in ("wq", "wk", "wv", "wo"):
-                self._init(f"{p}/attn/{proj}", (e, e), bound_e)
-                self._const_param(f"{p}/attn/b{proj[1]}", np.zeros(e))
-            self._const_param(f"{p}/ln2/gain", np.ones(e))
-            self._const_param(f"{p}/ln2/bias", np.zeros(e))
-            self._init(f"{p}/ffn/w1", (e, f), bound_e)
-            self._const_param(f"{p}/ffn/b1", np.zeros(f))
-            self._init(f"{p}/ffn/w2", (f, e), 1.0 / np.sqrt(f))
-            self._const_param(f"{p}/ffn/b2", np.zeros(e))
-        self._const_param("final_ln/gain", np.ones(e))
-        self._const_param("final_ln/bias", np.zeros(e))
+                layer += [self._init(f"{p}/attn/{proj}", (e, e), bound_e),
+                          self._const_param(f"{p}/attn/b{proj[1]}", np.zeros(e))]
+            layer += [self._const_param(f"{p}/ln2/gain", np.ones(e)),
+                      self._const_param(f"{p}/ln2/bias", np.zeros(e)),
+                      self._init(f"{p}/ffn/w1", (e, f), bound_e),
+                      self._const_param(f"{p}/ffn/b1", np.zeros(f)),
+                      self._init(f"{p}/ffn/w2", (f, e), 1.0 / np.sqrt(f)),
+                      self._const_param(f"{p}/ffn/b2", np.zeros(e))]
+            self._layers.append(tuple(layer))
+        self._final_ln = (self._const_param("final_ln/gain", np.ones(e)),
+                          self._const_param("final_ln/bias", np.zeros(e)))
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -232,72 +253,45 @@ class DagTransformer:
         std = self._standardize(batch)
 
         if cfg.alpha > 0:
-            h = T.embed_nodes(self.params["node_identity"], std,
-                              [self._value_embedding(node) for node in self.input_nodes])
-            last = cfg.num_encoder_layers - 1
-            for i in range(cfg.num_encoder_layers):
-                keep = self._head_mask if i == last else None
-                h = self._encoder_layer(h, i, keep, dropout_rng, collect_attention)
-            h = T.layer_norm(h, self.params["final_ln/gain"], self.params["final_ln/bias"])
+            h = T.embed_nodes(self._identity, std, self._embeddings)
+            for i, layer in enumerate(self._layers):
+                keep = self._head_mask if i == len(self._layers) - 1 else None
+                h = self._encoder_layer(h, layer, keep, dropout_rng, collect_attention)
+            h = T.layer_norm(h, *self._final_ln)
 
         outputs: dict[str, Tensor] = {}
-        for head in self.head_nodes:
-            combined = T.take_node(h, self._head_row[head]) * cfg.alpha if cfg.alpha > 0 \
+        for head, (row, parent_columns, mlp) in self._heads.items():
+            z = T.take_node(h, row) * cfg.alpha if cfg.alpha > 0 \
                 else Tensor(np.zeros((batch.shape[0], cfg.embedding_dim)))
-            parents = self.head_parents[head]
-            if parents:
-                raw = Tensor(std[:, [self._node_index(p) for p in parents]])
-                z = T.concat_lastdim([combined, raw])
-            else:
-                z = combined
-            out = self._head_mlp(head, z, dropout_rng)
+            if parent_columns:
+                z = T.concat_lastdim([z, Tensor(std[:, parent_columns])])
+            for j, (w, b) in enumerate(mlp):
+                z = T.linear(z, w, b)
+                if j < cfg.mlp_depth:
+                    z = T.relu(z)
+                    z = T.dropout(z, cfg.dropout_rate, dropout_rng)
+            out = T.reshape(z, (z.shape[0],))
             if head == self.treatment_node:
                 out = T.sigmoid(out)
             outputs[head] = out
         return outputs
 
-    def _value_embedding(self, node: str) -> tuple:
-        """The parameters embedding a node's value, in T.embed_nodes' form.
-        Binary columns are 0/1 on the standardized scale too."""
-        if node in self.head_nodes:
-            return ()
-        if self.node_kinds[node] == "binary":
-            return (self.params[f"embed/{node}/table"],)
-        return (self.params[f"embed/{node}/weight"], self.params[f"embed/{node}/bias"])
-
-    def _attention(self, x: Tensor, layer: int, collect_attention) -> Tensor:
-        """The attention context of every node, (n, d, e), before the output projection."""
-        names = ("ln1/gain", "ln1/bias", "attn/wq", "attn/bq", "attn/wk", "attn/bk",
-                 "attn/wv", "attn/bv")
-        return T.attention(x, *(self.params[f"enc{layer}/{name}"] for name in names),
-                           self._additive_mask, self.config.num_heads, collect_attention)
-
-    def _encoder_layer(self, x: Tensor, layer: int, keep: np.ndarray | None, dropout_rng,
+    def _encoder_layer(self, x: Tensor, layer: tuple, keep: np.ndarray | None, dropout_rng,
                        collect_attention) -> Tensor:
         """One pre-norm layer. Attention runs over all nodes; from its output
         projection on, only the nodes in `keep` (all when None) are computed."""
         cfg = self.config
-        p = f"enc{layer}"
-        ctx = T.linear(self._attention(x, layer, collect_attention),
-                       self.params[f"{p}/attn/wo"], self.params[f"{p}/attn/bo"], keep)
+        *attention, wo, bo, ln2_gain, ln2_bias, w1, b1, w2, b2 = layer
+        ctx = T.linear(T.attention(x, *attention, self._additive_mask, cfg.num_heads,
+                                   collect_attention), wo, bo, keep)
         ctx = T.dropout(ctx, cfg.dropout_rate, dropout_rng, keep)
         x = T.take_nodes(x, keep) + ctx
 
-        xn = T.layer_norm(x, self.params[f"{p}/ln2/gain"], self.params[f"{p}/ln2/bias"])
-        ff = T.relu(T.linear(xn, self.params[f"{p}/ffn/w1"], self.params[f"{p}/ffn/b1"], keep))
-        ff = T.linear(ff, self.params[f"{p}/ffn/w2"], self.params[f"{p}/ffn/b2"], keep)
+        xn = T.layer_norm(x, ln2_gain, ln2_bias)
+        ff = T.relu(T.linear(xn, w1, b1, keep))
+        ff = T.linear(ff, w2, b2, keep)
         ff = T.dropout(ff, cfg.dropout_rate, dropout_rng, keep)
         return x + ff
-
-    def _head_mlp(self, head: str, z: Tensor, dropout_rng) -> Tensor:
-        cfg = self.config
-        out = z
-        for j in range(cfg.mlp_depth + 1):
-            out = T.linear(out, self.params[f"head/{head}/w{j}"], self.params[f"head/{head}/b{j}"])
-            if j < cfg.mlp_depth:
-                out = T.relu(out)
-                out = T.dropout(out, cfg.dropout_rate, dropout_rng)
-        return T.reshape(out, (out.shape[0],))
 
     def attention_maps(self, batch: np.ndarray) -> list[np.ndarray]:
         """Post-softmax attention weights per layer, each (n, heads, d, d)."""

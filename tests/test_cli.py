@@ -8,7 +8,7 @@ import pytest
 
 from dagformer import cli, forest, methods, selection
 from dagformer.cli import main
-from dagformer.data import linear_scm_dag
+from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.graph import demand_dag
 from dagformer.errors import ConfigError
 from dagformer.methods import METHODS, Split, _as, _read, overridden, resolve
@@ -748,6 +748,10 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("estimate", "gformula", "model=@proximal", 2),
     ("estimate", "proximal-u", "model=@gformula", 2),
     ("estimate", "ipw", "", 2),  # the default snapshot is an aipw model, which reads Y
+    # the graph lacks a role that the method's model reads
+    ("train", "proximal-u", "data.simulator.name=linear-scm", 2),
+    ("tune", "proximal-u", "data.simulator.name=linear-scm", 2),
+    ("evaluate", "proximal-u", "data.simulator.name=linear-scm a_grid=[0,1]", 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, name, override,
                                     code):
@@ -886,6 +890,39 @@ def test_config_error_names_the_key(tmp_path, capsys, snapshots, command, name, 
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == 2
     assert named in capsys.readouterr().err
+
+
+SIX_ROLE_DAG = {"nodes": [{"name": n, "role": r} for n, r in (
+    ("U", "unmeasured"), ("Z", "treatment_proxy"), ("X", "confounder"),
+    ("W", "outcome_proxy"), ("A", "treatment"), ("Y", "outcome"))],
+    "edges": [["U", "Z"], ["U", "W"], ["U", "A"], ["U", "Y"], ["X", "A"], ["X", "Y"],
+              ["Z", "A"], ["W", "Y"], ["A", "Y"]]}
+
+
+@pytest.mark.parametrize("a_grid", [[1.0], [0.0, 2.0], None])
+def test_a_proximal_ate_evaluate_needs_a_grid_of_0_and_1_before_any_row(
+        tmp_path, monkeypatch, capsys, a_grid):
+    # on another grid the bridge reports no ATE, and evaluate wrote a NaN score and exited 0
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a config error must stop the run before any row is read")
+    monkeypatch.setattr(cli, "_resolve_data", no_rows)
+    config = dict(_method_config("proximal-u"), experiment="ate", dag=SIX_ROLE_DAG,
+                  data={"csv": "no/such/data.csv", "schema": "no/such/schema.json"})
+    if a_grid is not None:
+        config["a_grid"] = a_grid
+    assert run(tmp_path, "evaluate", config, extra=("--out", str(tmp_path / "x"))) == 2
+    err = capsys.readouterr().err
+    assert "'a_grid'" in err and "replicate" not in err
+
+
+def test_a_linear_scm_section_with_weights_draws_the_rows_of_its_scm():
+    section = {"name": "linear-scm", "n": 40, "x_dim": 2, "propensity_weights": [0.3, -0.2],
+               "outcome_weights": [1.5, 0.5]}
+    scm = resolve({"data": {"simulator": section}}).data.simulator.scm
+    want = LinearScm(x_dim=2, propensity_weights=(0.3, -0.2), outcome_weights=(1.5, 0.5))
+    nodes = linear_scm_dag(2).names
+    assert np.array_equal(simulate_linear_scm(40, scm, 7).matrix(nodes),
+                          simulate_linear_scm(40, want, 7).matrix(nodes))
 
 
 def test_a_linear_scm_without_covariates_trains(tmp_path):

@@ -203,3 +203,28 @@ def test_backdoor_dag_shape():
     adj = build_adjacency(dag)
     assert adj[dag.index["A"], dag.index["Y"]] == 1
     assert adj[dag.index["X1"], dag.index["A"]] == 1
+
+
+def _demand_dag_plus(*edges):
+    dag = demand_dag()
+    return CausalDag(zip(dag.names, dag.roles),
+                     [(dag.names[p], dag.names[c]) for p, c in dag.edges] + list(edges))
+
+
+@pytest.mark.parametrize("dag, message", [
+    # the bridge's head would read Z as a raw parent, which h_hat fills with its mean
+    (_demand_dag_plus(("Z", "Y")), "the treatment_proxy 'Z' is a parent of the head 'Y'"),
+    (_demand_dag_plus(("A", "W")), "the outcome_proxy 'W' descends from the treatment 'A'"),
+    (_demand_dag_plus(("Z", "W")),
+     "the outcome_proxy 'W' descends from the treatment_proxy 'Z'"),
+    # acyclic because Z does not cause A here
+    (CausalDag([("U", "unmeasured"), ("Z", "treatment_proxy"), ("W", "outcome_proxy"),
+                ("A", "treatment"), ("Y", "outcome")],
+               [("U", "A"), ("U", "Y"), ("U", "W"), ("W", "Y"), ("A", "Y"), ("Y", "Z")]),
+     "the treatment_proxy 'Z' descends from the outcome 'Y'"),
+], ids=["Z->Y", "A->W", "Z->W", "Y->Z"])
+def test_proximal_graph_that_breaks_a_proxy_rule_is_config_error(dag, message):
+    with pytest.raises(ConfigError, match=f"^proximal method: {message}"):
+        input_nodes_for("proximal", dag)
+    for method in ("gformula", "ipw", "aipw"):  # they read no proxy
+        input_nodes_for(method, dag)

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -431,6 +432,28 @@ def test_train_nmmr_u_rejects_a_batch_or_a_dataset_below_two_rows():
     assert all(np.array_equal(p.data, before[name]) for name, p in model.params.items())
 
 
+def test_train_skips_a_batch_below_the_objective_minimum():
+    # 65 rows in batches of 64 leave one row, which the U-statistic cannot score
+    from dagformer.data import simulate_demand
+    kinds = {n: "continuous" for n in ("Z", "W", "A", "Y")}
+    model = DagTransformer(small_config(), demand_dag(), "proximal", kinds)
+    optimizer = AdamState()
+    train_model(model, simulate_demand(65, seed=3).to_dataset(), Nmmr("U", 1e-5), optimizer,
+                epochs=2, batch_size=64)
+    assert optimizer.step == 2
+
+
+def test_a_head_without_observed_parents_predicts_one_constant():
+    # on the graph A -> Y the propensity head reads only its identity embedding
+    ds = simulate_linear_scm(64, LinearScm(x_dim=0, propensity_weights=(),
+                                           outcome_weights=()), seed=2)
+    model = DagTransformer(small_config(), linear_scm_dag(0), "ipw", {"A": "binary"})
+    assert model.head_parents == {"A": []}
+    train_model(model, ds, Iptw(), AdamState(), epochs=2, batch_size=16)
+    pi = model.pi_hat(ds)
+    assert np.all(pi == pi[0]) and 0.0 < pi[0] < 1.0
+
+
 def test_train_objective_head_mismatch():
     ds = _toy_dataset()
     model = DagTransformer(small_config(), SCM_DAG, "ipw", SCM_KINDS)
@@ -622,13 +645,20 @@ def _full_encoder_layer(model, x, layer, dropout_rng):
 def _full_forward(model, batch, dropout_rng=None):
     """`DagTransformer.forward` with every layer on every node, each head
     reading its node of the full final norm."""
-    T, cfg = tensor, model.config
+    T, params, cfg = tensor, model.params, model.config
     std = model._standardize(np.asarray(batch, dtype=np.float64))
-    h = T.embed_nodes(model.params["node_identity"], std,
-                      [model._value_embedding(node) for node in model.input_nodes])
+    embeddings = []
+    for node in model.input_nodes:
+        if node in model.head_nodes:
+            embeddings.append(())
+        elif model.node_kinds[node] == "binary":
+            embeddings.append((params[f"embed/{node}/table"],))
+        else:
+            embeddings.append((params[f"embed/{node}/weight"], params[f"embed/{node}/bias"]))
+    h = T.embed_nodes(params["node_identity"], std, embeddings)
     for i in range(cfg.num_encoder_layers):
         h = _full_encoder_layer(model, h, i, dropout_rng)
-    h = T.layer_norm(h, model.params["final_ln/gain"], model.params["final_ln/bias"])
+    h = T.layer_norm(h, params["final_ln/gain"], params["final_ln/bias"])
     outputs = {}
     for head in model.head_nodes:
         z = T.take_node(h, model._node_index(head)) * cfg.alpha
@@ -636,7 +666,11 @@ def _full_forward(model, batch, dropout_rng=None):
         if parents:
             raw = tensor.Tensor(std[:, [model._node_index(p) for p in parents]])
             z = T.concat_lastdim([z, raw])
-        out = model._head_mlp(head, z, dropout_rng)
+        for j in range(cfg.mlp_depth + 1):
+            z = T.linear(z, params[f"head/{head}/w{j}"], params[f"head/{head}/b{j}"])
+            if j < cfg.mlp_depth:
+                z = T.dropout(T.relu(z), cfg.dropout_rate, dropout_rng)
+        out = T.reshape(z, (z.shape[0],))
         if model.graph.role_of(head) is NodeRole.TREATMENT:
             out = T.sigmoid(out)
         outputs[head] = out
@@ -721,3 +755,44 @@ def test_cut_training_leaves_the_parameters_of_full_training(monkeypatch, shape,
     cut, full = trained
     for name, p in cut.params.items():
         assert np.array_equal(p.data, full.params[name].data), name
+
+
+# -- each parameter is bound once, to what reads it --
+
+def _bound_tensors(model):
+    """Every Tensor the model holds outside `params`."""
+    found, stack = [], [value for key, value in vars(model).items() if key != "params"]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tensor.Tensor):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    return found
+
+
+def _read_parameters(model, batch):
+    """The ids of the parameters (leaves that need a gradient) a recording forward reads."""
+    read, seen, stack = set(), set(), list(model.forward(batch).values())
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            if not t._parents and t.needs_grad:
+                read.add(id(t))
+    return read
+
+
+@pytest.mark.parametrize("shape", list(CUT_SHAPES))
+def test_forward_reads_exactly_the_tensors_in_params(shape):
+    # `tune --jobs 2` returns its winner pickled, and `estimate` loads a snapshot
+    fresh, batch = _generic_model(shape, 8)
+    for model in (fresh, DagTransformer.from_dict(fresh.to_dict()),
+                  pickle.loads(pickle.dumps(fresh))):
+        params = {id(p) for p in model.params.values()}
+        bound = _bound_tensors(model)
+        assert len(bound) == len(params) and {id(t) for t in bound} == params
+        assert _read_parameters(model, batch) == params

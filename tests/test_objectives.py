@@ -321,6 +321,20 @@ def test_median_heuristic_ranks_in_the_first_and_last_sub_intervals(monkeypatch)
     assert _distance_passes(monkeypatch, rows) == 2
 
 
+@pytest.mark.parametrize("first, last", [(16.0, 36.0), (9.0, 16.0)])
+def test_median_heuristic_middle_ranks_parted_by_a_bracket_boundary(monkeypatch, first, last):
+    # the middle two squared distances are 9 and 16; the bracket [first, last)
+    # holds one of them, and the boundary at 16 parts them
+    def bits(value):
+        return int(np.float64(value).view(np.int64))
+    monkeypatch.setattr(objectives, "_COLLECT_CAP", 1)
+    monkeypatch.setattr(objectives, "_sample_bracket",
+                        lambda rows, sq: (bits(first), bits(last) - bits(first), 1))
+    rows = np.array([[0.0], [1.0], [3.0], [7.0]])
+    assert median_heuristic_bandwidth(rows) == 3.5
+    assert _distance_passes(monkeypatch, rows) == 2
+
+
 def _missing_below(rows, sq):
     return 0, 1, rows.shape[0]  # exact zeros only: fewer than half of the pairs
 
