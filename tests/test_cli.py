@@ -1,6 +1,8 @@
 import builtins
 import json
+import os
 import pathlib
+import sys
 import re
 
 import numpy as np
@@ -314,6 +316,28 @@ def test_evaluate_demand_reports_median_iqr(tmp_path):
     assert set(payload["aggregate"]) == {"median_c_mse", "iqr_c_mse", "median_c_mse_naive"}
     for row in payload["replicates"]:
         assert len(row["curve"]) == 10
+
+
+def test_evaluate_demand_workers_inherit_the_truth(tmp_path, monkeypatch):
+    # psi is also evaluated on each replicate's sample; only the Monte Carlo
+    # truth's calls are logged, and a forked worker must find it cached
+    log = tmp_path / "pids"
+    psi = cli.data_mod.demand_psi
+
+    def logging_psi(u):
+        if sys._getframe(1).f_code.co_name == "demand_mc_moments":
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+        return psi(u)
+    monkeypatch.setattr(cli.data_mod, "demand_psi", logging_psi)
+    monkeypatch.setattr(cli.data_mod, "_DEMAND_MC_CACHE", {})
+    config = {"experiment": "demand", "method": "proximal-u",
+              "data": {"simulator": {"name": "demand", "n": 60}}, "model": small_model(),
+              "epochs": 1, "batch_size": 32, "replicates": 2, "seed": 13,
+              "heldout": {"draws": 20}}
+    extra = ("--out", str(tmp_path / "o"), "--jobs", "2")
+    assert run(tmp_path, "evaluate", config, extra=extra) == 0
+    assert set(log.read_text().split()) == {str(os.getpid())}
 
 
 def test_evaluate_demand_draws_heldout_w_with_heldout_seed(tmp_path):

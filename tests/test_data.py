@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dagformer import rng
+from dagformer import data, rng
 from dagformer.data import (
     Column, DEMAND_HELDOUT_DRAWS, DEMAND_PRICE_GRID, DEMAND_REPLICATES,
     DEMAND_SAMPLE_SIZES, LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS,
@@ -236,6 +237,53 @@ def test_demand_mc_convergence():
     var = demand_psi(rng.stream(1, "v").uniform(0, 10, 100_000)).var()
     se = np.sqrt(var / 1e6 + var / 1e7)
     assert abs(small - large) < 3 * se
+
+
+def _one_shot_moments(draws, seed):
+    """The expression `demand_mc_moments` replaced: each block of 10^6 draws
+    evaluated as one array."""
+    g = rng.stream(seed, "demand-mc")
+    total_psi = 0.0
+    done = 0
+    while done < draws:
+        k = min(1_000_000, draws - done)
+        total_psi += demand_psi(g.uniform(0.0, 10.0, k)).sum()
+        done += k
+    mean_psi = total_psi / draws
+    return mean_psi, 7.0 * mean_psi + 45.0
+
+
+@pytest.mark.parametrize("draws,seed", [(2_000_000, 202406), (1_000_000, 77), (1_234_567, 5),
+                                        (65_537, 3), (1_000, 13)])
+def test_demand_mc_moments_equal_one_shot_floats(monkeypatch, draws, seed):
+    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
+    assert demand_mc_moments(draws, seed) == _one_shot_moments(draws, seed)
+
+
+def test_demand_mc_moments_memory_is_bounded(monkeypatch):
+    # one 10^6-draw block evaluated at once peaks at about 38 MiB
+    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
+    tracemalloc.start()
+    try:
+        demand_mc_moments(2_000_000, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_demand_mc_moments_rejects_draws_below_one(monkeypatch, draws):
+    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
+    with pytest.raises(ContractError, match="need n >= 1"):
+        demand_mc_moments(draws=draws, seed=3)
+    assert data._DEMAND_MC_CACHE == {}
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_heldout_w_draws_rejects_counts_below_one(m):
+    with pytest.raises(ContractError, match="need n >= 1"):
+        heldout_w_draws(m, seed=3)
 
 
 def test_demand_true_curve_is_finite_ten_points():
