@@ -25,7 +25,7 @@ from .errors import (
 from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
-from .graph import METHOD_ROLES, CausalDag, NodeRole, demand_dag, input_nodes_for
+from .graph import METHOD_ROLES, CausalDag, NodeRole, input_nodes_for
 from .methods import (
     METHODS, Data, Method, Run, Split, build_models, model_configs, overridden, resolve, seeded,
 )
@@ -93,13 +93,6 @@ def _write_json(path: str, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _simulated_dag(simulator) -> CausalDag:
-    """The graph a simulator draws from, known before any row is drawn."""
-    if simulator.name == "linear-scm":
-        return data_mod.linear_scm_dag(simulator.scm.x_dim)
-    return demand_dag()
-
-
 def _dag(run: Run) -> CausalDag:
     """The run's graph, known before any row is drawn or read: its inline `dag`,
     else its `dag` file, else the graph of its `data.simulator`. It is checked
@@ -108,28 +101,12 @@ def _dag(run: Run) -> CausalDag:
         simulator = run.required("data").simulator
         if simulator is None:
             raise ConfigError("config needs a 'dag' path or inline graph")
-        dag = _simulated_dag(simulator)
+        dag = simulator.dag()
     else:
         dag = CausalDag.from_dict(_read("dag", run.dag)) if isinstance(run.dag, str) else run.dag
     for spec in _method_of(run).models:
         input_nodes_for(spec.base, dag)
     return dag
-
-
-def _simulate(simulator, seed: int):
-    """(rows, () -> truth.json payload, scm_version) of the simulator's draw."""
-    if simulator.name == "linear-scm":
-        rows = data_mod.simulate_linear_scm(simulator.n, simulator.scm, seed)
-        return (rows,
-                lambda: {"true_ate": rows.true_ate,
-                         "true_cate": [float(v) for v in rows.true_cate]},
-                "linear-scm-v1")
-    sample = data_mod.simulate_demand(simulator.n, seed)
-    return (sample.to_dataset(),
-            lambda: {"u": [float(v) for v in sample.u],
-                     "price_grid": list(data_mod.DEMAND_PRICE_GRID),
-                     "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
-            data_mod.DEMAND_SCM_VERSION)
 
 
 def _resolve_data(run: Run, seed: int, replicate: int | None = None):
@@ -139,7 +116,7 @@ def _resolve_data(run: Run, seed: int, replicate: int | None = None):
     data = run.required("data")
     seed = seeded(data, seed).seed + (replicate or 0)
     if data.simulator is not None:
-        return _simulate(data.simulator, seed)[0]
+        return data.simulator.draw(seed)[0]
     schema = _read("data.schema", data.schema, data_mod.load_schema, DataError)
     rows = _read("data.csv", data.csv, lambda path: data_mod.load_csv(path, schema), DataError)
     return rows if replicate is None else data_mod.bootstrap(rows, seed)
@@ -195,14 +172,14 @@ def cmd_simulate(args) -> int:
     if run.data is None or run.data.simulator is None:
         raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")
     simulator = run.data.simulator
-    dataset, truth, version = _simulate(simulator, seeded(run.data, run.seed).seed)
+    dataset, truth, version = simulator.draw(seeded(run.data, run.seed).seed)
     os.makedirs(out, exist_ok=True)
     data_mod.write_csv(dataset, os.path.join(out, "data.csv"))
     schema = dataset.schema()
     schema["treatment"] = "A"
     schema["outcome"] = "Y"
     _write_json(os.path.join(out, "schema.json"), schema)
-    _write_json(os.path.join(out, "dag.json"), _simulated_dag(simulator).to_dict())
+    _write_json(os.path.join(out, "dag.json"), simulator.dag().to_dict())
     _write_json(os.path.join(out, "truth.json"), truth())
     manifest = {"simulator": simulator.name, "seed": run.seed, "n": dataset.n,
                 "scm_version": version, "config": config}

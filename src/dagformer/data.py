@@ -372,17 +372,19 @@ def demand_mc_moments(draws: int = 2_000_000, seed: int = 202406) -> tuple[float
     """Monte Carlo estimates of (E[psi(U)], E[W]), cached per draw count.
 
     The draws are summed in blocks of 10^6, each with one `.sum()`, and a
-    block's psi values are computed 2^16 draws at a time into one buffer.
+    block's psi values are computed 2^13 draws at a time into one buffer.
     The result is the float of evaluating psi over each whole block at once
     (same uniforms, elementwise psi, same sums), but a call peaks at about
-    10 MiB, not that expression's 38 MiB.
+    10 MiB, not that expression's 38 MiB. A piece's 64 KiB temporaries stay
+    below glibc's 128 KiB mmap threshold, so the heap reuses them instead of
+    mapping fresh pages for each piece.
     """
     if draws < 1:
         raise ContractError("need n >= 1")
     key = (draws, seed)
     if key not in _DEMAND_MC_CACHE:
         g = rng.stream(seed, "demand-mc")
-        block, piece = 1_000_000, 2 ** 16
+        block, piece = 1_000_000, 2 ** 13
         buf = np.empty(min(block, draws))
         total_psi = 0.0
         done = 0

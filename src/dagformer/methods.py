@@ -11,11 +11,12 @@ from typing import Callable, Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
 
+from . import data as data_mod
 from .data import DEMAND_HELDOUT_DRAWS, LinearEffect, LinearScm
 from .errors import ConfigError, ContractError
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
 from .forest import ForestConfig
-from .graph import CausalDag, NodeRole
+from .graph import CausalDag, NodeRole, demand_dag
 from .model import DagTransformer, ModelConfig
 from .objectives import AipwJoint, GFormula, Iptw, Nmmr
 from .optim import AdamState
@@ -83,13 +84,27 @@ METHODS = {row.name: row for row in (
 
 @dataclass(frozen=True)
 class Simulator:
-    """A `simulator` section; one that names `demand` reads only these keys."""
+    """A `simulator` section; one that names `demand` reads only these keys. It
+    calls `data`'s simulators through the module, so a wrapped one is seen."""
     name: str
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+
+    def dag(self) -> CausalDag:
+        """The graph it draws from, known before any row is drawn."""
+        return demand_dag()
+
+    def draw(self, seed: int):
+        """(rows, () -> truth.json payload, SCM version) of its draw."""
+        sample = data_mod.simulate_demand(self.n, seed)
+        return (sample.to_dataset(),
+                lambda: {"u": [float(v) for v in sample.u],
+                         "price_grid": list(data_mod.DEMAND_PRICE_GRID),
+                         "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
+                data_mod.DEMAND_SCM_VERSION)
 
 
 @dataclass(frozen=True)
@@ -125,16 +140,23 @@ class LinearScmSimulator(Simulator):
             return tuple(values)
         effect = (self.treatment_effect if self.effect_of_x1 == 0.0
                   else LinearEffect(self.treatment_effect, self.effect_of_x1))
-        try:
-            return LinearScm(
-                x_dim=self.x_dim,
-                propensity_weights=weights("propensity_weights", 0.5),
-                propensity_intercept=self.propensity_intercept,
-                outcome_weights=weights("outcome_weights", 1.0),
-                treatment_effect=effect,
-                noise_sd=self.noise_sd)
-        except ContractError as exc:
-            raise ConfigError(f"bad simulator config: {exc}") from None
+        return LinearScm(
+            x_dim=self.x_dim,
+            propensity_weights=weights("propensity_weights", 0.5),
+            propensity_intercept=self.propensity_intercept,
+            outcome_weights=weights("outcome_weights", 1.0),
+            treatment_effect=effect,
+            noise_sd=self.noise_sd)
+
+    def dag(self) -> CausalDag:
+        return data_mod.linear_scm_dag(self.x_dim)
+
+    def draw(self, seed: int):
+        rows = data_mod.simulate_linear_scm(self.n, self.scm, seed)
+        return (rows,
+                lambda: {"true_ate": rows.true_ate,
+                         "true_cate": [float(v) for v in rows.true_cate]},
+                "linear-scm-v1")
 
 
 SIMULATORS = {"linear-scm": LinearScmSimulator, "demand": Simulator}
@@ -146,8 +168,8 @@ class Data:
     seed), or the `csv` file read with its `schema` file."""
     seed: Optional[int] = None
     simulator: Optional[Simulator] = None
-    csv: object = None  # a file path, checked when the file is read
-    schema: object = None
+    csv: Optional[str] = None  # a file path
+    schema: Optional[str] = None
 
     def __post_init__(self):
         if self.simulator is None and (self.csv is None or self.schema is None):
@@ -314,8 +336,8 @@ def _as(kind, value, key: str):
         if str in get_args(kind) and not isinstance(value, dict):
             if isinstance(value, str):
                 return value
-            raise ConfigError(f"bad value for {key!r}: {value!r}, "
-                              "expected an object or a file path")
+            what = "a file path" if get_args(kind)[0] is str else "an object or a file path"
+            raise ConfigError(f"bad value for {key!r}: {value!r}, expected {what}")
         kind = get_args(kind)[0]
     if get_origin(kind) is Literal:
         if value not in get_args(kind):
@@ -340,7 +362,11 @@ def _as(kind, value, key: str):
         kind = list
     elif kind in (int, float):  # an int is also a float, a bool neither
         if isinstance(value, (int, np.integer, kind)) and not isinstance(value, bool):
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:  # an integer beyond the largest float
+                raise ConfigError(f"bad value for {key!r}: an integer too large for a float, "
+                                  "expected a finite number") from None
     elif isinstance(value, kind):
         return value
     raise ConfigError(f"bad value for {key!r}: {value!r}, expected {_KINDS[kind]}")

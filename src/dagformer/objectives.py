@@ -60,12 +60,11 @@ class AipwJoint(Objective):
     head_roles = (NodeRole.TREATMENT, NodeRole.OUTCOME)
 
     def bind(self, model, batch, std):
-        outcome, treatment = model.outcome_node, model.treatment_node
-        y, a = std[:, model._node_index(outcome)], batch[:, model._node_index(treatment)]
+        outcome, treatment = GFormula().bind(model, batch, std), Iptw().bind(model, batch, std)
 
         def batch_loss(preds, rows):
-            mse = loss_gformula(preds[outcome], y[rows])
-            bce = loss_iptw(preds[treatment], a[rows])
+            mse, _ = outcome(preds, rows)
+            bce, _ = treatment(preds, rows)
             return (mse + bce) * 0.5, mse
         return batch_loss
 

@@ -13,6 +13,7 @@ from dagformer.cli import main
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.graph import demand_dag
 from dagformer.errors import ConfigError
+from dagformer.estimators import estimate_proximal
 from dagformer.methods import METHODS, Split, _as, _read, overridden, resolve
 from dagformer.model import DagTransformer, ModelConfig
 from dagformer.selection import SEARCH_METHODS
@@ -503,6 +504,13 @@ def _table_config(command, name):
     return _tune_config(config) if command == "tune" else config
 
 
+def _beyond_float(command, name, override, last):
+    """A table row whose `HUGE` is an integer too large for a float, which JSON
+    reads as an int and `float` rejects; its test id keeps the word."""
+    return pytest.param(command, name, override.replace("HUGE", "1" + "0" * 400), last,
+                        id=f"{command}-{name}-{override}-{last}")
+
+
 def _overrides(override, snapshots=None):
     """Command-line arguments for a table row: `--flag=value` items as they are, the
     others `--set` overrides, where `@<base>` is the path of that `snapshots` entry."""
@@ -551,6 +559,24 @@ def test_estimate_of_a_column_bound_to_an_unmeasured_node_is_a_data_error(
               "data": {"csv": str(csv), "schema": str(schema)}}
     assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 3
     assert "unmeasured node 'U'" in capsys.readouterr().err
+
+
+def test_estimate_of_a_proximal_snapshot_on_csv_rows_averages_over_their_w(tmp_path, snapshots):
+    # CSV rows have no held-out draws, so the bridge is averaged over the rows' own W
+    w = [i / 2 for i in range(8)]
+    csv = tmp_path / "rows.csv"
+    csv.write_text("Z,W,A,Y\n" + "".join(f"{i * 0.3},{w[i]},{i % 3},{i * 0.7}\n"
+                                         for i in range(8)))
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"columns": [{"name": n, "kind": "continuous", "node": n}
+                                              for n in "ZWAY"]}))
+    config = {"method": "proximal-u", "model": snapshots["proximal"], "a_grid": [0.0, 1.0],
+              "data": {"csv": str(csv), "schema": str(schema)}}
+    assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 0
+    report = json.loads((tmp_path / "x" / "estimate.json").read_text())["report"]
+    want = estimate_proximal(DagTransformer.load(snapshots["proximal"]), {"W": np.array(w)},
+                             [0, 1])
+    assert report["ate"] == want.ate and report["diagnostics"]["heldout_draws"] == 8
 
 
 @pytest.mark.parametrize("command", ["tune", "evaluate"])
@@ -776,6 +802,21 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("train", "proximal-u", "data.simulator.name=linear-scm", 2),
     ("tune", "proximal-u", "data.simulator.name=linear-scm", 2),
     ("evaluate", "proximal-u", "data.simulator.name=linear-scm a_grid=[0,1]", 2),
+    # a float key given an integer beyond the largest float
+    _beyond_float("train", "gformula", "optimizer.learning_rate=HUGE", 2),
+    _beyond_float("train", "gformula", "a_grid=[HUGE]", 2),
+    _beyond_float("train", "gformula", "data.simulator.treatment_effect=HUGE", 2),
+    # a data file key that is not a file path, rejected before any file or row is read
+    ("train", "gformula", "data.csv=5", 2),
+    ("estimate", "gformula", "data.schema=[1]", 2),
+    ("train", "gformula", 'data={"csv":"no/such/data.csv","schema":5} '
+     'dag={"nodes":[{"name":"A","role":"treatment"},{"name":"Y","role":"outcome"}],'
+     '"edges":[["A","Y"]]}', 2),
+    ("estimate", "proximal-u",
+     'model=@proximal data={"csv":5,"schema":"no/such/schema.json"} a_grid=[0,1]', 2),
+    # an override without a value, and a simulate run with nothing to draw
+    ("train", "gformula", "epochs", 2),
+    ("simulate", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 2),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, name, override,
                                     code):
@@ -909,6 +950,16 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     ("evaluate", "gformula", "a_grid=[Infinity]", "'a_grid'"),
     ("estimate", "gformula", "model=@proximal", "'model' holds a snapshot of a 'proximal'"),
     ("estimate", "proximal-u", "model=@gformula", "'model' holds a snapshot of a 'gformula'"),
+    _beyond_float("train", "gformula", "optimizer.learning_rate=HUGE",
+                  "'optimizer.learning_rate'"),
+    _beyond_float("train", "gformula", "a_grid=[HUGE]", "'a_grid'"),
+    _beyond_float("train", "gformula", "data.simulator.treatment_effect=HUGE",
+                  "'simulator.treatment_effect'"),
+    ("train", "gformula", "data.csv=5", "'data.csv'"),
+    ("estimate", "gformula", "data.schema=[1]", "'data.schema'"),
+    ("train", "gformula", "epochs", "--set needs key=value, got 'epochs'"),
+    ("simulate", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}',
+     "'simulator' or 'data.simulator'"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, snapshots, command, name, override, named):
     assert run(tmp_path, command, _table_config(command, name),
@@ -1015,7 +1066,8 @@ def test_a_value_of_its_kind_is_taken(kind, value, want):
 @pytest.mark.parametrize("kind, value", [
     (int, 2.7), (int, 3.0), (int, True), (int, "3"), (int, None), (float, True), (float, "0.01"),
     (float, None), ([float], "abc"), ([float], [1, "x"]), ([float], [True]), (str, 5),
-    (dict, [1]),
+    (dict, [1]), pytest.param(float, 10 ** 400, id="float-10**400"),
+    pytest.param([float], [1, 10 ** 400], id="list-10**400"),
 ])
 def test_a_value_of_another_kind_is_rejected_naming_the_key(kind, value):
     with pytest.raises(ConfigError, match="'a.b'"):
