@@ -25,11 +25,9 @@ from .errors import (
 from .estimators import (  # noqa: F401
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
 )
-from .graph import METHOD_ROLES, CausalDag, NodeRole, input_nodes_for
-from .methods import (
-    METHODS, Data, Method, Run, Split, build_models, model_configs, overridden, resolve, seeded,
-)
-from .model import DagTransformer, train_model
+from .graph import METHOD_ROLES, CausalDag, input_nodes_for
+from .methods import Data, Run, Split, model_configs, overridden, resolve, seeded
+from .model import DagTransformer
 from .selection import (
     c_mse, candidates, check_reference, config_hash, fit_plugin, grid_search, map_jobs, nrmse,
     nrmse_scalar_replicates, plugin_covariates, ranking_csv,
@@ -79,10 +77,6 @@ def _load_config(args) -> tuple[dict, Run, str]:
     return config, resolve(config), args.out or "."
 
 
-def _method_of(run: Run) -> Method:
-    return METHODS[run.required("method")]
-
-
 def _write_text(path: str, text: str):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -104,7 +98,7 @@ def _dag(run: Run) -> CausalDag:
         dag = simulator.dag()
     else:
         dag = CausalDag.from_dict(_read("dag", run.dag)) if isinstance(run.dag, str) else run.dag
-    for spec in _method_of(run).models:
+    for spec in run.row.models:
         input_nodes_for(spec.base, dag)
     return dag
 
@@ -126,38 +120,6 @@ def _split(dataset, run: Run, seed: int, offset: int = 0):
     """(train, validation) by the run's split; `offset` shifts its seed."""
     split = seeded(run.split or Split(), seed)
     return dataset.split(split.train_fraction, split.seed + offset)
-
-
-def _train_one(run: Run, dag, dataset, seed: int):
-    """Train the run method's models; returns them in row order and the logs by role."""
-    built = build_models(run, dag, dataset, seed)
-    logs = {spec.role: train_model(model, dataset, objective, optimizer, run.epochs,
-                                   run.batch_size, seed=seed)
-            for spec, (model, objective, optimizer) in zip(METHODS[run.method].models, built)}
-    return [entry[0] for entry in built], logs
-
-
-def _estimator(row: Method, run: Run, seed: int):
-    """(trained models, dataset) -> EstimateReport of `row`. A proxy method
-    averages its bridge at the `a_grid` treatments over fresh held-out draws of
-    the demand W, for demand data, else over the dataset's own outcome-proxy and
-    confounder rows."""
-    if not row.proxy:
-        return lambda models, dataset: row.estimate(*models, dataset)
-    grid, draws = run.a_grid, None
-    if run.demand:
-        heldout = seeded(run.heldout, seed)
-        draws = {"W": data_mod.heldout_w_draws(heldout.draws, heldout.seed)}
-        grid = grid or data_mod.DEMAND_PRICE_GRID
-    elif grid is None:
-        raise ConfigError("proximal estimation on external data needs 'a_grid'")
-
-    def estimate(models, dataset):
-        (model,) = models
-        return row.estimate(model, draws or {
-            n: dataset.node_column(n).values for n in model.input_nodes
-            if model.graph.role_of(n) in (NodeRole.OUTCOME_PROXY, NodeRole.CONFOUNDER)}, grid)
-    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +152,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     config, run, out = _load_config(args)
-    row, seed = _method_of(run), run.seed
+    row, seed = run.row, run.seed
     model_configs(run, seed)  # a model section that `train` rejects fails before any row loads
     dag = _dag(run)
     dataset = _resolve_data(run, seed)
     if run.split is not None:
         dataset, _ = _split(dataset, run, seed)
-    models, logs = _train_one(run, dag, dataset, seed)
+    models = row.build(run, dag, dataset, seed)
+    logs = row.train(models, run, dataset, seed)
     os.makedirs(out, exist_ok=True)
     for spec, model in zip(row.models, models):
         model.save(os.path.join(out, f"{spec.key}.json"))
@@ -208,9 +171,9 @@ def cmd_train(args) -> int:
 
 def cmd_estimate(args) -> int:
     config, run, out = _load_config(args)
-    row, seed = _method_of(run), run.seed
+    row, seed = run.row, run.seed
     paths = [run.required(spec.key) for spec in row.models]
-    estimate = _estimator(row, run, seed)
+    estimate = row.estimator(run, seed)
     models = [_read(spec.key, path, DagTransformer.load) for spec, path in zip(row.models, paths)]
     # a snapshot serves a model key if it reads the same roles and has at least its heads
     for spec, model in zip(row.models, models):
@@ -234,7 +197,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_tune(args) -> int:
     config, run, out = _load_config(args)
-    row, seed = _method_of(run), run.seed
+    row, seed = run.row, run.seed
     grid = run.required("grid")
     # every candidate is read before any row is drawn
     runs = candidates(config, _read("grid", grid) if isinstance(grid, str) else grid)
@@ -258,8 +221,8 @@ def cmd_tune(args) -> int:
 def _effect_replicate(run: Run, replicate: int) -> dict:
     """One ATE/CATE replicate: fit plug-in, train candidate, record effects.
     `run.dag` is the graph `cmd_evaluate` read and checked."""
-    row, seed, dag = _method_of(run), run.seed, run.dag
-    estimate = _estimator(row, run, seed + replicate)
+    row, seed, dag = run.row, run.seed, run.dag
+    estimate = row.estimator(run, seed + replicate)
     train, validation = _split(_resolve_data(run, seed, replicate), run, seed, offset=replicate)
     # keep the plug-in's effects, not its forests, alive through training
     plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, seed + replicate)).cate(validation)
@@ -267,7 +230,8 @@ def _effect_replicate(run: Run, replicate: int) -> dict:
     reference = plugin_tau if validation.true_cate is None else validation.true_cate
     if cate:
         check_reference(reference)
-    models, _ = _train_one(run, dag, train, seed + replicate)
+    models = row.build(run, dag, train, seed + replicate)
+    row.train(models, run, train, seed + replicate)
     report = estimate(models, validation)
     row = {"replicate": replicate, "candidate_ate": report.ate,
            "plugin_ate": float(plugin_tau.mean()), "true_ate": validation.true_ate}
@@ -278,10 +242,11 @@ def _effect_replicate(run: Run, replicate: int) -> dict:
 
 def _demand_replicate(run: Run, replicate: int) -> dict:
     """One demand replicate: train the bridge on a fresh sample, score its curve by c-MSE."""
-    row, seed, dag = _method_of(run), run.seed, run.dag
-    estimate = _estimator(row, run, seed + replicate)
+    row, seed, dag = run.row, run.seed, run.dag
+    estimate = row.estimator(run, seed + replicate)
     dataset = _resolve_data(run, seed, replicate)
-    models, _ = _train_one(run, dag, dataset, seed + replicate)
+    models = row.build(run, dag, dataset, seed + replicate)
+    row.train(models, run, dataset, seed + replicate)
     report = estimate(models, dataset)
     curve = np.asarray([report.potential_outcomes[a] for a in data_mod.DEMAND_PRICE_GRID])
     true_curve = data_mod.demand_true_curve()
@@ -305,7 +270,7 @@ def _replicate_with_context(job: tuple) -> dict:
 
 def cmd_evaluate(args) -> int:
     config, run, out = _load_config(args)
-    experiment, row = run.experiment, _method_of(run)
+    experiment, row = run.experiment, run.row
     if experiment == "cate" and not row.cate:
         raise ConfigError(f"{row.name} produces no per-unit effects; use experiment 'ate'")
     if experiment == "demand" and not row.proxy:

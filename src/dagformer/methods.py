@@ -2,9 +2,12 @@
 each trains with their objectives, its estimator, and how `tune` treats it;
 and the run config, which `resolve` reads and checks whole into a `Run`.
 `cli` and `selection` take every per-method decision and config value from
-here."""
+here. A row's `build`, `train` and `estimator` are the one path from a run
+config to trained models and from them to an estimate: every command fits
+and estimates through them."""
 
 import copy
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from typing import Callable, Literal, Optional, Union, get_args, get_origin
@@ -17,7 +20,7 @@ from .errors import ConfigError, ContractError
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
-from .model import DagTransformer, ModelConfig
+from .model import DagTransformer, ModelConfig, train_model
 from .objectives import AipwJoint, GFormula, Iptw, Nmmr
 from .optim import AdamState
 
@@ -49,6 +52,52 @@ class Method:
     @property
     def proxy(self) -> bool:  # it estimates from held-out proxy draws
         return self.models[0].base == "proximal"
+
+    def build(self, run: "Run", dag, rows, seed: int) -> list:
+        """The untrained DagTransformer of each of its models in `models` order,
+        from `model_configs`, each input node typed as in `rows`. A graph node
+        that `rows` leaves unbound, or an unmeasured one that it binds, is a
+        DataError naming it."""
+        rows.validate_against(dag)
+        kinds = rows.node_kinds([n for n, r in zip(dag.names, dag.roles)
+                                 if r is not NodeRole.UNMEASURED])
+        return [DagTransformer(config, dag, spec.base, kinds)
+                for spec, config in zip(self.models, model_configs(run, seed))]
+
+    def train(self, models: list, run: "Run", rows, seed: int) -> dict:
+        """Train `models`, as `build` made them, on `rows`; returns the logs by
+        role. Each model trains with a fresh objective and AdamState; when the
+        objective penalizes the parameters (NMMR's λ), Adam does not."""
+        logs = {}
+        for spec, model in zip(self.models, models):
+            objective, optimizer = spec.objective(run), replace(run.optimizer)
+            if objective.penalizes_parameters:
+                optimizer.l2_penalty = 0.0
+            logs[spec.role] = train_model(model, rows, objective, optimizer, run.epochs,
+                                          run.batch_size, seed=seed)
+        return logs
+
+    def estimator(self, run: "Run", seed: int) -> Callable:
+        """(trained models, dataset) -> EstimateReport. A proxy method averages
+        its bridge at the `a_grid` treatments over fresh held-out draws of the
+        demand W, for demand data, else over the dataset's own outcome-proxy and
+        confounder rows."""
+        if not self.proxy:
+            return lambda models, dataset: self.estimate(*models, dataset)
+        grid, draws = run.a_grid, None
+        if run.demand:
+            heldout = seeded(run.heldout, seed)
+            draws = {"W": data_mod.heldout_w_draws(heldout.draws, heldout.seed)}
+            grid = grid or data_mod.DEMAND_PRICE_GRID
+        elif grid is None:
+            raise ConfigError("proximal estimation on external data needs 'a_grid'")
+
+        def estimate(models, dataset):
+            (model,) = models
+            return self.estimate(model, draws or {
+                n: dataset.node_column(n).values for n in model.input_nodes
+                if model.graph.role_of(n) in (NodeRole.OUTCOME_PROXY, NodeRole.CONFOUNDER)}, grid)
+        return estimate
 
 
 def _nmmr(variant: str) -> Callable:
@@ -121,15 +170,19 @@ class LinearScmSimulator(Simulator):
     @cached_property
     def scm(self) -> LinearScm:
         """Built once, when `resolve` reads the section. A coefficient that is
-        not finite, a negative `x_dim`, or a weight list that is not `x_dim`
-        finite numbers, is a ConfigError naming its key."""
-        if self.x_dim < 0:  # 0 is the graph A -> Y
+        not finite, an `x_dim` below 0 or beyond a sequence's size, an effect of
+        X1 without X1, or a weight list that is not `x_dim` finite numbers, is a
+        ConfigError naming its key."""
+        if not 0 <= self.x_dim <= sys.maxsize:  # 0 is the graph A -> Y
             raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, "
-                              "expected an integer >= 0")
+                              f"expected an integer from 0 to {sys.maxsize}")
         for key in ("treatment_effect", "effect_of_x1", "propensity_intercept", "noise_sd"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"bad value for 'simulator.{key}': {getattr(self, key)!r}, "
                                   "expected a finite number")
+        if self.x_dim == 0 and self.effect_of_x1 != 0.0:
+            raise ConfigError(f"bad value for 'simulator.effect_of_x1': {self.effect_of_x1!r}, "
+                              "expected 0 when x_dim is 0, which draws no X1")
         def weights(key, default):
             values = getattr(self, key)
             if values is None:
@@ -165,7 +218,7 @@ SIMULATORS = {"linear-scm": LinearScmSimulator, "demand": Simulator}
 @dataclass(frozen=True)
 class Data:
     """The `data` section: `simulator`'s draw, seeded by `seed` (None: the run's
-    seed), or the `csv` file read with its `schema` file."""
+    seed), or the `csv` file read with its `schema` file, never both."""
     seed: Optional[int] = None
     simulator: Optional[Simulator] = None
     csv: Optional[str] = None  # a file path
@@ -174,6 +227,8 @@ class Data:
     def __post_init__(self):
         if self.simulator is None and (self.csv is None or self.schema is None):
             raise ConfigError("simulator, or csv with schema, is required")
+        if self.simulator is not None and (self.csv, self.schema) != (None, None):
+            raise ConfigError("csv and schema exclude simulator: name one or the other")
 
 
 @dataclass(frozen=True)
@@ -248,7 +303,7 @@ class Run:
             raise ConfigError(f"'a_grid' must be a nonempty list of finite numbers, "
                               f"got {self.a_grid}")
         if self.method is not None:  # a batch below its objective's minimum never trains
-            least = max(spec.objective(self).min_rows for spec in METHODS[self.method].models)
+            least = max(spec.objective(self).min_rows for spec in self.row.models)
             if self.batch_size < least:
                 raise ConfigError(f"'batch_size' must be >= {least} for method "
                                   f"{self.method!r}, got {self.batch_size}")
@@ -259,6 +314,10 @@ class Run:
         if value is None:
             raise ConfigError(f"config is missing required key {key!r}")
         return value
+
+    @property
+    def row(self) -> Method:  # the table row of its method, which the command needs
+        return METHODS[self.required("method")]
 
     @property
     def demand(self) -> bool:  # its rows are the demand simulator's draw
@@ -382,7 +441,7 @@ def model_configs(run: Run, seed: int) -> list:
     defaulting to `seed`. Without a `model` section, `model` takes ModelConfig's
     defaults; the other model keys are required."""
     configs = []
-    for spec in METHODS[run.required("method")].models:
+    for spec in run.row.models:
         config = run.model if spec.key == "model" else run.required(spec.key)
         if config is None:
             config = ModelConfig(seed=None)
@@ -391,20 +450,3 @@ def model_configs(run: Run, seed: int) -> list:
         configs.append(seeded(config, seed))
     return configs
 
-
-def build_models(run: Run, dag, dataset, seed: int) -> list:
-    """[(untrained DagTransformer, objective, AdamState)] of the run method's models
-    in row order, from `model_configs`, each input node typed as in `dataset`. Each
-    model gets a fresh objective and AdamState; when the objective penalizes the
-    parameters (NMMR's λ), Adam does not. A graph node that `dataset` leaves
-    unbound, or an unmeasured one that it binds, is a DataError naming it."""
-    dataset.validate_against(dag)
-    kinds = dataset.node_kinds([n for n, r in zip(dag.names, dag.roles)
-                                if r is not NodeRole.UNMEASURED])
-    models = []
-    for spec, config in zip(METHODS[run.method].models, model_configs(run, seed)):
-        objective, optimizer = spec.objective(run), replace(run.optimizer)
-        if objective.penalizes_parameters:
-            optimizer.l2_penalty = 0.0
-        models.append((DagTransformer(config, dag, spec.base, kinds), objective, optimizer))
-    return models

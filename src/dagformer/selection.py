@@ -20,8 +20,8 @@ from .errors import (
 from .data import csv_text
 from .forest import ForestConfig, HonestForestRegressor
 from .graph import CausalDag, NodeRole
-from .methods import METHODS, Run, build_models, overridden, resolve, seeded
-from .model import DagTransformer, train_model
+from .methods import METHODS, Run, overridden, resolve, seeded
+from .model import DagTransformer
 
 
 def nrmse(tau_hat: np.ndarray, tau_tilde: np.ndarray) -> float:
@@ -185,16 +185,16 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, DagTransformer | None]:
     index, point, run, train, validation, dag, plugin_tau = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
-    row, seed = METHODS[run.method], run.seed
-    ((model, objective, optimizer),) = build_models(run, dag, train, seed)
-    entry["param_count"] = model.param_count
+    row, seed = run.row, run.seed
+    (model,) = row.build(run, dag, train, seed)
+    entry["param_count"] = model.param_count  # a diverged candidate still ranks by size
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            log = train_model(model, train, objective, optimizer, epochs=run.epochs,
-                              batch_size=run.batch_size, seed=seed)
+            (log,) = row.train([model], run, train, seed).values()
             entry["train_loss"] = log[-1]["loss"] if log else None
-            if row.proxy:
-                entry["score"] = objective.risk(model, validation.matrix(model.input_nodes))
+            if row.proxy:  # the risk of a fresh objective: training mutates none
+                entry["score"] = row.models[0].objective(run).risk(
+                    model, validation.matrix(model.input_nodes))
             else:
                 report = (row.tune_estimate or row.estimate)(model, validation)
                 tau = report.cate if run.mode == "cate" and report.cate is not None \
@@ -237,7 +237,7 @@ def grid_search(run: Run, runs: list, train, validation, dag: CausalDag, jobs: i
     Returns (ranked table, best fitted model).
     """
     plugin_tau = None
-    if not METHODS[run.method].proxy:
+    if not run.row.proxy:
         plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, run.seed)).cate(validation)
         check_reference(plugin_tau)
     elif min(train.n, validation.n) < 2:  # for the U-statistic and the median heuristic

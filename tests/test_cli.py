@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from dagformer import cli, forest, methods, selection
+from dagformer import cli, forest, methods
 from dagformer.cli import main
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.graph import demand_dag
@@ -538,7 +538,7 @@ def test_a_column_bound_to_an_unmeasured_node_is_a_data_error(tmp_path, monkeypa
     # the simulator binds X1's column, and the graph says X1 is never measured
     def no_training(*args, **kwargs):
         raise AssertionError("the rows must be checked against the graph before training")
-    monkeypatch.setattr(cli, "train_model", no_training)
+    monkeypatch.setattr(methods, "train_model", no_training)
     dag = linear_scm_dag(1).to_dict()
     dag["nodes"][0]["role"] = "unmeasured"
     config = dict(_method_config("gformula"), dag=dag)
@@ -746,6 +746,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("simulate", "gformula", "data.simulator.x_dim=-1", 2),
     ("simulate", "gformula", "data.simulator.noise=0.5", 2),
     ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", 2),
+    # an effect of X1 without X1, and an x_dim beyond a sequence's size
+    ("train", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1", 2),
+    ("train", "gformula", f"data.simulator.x_dim={2 ** 63}", 2),
     # training sizes, read before any replicate starts
     ("evaluate", "gformula", "epochs=-1", 2),
     ("evaluate", "gformula", "batch_size=0", 2),
@@ -814,6 +817,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
      '"edges":[["A","Y"]]}', 2),
     ("estimate", "proximal-u",
      'model=@proximal data={"csv":5,"schema":"no/such/schema.json"} a_grid=[0,1]', 2),
+    # rows drawn and rows read at once: which to use would be a silent choice
+    ("train", "gformula", 'data.csv="no/such/data.csv" data.schema="no/such/schema.json"', 2),
+    ("train", "gformula", 'data.schema="no/such/schema.json"', 2),
     # an override without a value, and a simulate run with nothing to draw
     ("train", "gformula", "epochs", 2),
     ("simulate", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 2),
@@ -825,8 +831,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     def no_rows(*args, **kwargs):
         raise AssertionError("a config error must stop the run before any row is drawn or read")
     if code == 2 or command in ("evaluate", "tune"):
-        monkeypatch.setattr(cli, "train_model", no_training)
-        monkeypatch.setattr(selection, "train_model", no_training)
+        monkeypatch.setattr(methods, "train_model", no_training)
     if code == 2 and command != "simulate":
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
@@ -940,6 +945,11 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
      "'simulator.treatment_effect'"),
     ("train", "gformula", "data.simulator.noise_sd=Infinity", "'simulator.noise_sd'"),
     ("train", "gformula", "data.simulator.x_dim=-1", "'simulator.x_dim'"),
+    ("train", "gformula", f"data.simulator.x_dim={2 ** 63}", "'simulator.x_dim'"),
+    ("simulate", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1",
+     "'simulator.effect_of_x1'"),
+    ("train", "gformula", 'data.csv="no/such/data.csv" data.schema="no/such/schema.json"',
+     "data.csv"),
     ("simulate", "gformula", "data.simulator.propensity_intercept=NaN",
      "'simulator.propensity_intercept'"),
     ("train", "gformula", "data.simulator.outcome_weights=[Infinity]",

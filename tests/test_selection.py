@@ -205,6 +205,24 @@ def test_grid_search_all_diverged_raises():
     assert info.value.table is not None
 
 
+def test_an_all_diverged_table_ranks_by_size_then_grid_order():
+    # each candidate is built, and its size read, before it trains and diverges
+    ds = _plugin_dataset(200, 2.0, seed=9)
+    train, validation = ds.split(0.7, seed=3)
+    grid = _grid(**{"optimizer.learning_rate": [1e150], "optimizer.l2_penalty": [0.0, 1e-3],
+                    "model.mlp_width": [16, 8]})
+    with pytest.raises(SelectionFailedError) as info:
+        _search(grid, train, validation, method="gformula", seed=5,
+                plugin={"n_trees": 10, "seed": 0})
+    table = info.value.table
+    assert all(e["diverged"] and type(e["param_count"]) is int for e in table)
+    assert [e["rank"] for e in table] == [0, 1, 2, 3]
+    # grid order: (l2 0, width 16), (l2 0, width 8), (l2 1e-3, width 16), (l2 1e-3, width 8)
+    assert [e["grid_index"] for e in table] == [1, 3, 0, 2]
+    counts = [e["param_count"] for e in table]
+    assert counts[0] == counts[1] < counts[2] == counts[3]
+
+
 def test_grid_search_ate_mode_uses_scalar_broadcast():
     ds = _plugin_dataset(300, 2.0, seed=10)
     train, validation = ds.split(0.7, seed=4)
