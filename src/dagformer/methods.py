@@ -170,12 +170,16 @@ class LinearScmSimulator(Simulator):
     @cached_property
     def scm(self) -> LinearScm:
         """Built once, when `resolve` reads the section. A coefficient that is
-        not finite, an `x_dim` below 0 or beyond a sequence's size, an effect of
-        X1 without X1, or a weight list that is not `x_dim` finite numbers, is a
-        ConfigError naming its key."""
-        if not 0 <= self.x_dim <= sys.maxsize:  # 0 is the graph A -> Y
-            raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, "
-                              f"expected an integer from 0 to {sys.maxsize}")
+        not finite, an `x_dim` below 0 or beyond what a draw can hold, an effect
+        of X1 without X1, or a weight list that is not `x_dim` finite numbers, is
+        a ConfigError naming its key."""
+        # a draw's matrix of n * (x_dim + 2) float64 values must be an array NumPy
+        # can make, of at most sys.maxsize bytes; checked before any tuple is built
+        most = sys.maxsize // (8 * self.n) - 2
+        if not 0 <= self.x_dim <= most:  # 0 is the graph A -> Y
+            raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, expected an "
+                              f"integer from 0 to {most}, so that the n * (x_dim + 2) float64 "
+                              f"values of a draw of n = {self.n} rows fit in {sys.maxsize} bytes")
         for key in ("treatment_effect", "effect_of_x1", "propensity_intercept", "noise_sd"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"bad value for 'simulator.{key}': {getattr(self, key)!r}, "

@@ -119,10 +119,10 @@ class Nmmr(Objective):
 
     def risk(self, model, batch) -> float:
         """The model's risk over all rows of `batch`, without the parameter
-        penalty: `bind`'s loss over every row, computed in row bands by `nmmr_risk`."""
+        penalty: `bind`'s loss over every row, with the bridge's values computed
+        in `predict`'s row blocks and the kernel in row bands by `nmmr_risk`."""
         y, features, bandwidth = self._targets(model, model._standardize(batch))
-        with T.no_grad():
-            h_vals = model.forward(batch)[model.outcome_node].data
+        h_vals = model._forward_blocks(batch)[model.outcome_node]
         return nmmr_risk(y, h_vals, features, bandwidth, self.variant)
 
 

@@ -746,9 +746,12 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("simulate", "gformula", "data.simulator.x_dim=-1", 2),
     ("simulate", "gformula", "data.simulator.noise=0.5", 2),
     ("evaluate", "proximal-u", "experiment=demand data.simulator.x_dim=2", 2),
-    # an effect of X1 without X1, and an x_dim beyond a sequence's size
+    # an effect of X1 without X1, an x_dim beyond a sequence's size, and one beyond
+    # what a draw can hold, which used to build its weight tuples first
     ("train", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1", 2),
     ("train", "gformula", f"data.simulator.x_dim={2 ** 63}", 2),
+    ("train", "gformula", f"data.simulator.x_dim={2 ** 62}", 2),
+    ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 62}", 2),
     # training sizes, read before any replicate starts
     ("evaluate", "gformula", "epochs=-1", 2),
     ("evaluate", "gformula", "batch_size=0", 2),
@@ -946,6 +949,9 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     ("train", "gformula", "data.simulator.noise_sd=Infinity", "'simulator.noise_sd'"),
     ("train", "gformula", "data.simulator.x_dim=-1", "'simulator.x_dim'"),
     ("train", "gformula", f"data.simulator.x_dim={2 ** 63}", "'simulator.x_dim'"),
+    ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 62}",
+     "'simulator.x_dim': 4611686018427387904, expected an integer from 0 to "
+     "230584300921369393, so that the n * (x_dim + 2) float64 values of a draw of n = 5 rows"),
     ("simulate", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1",
      "'simulator.effect_of_x1'"),
     ("train", "gformula", 'data.csv="no/such/data.csv" data.schema="no/such/schema.json"',

@@ -9,10 +9,12 @@ import pytest
 
 from dagformer import rng, tensor
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
-from dagformer.errors import ConfigError, DataError, ShapeError, TrainingDivergedError
+from dagformer.errors import (
+    ConfigError, DataError, DegenerateInputError, ShapeError, TrainingDivergedError,
+)
 from dagformer.graph import CausalDag, NodeRole, demand_dag
-from dagformer.model import DagTransformer, ModelConfig, train_model
-from dagformer.objectives import AipwJoint, GFormula, Iptw, Nmmr
+from dagformer.model import _PREDICT_ROWS, DagTransformer, ModelConfig, train_model
+from dagformer.objectives import AipwJoint, GFormula, Iptw, Nmmr, nmmr_risk
 from dagformer.optim import AdamState
 
 TRIANGLE_NODES = [("X", "confounder"), ("A", "treatment"), ("Y", "outcome")]
@@ -593,6 +595,16 @@ def test_a_failed_predict_leaves_training_recording():
     assert all(p.grad is not None for p in model.parameters())
 
 
+def _peak(call):
+    """The tracemalloc peak, in bytes, of `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_counterfactual_predict_keeps_no_tape_in_memory():
     scm = LinearScm(x_dim=1, treatment_effect=2.0)
     config = ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=1, feedforward_dim=16,
@@ -600,17 +612,9 @@ def test_counterfactual_predict_keeps_no_tape_in_memory():
     model = DagTransformer(config, linear_scm_dag(1), "gformula", SCM_KINDS)
     batch = simulate_linear_scm(5000, scm, seed=3).matrix(model.input_nodes)
     model.fit_standardizer(batch)
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
     # a recording forward keeps every intermediate alive until its outputs go
-    assert peak(lambda: model.counterfactual_predict(batch, 1.0)) <= \
-        0.5 * peak(lambda: model.forward(batch))
+    assert _peak(lambda: model.counterfactual_predict(batch, 1.0)) <= \
+        0.5 * _peak(lambda: model.forward(batch))
 
 
 # -- the last encoder layer computes only the head rows, with the full layer's floats --
@@ -694,9 +698,12 @@ CUT_SHAPES = {
 def _generic_model(shape, n):
     """A model of one of CUT_SHAPES with every parameter drawn at random, so no
     bias is zero and no gain is one, and a standardized batch of n rows."""
-    config, dag, method, kinds = CUT_SHAPES[shape]
+    return _random_model(*CUT_SHAPES[shape], rng.stream(11, "generic", shape, n), n)
+
+
+def _random_model(config, dag, method, kinds, g, n):
+    """`_generic_model` of any shape, its parameters and rows drawn from `g`."""
     model = DagTransformer(ModelConfig(**config), dag, method, kinds)
-    g = rng.stream(11, "generic", shape, n)
     for p in model.parameters():
         p.data = g.standard_normal(p.data.shape) * 0.5
     batch = g.standard_normal((n, len(model.input_nodes)))
@@ -755,6 +762,114 @@ def test_cut_training_leaves_the_parameters_of_full_training(monkeypatch, shape,
     cut, full = trained
     for name, p in cut.params.items():
         assert np.array_equal(p.data, full.params[name].data), name
+
+
+# -- no-grad forwards run in fixed row blocks, with the floats of one pass --
+
+B = _PREDICT_ROWS
+BRIDGE_KINDS = {n: "continuous" for n in "ZWAY"}
+BLOCK_SHAPES = {
+    "criterion-6 seed 1": (CRITERION_6, SCM_DAG, "gformula", SCM_KINDS),
+    "criterion-6 seed 2": (dict(CRITERION_6, seed=2), SCM_DAG, "gformula", SCM_KINDS),
+    "aipw 1 layer": CUT_SHAPES["aipw-joint"],
+    "aipw 2 layers": CUT_SHAPES["two-layer"],
+    "bridge 1L1H": CUT_SHAPES["nmmr-u"],
+    "bridge 2L2H": (dict(NMMR_U, num_encoder_layers=2, num_heads=2), demand_dag(), "proximal",
+                    BRIDGE_KINDS),
+    "aipw alpha 0": (dict(CRITERION_6, alpha=0.0), linear_scm_dag(5), "aipw", AIPW_KINDS),
+}
+BLOCK_ROWS = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 7 * B // 2, 4999, 5003]
+
+
+def _block_model(shape, n):
+    """A model of BLOCK_SHAPES with random parameters (seeded by its config's
+    seed), fit to a random batch of n rows."""
+    config = BLOCK_SHAPES[shape][0]
+    model, batch = _random_model(*BLOCK_SHAPES[shape], rng.stream(config["seed"], "block"), n)
+    model.fit_standardizer(batch)
+    return model, batch
+
+
+def test_predict_rows_is_a_multiple_of_16():
+    # so every block but the last keeps each row's remainder against the GEMM's
+    assert B > 0 and B % 16 == 0
+
+
+@pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
+def test_blocked_forwards_equal_one_pass_bit_for_bit(shape):
+    model, rows = _block_model(shape, max(BLOCK_ROWS))
+    bridge = Nmmr("U", kernel_bandwidth=1.0) if model.method == "proximal" else None
+    for n in BLOCK_ROWS:
+        batch, maps = rows[:n], []
+        with tensor.no_grad():
+            outs = model.forward(batch, collect_attention=maps)
+        for head, values in model.predict(batch).items():
+            assert np.array_equal(values, model._destandardize_head(head, outs[head].data)), \
+                (head, n)
+        assert all(np.array_equal(a, b) for a, b in zip(model.attention_maps(batch), maps,
+                                                        strict=True)), n
+        if bridge is not None:
+            y, features, bandwidth = bridge._targets(model, model._standardize(batch))
+            one_pass = nmmr_risk(y, outs[model.outcome_node].data, features, bandwidth, "U")
+            assert bridge.risk(model, batch) == one_pass, n
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (1, [1]), (B - 1, [B - 1]), (B, [B]), (2 * B - 1, [2 * B - 1]), (2 * B, [B, B]),
+    (2 * B + 1, [B, B + 1]), (7 * B // 2, [B, B, 3 * B // 2]),
+])
+def test_the_last_block_takes_the_tail(monkeypatch, n, blocks):
+    model, batch = _generic_model("criterion-6", n)
+    sizes, forward = [], model._forward
+    monkeypatch.setattr(model, "_forward",
+                        lambda block, *args: sizes.append(len(block)) or forward(block, *args))
+    model.predict(batch)
+    assert sizes == blocks
+
+
+def _assert_records(model, batch):
+    outs = model.forward(batch)
+    assert all(out._parents for out in outs.values())
+
+
+def test_a_bad_row_in_the_last_block_is_named_by_its_row_in_the_batch():
+    model, batch = _generic_model("aipw-joint", 2 * B + 5)
+    column = model.input_nodes.index("A")
+    batch[2 * B + 3, column] = 0.5
+    for call in (model.predict, model.attention_maps, lambda b: Nmmr().risk(model, b)):
+        with pytest.raises(DataError, match=f"bad value at row {2 * B + 3}$"):
+            call(batch)
+    batch[2 * B + 3, column] = 1.0
+    _assert_records(model, batch[:8])
+
+
+def test_a_raise_in_a_later_block_leaves_training_recording(monkeypatch):
+    model, batch = _generic_model("criterion-6", 3 * B)
+    calls, forward = [], model._forward
+
+    def fail_on_the_last_block(block, *args):
+        calls.append(len(block))
+        if len(calls) == 3:
+            raise DegenerateInputError("the last block failed")
+        return forward(block, *args)
+    monkeypatch.setattr(model, "_forward", fail_on_the_last_block)
+    with pytest.raises(DegenerateInputError):
+        model.counterfactual_predict(batch, 1.0)
+    assert calls == [B, B, B]
+    _assert_records(model, batch[:8])
+
+
+@pytest.mark.parametrize("shape", ["criterion-6", "nmmr-u"])
+def test_no_grad_forward_memory_does_not_grow_with_rows(shape):
+    peaks = []
+    for n in (4 * B, 16 * B):
+        model, batch = _generic_model(shape, n)
+        model.fit_standardizer(batch)
+        if model.method == "proximal":
+            peaks.append(_peak(lambda: Nmmr("U", kernel_bandwidth=1.0).risk(model, batch)))
+        else:
+            peaks.append(_peak(lambda: model.counterfactual_predict(batch, 1.0)))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 # -- each parameter is bound once, to what reads it --
