@@ -293,8 +293,6 @@ def cmd_evaluate(args) -> int:
         plugin_covariates(run.dag)
     # `_effect_replicate` is looked up here, so a wrapped module function is seen
     worker = _demand_replicate if experiment == "demand" else _effect_replicate
-    if experiment == "demand":  # forked workers inherit the cached truth instead of redrawing it
-        data_mod.demand_true_curve()
     label = config_hash(config)
     rows = map_jobs(_replicate_with_context,
                     [(worker, run, r, label) for r in range(run.replicates)], args.jobs)

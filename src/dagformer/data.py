@@ -365,44 +365,42 @@ def heldout_w_draws(m: int, seed: int) -> np.ndarray:
     return 7.0 * demand_psi(u) + 45.0 + g.standard_normal(m)
 
 
-_DEMAND_MC_CACHE: dict[tuple, tuple[float, float]] = {}
-
-
 def demand_mc_moments(draws: int = 2_000_000, seed: int = 202406) -> tuple[float, float]:
-    """Monte Carlo estimates of (E[psi(U)], E[W]), cached per draw count.
+    """Monte Carlo estimates of (E[psi(U)], E[W]) from `draws` uniforms of the
+    stream (seed, "demand-mc"); the reference that `DEMAND_MOMENTS` pins.
 
     The draws are summed in blocks of 10^6, each with one `.sum()`, and a
     block's psi values are computed 2^13 draws at a time into one buffer.
     The result is the float of evaluating psi over each whole block at once
     (same uniforms, elementwise psi, same sums), but a call peaks at about
-    10 MiB, not that expression's 38 MiB. A piece's 64 KiB temporaries stay
-    below glibc's 128 KiB mmap threshold, so the heap reuses them instead of
-    mapping fresh pages for each piece.
+    10 MiB, not that expression's 38 MiB.
     """
     if draws < 1:
         raise ContractError("need n >= 1")
-    key = (draws, seed)
-    if key not in _DEMAND_MC_CACHE:
-        g = rng.stream(seed, "demand-mc")
-        block, piece = 1_000_000, 2 ** 13
-        buf = np.empty(min(block, draws))
-        total_psi = 0.0
-        done = 0
-        while done < draws:
-            k = min(block, draws - done)
-            for lo in range(0, k, piece):
-                hi = min(lo + piece, k)
-                buf[lo:hi] = demand_psi(g.uniform(0.0, 10.0, hi - lo))
-            total_psi += buf[:k].sum()
-            done += k
-        mean_psi = total_psi / draws
-        _DEMAND_MC_CACHE[key] = (mean_psi, 7.0 * mean_psi + 45.0)
-    return _DEMAND_MC_CACHE[key]
+    g = rng.stream(seed, "demand-mc")
+    block, piece = 1_000_000, 2 ** 13
+    buf = np.empty(min(block, draws))
+    total_psi = 0.0
+    done = 0
+    while done < draws:
+        k = min(block, draws - done)
+        for lo in range(0, k, piece):
+            hi = min(lo + piece, k)
+            buf[lo:hi] = demand_psi(g.uniform(0.0, 10.0, hi - lo))
+        total_psi += buf[:k].sum()
+        done += k
+    mean_psi = total_psi / draws
+    return mean_psi, 7.0 * mean_psi + 45.0
+
+
+# the truth's (E[psi(U)], E[W]): `demand_mc_moments()`'s floats, pinned so that no process
+# draws them. A test recomputes them; re-pin them with any DEMAND_SCM_VERSION bump.
+DEMAND_MOMENTS = (float.fromhex("-0x1.33e85158a8958p+1"), float.fromhex("0x1.c294b8d26c7d3p+4"))
 
 
 def demand_true_potential_outcome(a) -> np.ndarray | float:
     """E[Y^a] under the pinned SCM: 100 + (10 + a) E[psi] - 2a + 0.1 (E[W] - 45)."""
-    mean_psi, mean_w = demand_mc_moments()
+    mean_psi, mean_w = DEMAND_MOMENTS
     return 100.0 + (10.0 + np.asarray(a)) * mean_psi - 2.0 * np.asarray(a) \
         + 0.1 * (mean_w - 45.0)
 

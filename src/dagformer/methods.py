@@ -170,9 +170,9 @@ class LinearScmSimulator(Simulator):
     @cached_property
     def scm(self) -> LinearScm:
         """Built once, when `resolve` reads the section. A coefficient that is
-        not finite, an `x_dim` below 0 or beyond what a draw can hold, an effect
-        of X1 without X1, or a weight list that is not `x_dim` finite numbers, is
-        a ConfigError naming its key."""
+        not finite, an `x_dim` below 0, beyond what a draw can hold or too large
+        for memory, an effect of X1 without X1, or a weight list that is not
+        `x_dim` finite numbers, is a ConfigError naming its key."""
         # a draw's matrix of n * (x_dim + 2) float64 values must be an array NumPy
         # can make, of at most sys.maxsize bytes; checked before any tuple is built
         most = sys.maxsize // (8 * self.n) - 2
@@ -197,16 +197,23 @@ class LinearScmSimulator(Simulator):
             return tuple(values)
         effect = (self.treatment_effect if self.effect_of_x1 == 0.0
                   else LinearEffect(self.treatment_effect, self.effect_of_x1))
-        return LinearScm(
+        return self._sized(lambda: LinearScm(
             x_dim=self.x_dim,
             propensity_weights=weights("propensity_weights", 0.5),
             propensity_intercept=self.propensity_intercept,
             outcome_weights=weights("outcome_weights", 1.0),
             treatment_effect=effect,
-            noise_sd=self.noise_sd)
+            noise_sd=self.noise_sd))
 
     def dag(self) -> CausalDag:
-        return data_mod.linear_scm_dag(self.x_dim)
+        return self._sized(lambda: data_mod.linear_scm_dag(self.x_dim))
+
+    def _sized(self, build):
+        try:  # x_dim-long weights or graph nodes may not fit in memory where a draw's array could
+            return build()
+        except MemoryError:
+            raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, too large for "
+                              "memory to hold its x_dim weights and graph nodes") from None
 
     def draw(self, seed: int):
         rows = data_mod.simulate_linear_scm(self.n, self.scm, seed)
@@ -255,8 +262,10 @@ class Heldout:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.draws < 1:
-            raise ConfigError(f"draws must be >= 1, got {self.draws}")
+        most = sys.maxsize // (8 * 4)  # h_hat's batch: draws rows of the 4 demand columns
+        if not 1 <= self.draws <= most:
+            raise ConfigError(f"draws must be >= 1 and <= {most}, so that h_hat's draws * 4 "
+                              f"float64 values fit in {sys.maxsize} bytes, got {self.draws}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
 import builtins
 import json
-import os
 import pathlib
-import sys
 import re
 
 import numpy as np
@@ -319,26 +317,24 @@ def test_evaluate_demand_reports_median_iqr(tmp_path):
         assert len(row["curve"]) == 10
 
 
-def test_evaluate_demand_workers_inherit_the_truth(tmp_path, monkeypatch):
-    # psi is also evaluated on each replicate's sample; only the Monte Carlo
-    # truth's calls are logged, and a forked worker must find it cached
-    log = tmp_path / "pids"
-    psi = cli.data_mod.demand_psi
-
-    def logging_psi(u):
-        if sys._getframe(1).f_code.co_name == "demand_mc_moments":
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-        return psi(u)
-    monkeypatch.setattr(cli.data_mod, "demand_psi", logging_psi)
-    monkeypatch.setattr(cli.data_mod, "_DEMAND_MC_CACHE", {})
+def test_demand_runs_draw_no_monte_carlo(tmp_path, monkeypatch):
+    # the truth reads pinned moments: no command, nor a forked `--jobs 2`
+    # worker, draws the 2,000,000-sample Monte Carlo that defines them
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the demand truth drew its Monte Carlo")
+    monkeypatch.setattr(cli.data_mod, "demand_mc_moments", no_monte_carlo)
+    config = {"simulator": {"name": "demand", "n": 40}, "seed": 5}
+    assert run(tmp_path, "simulate", config, extra=("--out", str(tmp_path / "sim"))) == 0
+    truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+    golden = json.loads((ROOT / "tests" / "fixtures" / "golden" / "simulate-demand.json")
+                        .read_text())["files"]["simulate/truth.json"]["numbers"]
+    assert truth["true_curve"] == golden[10:20]  # keys in order: price_grid, true_curve, u
     config = {"experiment": "demand", "method": "proximal-u",
               "data": {"simulator": {"name": "demand", "n": 60}}, "model": small_model(),
               "epochs": 1, "batch_size": 32, "replicates": 2, "seed": 13,
               "heldout": {"draws": 20}}
     extra = ("--out", str(tmp_path / "o"), "--jobs", "2")
     assert run(tmp_path, "evaluate", config, extra=extra) == 0
-    assert set(log.read_text().split()) == {str(os.getpid())}
 
 
 def test_evaluate_demand_draws_heldout_w_with_heldout_seed(tmp_path):
@@ -752,6 +748,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("train", "gformula", f"data.simulator.x_dim={2 ** 63}", 2),
     ("train", "gformula", f"data.simulator.x_dim={2 ** 62}", 2),
     ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 62}", 2),
+    # an x_dim under that bound whose weight tuples alone cannot be allocated
+    ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 57}", 2),
+    ("train", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 57}", 2),
     # training sizes, read before any replicate starts
     ("evaluate", "gformula", "epochs=-1", 2),
     ("evaluate", "gformula", "batch_size=0", 2),
@@ -783,6 +782,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # no held-out draws to average over
     ("estimate", "proximal-u", "heldout.draws=0", 2),
     ("estimate", "proximal-u", "heldout.draws=-3", 2),
+    # more held-out draws than an array of h_hat's batch can hold
+    ("estimate", "proximal-u", f"heldout.draws={2 ** 62}", 2),
+    ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 62}", 2),
     # fewer than one process, from the config or the flag
     ("evaluate", "gformula", "jobs=0", 2),
     ("evaluate", "gformula", "--jobs=0", 2),
@@ -937,6 +939,11 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     ("tune", "gformula", "model.embedding_dim=abc", "'model.embedding_dim'"),
     ("tune", "gformula", "heldout.drawz=1", "'heldout.drawz'"),
     ("estimate", "proximal-u", "heldout.draws=0", "heldout.draws must be >= 1"),
+    ("estimate", "proximal-u", f"heldout.draws={2 ** 62}",
+     "heldout.draws must be >= 1 and <= 288230376151711743, so that h_hat's draws * 4 "
+     "float64 values fit in 9223372036854775807 bytes"),
+    ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 62}",
+     "heldout.draws must be >= 1 and <= 288230376151711743"),
     ("evaluate", "gformula", "jobs=0", "'jobs'"),
     ("evaluate", "gformula", "--jobs=0", "'--jobs'"),
     ("train", "gformula", 'out="x"', "'out'"),
@@ -952,6 +959,8 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 62}",
      "'simulator.x_dim': 4611686018427387904, expected an integer from 0 to "
      "230584300921369393, so that the n * (x_dim + 2) float64 values of a draw of n = 5 rows"),
+    ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 57}",
+     "'simulator.x_dim': 144115188075855872, too large for memory"),
     ("simulate", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1",
      "'simulator.effect_of_x1'"),
     ("train", "gformula", 'data.csv="no/such/data.csv" data.schema="no/such/schema.json"',

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagformer import data, rng
+from dagformer import rng
 from dagformer.data import (
-    Column, DEMAND_HELDOUT_DRAWS, DEMAND_PRICE_GRID, DEMAND_REPLICATES,
+    Column, DEMAND_HELDOUT_DRAWS, DEMAND_MOMENTS, DEMAND_PRICE_GRID, DEMAND_REPLICATES,
     DEMAND_SAMPLE_SIZES, LALONDE_CPS_CONTROLS, LALONDE_PSID_CONTROLS,
     LALONDE_TREATED, LALONDE_TRUE_ATE, LinearEffect, LinearScm, TabularDataset, bootstrap,
     csv_text, demand_mc_moments, demand_psi, demand_true_curve, demand_true_potential_outcome,
@@ -219,7 +219,7 @@ def test_demand_protocol_constants():
 
 
 def test_demand_true_outcome_linear_in_price():
-    mean_psi, mean_w = demand_mc_moments()
+    mean_psi, mean_w = DEMAND_MOMENTS
     assert abs((mean_w - 45.0) - 7.0 * mean_psi) < 1e-12
     e10 = demand_true_potential_outcome(10.0)
     e20 = demand_true_potential_outcome(20.0)
@@ -255,14 +255,12 @@ def _one_shot_moments(draws, seed):
 
 @pytest.mark.parametrize("draws,seed", [(2_000_000, 202406), (1_000_000, 77), (1_234_567, 5),
                                         (65_537, 3), (1_000, 13)])
-def test_demand_mc_moments_equal_one_shot_floats(monkeypatch, draws, seed):
-    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
+def test_demand_mc_moments_equal_one_shot_floats(draws, seed):
     assert demand_mc_moments(draws, seed) == _one_shot_moments(draws, seed)
 
 
-def test_demand_mc_moments_memory_is_bounded(monkeypatch):
+def test_demand_mc_moments_memory_is_bounded():
     # one 10^6-draw block evaluated at once peaks at about 38 MiB
-    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
     tracemalloc.start()
     try:
         demand_mc_moments(2_000_000, seed=31)
@@ -273,11 +271,18 @@ def test_demand_mc_moments_memory_is_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("draws", [0, -5])
-def test_demand_mc_moments_rejects_draws_below_one(monkeypatch, draws):
-    monkeypatch.setattr(data, "_DEMAND_MC_CACHE", {})
+def test_demand_mc_moments_rejects_draws_below_one(draws):
     with pytest.raises(ContractError, match="need n >= 1"):
         demand_mc_moments(draws=draws, seed=3)
-    assert data._DEMAND_MC_CACHE == {}
+
+
+def test_demand_moments_are_the_monte_carlo_at_its_default_draws():
+    # the truth's pinned floats; after a DEMAND_SCM_VERSION bump, paste the
+    # literals this message prints into `data.DEMAND_MOMENTS`
+    fresh = demand_mc_moments()
+    assert fresh == DEMAND_MOMENTS, (
+        "demand_mc_moments(2_000_000, 202406) gives DEMAND_MOMENTS = "
+        f"(float.fromhex({fresh[0].hex()!r}), float.fromhex({fresh[1].hex()!r}))")
 
 
 @pytest.mark.parametrize("m", [0, -1])
