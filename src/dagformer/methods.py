@@ -87,7 +87,11 @@ class Method:
         grid, draws = run.a_grid, None
         if run.demand:
             heldout = seeded(run.heldout, seed)
-            draws = {"W": data_mod.heldout_w_draws(heldout.draws, heldout.seed)}
+            try:  # a count under the bound may still not fit in memory
+                draws = {"W": data_mod.heldout_w_draws(heldout.draws, heldout.seed)}
+            except MemoryError:
+                raise ConfigError(f"bad value for 'heldout.draws': {heldout.draws!r}, too large "
+                                  "for memory to hold its draws") from None
             grid = grid or data_mod.DEMAND_PRICE_GRID
         elif grid is None:
             raise ConfigError("proximal estimation on external data needs 'a_grid'")

@@ -24,12 +24,15 @@ weight product, the head MLP's included, is one tape node with its bias
 and past attention a row depends on no other row. So the last layer runs
 attention on every node (the attention maps are whole), and its output
 projection, residuals, second norm, FFN and the final norm on the head rows
-only. Earlier layers run on every node. Its three products past attention
-still run at the full (batch * nodes, width) shape, forward and in both
-gradients, with each head row in its own place and zero rows for the other
-nodes (`tensor.linear` with a node mask): BLAS picks its kernel by shape, and
-a smaller product rounds some rows differently. So the cut layer gives the
-floats of the full layer bit for bit. The tape lists ops only, not the
+only. Earlier layers run on every node. While recording, its three
+products past attention run at the full (batch * nodes, width) shape,
+forward and in both gradients, with each head row in its own place and zero
+rows for the other nodes (`tensor.linear` with a node mask), so that every
+gradient keeps the floats of the full layer. With no graph recorded, they
+multiply the head rows only, one row padded to two: each row of a product
+of two rows or more has the float of its row in the full product, and one
+row alone takes BLAS's gemv, which rounds otherwise. So the cut layer gives
+the floats of the full layer bit for bit. The tape lists ops only, not the
 parameters they read: a criterion-6 training step has 23 tape nodes, a
 criterion-9 NMMR-U step 30.
 
@@ -57,11 +60,12 @@ from .tensor import Tensor
 # rows per block of a no-grad forward pass (`DagTransformer._forward_blocks`), a
 # multiple of 16. Every block but the last holds exactly this many rows, so each
 # row keeps its place against the row remainder (rows mod 4) of every
-# (rows * nodes, K) product and gets the float of one whole-batch pass;
-# ceil(n / B) near-equal blocks do not. 512 was measured: a criterion-6
-# G-formula estimate's two 5,000-row predicts take 34 ms in blocks of 512 or
-# 1,024 rows, 41 ms in blocks of 256 and 44 ms in one pass (Xeon, 2 vCPUs, one
-# BLAS thread).
+# (rows * nodes, K) product, and of the last layer's (rows * heads, K) products
+# past attention, and gets the float of one whole-batch pass; ceil(n / B)
+# near-equal blocks do not. 512 was measured: a criterion-6 G-formula
+# estimate's two 5,000-row predicts take 23 ms in blocks of 512 rows, 24 ms in
+# blocks of 1,024, 27 ms in blocks of 256 and 31 ms in one pass (Xeon, 2 vCPUs,
+# one BLAS thread; medians of 7).
 _PREDICT_ROWS = 512
 
 

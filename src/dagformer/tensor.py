@@ -291,19 +291,32 @@ def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
     GEMM, and so is each gradient, where np.matmul would loop over a batch
     axis. `keep`, a boolean mask over the D nodes of an (N, D, K) operand,
     returns only the kept nodes, (N, kept, M); `a` may then hold all D nodes
-    or only the kept ones. Every product still runs at the full (N*D, ...)
-    shape, with each kept node in its own rows and zero rows for the others:
-    BLAS picks its kernel by shape, and a smaller product could round a row
-    otherwise. Only the bias add and the bias gradient's row sum shrink.
+    or only the kept ones. With recording off, only the kept rows are
+    multiplied, a one-row operand padded to two rows: each row of a GEMM of
+    two or more rows has the float of its row in the full product, and only
+    one row takes gemv, which rounds otherwise. A recorded product runs at
+    the full (N*D, ...) shape, forward and in both gradients, with each kept
+    node in its own rows and zero rows for the others, so that every gradient
+    keeps the floats of the uncut layer. The bias is added in place.
     """
+    if keep is not None and not _recording:
+        kept = a.data if a.data.shape[1] != keep.size else np.compress(keep, a.data, axis=1)
+        a2 = kept.reshape(-1, kept.shape[-1])
+        rows = a2.shape[0]
+        if rows == 1 and keep.size > 1:  # the full product has two rows or more
+            a2 = np.concatenate((a2, a2))
+        out_data = (a2 @ w.data)[:rows].reshape(kept.shape[:-1] + w.data.shape[-1:])
+        out_data += b.data
+        return Tensor(out_data)
     full = a.data
     if keep is not None and full.shape[1] != keep.size:
         full = np.zeros(full.shape[:1] + keep.shape + full.shape[2:])
         full[:, keep] = a.data
     a2 = full.reshape(-1, full.shape[-1])
     prod = (a2 @ w.data).reshape(full.shape[:-1] + w.data.shape[-1:])
-    out_data = (prod if keep is None else np.compress(keep, prod, axis=1)) + b.data
     out_shape = prod.shape
+    out_data = prod if keep is None else np.compress(keep, prod, axis=1)
+    out_data += b.data
 
     def bwd(g):
         if keep is not None:
@@ -476,12 +489,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
-    """The layer norm of x, with the normalized x and the 1 / std its backward reads."""
+    """The layer norm of x, with the normalized x and the 1 / std its backward
+    reads; the normalized x is written over x - mean, and the bias added in place."""
     d = x - x.mean(axis=-1, keepdims=True)
     var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = d * inv
-    return xhat * gain + bias, xhat, inv
+    xhat = np.multiply(d, inv, out=d)
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
@@ -506,28 +522,44 @@ def attention(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, bq: Tenso
     softmax(q k^T / sqrt(E / heads) + additive_mask) @ v, heads merged back
     into (N, D, E), before any output projection. The post-softmax maps
     (N, heads, D, D) are appended to `collect`. The forward makes the NumPy
-    calls of that chain of ops in their order, and the backward those of the
-    chain's backward in tape order, so every float equals the chain's: the
-    gradient into the normalized input is summed as (q + k) + v, and each
+    calls of that chain of ops, on the same operands, and the backward those
+    of the chain's backward in tape order, so every float equals the chain's:
+    the gradient into the normalized input is summed as (q + k) + v, and each
     Q/K/V gradient is C-contiguous where the chain copies it.
+
+    The forward runs the norm, Q and K, the softmax, then V and `attn @ v`;
+    each bias is added in place. With no graph recorded, each array is
+    dropped once nothing later reads it, before the next is made: the
+    normalized x and 1 / std after the norm, Q and K after the softmax, the
+    norm's output once V exists, and the maps and V after `attn @ v`.
     """
     n, d, e = x.data.shape
     dh = e // heads
     parents = (x, ln_gain, ln_bias, wq, bq, wk, bk, wv, bv)
     record = _recording and any(p.needs_grad for p in parents)
     xn, xhat, inv = _layer_norm(x.data, ln_gain.data, ln_bias.data)
-    rows = xn.reshape(-1, e)
-    q, k, v = [((rows @ w.data).reshape(n, d, e) + b.data).reshape(n, d, heads, dh)
-               .transpose(0, 2, 1, 3) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
     if not record:  # free what only the backward reads before the next allocation
-        xn = xhat = inv = rows = None
+        xhat = inv = None
+    rows = xn.reshape(-1, e)
+
+    def project(w, b):
+        p = (rows @ w.data).reshape(n, d, e)
+        p += b.data
+        return p.reshape(n, d, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k = project(wq, bq), project(wk, bk)
     scale = np.asarray(1.0 / np.sqrt(dh))
     attn = _softmax(np.matmul(q, np.swapaxes(k, -1, -2)) * scale + additive_mask)
+    if not record:
+        q = k = None
+    v = project(wv, bv)
+    if not record:
+        xn = rows = None
     if collect is not None:
         collect.append(attn.copy())
     ctx = np.matmul(attn, v)
     if not record:
-        q = k = v = attn = None
+        v = attn = None
     out_data = ctx.transpose(0, 2, 1, 3).reshape(n, d, e)
 
     def bwd(g):

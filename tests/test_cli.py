@@ -1,7 +1,10 @@
 import builtins
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -785,6 +788,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # more held-out draws than an array of h_hat's batch can hold
     ("estimate", "proximal-u", f"heldout.draws={2 ** 62}", 2),
     ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 62}", 2),
+    # under that bound, but more held-out draws than memory holds
+    ("estimate", "proximal-u", f"heldout.draws={2 ** 58 - 1}", 2),
+    ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 58 - 1}", 2),
     # fewer than one process, from the config or the flag
     ("evaluate", "gformula", "jobs=0", 2),
     ("evaluate", "gformula", "--jobs=0", 2),
@@ -944,6 +950,8 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
      "float64 values fit in 9223372036854775807 bytes"),
     ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 62}",
      "heldout.draws must be >= 1 and <= 288230376151711743"),
+    ("estimate", "proximal-u", f"heldout.draws={2 ** 58 - 1}",
+     "'heldout.draws': 288230376151711743, too large for memory"),
     ("evaluate", "gformula", "jobs=0", "'jobs'"),
     ("evaluate", "gformula", "--jobs=0", "'--jobs'"),
     ("train", "gformula", 'out="x"', "'out'"),
@@ -990,6 +998,23 @@ def test_config_error_names_the_key(tmp_path, capsys, snapshots, command, name, 
     assert run(tmp_path, command, _table_config(command, name),
                extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == 2
     assert named in capsys.readouterr().err
+
+
+def test_heldout_draws_beyond_memory_stop_estimate_without_a_traceback(tmp_path):
+    # under `Heldout`'s bound, the 2 EiB draw is refused at once, so nothing is
+    # allocated; a fresh interpreter shows what a user sees on stderr
+    out = tmp_path / "run"
+    config = _method_config("proximal-u")
+    assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
+    est = dict(config, model=str(out / "model.json"), heldout={"draws": 2 ** 58 - 1})
+    (tmp_path / "est.json").write_text(json.dumps(est))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "dagformer.cli", "estimate", "--config",
+                           str(tmp_path / "est.json"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "'heldout.draws'" in done.stderr, done.stderr
 
 
 SIX_ROLE_DAG = {"nodes": [{"name": n, "role": r} for n, r in (

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import pickle
@@ -795,23 +796,42 @@ def test_predict_rows_is_a_multiple_of_16():
     assert B > 0 and B % 16 == 0
 
 
-@pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
-def test_blocked_forwards_equal_one_pass_bit_for_bit(shape):
-    model, rows = _block_model(shape, max(BLOCK_ROWS))
+def _assert_no_grad_forwards_equal_one_pass(model, rows, sizes, recording):
+    """`predict`, `attention_maps` and, for a bridge, `Nmmr.risk` of the first
+    n rows, for each n of `sizes`, equal one `forward` over them, which records
+    a graph or not."""
     bridge = Nmmr("U", kernel_bandwidth=1.0) if model.method == "proximal" else None
-    for n in BLOCK_ROWS:
+    for n in sizes:
         batch, maps = rows[:n], []
-        with tensor.no_grad():
+        with contextlib.nullcontext() if recording else tensor.no_grad():
             outs = model.forward(batch, collect_attention=maps)
+        assert all(bool(out._parents) == recording for out in outs.values()), n
         for head, values in model.predict(batch).items():
             assert np.array_equal(values, model._destandardize_head(head, outs[head].data)), \
                 (head, n)
         assert all(np.array_equal(a, b) for a, b in zip(model.attention_maps(batch), maps,
                                                         strict=True)), n
-        if bridge is not None:
+        if bridge is not None and n >= bridge.min_rows:
             y, features, bandwidth = bridge._targets(model, model._standardize(batch))
             one_pass = nmmr_risk(y, outs[model.outcome_node].data, features, bandwidth, "U")
             assert bridge.risk(model, batch) == one_pass, n
+
+
+@pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
+def test_blocked_forwards_equal_one_pass_bit_for_bit(shape):
+    model, rows = _block_model(shape, max(BLOCK_ROWS))
+    _assert_no_grad_forwards_equal_one_pass(model, rows, BLOCK_ROWS, recording=False)
+
+
+EDGE_ROWS = [1, 2, 3, 5, B - 1, B + 1, 1000, 2 * B + 1]
+
+
+@pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
+def test_no_grad_forwards_equal_a_recording_forward_bit_for_bit(shape):
+    # past the last attention a no-grad forward multiplies the head rows only,
+    # and a recording one every node's rows; each head row keeps its float
+    model, rows = _block_model(shape, max(EDGE_ROWS))
+    _assert_no_grad_forwards_equal_one_pass(model, rows, EDGE_ROWS, recording=True)
 
 
 @pytest.mark.parametrize("n, blocks", [
@@ -870,6 +890,18 @@ def test_no_grad_forward_memory_does_not_grow_with_rows(shape):
         else:
             peaks.append(_peak(lambda: model.counterfactual_predict(batch, 1.0)))
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_a_no_grad_forward_holds_few_per_op_arrays_at_once():
+    # tracemalloc counts what is live whatever the allocator's state; a
+    # 1,000-row predict of the criterion-9 bridge is one block, whose per-op
+    # arrays are (rows, nodes, width) float64
+    n = 1000
+    model, batch = _generic_model("nmmr-u", n)
+    model.fit_standardizer(batch)
+    per_op = n * len(model.input_nodes) * model.config.embedding_dim * 8
+    peak = _peak(lambda: model.predict(batch))
+    assert peak <= 5 * per_op, peak / per_op
 
 
 # -- each parameter is bound once, to what reads it --

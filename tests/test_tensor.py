@@ -256,6 +256,23 @@ def test_linear_keeps_the_full_products_floats(n):
     assert np.array_equal(b.grad, ref_grads[2])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 136])
+@pytest.mark.parametrize("keep", [[False, False, False, True], [True, False, False, True]])
+def test_a_no_grad_linear_keeps_the_full_products_floats(n, keep):
+    # with no graph recorded only the kept rows are multiplied; a one-row
+    # product is padded, as gemv rounds otherwise
+    g = rng.stream(29, "linear", n, sum(keep))
+    keep = np.array(keep)
+    x = g.standard_normal((n, 4, 40))
+    w, b = T.parameter(g.standard_normal((40, 40))), T.parameter(g.standard_normal(40))
+    want = T.linear(T.parameter(x), w, b).data[:, keep]
+    with T.no_grad():
+        for operand in (x, x[:, keep]):
+            cut = T.linear(T.tensor(operand), w, b, keep)
+            assert cut.data.flags.c_contiguous and not cut._parents
+            assert np.array_equal(cut.data, want), operand.shape
+
+
 def test_take_nodes_is_contiguous_and_none_keeps_every_node():
     x = T.parameter(np.arange(24.0).reshape(2, 4, 3))
     keep = np.array([True, False, False, True])
