@@ -6,10 +6,16 @@ supplies the leaf means. Split-selection rows therefore never contribute to
 leaf estimates, which is what makes the forest honest.
 
 The trees grow level by level: one vectorized pass finds the best split of
-every open node of a depth, across all trees. A node keeps its rows in the
-order a node-by-node grower gives them (a split leaves both children's rows
-in the stable sort order of its feature), so every split, leaf mean and
-prediction is the same float as growing one node at a time.
+every open node of a depth, across all trees. The pass pads each node's rows
+to a common width with a sentinel row that sorts after every real one and
+adds 0 to every sum, and sorts each feature by its rank plus the slot, a key
+unique within a node. A node keeps its rows in the order a node-by-node grower
+gives them (a split leaves both children's rows in the stable sort order of
+its feature), so every split, leaf mean and prediction is the same float as
+growing one node at a time.
+
+Fit and predict route (row, tree) pairs to their leaves a depth at a time
+through a flat child table, in which a leaf points at itself.
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 
 # rows (node rows, padding included, or row-tree pairs) one pass handles;
 # bounds a pass's temporaries at any sample size
@@ -87,52 +93,82 @@ class HonestTree:
         return found
 
 
-def _split(x, y, rows, starts, counts, min_leaf):
+def _split(x, ranks, y, yy, rows, starts, counts, min_leaf):
     """(feature, threshold, left-child row count) of the best split of each node
     whose rows are rows[starts[i]:starts[i] + counts[i]], found in one pass; the
     feature is -1 where no split lowers the SSE. Puts a split node's rows in the
-    stable sort order of its feature, left child first."""
+    stable sort order of its feature, left child first.
+
+    Row n is a sentinel. `ranks[j]` holds each row's rank in column j of x
+    times n + 1, the largest at row n; `y` and `yy`, the outcome and its
+    square, hold 0 there. A node's padding slots hold row n, so they sort
+    after its rows, and rank plus slot is unique within a node: any sort of it
+    gives the stable sort order of x, as if the node were sorted on its own."""
+    n = y.size - 1
     m = counts[:, None]
-    pos = np.arange(m.max())
+    width = int(m.max())
+    pos = np.arange(width)
     real = pos < m
-    at = np.where(real, starts[:, None] + pos, starts[:, None])
-    r = rows[at]
-    yr = y[r]
-    k = pos[1:]
-    sizes_ok = (k >= min_leaf) & (m - k >= min_leaf)
-    right_n = np.maximum(m - k, 1)  # >= 1 wherever sizes_ok holds
+    at = starts[:, None] + pos
+    r = np.where(real, rows.take(at, mode="clip"), n)
     each = np.arange(m.size)
+    offsets = (each * width)[:, None]  # where each node's slots start in r
+    last = each * width + m[:, 0] - 1
+    k = pos[1:]
+    too_small = (k < min_leaf) | (m - k < min_leaf)
+    right_n = np.maximum(m - k, 1)  # >= 1 wherever both children are large enough
     best = np.full(m.size, np.inf)
     feature = np.full(m.size, -1)
-    threshold = np.zeros(m.size)
-    left_n = np.zeros(m.size, dtype=np.int64)
+    last_left = np.full(m.size, -1)  # the left child's last slot
     order = np.zeros(r.shape, dtype=np.int64)
-    for j in range(x.shape[1]):
-        # +inf padding sorts after every (finite) value, so each node sorts as on its own
-        xs = np.where(real, x[r, j], np.inf)
-        o = np.argsort(xs, axis=1, kind="stable")
-        xs_sorted = np.take_along_axis(xs, o, axis=1)
-        ys_sorted = np.take_along_axis(yr, o, axis=1)
-        csum = np.cumsum(ys_sorted, axis=1)
-        csq = np.cumsum(ys_sorted * ys_sorted, axis=1)
-        total_sum = csum[each, m[:, 0] - 1][:, None]
-        total_sq = csq[each, m[:, 0] - 1][:, None]
-        valid = (xs_sorted[:, :-1] != xs_sorted[:, 1:]) & sizes_ok
-        left_sse = csq[:, :-1] - csum[:, :-1] ** 2 / k
-        right_sum = total_sum - csum[:, :-1]
-        right_sse = (total_sq - csq[:, :-1]) - right_sum ** 2 / right_n
-        sse = np.where(valid, left_sse + right_sse, np.inf)
+    for j, rank in enumerate(ranks):
+        key = rank.take(r)
+        key += pos
+        o = np.argsort(key, axis=1)
+        o += offsets
+        ids = r.take(o)  # the node's rows in sorted order, padding last
+        csum = np.cumsum(y.take(ids), axis=1)
+        csq = np.cumsum(yy.take(ids), axis=1)
+        total_sum = csum.take(last)[:, None]
+        total_sq = csq.take(last)[:, None]
+        csum, csq = csum[:, :-1], csq[:, :-1]
+        sse = csum ** 2
+        sse /= k
+        np.subtract(csq, sse, out=sse)  # left SSE
+        right = total_sum - csum
+        right **= 2
+        right /= right_n
+        np.subtract(total_sq - csq, right, out=right)  # right SSE
+        sse += right
+        rs = rank.take(ids)
+        no_cut = rs[:, :-1] == rs[:, 1:]  # ties in x
+        no_cut |= too_small
+        np.copyto(sse, np.inf, where=no_cut)
         i = np.argmin(sse, axis=1)
-        lowest = sse[each, i]
+        lowest = sse.take(each * (width - 1) + i)
         better = lowest < best - 1e-12  # the earliest feature wins a tie
         best[better] = lowest[better]
         feature[better] = j
-        threshold[better] = 0.5 * (xs_sorted[each, i] + xs_sorted[each, i + 1])[better]
-        left_n[better] = i[better] + 1
-        order[better] = o[better]
-    s = feature >= 0
-    rows[at[s][real[s]]] = np.take_along_axis(r[s], order[s], axis=1)[real[s]]
-    return feature, threshold, left_n
+        last_left[better] = i[better]
+        order[better] = ids[better]
+    s = np.flatnonzero(feature >= 0)
+    rows[at[s][real[s]]] = order[s][real[s]]
+    threshold = np.zeros(m.size)
+    lo, hi = order[s, last_left[s]], order[s, last_left[s] + 1]
+    threshold[s] = 0.5 * (x[lo, feature[s]] + x[hi, feature[s]])
+    return feature, threshold, last_left + 1
+
+
+def _with_sentinel(x, y):
+    """`_split`'s (ranks, y, yy): each column's ranks times n + 1, the outcome
+    and its square, each with a sentinel row n appended."""
+    n = y.size
+    ranks = np.full((x.shape[1], n + 1), n)
+    for col, rank in zip(x.T, ranks):
+        rank[:n] = np.unique(col, return_inverse=True)[1]
+    ranks *= n + 1
+    y = np.append(y, 0.0)
+    return ranks, y, y * y
 
 
 def _grow(x, y, structure, min_leaf, max_depth):
@@ -141,6 +177,7 @@ def _grow(x, y, structure, min_leaf, max_depth):
     time. Node t is tree t's root, each depth's nodes follow the depth before,
     and a leaf has feature -1."""
     n_trees = structure.shape[0]
+    ranks, y_pad, yy = _with_sentinel(x, y)
     rows = structure.ravel()
     counts = np.full(n_trees, structure.shape[1])
     features, thresholds, parents = [], [], [np.full(n_trees, -1)]
@@ -163,7 +200,7 @@ def _grow(x, y, structure, min_leaf, max_depth):
                 for lo in range(0, group.size, step):
                     nodes = group[lo:lo + step]
                     feat[nodes], thr[nodes], cut[nodes] = _split(
-                        x, y, rows, starts[nodes], counts[nodes], min_leaf)
+                        x, ranks, y_pad, yy, rows, starts[nodes], counts[nodes], min_leaf)
         features.append(feat)
         thresholds.append(thr)
         split = feat >= 0
@@ -185,54 +222,73 @@ def _grow(x, y, structure, min_leaf, max_depth):
 
 
 def _route(x, rows, nodes, feature, threshold, left, right):
-    """The leaf that each (row of x, start node) pair reaches, a depth at a time."""
+    """The leaf that each (row of x, start node) pair reaches, a depth at a time.
+
+    A pair is held as its node's slot 2 * node in a flat child table, built
+    once per call: slot 2 * node + goes_right holds the child's slot, and a
+    leaf's two slots hold its own, with a threshold of +inf so that no finite x
+    leaves it. x (finite) is read through one C-order ravel at row * d +
+    feature, and x <= threshold goes left. The pairs still at an inner node are
+    carried on, compacted once a quarter of those carried has reached a leaf."""
+    flat = np.ravel(x)
+    leaf = feature < 0
+    node = np.arange(feature.size)
+    child = 2 * np.stack([np.where(leaf, node, left), np.where(leaf, node, right)], axis=1).ravel()
+    inner = np.repeat(~leaf, 2)
+    column = np.repeat(np.where(leaf, 0, feature), 2)
+    limit = np.repeat(np.where(leaf, np.inf, threshold), 2)
     out = np.empty_like(nodes)
     for lo in range(0, rows.size, _PASS_ROWS):
-        r, node = rows[lo:lo + _PASS_ROWS], nodes[lo:lo + _PASS_ROWS]
-        f = feature[node]
-        while (inner := f >= 0).any():
-            goes_left = x[r, np.maximum(f, 0)] <= threshold[node]
-            node = np.where(inner, np.where(goes_left, left[node], right[node]), node)
-            f = feature[node]
-        out[lo:lo + _PASS_ROWS] = node
-    return out
+        at = np.arange(lo, min(lo + _PASS_ROWS, rows.size))
+        s, base = 2 * nodes[at], rows[at] * x.shape[1]
+        while at.size:
+            s = child.take(s + (flat.take(base + column.take(s)) > limit.take(s)))
+            keep = np.flatnonzero(inner.take(s))
+            if 4 * keep.size <= 3 * at.size:
+                out[at] = s
+                at, s, base = at.take(keep), s.take(keep), base.take(keep)
+    return out // 2
 
 
 def _group_means(y, rows, labels, n_labels):
     """(mean, grouped, start, count): per label, the mean of y over its rows,
     summed in their order as `y[rows].mean()` sums them; the rows grouped by
     label in that order, and each label's start and count in `grouped`."""
-    order = np.argsort(labels, kind="stable")
+    # label * size + position is unique, so any sort gives the stable order
+    order = np.argsort(labels * labels.size + np.arange(labels.size))
     grouped = rows[order]
     count = np.bincount(labels, minlength=n_labels)
     start = np.cumsum(count) - count
     mean = np.zeros(n_labels)
-    for c in np.unique(count[count > 0]):
-        at = np.flatnonzero(count == c)
-        # a row-wise mean of a C-contiguous matrix sums each row as a 1-D mean does
-        mean[at] = y[grouped[start[at, None] + np.arange(c)]].mean(axis=1)
+    by_count = np.argsort(count)
+    for at in np.split(by_count, np.flatnonzero(np.diff(count[by_count])) + 1):
+        if c := count[at[0]]:
+            # a row-wise mean of a C-contiguous matrix sums each row as a 1-D mean does
+            mean[at] = y[grouped[start[at, None] + np.arange(c)]].mean(axis=1)
     return mean, grouped, start, count
 
 
 def _leaf_means(y, rows, leaf, parent, depth):
-    """`_group_means` of the estimate rows by the leaf each reaches; a leaf that
+    """`_group_means` of the estimate rows by the leaf each reaches; a node that
     none reaches takes the mean of its nearest ancestor that some row passes."""
     value, grouped, start, count = _group_means(y, rows, leaf, parent.size)
-    reached = count.copy()
+    # up[d, v]: v's ancestor at depth d, or v itself from its own depth on
+    up = np.empty((depth[-1] + 1, parent.size), dtype=np.int64)
+    up[-1] = np.arange(parent.size)
     for d in range(depth[-1], 0, -1):
-        at = np.flatnonzero(depth == d)
-        np.add.at(reached, parent[at], reached[at])
-    empty = np.flatnonzero(reached == 0)  # empty leaves, and splits with only those below
-    source = parent[empty]
-    while not reached[source].all():
-        source = np.where(reached[source] > 0, source, parent[source])
-    for d in np.unique(depth[source]):
-        targets = np.unique(source[depth[source] == d])
-        up = leaf  # each row's node at depth d, or its leaf above that depth
-        while (deeper := depth[up] > d).any():
-            up = np.where(deeper, parent[up], up)
-        keep = np.isin(up, targets)
-        value[targets] = _group_means(y, rows[keep], up[keep], parent.size)[0][targets]
+        up[d - 1] = np.where(depth >= d, parent.take(up[d]), up[d])
+    reached = np.zeros(parent.size, dtype=bool)
+    reached[up[:, count > 0]] = True
+    empty = np.flatnonzero(~reached)  # empty leaves, and splits with only those below
+    passed = reached[up[:, empty]]  # which of each one's ancestors some row passes
+    source = up[passed.shape[0] - 1 - np.argmax(passed[::-1], axis=0), empty]
+    # each row once per source above its leaf, one depth after another
+    is_source = np.zeros(parent.size, dtype=bool)
+    is_source[source] = True
+    below = is_source[up]
+    d, r = np.nonzero(below[:, leaf])
+    targets = np.unique(source)
+    value[targets] = _group_means(y, rows[r], up[d, leaf[r]], parent.size)[0][targets]
     value[empty] = value[source]
     return value, grouped, start, count
 
@@ -244,10 +300,14 @@ class HonestForestRegressor:
         self.config = config
         self.trees: list[HonestTree] = []
         self.nodes: ForestNodes | None = None
+        self.n_features: int | None = None  # x's width at fit
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "HonestForestRegressor":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         y = np.asarray(y, dtype=np.float64)
+        if x.ndim != 2 or y.shape != x.shape[:1]:
+            raise ShapeError(f"a forest needs x of shape (n, d) and y of shape (n,); "
+                             f"got {x.shape} and {y.shape}")
         n = y.size
         cfg = self.config
         if n < max(2, cfg.min_leaf):
@@ -255,8 +315,8 @@ class HonestForestRegressor:
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DataError("a forest needs finite covariates and outcomes")
         m = min(n, max(2, int(round(cfg.subsample_fraction * n))))
-        sub = np.stack([rng.stream(cfg.seed, "tree", t).choice(n, size=m, replace=False)
-                        for t in range(cfg.n_trees)])
+        sub = np.stack([g.choice(n, size=m, replace=False)
+                        for g in rng.streams(cfg.seed, "tree", count=cfg.n_trees)])
         structure, estimate = sub[:, :m // 2], sub[:, m // 2:]
         feature, threshold, left, right, parent, depth = _grow(
             x, y, structure, cfg.min_leaf, cfg.max_depth)
@@ -267,10 +327,18 @@ class HonestForestRegressor:
                                  *_leaf_means(y, rows, leaf, parent, depth))
         self.trees = [HonestTree(self.nodes, t, structure[t], estimate[t])
                       for t in range(cfg.n_trees)]
+        self.n_features = x.shape[1]
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.nodes is None:
+            raise ContractError("predict needs a fitted forest; call fit first")
+        x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ShapeError(f"the forest was fit on {self.n_features} columns; "
+                             f"got x of shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise DataError("a forest predicts only at finite covariates")
         f = self.nodes
         n_trees = len(self.trees)
         total = np.zeros(x.shape[0])

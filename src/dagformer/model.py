@@ -254,21 +254,25 @@ class DagTransformer:
     # -- forward -------------------------------------------------------------
 
     def forward(self, batch: np.ndarray, dropout_rng: np.random.Generator | None = None,
-                collect_attention: list | None = None) -> dict[str, Tensor]:
+                collect_attention: list | None = None, *,
+                standardized: bool = False) -> dict[str, Tensor]:
         """Predictions per head node, on the model (standardized) scale.
 
         Treatment-head outputs pass through a sigmoid and live in (0, 1).
         Dropout runs when a `dropout_rng` stream is given, as in training;
-        without one the forward pass is deterministic.
+        without one the forward pass is deterministic. A `standardized` batch
+        is taken as checked and on the model scale: `train_model` passes rows
+        of the training batch that it checked and standardized once.
         """
-        batch = np.asarray(batch, dtype=np.float64)
-        self._check_batch(batch)
+        if not standardized:
+            batch = np.asarray(batch, dtype=np.float64)
+            self._check_batch(batch)
+            batch = self._standardize(batch)
         return self._forward(batch, dropout_rng, collect_attention)
 
-    def _forward(self, batch: np.ndarray, dropout_rng, collect_attention) -> dict[str, Tensor]:
-        """`forward` on a float64 batch that `_check_batch` has passed."""
+    def _forward(self, std: np.ndarray, dropout_rng, collect_attention) -> dict[str, Tensor]:
+        """`forward` on a standardized batch whose raw rows `_check_batch` passed."""
         cfg = self.config
-        std = self._standardize(batch)
 
         if cfg.alpha > 0:
             h = T.embed_nodes(self._identity, std, self._embeddings)
@@ -280,7 +284,7 @@ class DagTransformer:
         outputs: dict[str, Tensor] = {}
         for head, (row, parent_columns, mlp) in self._heads.items():
             z = T.take_node(h, row) * cfg.alpha if cfg.alpha > 0 \
-                else Tensor(np.zeros((batch.shape[0], cfg.embedding_dim)))
+                else Tensor(np.zeros((std.shape[0], cfg.embedding_dim)))
             if parent_columns:
                 z = T.concat_lastdim([z, Tensor(std[:, parent_columns])])
             for j, (w, b) in enumerate(mlp):
@@ -333,7 +337,8 @@ class DagTransformer:
         with T.no_grad():
             for lo, hi in zip(starts, [*starts[1:], n]):
                 maps = None if collect_attention is None else []
-                for head, out in self._forward(batch[lo:hi], None, maps).items():
+                for head, out in self._forward(self._standardize(batch[lo:hi]), None,
+                                               maps).items():
                     outputs[head][lo:hi] = out.data
                 block_maps.append(maps)
         if collect_attention is not None:
@@ -479,7 +484,8 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
         raise DataError(f"the training dataset's row count, {n}, is below the "
                         f"objective's minimum of {objective.min_rows}")
     model.fit_standardizer(batch_all)
-    batch_loss = objective.bind(model, batch_all, model._standardize(batch_all))
+    std_all = model._standardize(batch_all)
+    batch_loss = objective.bind(model, batch_all, std_all)
 
     params = model.parameters()
     dropout_rng = rng.stream(seed, "dropout")
@@ -496,7 +502,7 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
                 if rows.size < objective.min_rows:
                     continue
                 try:
-                    preds = model.forward(batch_all[rows], dropout_rng)
+                    preds = model.forward(std_all[rows], dropout_rng, standardized=True)
                 except DegenerateInputError as exc:
                     # scores overflowing to -inf across a whole row means the
                     # parameters blew up, not that the mask is malformed

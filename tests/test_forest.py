@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from dagformer import rng
-from dagformer.errors import ConfigError, DataError
-from dagformer.forest import ForestConfig, HonestForestRegressor
+from dagformer.errors import ConfigError, ContractError, DataError, ShapeError
+from dagformer.forest import ForestConfig, HonestForestRegressor, _split, _with_sentinel
 
 
 class RefNode:
@@ -156,10 +156,27 @@ def _check(x, y, cfg):
         leaves = {leaf.node: leaf for leaf in tree.leaves()}
         empty_leaves += sum(not leaf.estimate_rows.size for leaf in leaves.values())
         _assert_same_nodes(root, forest.nodes, tree.root, leaves)
-    x_new = np.random.default_rng(1).standard_normal((57, x.shape[1]))
-    for query in (x, x_new, np.round(x_new, 0)):
+    g = np.random.default_rng(1)
+    x_new = g.standard_normal((57, x.shape[1]))
+    wide = g.standard_normal((57, 2 * x.shape[1] + 1))
+    # Fortran order and column slices: predict reads x by row and column, not by layout
+    for query in (x, x_new, np.round(x_new, 0), np.asfortranarray(x_new), wide[:, 1::2],
+                  wide[:, :x.shape[1]]):
         assert np.array_equal(forest.predict(query), reference_predict(ref, query))
-    return empty_leaves
+    return empty_leaves, forest
+
+
+def _leaf_depths(forest):
+    """How many leaves of the forest sit at each depth."""
+    f, found = forest.nodes, []
+    stack = [(tree.root, 0) for tree in forest.trees]
+    while stack:
+        node, depth = stack.pop()
+        if f.feature[node] < 0:
+            found.append(depth)
+        else:
+            stack.extend([(f.left[node], depth + 1), (f.right[node], depth + 1)])
+    return np.bincount(found)
 
 
 @pytest.mark.parametrize("x_dim", [1, 2, 5, 7])
@@ -180,10 +197,77 @@ def test_forest_matches_reference_with_ties(n, x_dim, kind):
 @pytest.mark.parametrize("min_leaf", [1, 5, 20])
 def test_forest_matches_reference_at_every_depth_and_leaf_size(min_leaf, max_depth):
     x, y = _data(400, 3, "rounded")
-    empty_leaves = _check(x, y, ForestConfig(n_trees=6, max_depth=max_depth,
-                                             min_leaf=min_leaf, seed=3))
+    empty_leaves, _ = _check(x, y, ForestConfig(n_trees=6, max_depth=max_depth,
+                                                min_leaf=min_leaf, seed=3))
     if min_leaf == 1 and max_depth >= 8:
         assert empty_leaves  # leaves that inherit an ancestor's mean are covered
+
+
+@pytest.mark.parametrize("x_dim", [1, 3])
+def test_forest_of_roots_only_matches_reference(x_dim):
+    # max_depth 0: every tree is one leaf, and every pair starts at it
+    x, y = _data(150, x_dim, "normal")
+    _, forest = _check(x, y, ForestConfig(n_trees=5, max_depth=0, seed=4))
+    assert np.array_equal(_leaf_depths(forest), [5])
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_single_feature_forest_matches_reference(n):
+    x, y = _data(n, 1, "rounded")
+    _check(x, y, ForestConfig(n_trees=5, min_leaf=2, seed=5))
+
+
+def test_forest_with_leaves_at_every_depth_matches_reference():
+    # y grows fourfold from each ninth of x1 to the next, so each split cuts off
+    # the top ninth: a tree has a leaf at every depth from 1 to 8, and the pairs
+    # routed through it leave the active set one depth after another
+    x = np.random.default_rng(0).uniform(size=(400, 2))
+    y = 4.0 ** np.floor(9 * x[:, 0])
+    _, forest = _check(x, y, ForestConfig(n_trees=4, seed=3))
+    depths = _leaf_depths(forest)
+    assert depths.size == 9 and (depths[1:] > 0).all()
+
+
+def test_split_leaves_tied_rows_in_their_stable_order():
+    # ties in x, and y whose sums depend on their order: each node's rows must
+    # come out as a stable sort of its feature would leave them
+    g = np.random.default_rng(2)
+    x = np.round(g.standard_normal((300, 2)), 0)
+    y = g.standard_normal(300) * 10.0 ** g.integers(-8, 8, 300)
+    rows = g.permutation(300)[:250]
+    before = rows.copy()
+    starts, counts = np.array([0, 90, 200]), np.array([90, 110, 50])
+    feature, _, left_n = _split(x, *_with_sentinel(x, y), rows, starts, counts, 5)
+    assert (feature >= 0).all()
+    for start, count, f in zip(starts, counts, feature):
+        node = before[start:start + count]
+        assert np.array_equal(rows[start:start + count],
+                              node[np.argsort(x[node, f], kind="stable")])
+
+
+def test_forest_predict_rejects_bad_input():
+    forest = HonestForestRegressor(ForestConfig(n_trees=3))
+    with pytest.raises(ContractError, match="fit"):
+        forest.predict(np.zeros((2, 3)))
+    x, y = _data(60, 3, "normal")
+    forest.fit(x, y)
+    for width in (2, 4):
+        with pytest.raises(ShapeError, match=rf"fit on 3 columns; got x of shape \(5, {width}\)"):
+            forest.predict(np.zeros((5, width)))
+    for bad in (np.nan, np.inf, -np.inf):
+        query = np.zeros((4, 3))
+        query[2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            forest.predict(query)
+    assert forest.predict(np.zeros((4, 3))).shape == (4,)
+
+
+def test_forest_fit_rejects_rows_that_do_not_pair_up():
+    # more x rows than y once fit the first rows silently; fewer raised IndexError
+    x, y = _data(60, 3, "normal")
+    for bad_x, bad_y in ((x, y[:50]), (x[:50], y), (x[:, :, None], y), (x, y[:, None])):
+        with pytest.raises(ShapeError, match=r"\(n, d\) and y of shape \(n,\)"):
+            HonestForestRegressor(ForestConfig(n_trees=2)).fit(bad_x, bad_y)
 
 
 def test_forest_rejects_bad_config_and_non_finite_rows():
@@ -200,7 +284,7 @@ def test_forest_rejects_bad_config_and_non_finite_rows():
 
 def test_forest_fit_memory_stays_bounded():
     # n = 20,000, x_dim 5, 20 trees: the node-by-node grower peaks at 4.0 MB and
-    # this one at 8.2 MB (NumPy 2.4), because each padded pass is capped in size
+    # this one at 9.4 MB (NumPy 2.4.6), because each padded pass is capped in size
     x, y = _data(20_000, 5, "normal")
     tracemalloc.start()
     try:

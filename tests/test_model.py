@@ -647,11 +647,11 @@ def _full_encoder_layer(model, x, layer, dropout_rng):
     return x + T.dropout(ff, cfg.dropout_rate, dropout_rng)
 
 
-def _full_forward(model, batch, dropout_rng=None):
+def _full_forward(model, batch, dropout_rng=None, standardized=False):
     """`DagTransformer.forward` with every layer on every node, each head
     reading its node of the full final norm."""
     T, params, cfg = tensor, model.params, model.config
-    std = model._standardize(np.asarray(batch, dtype=np.float64))
+    std = batch if standardized else model._standardize(np.asarray(batch, dtype=np.float64))
     embeddings = []
     for node in model.input_nodes:
         if node in model.head_nodes:
