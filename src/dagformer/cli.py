@@ -56,7 +56,7 @@ def _read(key: str, path, load=None, error=ConfigError):
 def _load_config(args) -> tuple[dict, Run, str]:
     """(run config with the `--set` and `--seed` overrides, its resolved Run,
     output directory)."""
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:  # only tune and evaluate take --jobs
         raise ConfigError(f"'--jobs' must be >= 1, got {args.jobs}")
     config = _read("--config", args.config) if args.config else {}
     if not isinstance(config, dict):
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config entry (dotted keys, JSON values)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel replicates/grid points")
+        if name in ("tune", "evaluate"):
+            p.add_argument("--jobs", type=int, default=1, help="parallel grid points/replicates")
         p.set_defaults(handler=handler)
     return parser
 

@@ -10,7 +10,7 @@ import copy
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cached_property
-from typing import Callable, Literal, Optional, Union, get_args, get_origin
+from typing import Callable, ClassVar, Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -141,10 +141,13 @@ class Simulator:
     calls `data`'s simulators through the module, so a wrapped one is seen."""
     name: str
     n: int
+    columns: ClassVar[int] = 5  # the float64 columns of a draw: U, Z, W, A and Y
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        most = sys.maxsize // (8 * self.columns)
+        if not 1 <= self.n <= most:
+            raise ConfigError(f"n must be >= 1 and <= {most}, so that a draw's float64 "
+                              f"columns fit in {sys.maxsize} bytes, got {self.n}")
 
     def dag(self) -> CausalDag:
         """The graph it draws from, known before any row is drawn."""
@@ -152,12 +155,19 @@ class Simulator:
 
     def draw(self, seed: int):
         """(rows, () -> truth.json payload, SCM version) of its draw."""
-        sample = data_mod.simulate_demand(self.n, seed)
+        sample = self._sized("n", lambda: data_mod.simulate_demand(self.n, seed))
         return (sample.to_dataset(),
                 lambda: {"u": [float(v) for v in sample.u],
                          "price_grid": list(data_mod.DEMAND_PRICE_GRID),
                          "true_curve": [float(v) for v in data_mod.demand_true_curve()]},
                 data_mod.DEMAND_SCM_VERSION)
+
+    def _sized(self, key: str, build):
+        try:  # a size under its bound may still not fit in memory
+            return build()
+        except MemoryError:
+            raise ConfigError(f"bad value for 'simulator.{key}': {getattr(self, key)!r}, too "
+                              "large for memory") from None
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,7 @@ class LinearScmSimulator(Simulator):
     propensity_intercept: float = 0.0
     outcome_weights: Optional[list[float]] = None  # default 1.0 for each covariate
     noise_sd: float = 1.0
+    columns: ClassVar[int] = 2  # A and Y; x_dim's bound leaves room for the X columns
 
     @cached_property
     def scm(self) -> LinearScm:
@@ -201,7 +212,7 @@ class LinearScmSimulator(Simulator):
             return tuple(values)
         effect = (self.treatment_effect if self.effect_of_x1 == 0.0
                   else LinearEffect(self.treatment_effect, self.effect_of_x1))
-        return self._sized(lambda: LinearScm(
+        return self._sized("x_dim", lambda: LinearScm(
             x_dim=self.x_dim,
             propensity_weights=weights("propensity_weights", 0.5),
             propensity_intercept=self.propensity_intercept,
@@ -210,17 +221,10 @@ class LinearScmSimulator(Simulator):
             noise_sd=self.noise_sd))
 
     def dag(self) -> CausalDag:
-        return self._sized(lambda: data_mod.linear_scm_dag(self.x_dim))
-
-    def _sized(self, build):
-        try:  # x_dim-long weights or graph nodes may not fit in memory where a draw's array could
-            return build()
-        except MemoryError:
-            raise ConfigError(f"bad value for 'simulator.x_dim': {self.x_dim!r}, too large for "
-                              "memory to hold its x_dim weights and graph nodes") from None
+        return self._sized("x_dim", lambda: data_mod.linear_scm_dag(self.x_dim))
 
     def draw(self, seed: int):
-        rows = data_mod.simulate_linear_scm(self.n, self.scm, seed)
+        rows = self._sized("n", lambda: data_mod.simulate_linear_scm(self.n, self.scm, seed))
         return (rows,
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},

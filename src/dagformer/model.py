@@ -24,15 +24,15 @@ weight product, the head MLP's included, is one tape node with its bias
 and past attention a row depends on no other row. So the last layer runs
 attention on every node (the attention maps are whole), and its output
 projection, residuals, second norm, FFN and the final norm on the head rows
-only. Earlier layers run on every node. While recording, its three
-products past attention run at the full (batch * nodes, width) shape,
-forward and in both gradients, with each head row in its own place and zero
-rows for the other nodes (`tensor.linear` with a node mask), so that every
-gradient keeps the floats of the full layer. With no graph recorded, they
-multiply the head rows only, one row padded to two: each row of a product
-of two rows or more has the float of its row in the full product, and one
-row alone takes BLAS's gemv, which rounds otherwise. So the cut layer gives
-the floats of the full layer bit for bit. The tape lists ops only, not the
+only. Earlier layers run on every node. Its three products past attention
+(`tensor.linear` with a node mask) multiply the head rows only, whether or
+not a graph is recorded, one row padded to two: each row of a product of
+two rows or more has the float of its row in the full product, and one row
+alone takes BLAS's gemv, which rounds otherwise. Their gradients run at the
+full (batch * nodes, width) shape, with each head row in its own place and
+zero rows for the other nodes, so that every gradient keeps the floats of
+the full layer. So the cut layer gives the floats of the full layer bit for
+bit, in prediction and in training. The tape lists ops only, not the
 parameters they read: a criterion-6 training step has 23 tape nodes, a
 criterion-9 NMMR-U step 30.
 

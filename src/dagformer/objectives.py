@@ -265,8 +265,8 @@ def _straddle(rows, sq, split):
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the feature rows.
 
-    Each pair's squared distance is the float `_pairwise_sq_dists` gives it,
-    computed in row bands that are never kept. The two middle order
+    Each pair's squared distance is the float `_sq_dists` gives it, clamped
+    at 0, computed in row bands that are never kept. The two middle order
     statistics (one rank twice for an odd pair count) are selected on the
     distances' bit patterns, from one interval [base, base + width) that
     holds both. Each distance pass counts it in at most 2^16 aligned
@@ -352,9 +352,9 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     return med
 
 
-def _pairwise_sq_dists(rows: np.ndarray) -> np.ndarray:
-    sq = (rows * rows).sum(axis=1)
-    return np.maximum(_sq_dists(rows, 2.0 * rows, sq, 0, rows.shape[0]), 0.0)
+def _rbf(rows, twice, sq, lo, hi, bw: float) -> np.ndarray:
+    """Rows lo:hi of the RBF kernel over `rows`, from the clamped `_sq_dists`."""
+    return np.exp(-np.maximum(_sq_dists(rows, twice, sq, lo, hi), 0.0) / (2.0 * bw * bw))
 
 
 def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -362,7 +362,7 @@ def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
     if not 0.0 < bandwidth < math.inf:
         raise ContractError(f"bandwidth must be finite and > 0, got {bandwidth}")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    return np.exp(-_pairwise_sq_dists(rows) / (2.0 * bandwidth * bandwidth))
+    return _rbf(rows, 2.0 * rows, (rows * rows).sum(axis=1), 0, rows.shape[0], bandwidth)
 
 
 def _nmmr_scale(variant: str, n: int) -> float:
@@ -415,8 +415,7 @@ def nmmr_risk(y, h_vals, features: np.ndarray, bandwidth: float, variant: str) -
     r_col = (np.asarray(y, dtype=np.float64) - np.asarray(h_vals, dtype=np.float64)).reshape(n, 1)
     k_r = np.empty((n, 1))
     for lo, hi in _bands(n, n):
-        kernel = np.exp(-np.maximum(_sq_dists(rows, twice, sq, lo, hi), 0.0)
-                        / (2.0 * bandwidth * bandwidth))
+        kernel = _rbf(rows, twice, sq, lo, hi, bandwidth)
         if variant == "U":
             kernel[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         k_r[lo:hi] = kernel @ r_col

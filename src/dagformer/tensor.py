@@ -291,44 +291,38 @@ def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
     GEMM, and so is each gradient, where np.matmul would loop over a batch
     axis. `keep`, a boolean mask over the D nodes of an (N, D, K) operand,
     returns only the kept nodes, (N, kept, M); `a` may then hold all D nodes
-    or only the kept ones. With recording off, only the kept rows are
-    multiplied, a one-row operand padded to two rows: each row of a GEMM of
-    two or more rows has the float of its row in the full product, and only
-    one row takes gemv, which rounds otherwise. A recorded product runs at
-    the full (N*D, ...) shape, forward and in both gradients, with each kept
-    node in its own rows and zero rows for the others, so that every gradient
-    keeps the floats of the uncut layer. The bias is added in place.
+    or only the kept ones. Only the kept rows are multiplied, a one-row
+    operand padded to two rows: each row of a GEMM of two or more rows has
+    the float of its row in the full product, and only one row takes gemv,
+    which rounds otherwise. The backward builds the full (N*D, ...) operand
+    and output gradient, with each kept node in its own rows and zero rows
+    for the others, so that every gradient keeps the floats of the uncut
+    layer. The bias is added in place.
     """
-    if keep is not None and not _recording:
-        kept = a.data if a.data.shape[1] != keep.size else np.compress(keep, a.data, axis=1)
-        a2 = kept.reshape(-1, kept.shape[-1])
-        rows = a2.shape[0]
-        if rows == 1 and keep.size > 1:  # the full product has two rows or more
-            a2 = np.concatenate((a2, a2))
-        out_data = (a2 @ w.data)[:rows].reshape(kept.shape[:-1] + w.data.shape[-1:])
-        out_data += b.data
-        return Tensor(out_data)
-    full = a.data
-    if keep is not None and full.shape[1] != keep.size:
-        full = np.zeros(full.shape[:1] + keep.shape + full.shape[2:])
-        full[:, keep] = a.data
-    a2 = full.reshape(-1, full.shape[-1])
-    prod = (a2 @ w.data).reshape(full.shape[:-1] + w.data.shape[-1:])
-    out_shape = prod.shape
-    out_data = prod if keep is None else np.compress(keep, prod, axis=1)
+    kept = a.data
+    if keep is not None and kept.shape[1] == keep.size:
+        kept = np.compress(keep, kept, axis=1)
+    a2 = kept.reshape(-1, kept.shape[-1])
+    rows = a2.shape[0]
+    if rows == 1 and keep is not None and keep.size > 1:  # the full product has two rows or more
+        a2 = np.concatenate((a2, a2))
+    out_data = (a2 @ w.data)[:rows].reshape(kept.shape[:-1] + w.data.shape[-1:])
     out_data += b.data
 
     def bwd(g):
+        full, g_full = a.data, g
         if keep is not None:
-            g_full = np.zeros(out_shape)
+            if full.shape[1] != keep.size:
+                full = np.zeros(full.shape[:1] + keep.shape + full.shape[2:])
+                full[:, keep] = a.data
+            g_full = np.zeros(g.shape[:1] + keep.shape + g.shape[2:])
             g_full[:, keep] = g
-        else:
-            g_full = g
-        g2 = g_full.reshape(-1, out_shape[-1])
+        a_rows = full.reshape(-1, full.shape[-1])
+        g2 = g_full.reshape(-1, g.shape[-1])
         if a.needs_grad:
             ga = (g2 @ w.data.T).reshape(full.shape)
             _accumulate(a, ga if ga.shape == a.data.shape else np.compress(keep, ga, axis=1))
-        _weight_grads(w, b, a2, g2, g)
+        _weight_grads(w, b, a_rows, g2, g)
 
     return _make(out_data, (a, w, b), bwd)
 

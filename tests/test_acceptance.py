@@ -270,22 +270,22 @@ def test_criterion_05_double_robustness():
           f"propensity error {err_mu:.4f} (10 seeds, n=5000); {elapsed:.1f}s")
 
 
+def _gformula_ate(seed):
+    ds = simulate_linear_scm(5000, LinearScm(treatment_effect=2.0), seed=seed)
+    cfg = ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=1,
+                      feedforward_dim=16, mlp_width=16, mlp_depth=2,
+                      dropout_rate=0.0, alpha=0.1, seed=seed)
+    model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
+    train_model(model, ds, GFormula(), AdamState(learning_rate=3e-3),
+                epochs=200, batch_size=256, seed=seed)
+    return estimate_gformula(model, ds).ate
+
+
 def test_criterion_06_end_to_end_ate():
     start = time.monotonic()
-    scm = LinearScm(treatment_effect=2.0)
-    hits = 0
-    errors = []
-    for seed in range(10):
-        ds = simulate_linear_scm(5000, scm, seed=seed)
-        cfg = ModelConfig(embedding_dim=8, num_heads=2, num_encoder_layers=1,
-                          feedforward_dim=16, mlp_width=16, mlp_depth=2,
-                          dropout_rate=0.0, alpha=0.1, seed=seed)
-        model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
-        train_model(model, ds, GFormula(), AdamState(learning_rate=3e-3),
-                    epochs=200, batch_size=256, seed=seed)
-        ate = estimate_gformula(model, ds).ate
-        errors.append(abs(ate - 2.0))
-        hits += abs(ate - 2.0) <= 0.15
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+        errors = [abs(ate - 2.0) for ate in pool.map(_gformula_ate, range(10))]
+    hits = sum(e <= 0.15 for e in errors)
     elapsed = time.monotonic() - start
     check(6, hits >= 8 and elapsed < 600.0,
           f"G-formula ATE within 2 +/- 0.15 on {hits}/10 seeds "

@@ -433,6 +433,15 @@ def test_tune_parallel_jobs_byte_identical(tmp_path):
     assert (out1 / "best_model.json").read_bytes() == (out2 / "best_model.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "train", "estimate"])
+def test_only_tune_and_evaluate_take_jobs(tmp_path, capsys, command):
+    # the other commands run no pool, so argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, _table_config(command, "gformula"), extra=("--jobs", "2"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_evaluate_failure_names_replicate_and_config(tmp_path, capsys):
     config = {"experiment": "ate", "method": "gformula", "data": linear_data(n=150),
               "model": small_model(), "optimizer": {"learning_rate": 1e150},
@@ -791,6 +800,11 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # under that bound, but more held-out draws than memory holds
     ("estimate", "proximal-u", f"heldout.draws={2 ** 58 - 1}", 2),
     ("evaluate", "proximal-u", f"experiment=demand heldout.draws={2 ** 58 - 1}", 2),
+    # more rows than a draw's float64 array can hold, or than memory holds (256 TiB)
+    *[(command, name, f"data.simulator.n={2 ** 62}", 2)
+      for command in ("simulate", "train") for name in ("gformula", "proximal-u")],
+    ("simulate", "gformula", f"data.simulator.n={2 ** 45}", 2),
+    ("simulate", "proximal-u", f"data.simulator.n={2 ** 45}", 2),
     # fewer than one process, from the config or the flag
     ("evaluate", "gformula", "jobs=0", 2),
     ("evaluate", "gformula", "--jobs=0", 2),
@@ -969,6 +983,14 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
      "230584300921369393, so that the n * (x_dim + 2) float64 values of a draw of n = 5 rows"),
     ("simulate", "gformula", f"data.simulator.n=5 data.simulator.x_dim={2 ** 57}",
      "'simulator.x_dim': 144115188075855872, too large for memory"),
+    *[(command, "gformula", f"data.simulator.n={2 ** 62}",
+       "simulator.n must be >= 1 and <= 576460752303423487") for command in ("simulate", "train")],
+    *[(command, "proximal-u", f"data.simulator.n={2 ** 62}",
+       "simulator.n must be >= 1 and <= 230584300921369395") for command in ("simulate", "train")],
+    ("simulate", "gformula", f"data.simulator.n={2 ** 45}",
+     "'simulator.n': 35184372088832, too large for memory"),
+    ("simulate", "proximal-u", f"data.simulator.n={2 ** 45}",
+     "'simulator.n': 35184372088832, too large for memory"),
     ("simulate", "gformula", "data.simulator.x_dim=0 data.simulator.effect_of_x1=1",
      "'simulator.effect_of_x1'"),
     ("train", "gformula", 'data.csv="no/such/data.csv" data.schema="no/such/schema.json"',

@@ -828,8 +828,8 @@ EDGE_ROWS = [1, 2, 3, 5, B - 1, B + 1, 1000, 2 * B + 1]
 
 @pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
 def test_no_grad_forwards_equal_a_recording_forward_bit_for_bit(shape):
-    # past the last attention a no-grad forward multiplies the head rows only,
-    # and a recording one every node's rows; each head row keeps its float
+    # a no-grad forward runs in row blocks and frees attention's arrays early,
+    # a recording one does neither; each head row keeps its float
     model, rows = _block_model(shape, max(EDGE_ROWS))
     _assert_no_grad_forwards_equal_one_pass(model, rows, EDGE_ROWS, recording=True)
 

@@ -230,47 +230,39 @@ def test_linear_and_take_nodes_gradients_match_finite_differences():
     _check_grads(build, [x, w, b], tol=1e-5)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 64, 136])
-def test_linear_keeps_the_full_products_floats(n):
-    # the kept rows equal the full product's rows, and so do the gradients of
-    # the weight and of the kept input rows, whatever the batch
-    g = rng.stream(28, "linear", n)
-    x = g.standard_normal((n, 4, 40))
-    w, b = T.parameter(g.standard_normal((40, 40))), T.parameter(g.standard_normal(40))
-    up = g.standard_normal((n, 1, 40))
-    keep = np.array([False, False, False, True])
-
-    xa = T.parameter(x)
-    ref = T.linear(xa, w, b)
-    T.backward(T.sum_all(T.take_node(ref, 3) * up[:, 0]))
-    ref_grads = [xa.grad, w.grad, b.grad]
-    for p in (w, b):
-        p.zero_grad()
-    xb = T.parameter(x[:, keep])
-    cut = T.linear(xb, w, b, keep)
-    assert cut.data.flags.c_contiguous
-    assert np.array_equal(cut.data, ref.data[:, keep])
-    T.backward(T.sum_all(cut * up))
-    assert np.array_equal(xb.grad, ref_grads[0][:, keep])
-    assert np.array_equal(w.grad, ref_grads[1])
-    assert np.array_equal(b.grad, ref_grads[2])
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 136])
 @pytest.mark.parametrize("keep", [[False, False, False, True], [True, False, False, True]])
-def test_a_no_grad_linear_keeps_the_full_products_floats(n, keep):
-    # with no graph recorded only the kept rows are multiplied; a one-row
-    # product is padded, as gemv rounds otherwise
-    g = rng.stream(29, "linear", n, sum(keep))
+@pytest.mark.parametrize("operand", ["all nodes", "kept nodes"])
+def test_linear_keeps_the_full_products_floats(n, keep, operand):
+    # one forward whether or not a graph is recorded: only the kept rows are
+    # multiplied, a one-row product padded as gemv rounds otherwise, and each
+    # row equals its row of the full product; the backward pads to the full
+    # shape, so the gradients equal those of the uncut product
+    g = rng.stream(28, "linear", n, sum(keep))
     keep = np.array(keep)
     x = g.standard_normal((n, 4, 40))
     w, b = T.parameter(g.standard_normal((40, 40))), T.parameter(g.standard_normal(40))
-    want = T.linear(T.parameter(x), w, b).data[:, keep]
+    up = g.standard_normal((n, int(keep.sum()), 40))
+
+    xa = T.parameter(x)
+    ref = T.linear(xa, w, b)
+    T.backward(T.sum_all(T.take_nodes(ref, keep) * up))
+    ref_grads = [xa.grad, w.grad, b.grad]
+    for p in (w, b):
+        p.zero_grad()
+    xb = T.parameter(x if operand == "all nodes" else x[:, keep])
     with T.no_grad():
-        for operand in (x, x[:, keep]):
-            cut = T.linear(T.tensor(operand), w, b, keep)
-            assert cut.data.flags.c_contiguous and not cut._parents
-            assert np.array_equal(cut.data, want), operand.shape
+        quiet = T.linear(xb, w, b, keep)
+    cut = T.linear(xb, w, b, keep)
+    assert not quiet._parents and cut._parents
+    assert cut.data.flags.c_contiguous and quiet.data.flags.c_contiguous
+    assert np.array_equal(cut.data, quiet.data)
+    assert np.array_equal(cut.data, ref.data[:, keep])
+    T.backward(T.sum_all(cut * up))
+    want = ref_grads[0] if operand == "all nodes" else ref_grads[0][:, keep]
+    assert np.array_equal(xb.grad, want)
+    assert np.array_equal(w.grad, ref_grads[1])
+    assert np.array_equal(b.grad, ref_grads[2])
 
 
 def test_take_nodes_is_contiguous_and_none_keeps_every_node():
