@@ -130,6 +130,9 @@ def cmd_simulate(args) -> int:
     config, run, out = _load_config(args)
     # a top-level `simulator` is drawn as a `data.simulator` without a `data.seed`
     if run.simulator is not None:
+        if run.data is not None:
+            raise ConfigError("simulate draws a 'simulator' or a 'data' section; name one "
+                              "or the other")
         run = replace(run, data=Data(simulator=run.simulator))
     if run.data is None or run.data.simulator is None:
         raise ConfigError("simulate needs a 'simulator' or 'data.simulator' section")

@@ -150,6 +150,10 @@ def _schema_columns(schema) -> list[dict]:
             isinstance(c, dict) and {"name", "kind"} <= c.keys() for c in columns)):
         raise DataError("a schema needs 'columns', a non-empty list of objects with a 'name' "
                         "and a 'kind'")
+    names = [c["name"] for c in columns]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataError(f"a schema names column {name!r} twice")
     return columns
 
 
@@ -367,28 +371,14 @@ def heldout_w_draws(m: int, seed: int) -> np.ndarray:
 
 def demand_mc_moments(draws: int = 2_000_000, seed: int = 202406) -> tuple[float, float]:
     """Monte Carlo estimates of (E[psi(U)], E[W]) from `draws` uniforms of the
-    stream (seed, "demand-mc"); the reference that `DEMAND_MOMENTS` pins.
-
-    The draws are summed in blocks of 10^6, each with one `.sum()`, and a
-    block's psi values are computed 2^13 draws at a time into one buffer.
-    The result is the float of evaluating psi over each whole block at once
-    (same uniforms, elementwise psi, same sums), but a call peaks at about
-    10 MiB, not that expression's 38 MiB.
-    """
+    stream (seed, "demand-mc"), summed in blocks of 10^6, each with one `.sum()`;
+    the reference that `DEMAND_MOMENTS` pins."""
     if draws < 1:
         raise ContractError("need n >= 1")
     g = rng.stream(seed, "demand-mc")
-    block, piece = 1_000_000, 2 ** 13
-    buf = np.empty(min(block, draws))
     total_psi = 0.0
-    done = 0
-    while done < draws:
-        k = min(block, draws - done)
-        for lo in range(0, k, piece):
-            hi = min(lo + piece, k)
-            buf[lo:hi] = demand_psi(g.uniform(0.0, 10.0, hi - lo))
-        total_psi += buf[:k].sum()
-        done += k
+    for done in range(0, draws, 1_000_000):
+        total_psi += demand_psi(g.uniform(0.0, 10.0, min(1_000_000, draws - done))).sum()
     mean_psi = total_psi / draws
     return mean_psi, 7.0 * mean_psi + 45.0
 

@@ -315,8 +315,8 @@ class HonestForestRegressor:
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DataError("a forest needs finite covariates and outcomes")
         m = min(n, max(2, int(round(cfg.subsample_fraction * n))))
-        sub = np.stack([g.choice(n, size=m, replace=False)
-                        for g in rng.streams(cfg.seed, "tree", count=cfg.n_trees)])
+        sub = np.stack([rng.stream(cfg.seed, "tree", t).choice(n, size=m, replace=False)
+                        for t in range(cfg.n_trees)])
         structure, estimate = sub[:, :m // 2], sub[:, m // 2:]
         feature, threshold, left, right, parent, depth = _grow(
             x, y, structure, cfg.min_leaf, cfg.max_depth)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DEMAND_HELDOUT_DRAWS, LinearEffect, LinearScm
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
@@ -224,7 +224,21 @@ class LinearScmSimulator(Simulator):
         return self._sized("x_dim", lambda: data_mod.linear_scm_dag(self.x_dim))
 
     def draw(self, seed: int):
-        rows = self._sized("n", lambda: data_mod.simulate_linear_scm(self.n, self.scm, seed))
+        """Its draw. Coefficients whose Y or true effect overflows float64 are a
+        ConfigError, and NumPy warns of nothing: an overflowing propensity gives
+        pi 0 or 1, a valid draw."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                rows = self._sized("n", lambda: data_mod.simulate_linear_scm(
+                    self.n, self.scm, seed))
+                finite = np.isfinite(rows.true_ate)
+            except DataError:  # X and A are always finite, so Y is not
+                finite = False
+        if not finite:
+            raise ConfigError("bad value for 'simulator.treatment_effect', "
+                              "'simulator.effect_of_x1', 'simulator.outcome_weights' or "
+                              "'simulator.noise_sd': the draw's Y or true effect overflows "
+                              "float64")
         return (rows,
                 lambda: {"true_ate": rows.true_ate,
                          "true_cate": [float(v) for v in rows.true_cate]},

@@ -28,21 +28,3 @@ def stream(seed: int, *labels) -> np.random.Generator:
     """Return an independent generator for (seed, *labels)."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *labels)))
 
-
-def streams(seed: int, *labels, count: int):
-    """Yield `stream(seed, *labels, i)` for i in range(count), in turn, as one
-    generator re-keyed in place: each draws what its own stream would, and is
-    valid only until the next is yielded. Re-keying skips building a new bit
-    generator per stream."""
-    bit_generator = np.random.Philox(key=0)
-    generator = np.random.Generator(bit_generator)
-    for i in range(count):
-        key = derive_key(seed, *labels, i)
-        # the state of a fresh Philox(key=key): counter 0, buffer empty
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([key & (2 ** 64 - 1), key >> 64], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        yield generator

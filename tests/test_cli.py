@@ -1,4 +1,5 @@
 import builtins
+import copy
 import json
 import os
 import pathlib
@@ -198,6 +199,13 @@ def test_train_alpha_zero_exits_zero_and_encoder_bypass_is_config_error(tmp_path
     ('{"columns": [{"kind": "binary"}]}', "x,t,y\n1,0,2\n", "'data.schema'"),
     ('{"columns": [{"name": "t", "kind": "binary"}]}', None, "'data.csv'"),
     ('{"columns": [{"name": "t", "kind": "binary"}]}', "x,t,y\n1,0,2\n1,0\n", "row 3 has 2 cells"),
+    ('{"columns": [{"name": "X1", "kind": "continuous", "node": "X1"}, '
+     '{"name": "X1", "kind": "continuous"}]}', "X1,A,Y\n1,0,2\n",
+     "'data.schema' file: a schema names column 'X1' twice"),
+    ('{"columns": [{"name": "X1", "kind": "continuous", "node": "X1"}, '
+     '{"name": "A", "kind": "binary", "node": "A"}, {"name": "B", "kind": "binary", "node": "A"}, '
+     '{"name": "Y", "kind": "continuous", "node": "Y"}]}', "X1,A,B,Y\n1,0,1,2\n0,1,0,3\n",
+     "two columns bound to the same DAG node"),
 ])
 def test_unreadable_data_file_is_data_error_naming_its_key(tmp_path, capsys, schema, csv, named):
     config = {"method": "gformula", "dag": linear_scm_dag(1).to_dict(),
@@ -519,19 +527,21 @@ def _beyond_float(command, name, override, last):
                         id=f"{command}-{name}-{override}-{last}")
 
 
-def _overrides(override, snapshots=None):
+def _overrides(override, files=None):
     """Command-line arguments for a table row: `--flag=value` items as they are, the
-    others `--set` overrides, where `@<base>` is the path of that `snapshots` entry."""
-    override = re.sub(r"@(\w+)", lambda m: json.dumps(snapshots[m.group(1)]), override)
+    others `--set` overrides, where `@<name>` is the path of that `files` entry."""
+    override = re.sub(r"@(\w+)", lambda m: json.dumps(files[m.group(1)]), override)
     return [arg for item in override.split()
             for arg in ((item,) if item.startswith("--") else ("--set", item))]
 
 
 @pytest.fixture(scope="module")
-def snapshots(tmp_path_factory):
-    """Paths of untrained snapshots by base method: a G-formula model of the
-    one-covariate graph and a proximal bridge of the demand graph."""
-    out = tmp_path_factory.mktemp("snapshots")
+def files(tmp_path_factory):
+    """Paths of the files that table rows name: untrained snapshots by base method,
+    a G-formula model of the one-covariate graph and a proximal bridge of the
+    demand graph; the `SNAPSHOT` fixture with one row cut from a head weight, and
+    with its input nodes reordered; and a graph file with the edge Y -> Y."""
+    out = tmp_path_factory.mktemp("files")
     paths = {}
     for base, dag, kinds in (
             ("gformula", linear_scm_dag(1), {"X1": "continuous", "A": "binary",
@@ -539,6 +549,15 @@ def snapshots(tmp_path_factory):
             ("proximal", demand_dag(), dict.fromkeys("ZWAY", "continuous"))):
         paths[base] = str(out / f"{base}.json")
         DagTransformer(ModelConfig(**small_model()), dag, base, kinds).save(paths[base])
+    snapshot = json.loads(SNAPSHOT.read_text())
+    short = copy.deepcopy(snapshot)
+    short["params"]["head/Y/w0"].pop()
+    reordered = dict(snapshot, input_nodes=snapshot["input_nodes"][::-1])
+    self_loop = dict(linear_scm_dag(1).to_dict(), edges=[["X1", "A"], ["A", "Y"], ["Y", "Y"]])
+    for name, value in (("short_head", short), ("reordered", reordered),
+                        ("self_loop", self_loop)):
+        paths[name] = str(out / f"{name}.json")
+        (out / f"{name}.json").write_text(json.dumps(value))
     return paths
 
 
@@ -555,7 +574,7 @@ def test_a_column_bound_to_an_unmeasured_node_is_a_data_error(tmp_path, monkeypa
 
 
 def test_estimate_of_a_column_bound_to_an_unmeasured_node_is_a_data_error(
-        tmp_path, capsys, snapshots):
+        tmp_path, capsys, files):
     # the bridge's graph never measures U, and the CSV binds a column to it
     csv = tmp_path / "rows.csv"
     csv.write_text("U,Z,W,A,Y\n" + "".join(f"{i},{-i},{i / 2},{i + 1},{i * i}\n"
@@ -563,13 +582,13 @@ def test_estimate_of_a_column_bound_to_an_unmeasured_node_is_a_data_error(
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"columns": [{"name": n, "kind": "continuous", "node": n}
                                               for n in "UZWAY"]}))
-    config = {"method": "proximal-u", "model": snapshots["proximal"], "a_grid": [1.0, 2.0],
+    config = {"method": "proximal-u", "model": files["proximal"], "a_grid": [1.0, 2.0],
               "data": {"csv": str(csv), "schema": str(schema)}}
     assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 3
     assert "unmeasured node 'U'" in capsys.readouterr().err
 
 
-def test_estimate_of_a_proximal_snapshot_on_csv_rows_averages_over_their_w(tmp_path, snapshots):
+def test_estimate_of_a_proximal_snapshot_on_csv_rows_averages_over_their_w(tmp_path, files):
     # CSV rows have no held-out draws, so the bridge is averaged over the rows' own W
     w = [i / 2 for i in range(8)]
     csv = tmp_path / "rows.csv"
@@ -578,11 +597,11 @@ def test_estimate_of_a_proximal_snapshot_on_csv_rows_averages_over_their_w(tmp_p
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps({"columns": [{"name": n, "kind": "continuous", "node": n}
                                               for n in "ZWAY"]}))
-    config = {"method": "proximal-u", "model": snapshots["proximal"], "a_grid": [0.0, 1.0],
+    config = {"method": "proximal-u", "model": files["proximal"], "a_grid": [0.0, 1.0],
               "data": {"csv": str(csv), "schema": str(schema)}}
     assert run(tmp_path, "estimate", config, extra=("--out", str(tmp_path / "x"))) == 0
     report = json.loads((tmp_path / "x" / "estimate.json").read_text())["report"]
-    want = estimate_proximal(DagTransformer.load(snapshots["proximal"]), {"W": np.array(w)},
+    want = estimate_proximal(DagTransformer.load(files["proximal"]), {"W": np.array(w)},
                              [0, 1])
     assert report["ate"] == want.ate and report["diagnostics"]["heldout_draws"] == 8
 
@@ -848,8 +867,15 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # an override without a value, and a simulate run with nothing to draw
     ("train", "gformula", "epochs", 2),
     ("simulate", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}', 2),
+    # a simulate run with two sections to draw: which to use would be a silent choice
+    ("simulate", "gformula", 'simulator={"name":"demand","n":20}', 2),
+    # a snapshot whose parameters or node order are not those of the model it rebuilds
+    ("estimate", "gformula", "model=@short_head", 2),
+    ("estimate", "gformula", "model=@reordered", 2),
+    # a graph file with a self-loop
+    ("train", "gformula", "dag=@self_loop", 2),
 ])
-def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, name, override,
+def test_malformed_config_exit_code(tmp_path, monkeypatch, files, command, name, override,
                                     code):
     def no_training(*args, **kwargs):
         raise AssertionError("a config or data error must stop the run before training")
@@ -860,7 +886,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     if code == 2 and command != "simulate":
         monkeypatch.setattr(cli, "_resolve_data", no_rows)
     assert run(tmp_path, command, _table_config(command, name),
-               extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == code
+               extra=("--out", str(tmp_path / "x"), *_overrides(override, files))) == code
 
 
 @pytest.mark.parametrize("command, name, override, named", [
@@ -1015,10 +1041,23 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, snapshots, command, n
     ("train", "gformula", "epochs", "--set needs key=value, got 'epochs'"),
     ("simulate", "gformula", 'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"}',
      "'simulator' or 'data.simulator'"),
+    ("simulate", "gformula", 'simulator={"name":"demand","n":20}', "'simulator' or a 'data'"),
+    ("estimate", "gformula", "model=@short_head",
+     "snapshot parameter 'head/Y/w0' has shape (9, 8), expected (10, 8)"),
+    ("estimate", "gformula", "model=@reordered",
+     "snapshot node order does not match rebuilt model"),
+    ("train", "gformula", "dag=@self_loop", "self-loop on node Y"),
+    # coefficients whose draw overflows Y; pytest makes a RuntimeWarning an error, so a
+    # NumPy overflow warning would fail the row
+    *[(command, "gformula", f"data.simulator.n=200 data.simulator.{key}={value}",
+       f"'simulator.{key}'")
+      for command in ("simulate", "train")
+      for key, value in (("effect_of_x1", "1e308"), ("noise_sd", "1e308"),
+                         ("outcome_weights", "[1e308]"))],
 ])
-def test_config_error_names_the_key(tmp_path, capsys, snapshots, command, name, override, named):
+def test_config_error_names_the_key(tmp_path, capsys, files, command, name, override, named):
     assert run(tmp_path, command, _table_config(command, name),
-               extra=("--out", str(tmp_path / "x"), *_overrides(override, snapshots))) == 2
+               extra=("--out", str(tmp_path / "x"), *_overrides(override, files))) == 2
     assert named in capsys.readouterr().err
 
 
@@ -1030,13 +1069,30 @@ def test_heldout_draws_beyond_memory_stop_estimate_without_a_traceback(tmp_path)
     assert run(tmp_path, "train", config, extra=("--out", str(out))) == 0
     est = dict(config, model=str(out / "model.json"), heldout={"draws": 2 ** 58 - 1})
     (tmp_path / "est.json").write_text(json.dumps(est))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-m", "dagformer.cli", "estimate", "--config",
-                           str(tmp_path / "est.json"), "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _fresh_cli("estimate", "--config", str(tmp_path / "est.json"), "--out", str(out))
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr and "'heldout.draws'" in done.stderr, done.stderr
+
+
+def _fresh_cli(*args):
+    """The CLI run in a fresh interpreter, with Python's default warning filters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "dagformer.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("effect_of_x1", "1e308", 2), ("noise_sd", "1e308", 2), ("outcome_weights", "[1e308]", 2),
+    ("propensity_weights", "[1e308]", 0),  # pi is exactly 0 or 1: a valid draw
+])
+def test_a_linear_scm_draw_that_overflows_prints_no_numpy_warning(tmp_path, key, value, code):
+    done = _fresh_cli("simulate", "--set", "simulator.name=linear-scm",
+                      "--set", "simulator.n=200", "--set", f"simulator.{key}={value}",
+                      "--out", str(tmp_path / "x"))
+    assert done.returncode == code, done.stderr
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr, done.stderr
+    assert (f"'simulator.{key}'" in done.stderr) == (code == 2), done.stderr
 
 
 SIX_ROLE_DAG = {"nodes": [{"name": n, "role": r} for n, r in (

@@ -566,23 +566,6 @@ def test_streams_are_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
-def _draws(g):
-    # 32-bit draws, left odd, so a half-used word would carry into the next stream
-    return (g.choice(333, size=166, replace=False), g.integers(0, 7, size=3, dtype=np.int32),
-            g.standard_normal(5), g.random(3))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 18, -5, 2**127, 10**40])
-@pytest.mark.parametrize("labels", [("tree",), ("init", "x"), ()])
-def test_re_keyed_streams_draw_what_each_stream_draws(seed, labels):
-    count = 0
-    for i, g in enumerate(rng.streams(seed, *labels, count=12)):
-        for a, b in zip(_draws(g), _draws(rng.stream(seed, *labels, i)), strict=True):
-            assert np.array_equal(a, b), (seed, labels, i)
-        count += 1
-    assert count == 12
-
-
 def test_derive_key_keeps_the_16_byte_keys_and_takes_any_seed():
     # keys of seeds in [-2**127, 2**127) are those of their 16-byte signed encoding
     pinned = {0: 142466425999280531237757167579222049654,
