@@ -5,6 +5,7 @@ column order of the adjacency matrix, the attention mask, and every derived
 model structure, and it is preserved by serialization.
 """
 
+import graphlib
 from enum import Enum
 
 import numpy as np
@@ -54,26 +55,13 @@ class CausalDag:
                 raise ConfigError(f"self-loop on node {self.names[p]}")
             edge_idx.add((p, c))
         self.edges: tuple = tuple(sorted(edge_idx))
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        d = len(self.names)
-        indegree = [0] * d
-        children = [[] for _ in range(d)]
+        self._parents: list[list[str]] = [[] for _ in self.names]
         for p, c in self.edges:
-            indegree[c] += 1
-            children[p].append(c)
-        queue = [i for i in range(d) if indegree[i] == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for c in children[node]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    queue.append(c)
-        if visited != d:
-            raise ConfigError("graph contains a directed cycle")
+            self._parents[c].append(self.names[p])
+        try:
+            graphlib.TopologicalSorter(dict(zip(self.names, self._parents))).prepare()
+        except graphlib.CycleError:
+            raise ConfigError("graph contains a directed cycle") from None
 
     @property
     def n_nodes(self) -> int:
@@ -92,8 +80,7 @@ class CausalDag:
         return found[0]
 
     def parents_of(self, name: str) -> list[str]:
-        i = self.index[name]
-        return [self.names[p] for p, c in self.edges if c == i]
+        return list(self._parents[self.index[name]])
 
     def ancestors_of(self, name: str) -> set[str]:
         result: set[str] = set()

@@ -134,8 +134,7 @@ class DagTransformer:
         self.mask[:, self._barred] = 1
         self.mask[self._barred, self._barred] = 0  # its own row keeps its self-attention
         self._additive_mask = mask_to_additive(self.mask)
-        self.head_parents = {h: [p for p in self.graph.names if p in self.graph.parents_of(h)]
-                             for h in self.head_nodes}
+        self.head_parents = {h: self.graph.parents_of(h) for h in self.head_nodes}
         # standardization stats per input node; identity until fitted
         d = len(self.input_nodes)
         self.col_mean = np.zeros(d)
@@ -221,15 +220,22 @@ class DagTransformer:
     # -- standardization -----------------------------------------------------
 
     def fit_standardizer(self, batch: np.ndarray):
-        """Record per-column mean/sd (continuous columns) from training data."""
+        """Record per-column mean/sd (continuous columns) from training data.
+
+        A column whose mean or spread overflows float64 is a DataError naming
+        its node: it would standardize to 0 or to NaN.
+        """
         self._check_batch(batch)
         for i, node in enumerate(self.input_nodes):
             if self.node_kinds[node] == "binary":
                 self.col_mean[i], self.col_sd[i] = 0.0, 1.0
-            else:
-                sd = batch[:, i].std()
-                self.col_mean[i] = batch[:, i].mean()
-                self.col_sd[i] = sd if sd > 0 else 1.0
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, sd = batch[:, i].mean(), batch[:, i].std()
+            if not (np.isfinite(mean) and np.isfinite(sd)):
+                raise DataError(f"column for node {node!r}: its mean or spread overflows float64")
+            self.col_mean[i] = mean
+            self.col_sd[i] = sd if sd > 0 else 1.0
 
     def _standardize(self, batch: np.ndarray) -> np.ndarray:
         return (batch - self.col_mean) / self.col_sd

@@ -9,7 +9,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,8 +119,7 @@ def fit_plugin(validation, dag: CausalDag, config: ForestConfig) -> PlugInEstima
             raise DataError(
                 f"treatment arm {int(arm)} has {int(rows.sum())} rows, fewer than "
                 f"min_leaf {config.min_leaf}")
-        arm_cfg = ForestConfig(config.n_trees, config.max_depth, config.min_leaf,
-                               config.subsample_fraction, config.seed + int(arm))
+        arm_cfg = replace(config, seed=config.seed + int(arm))
         forests[arm] = HonestForestRegressor(arm_cfg).fit(x[rows], y[rows])
     return PlugInEstimator(forests[1.0], forests[0.0], covariates)
 

@@ -540,7 +540,8 @@ def files(tmp_path_factory):
     """Paths of the files that table rows name: untrained snapshots by base method,
     a G-formula model of the one-covariate graph and a proximal bridge of the
     demand graph; the `SNAPSHOT` fixture with one row cut from a head weight, and
-    with its input nodes reordered; and a graph file with the edge Y -> Y."""
+    with its input nodes reordered; a graph file with the edge Y -> Y; and a grid
+    file that holds a list."""
     out = tmp_path_factory.mktemp("files")
     paths = {}
     for base, dag, kinds in (
@@ -555,7 +556,7 @@ def files(tmp_path_factory):
     reordered = dict(snapshot, input_nodes=snapshot["input_nodes"][::-1])
     self_loop = dict(linear_scm_dag(1).to_dict(), edges=[["X1", "A"], ["A", "Y"], ["Y", "Y"]])
     for name, value in (("short_head", short), ("reordered", reordered),
-                        ("self_loop", self_loop)):
+                        ("self_loop", self_loop), ("grid_list", [1, 2])):
         paths[name] = str(out / f"{name}.json")
         (out / f"{name}.json").write_text(json.dumps(value))
     return paths
@@ -872,8 +873,18 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # a snapshot whose parameters or node order are not those of the model it rebuilds
     ("estimate", "gformula", "model=@short_head", 2),
     ("estimate", "gformula", "model=@reordered", 2),
-    # a graph file with a self-loop
+    # a graph file with a self-loop, and a graph with a directed cycle
     ("train", "gformula", "dag=@self_loop", 2),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"},'
+     '{"name":"Y","role":"outcome"}],"edges":[["A","Y"],["Y","A"]]}', 2),
+    # a data section that names no rows, and an override below a key that holds a number
+    ("train", "gformula", "data={}", 2),
+    ("train", "gformula", "epochs=1 epochs.x=2", 2),
+    # a grid file that holds no object
+    ("tune", "gformula", "grid=@grid_list", 2),
+    # an outcome whose spread (1e300) or mean (1e308) overflows float64
+    ("train", "gformula", "data.simulator.treatment_effect=1e300", 3),
+    ("train", "gformula", "data.simulator.treatment_effect=1e308", 3),
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, files, command, name, override,
                                     code):
@@ -1047,6 +1058,13 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, files, command, name,
     ("estimate", "gformula", "model=@reordered",
      "snapshot node order does not match rebuilt model"),
     ("train", "gformula", "dag=@self_loop", "self-loop on node Y"),
+    ("train", "gformula", 'dag={"nodes":[{"name":"A","role":"treatment"},'
+     '{"name":"Y","role":"outcome"}],"edges":[["A","Y"],["Y","A"]]}',
+     "graph contains a directed cycle"),
+    ("train", "gformula", "data={}", "data.simulator"),
+    ("train", "gformula", "epochs=1 epochs.x=2",
+     "path 'epochs.x' collides with a non-object value"),
+    ("tune", "gformula", "grid=@grid_list", "grid must be a JSON object"),
     # coefficients whose draw overflows Y; pytest makes a RuntimeWarning an error, so a
     # NumPy overflow warning would fail the row
     *[(command, "gformula", f"data.simulator.n=200 data.simulator.{key}={value}",
@@ -1093,6 +1111,19 @@ def test_a_linear_scm_draw_that_overflows_prints_no_numpy_warning(tmp_path, key,
     assert done.returncode == code, done.stderr
     assert "Warning" not in done.stderr and "Traceback" not in done.stderr, done.stderr
     assert (f"'simulator.{key}'" in done.stderr) == (code == 2), done.stderr
+
+
+@pytest.mark.parametrize("effect", ["1e300", "1e308"])
+def test_an_outcome_that_overflows_float64_stops_train_as_a_data_error(tmp_path, effect):
+    # at 1e300 Y's sd overflowed: NumPy warned, Y standardized to 0 and train exited 0;
+    # at 1e308 its mean overflowed too, and training diverged
+    (tmp_path / "config.json").write_text(json.dumps(_method_config("gformula")))
+    done = _fresh_cli("train", "--config", str(tmp_path / "config.json"),
+                      "--set", f"data.simulator.treatment_effect={effect}",
+                      "--out", str(tmp_path / "x"))
+    assert done.returncode == 3, done.stderr
+    assert "'Y'" in done.stderr, done.stderr
+    assert "RuntimeWarning" not in done.stderr and "Traceback" not in done.stderr, done.stderr
 
 
 SIX_ROLE_DAG = {"nodes": [{"name": n, "role": r} for n, r in (

@@ -72,6 +72,17 @@ def test_csv_three_row_toy(tmp_path):
     assert np.array_equal(ds.node_column("A").values, [1.0, 0.0, 1.0])
 
 
+def test_csv_blank_line_between_data_rows_is_skipped(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x,treat\n1.5,1\n\n2.5,0\n")
+    schema = {"columns": [{"name": "x", "kind": "continuous", "node": "X"},
+                          {"name": "treat", "kind": "binary", "node": "A"}]}
+    ds = load_csv(str(p), schema)
+    assert ds.n == 2
+    assert np.array_equal(ds.node_column("X").values, [1.5, 2.5])
+    assert np.array_equal(ds.node_column("A").values, [1.0, 0.0])
+
+
 def test_csv_errors_name_rows(tmp_path):
     schema = {"columns": [{"name": "t", "kind": "binary", "node": "A"}]}
     p = tmp_path / "bad.csv"

@@ -69,7 +69,9 @@ def test_mask_additive_form():
     assert add[0, 0] == 0.0 and np.isneginf(add[0, 1])
 
 
-def test_mask_adjacency_duality_over_random_dags():
+def _random_dags():
+    """1000 random graphs of 2 to 12 nodes as (nodes, edges): each edge runs
+    forward along a random node order, drawn with probability 0.3."""
     g = rng.stream(5, "dags")
     for _ in range(1000):
         d = int(g.integers(2, 13))
@@ -83,13 +85,48 @@ def test_mask_adjacency_duality_over_random_dags():
             for b in range(a + 1, d):
                 if g.random() < 0.3:
                     edges.append((names[order[a]], names[order[b]]))
-        dag = CausalDag(list(zip(names, roles)), edges)
+        yield list(zip(names, roles)), edges
+
+
+def test_mask_adjacency_duality_over_random_dags():
+    for nodes, edges in _random_dags():
+        dag = CausalDag(nodes, edges)
+        d = dag.n_nodes
         adj = build_adjacency(dag)
         mask = build_mask(adj)
         for i in range(d):
             for j in range(d):
                 assert (mask[i, j] == 0) == (adj[j, i] == 1 or i == j)
         assert np.all(np.diag(mask) == 0)
+
+
+def test_parents_and_ancestors_match_brute_force_over_random_dags():
+    g = rng.stream(7, "back edges")
+    for nodes, edges in _random_dags():
+        dag = CausalDag(nodes, edges)
+        names = dag.names
+        edge_set = set(edges)
+        reach = build_adjacency(dag).astype(bool)
+        for k in range(len(names)):  # Warshall: reach[i, j] iff a path runs i -> j
+            reach |= reach[:, [k]] & reach[[k], :]
+        for c, child in enumerate(names):
+            assert dag.parents_of(child) == [p for p in names if (p, child) in edge_set]
+            ancestors = [names[a] for a in np.flatnonzero(reach[:, c])]
+            assert dag.ancestors_of(child) == set(ancestors)
+            if ancestors:  # an edge back to an ancestor closes a cycle
+                back = (child, ancestors[int(g.integers(len(ancestors)))])
+                with pytest.raises(ConfigError, match="graph contains a directed cycle"):
+                    CausalDag(nodes, edges + [back])
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+def test_cycle_of_every_length_rejected(length):
+    # a chain n0 -> ... -> n{length-1} and the edge back to n0
+    names = [f"n{i}" for i in range(length)]
+    chain = list(zip(names, names[1:]))
+    CausalDag([(n, "confounder") for n in names], chain)
+    with pytest.raises(ConfigError, match="graph contains a directed cycle"):
+        CausalDag([(n, "confounder") for n in names], chain + [(names[-1], names[0])])
 
 
 def test_cycle_rejected():

@@ -99,6 +99,17 @@ def test_nonbinary_value_in_binary_column_rejected():
         model.forward(batch)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_a_column_whose_spread_or_mean_overflows_is_a_data_error(scale):
+    # at 1e300 the variance overflows to an infinite sd, which standardized Y to 0;
+    # at 1e308 the mean overflows too; pytest makes NumPy's RuntimeWarning an error
+    model = DagTransformer(small_config(), triangle_dag(), "gformula", TRIANGLE_KINDS)
+    batch = triangle_batch(8)
+    batch[:, 2] *= scale
+    with pytest.raises(DataError, match="node 'Y'"):
+        model.fit_standardizer(batch)
+
+
 def test_attention_respects_mask_for_random_draws():
     batch = triangle_batch(6)
     for seed in range(10):
