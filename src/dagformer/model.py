@@ -289,7 +289,7 @@ class DagTransformer:
 
         outputs: dict[str, Tensor] = {}
         for head, (row, parent_columns, mlp) in self._heads.items():
-            z = T.take_node(h, row) * cfg.alpha if cfg.alpha > 0 \
+            z = T.take_node(h, row, cfg.alpha) if cfg.alpha > 0 \
                 else Tensor(np.zeros((std.shape[0], cfg.embedding_dim)))
             if parent_columns:
                 z = T.concat_lastdim([z, Tensor(std[:, parent_columns])])

@@ -374,13 +374,14 @@ def concat_lastdim(parts: list) -> Tensor:
     return _make(out_data, tuple(parts), bwd)
 
 
-def take_node(a: Tensor, index: int) -> Tensor:
-    """Select node slice (N, E) out of (N, D, E)."""
-    out_data = a.data[:, index, :]
+def take_node(a: Tensor, index: int, scale: float = 1.0) -> Tensor:
+    """Select node slice (N, E) out of (N, D, E), times `scale`: the floats
+    of `take_node(a, index) * scale`, as one node."""
+    out_data = a.data[:, index, :] * scale
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[:, index, :] = g
+        full[:, index, :] = g * scale
         _accumulate(a, full)
 
     return _make(out_data, (a,), bwd)
@@ -459,16 +460,59 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
+def _max_lastdim(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)`, with rows under 8 entries written out.
+
+    A masked softmax row has one entry per graph node, often 3 to 7, and
+    NumPy's reduction pays one inner-loop call per row: a running
+    `np.maximum` over the columns takes a tenth of the time. Below NumPy's
+    block of 8 entries it gives NumPy's float in any layout, NaN and signed
+    zeros included. From there on NumPy's vector loop may return the other
+    zero of a row whose maximum is a zero (seen at 9 to 17 entries), so
+    those rows stay with NumPy.
+    """
+    if a.shape[-1] >= 8:
+        return a.max(axis=-1, keepdims=True)
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j:j + 1], out=m)
+    return m
+
+
+def _sum_lastdim(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1, keepdims=True)` in NumPy's own order, with rows of at
+    most 8 entries written out (see `_max_lastdim` for why).
+
+    Under 8 entries, NumPy adds a row left to right onto 0.0, whatever the
+    layout. At exactly 8 it adds one pairwise tree, ((a0 + a1) + (a2 + a3)) +
+    ((a4 + a5) + (a6 + a7)), onto 0.0, but only when the row is the innermost
+    axis; otherwise its loop runs across rows and adds left to right. So the
+    tree is used only for a unit-stride last axis, and wider rows, where
+    NumPy is faster, stay with NumPy.
+    """
+    width = a.shape[-1]
+    if width == 8 and a.strides[-1] == a.itemsize:
+        p = a[..., 0::2] + a[..., 1::2]
+        p = p[..., 0::2] + p[..., 1::2]
+        return p[..., :1] + p[..., 1:] + 0.0
+    if width >= 8:
+        return a.sum(axis=-1, keepdims=True)
+    s = a[..., :1] + 0.0
+    for j in range(1, width):
+        s += a[..., j:j + 1]
+    return s
+
+
 def _softmax(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=-1, keepdims=True)
+    m = _max_lastdim(a)
     if np.isneginf(m).any():
         raise DegenerateInputError("softmax slice is entirely -inf: no permitted attention targets")
     e = np.exp(a - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _sum_lastdim(e)
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    dot = (g * out).sum(axis=-1, keepdims=True)
+    dot = _sum_lastdim(g * out)
     return out * (g - dot)
 
 
@@ -485,8 +529,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
     """The layer norm of x, with the normalized x and the 1 / std its backward
     reads; the normalized x is written over x - mean, and the bias added in place."""
-    d = x - x.mean(axis=-1, keepdims=True)
-    var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
+    width = x.shape[-1]
+    d = x - _sum_lastdim(x) / width  # what np.mean computes
+    var = _sum_lastdim(d * d) / width  # and np.var
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = np.multiply(d, inv, out=d)
     out = xhat * gain
@@ -502,8 +547,9 @@ def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
         _accumulate(bias, _unbroadcast(g, bias.data.shape))
     if x.needs_grad:
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        width = dxhat.shape[-1]
+        m1 = _sum_lastdim(dxhat) / width
+        m2 = _sum_lastdim(dxhat * xhat) / width
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
 

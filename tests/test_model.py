@@ -199,13 +199,14 @@ def test_tape_nodes_per_step_criterion_6_config(monkeypatch):
                       mlp_width=16, mlp_depth=2, dropout_rate=0.0, alpha=0.1, seed=1)
     model = DagTransformer(cfg, SCM_DAG, "gformula", SCM_KINDS)
     assert len(model.params) == 28
-    # 23 ops; the tape lists no parameter leaf. 1 embedding, 9 in the encoder
+    # 22 ops; the tape lists no parameter leaf. 1 embedding, 9 in the encoder
     # layer (attention, from the layer input to the merged heads, is one node;
     # each other weight product is one node with its bias; the residual stream
-    # is cut to the head row), 4 from the final norm to the head input, 6 in
-    # the head MLP (one node per weight product, with its bias), 3 in the loss
+    # is cut to the head row), 3 from the final norm to the head input (the
+    # head row times alpha is one node), 6 in the head MLP (one node per
+    # weight product, with its bias), 3 in the loss
     assert _tape_nodes_per_step(monkeypatch, model, _toy_dataset(n=512), GFormula(),
-                                256) == {23}
+                                256) == {22}
 
 
 def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
@@ -215,20 +216,21 @@ def test_tape_nodes_per_step_nmmr_u_config(monkeypatch):
     kinds = {n: "continuous" for n in ("Z", "W", "A", "Y")}
     model = DagTransformer(cfg, demand_dag(), "proximal", kinds)
     assert len(model.params) == 31
-    # 30 ops and no parameter leaf: attention is one node, and so is the
-    # penalty over all 31 parameters
+    # 29 ops and no parameter leaf: attention is one node, and so are the
+    # penalty over all 31 parameters and the head row times alpha
     assert _tape_nodes_per_step(monkeypatch, model, simulate_demand(128, seed=2).to_dataset(),
-                                Nmmr(variant="U", lam=3e-6), 64) == {30}
+                                Nmmr(variant="U", lam=3e-6), 64) == {29}
 
 
 def test_tape_nodes_per_step_two_head_aipw_joint_config(monkeypatch):
     config, dag, method, kinds = CUT_SHAPES["aipw-joint"]
     model = DagTransformer(ModelConfig(**config), dag, method, kinds)
     scm = LinearScm(x_dim=5, propensity_weights=(0.5,) * 5, outcome_weights=(1.0,) * 5)
-    # 44 ops and no parameter leaf: attention is one node, and each head MLP is
-    # 6: 3 weight products with their biases, 2 ReLUs and a reshape
+    # 42 ops and no parameter leaf: attention is one node, each head's row
+    # times alpha is one, and each head MLP is 6: 3 weight products with their
+    # biases, 2 ReLUs and a reshape
     assert _tape_nodes_per_step(monkeypatch, model, simulate_linear_scm(512, scm, 3),
-                                AipwJoint(), 256) == {44}
+                                AipwJoint(), 256) == {42}
 
 
 def test_alpha_zero_step_has_no_encoder_tape_node(monkeypatch):

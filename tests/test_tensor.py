@@ -3,6 +3,7 @@ import pytest
 
 import dagformer
 from dagformer import rng, tensor as T
+from dagformer.data import linear_scm_dag
 from dagformer.errors import ConfigError, ContractError, DegenerateInputError, ShapeError
 from dagformer.graph import build_adjacency, build_mask, demand_dag, mask_to_additive
 from dagformer.optim import AdamState, adam_step
@@ -91,6 +92,58 @@ def test_softmax_rows_sum_to_one_under_random_masks():
         out = T.softmax_lastdim(T.tensor(scores)).data
         assert np.all(out[forbid] == 0.0)
         assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
+
+
+def _short_row_layouts(g, shape):
+    """One array of `shape` in four layouts: C order, its last two axes
+    transposed in memory, Fortran order, and a unit-stride slice of wider
+    rows. Its entries are normal draws of widely spread scale, a tenth of
+    them zeros of either sign, NaN or an infinity; one row holds only -0.0,
+    one only +inf and one mixes the two zeros."""
+    a = g.standard_normal(shape) * np.exp(g.uniform(-20.0, 20.0, shape))
+    flat = a.reshape(-1)
+    special = g.random(flat.size) < 0.1
+    flat[special] = g.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size=int(special.sum()))
+    rows = a.reshape(-1, shape[-1])
+    rows[0], rows[-1] = -0.0, np.inf
+    rows[1 % len(rows)] = g.choice([0.0, -0.0], size=shape[-1])
+    wide = np.zeros(shape[:-1] + (shape[-1] + 3,))
+    wide[..., 1:-2] = a
+    return {"C": a,
+            "transposed": np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2),
+            "Fortran": np.asfortranarray(a),
+            "row-sliced": wide[..., 1:-2]}
+
+
+def _same_floats(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+@pytest.mark.parametrize("width", list(range(1, 17)) + [52])
+@pytest.mark.parametrize("lead", [(5,), (6, 3), (4, 2, 3)], ids=["2-D", "3-D", "4-D"])
+def test_short_row_reductions_give_numpys_floats(lead, width):
+    # the helpers write out NumPy's order for rows under 8 entries (and its
+    # pairwise tree at 8); a NumPy that sums in another order fails here
+    g = rng.stream(34, "short rows", len(lead), width)
+    for _ in range(4):
+        for layout, a in _short_row_layouts(g, lead + (width,)).items():
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge sums
+                _same_floats(T._max_lastdim(a), a.max(axis=-1, keepdims=True))
+                _same_floats(T._sum_lastdim(a), a.sum(axis=-1, keepdims=True))
+                _same_floats(T._sum_lastdim(a) / width, a.mean(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", list(range(1, 17)) + [52])
+def test_softmax_rejects_an_all_minus_inf_row_of_any_width(width):
+    g = rng.stream(35, "all -inf", width)
+    for row in (0, 5, 11):
+        x = g.standard_normal((3, 4, width))
+        x.reshape(-1, width)[row] = -np.inf
+        with pytest.raises(DegenerateInputError, match="entirely -inf"):
+            T.softmax_lastdim(T.tensor(x))
 
 
 def test_backward_sum_of_squares():
@@ -265,6 +318,21 @@ def test_linear_keeps_the_full_products_floats(n, keep, operand):
     assert np.array_equal(b.grad, ref_grads[2])
 
 
+def test_take_node_scale_is_one_node_with_the_floats_of_a_product():
+    g = rng.stream(28, "take node")
+    a, upstream = g.standard_normal((6, 4, 5)), g.standard_normal((6, 5))
+    results = []
+    for build in (lambda x: T.take_node(x, 2, 0.1), lambda x: T.take_node(x, 2) * 0.1):
+        x = T.parameter(a)
+        out = build(x)
+        tape = T.GradientTape(T.sum_all(out * upstream))
+        tape.run()
+        results.append((out.data, x.grad, len(tape.order)))
+    (out, grad, nodes), (want, want_grad, want_nodes) = results
+    assert np.array_equal(out, want) and np.array_equal(grad, want_grad)
+    assert (nodes, want_nodes) == (3, 4)
+
+
 def test_take_nodes_is_contiguous_and_none_keeps_every_node():
     x = T.parameter(np.arange(24.0).reshape(2, 4, 3))
     keep = np.array([True, False, False, True])
@@ -299,6 +367,73 @@ def test_layer_norm_and_sigmoid_equal_the_expressions_they_replace():
         old = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
         assert np.array_equal(T.sigmoid(T.tensor(z)).data, old)
+
+
+def _softmax_reference(a):
+    m = a.max(axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise DegenerateInputError("softmax slice is entirely -inf: no permitted attention targets")
+    e = np.exp(a - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad_reference(g, out):
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def _layer_norm_reference(x, gain, bias):
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).sum(axis=-1, keepdims=True) / d.shape[-1]  # what np.var computes
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = np.multiply(d, inv, out=d)
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_grads_reference(g, x, gain, bias, xhat, inv):
+    if gain.needs_grad:
+        T._accumulate(gain, T._unbroadcast(g * xhat, gain.data.shape))
+    if bias.needs_grad:
+        T._accumulate(bias, T._unbroadcast(g, bias.data.shape))
+    if x.needs_grad:
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        T._accumulate(x, inv * (dxhat - m1 - xhat * m2))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64, 256, 1000])
+@pytest.mark.parametrize("dag", [linear_scm_dag(1), demand_dag(), linear_scm_dag(5)],
+                         ids=["3 nodes", "4 nodes", "7 nodes"])
+def test_softmax_and_layer_norm_keep_the_floats_of_numpys_reductions(dag, rows):
+    # the four ops against references that reduce with NumPy's max, sum and
+    # mean, on the model shapes: masked scores over 3, 4 and 7 nodes with 1
+    # and 2 heads, and layer norms 8 and 40 wide over all nodes and a head row
+    g = rng.stream(36, "reductions", len(dag.names), rows)
+    additive = mask_to_additive(build_mask(build_adjacency(dag)))
+    d = additive.shape[0]
+    for heads in (1, 2):
+        scores = g.standard_normal((rows, heads, d, d)) * 3.0 + additive
+        upstream = g.standard_normal(scores.shape)
+        out = T._softmax(scores)
+        assert np.array_equal(out, _softmax_reference(scores))
+        assert np.array_equal(T._softmax_grad(upstream, out), _softmax_grad_reference(upstream, out))
+    for e in (8, 40):
+        for nodes in (d, 1):
+            x = g.standard_normal((rows, nodes, e)) * g.uniform(0.01, 100.0) + g.uniform(-50.0, 50.0)
+            gain, bias = g.standard_normal(e) * 0.5 + 1.0, g.standard_normal(e) * 0.5
+            upstream = g.standard_normal(x.shape)
+            results = []
+            for forward, grads in ((T._layer_norm, T._layer_norm_grads),
+                                   (_layer_norm_reference, _layer_norm_grads_reference)):
+                out, xhat, inv = forward(x.copy(), gain, bias)
+                params = [T.parameter(a) for a in (x, gain, bias)]
+                grads(upstream, *params, xhat, inv)
+                results.append([out, xhat, inv] + [p.grad for p in params])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want)
 
 
 def _attention_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, additive_mask, heads, collect):
