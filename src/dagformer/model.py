@@ -33,8 +33,8 @@ full (batch * nodes, width) shape, with each head row in its own place and
 zero rows for the other nodes, so that every gradient keeps the floats of
 the full layer. So the cut layer gives the floats of the full layer bit for
 bit, in prediction and in training. The tape lists ops only, not the
-parameters they read: a criterion-6 training step has 23 tape nodes, a
-criterion-9 NMMR-U step 30.
+parameters they read: a criterion-6 training step has 22 tape nodes, a
+criterion-9 NMMR-U step 29.
 
 Each parameter is named once, where it is registered in `params`, and is
 bound there to the embedding, encoder layer or head that reads it; `forward`

@@ -7,7 +7,7 @@ callers may pass plain arrays where no gradient is needed.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -163,8 +163,8 @@ def loss_aipw_joint(y_hat, y, a_hat, a) -> Tensor:
     return (loss_gformula(y_hat, y) + loss_iptw(a_hat, a)) * 0.5
 
 
-# entries per row band of pairwise distances: bounds the band's temporaries
-# at about 1 MiB each, whatever the number of rows
+# entries per row band of a kernel and per item of a distance pass: bounds
+# their temporaries at about 1 MiB each, whatever the number of rows
 _BAND_ENTRIES = 2 ** 17
 # the median is selected on the float64 bit patterns of the squared distances,
 # which for non-negative floats sort as the int64 integers they view as, all
@@ -183,41 +183,157 @@ _SPREAD = 6 * 128
 # bit patterns added on each side of the bracket (about 1e-6 relative), so a
 # tie that the sample's own floats place a few ulps away still falls inside
 _MARGIN = 2 ** 32
+# rows per leaf of the distance passes' k-d tree, at most
+_LEAF_ROWS = 32
+# (row leaf, node) pairs per depth of one walk down the tree, at most: bounds
+# the walk's temporaries at d x 512 KiB each
+_WALK_PAIRS = 2 ** 16
 
 
-def _sq_dists(rows, twice, sq, lo, hi, start=0, out=None):
-    """Unclamped squared distances of rows lo:hi to rows start:, where `twice`
-    is 2.0 * rows, into `out` if given. Every caller uses this one expression,
-    sq_i + sq_j - (2.0 * rows_i) @ rows_j, so each pair gets the same float in
-    any band."""
-    prod = twice[lo:hi] @ rows[start:].T
-    d2 = np.add(sq[lo:hi, None], sq[None, start:], out=out)
+class _Tree(NamedTuple):
+    """The feature rows in the leaves of a balanced k-d tree. Leaf k holds
+    rows starts[k]:starts[k + 1] of the leaf order, as blocks[k], padded to
+    the largest leaf with rows of zeros whose squared norm is +inf, so that
+    every distance to them is +inf. boxes[l] is (lo, hi, sqmax) of the 2^l
+    nodes at depth l: their columns' least and greatest values, each (d,
+    2^l), and their rows' greatest squared norm."""
+    blocks: np.ndarray  # (leaves, w, d)
+    twice: np.ndarray  # 2.0 * blocks
+    sq: np.ndarray  # (leaves, w): the blocks' squared norms
+    starts: np.ndarray
+    boxes: list
+
+
+def _kd_tree(rows, sq) -> _Tree:
+    """Split every node at its middle row, on its widest column, a depth at a
+    time, until no leaf holds more than `_LEAF_ROWS` rows. A node of m rows
+    has children of m // 2 and m - m // 2 rows, so every leaf sits at one
+    depth and holds floor(n / 2^depth) or one more rows: at least
+    `_LEAF_ROWS` / 2 rows, unless the root is the only leaf."""
+    n, d = rows.shape
+    depth = (-(-n // _LEAF_ROWS) - 1).bit_length()
+    columns = rows.T.copy()
+    rank = np.empty((d, n), np.int64)  # of each row in each column, ties by index
+    np.put_along_axis(rank, np.argsort(columns, axis=1, kind="stable"), np.arange(n), axis=1)
+    order, starts = np.arange(n), np.array([0, n])
+    for _ in range(depth):
+        x, first, sizes = columns.take(order, axis=1), starts[:-1], np.diff(starts)
+        widest = np.argmax(np.maximum.reduceat(x, first, axis=1)
+                           - np.minimum.reduceat(x, first, axis=1), axis=0)
+        node = np.repeat(np.arange(sizes.size), sizes)
+        order = order[np.argsort(node * n + rank[widest[node], order])]
+        starts = np.append(np.stack([first, first + sizes // 2], axis=1).ravel(), n)
+    sizes, x = np.diff(starts), columns.take(order, axis=1)
+    slot = np.arange(-(-n >> depth))
+    real = slot < sizes[:, None]
+    taken = order[np.minimum(starts[:-1, None] + slot, n - 1)]
+    blocks = np.where(real[..., None], rows.take(taken, axis=0), 0.0)
+    block_sq = np.where(real, sq.take(taken), np.inf)
+    lo, hi = np.minimum.reduceat(x, starts[:-1], axis=1), np.maximum.reduceat(x, starts[:-1], axis=1)
+    sqmax = np.maximum.reduceat(sq.take(order), starts[:-1])
+    boxes = [(lo, hi, sqmax)]
+    for _ in range(depth):
+        lo, hi = lo.reshape(d, -1, 2).min(axis=2), hi.reshape(d, -1, 2).max(axis=2)
+        sqmax = sqmax.reshape(-1, 2).max(axis=1)
+        boxes.append((lo, hi, sqmax))
+    return _Tree(blocks, 2.0 * blocks, block_sq, starts, boxes[::-1])
+
+
+def _sq_dists(twice, sq, rows, sq_rows, out=None):
+    """Unclamped squared distances of the rows whose doubles are `twice` and
+    squared norms `sq` to `rows`, whose squared norms are `sq_rows`, into
+    `out` if given; stacked operands give a stack of products. Every caller
+    uses this one expression, sq_i + sq_j - (2.0 * rows_i) @ rows_j. BLAS may
+    sum a product's d terms in another order, or with fused multiply-adds,
+    for another shape of product or another place of the pair in it, so a
+    pair's float is fixed only for one shape and place."""
+    prod = np.matmul(twice, np.swapaxes(rows, -1, -2))
+    d2 = np.add(sq[..., :, None], sq_rows[..., None, :], out=out)
     return np.subtract(d2, prod, out=d2)
 
 
-def _bands(n: int, last: int):
-    """(lo, hi) row bands of about `_BAND_ENTRIES` distances to n rows, up to row `last`."""
+def _bands(n: int):
+    """(lo, hi) row bands of about `_BAND_ENTRIES` distances to n rows."""
     band = max(1, _BAND_ENTRIES // n)
-    return [(lo, min(lo + band, last)) for lo in range(0, last, band)]
+    return [(lo, min(lo + band, n)) for lo in range(0, n, band)]
 
 
-def _upper_bits(rows, sq):
-    """The clamped squared distances of the pairs i < j, band by band, as int64
-    bit patterns in one buffer that the next band overwrites. Band lo:hi holds
-    the distances to rows lo:, so its pairs j <= i are there too, set to +inf:
+def _walk(tree: _Tree, a: np.ndarray, base: int, top: int):
+    """(below, a, b) for the row leaves `a`: the pairs of leaves a[i] <= b[i]
+    whose squared distances may lie in the bit interval [base, top), and the
+    number of pairs of rows i < j in those row leaves whose distances are
+    proven under `base`.
+
+    Each row leaf is walked down the tree with the nodes whose leaves are its
+    own or follow it, a depth at a time. A pair's squared distances lie
+    between its boxes' nearest and farthest corners, widened by the rounding
+    of those bounds and of `_sq_dists`. With u = 2^-53 and s = sq_i + sq_j,
+    the float of s - 2 x_i . x_j is within (2d + 3) u s of the squared
+    distance, whatever the order of its sums: the two norms and the product
+    are each within d u s, the sum of the norms rounds by at most u s and the
+    difference by at most 2 u s. The slack is 4 (d + 2) u times the boxes'
+    greatest s, plus (d + 2) 2^-1022 for subnormal roundings. The bounds are
+    within (d + 2) u of themselves and are widened by 2 (d + 3) u. A pair
+    wholly under `base` is counted, one wholly at or above `top` is dropped,
+    and any other is split into the node's children or, at a leaf, kept."""
+    _, _, _, starts, boxes = tree
+    d, depth, sizes = boxes[0][0].shape[0], len(boxes) - 1, np.diff(starts)
+    leaf_lo, leaf_hi, leaf_sqmax = boxes[-1]
+    grow = (d + 3) * 2.0 ** -52
+    b, below = np.zeros_like(a), 0
+    for level, (lo, hi, sqmax) in enumerate(boxes):
+        shift = depth - level
+        lo_b, hi_b = lo.take(b, axis=1), hi.take(b, axis=1)
+        lo_a, hi_a = leaf_lo.take(a, axis=1), leaf_hi.take(a, axis=1)
+        near = np.square(np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)).sum(axis=0)
+        far = np.square(np.maximum(hi_b - lo_a, hi_a - lo_b)).sum(axis=0)
+        slack = (d + 2) * (2.0 ** -51 * (sqmax[b] + leaf_sqmax[a]) + 2.0 ** -1022)
+        near = np.maximum(near * (1.0 - grow) - slack, 0.0).view(np.int64)
+        far = (far * (1.0 + grow) + slack).view(np.int64)
+        own = b == a >> shift  # b holds leaf a
+        ahead = b > a >> shift  # b's leaves all follow leaf a
+        counted = (far < base) & ((ahead | own) if shift == 0 else ahead)
+        node_rows = starts[(b + 1) << shift] - starts[b << shift]
+        below += int(np.where(own, sizes[a] * (sizes[a] - 1) // 2,
+                              sizes[a] * node_rows)[counted].sum())
+        keep = (ahead | own) & ~counted & (near < top)
+        if shift:
+            a, b = np.repeat(a[keep], 2), (2 * b[keep, None] + [0, 1]).ravel()
+        else:
+            a, b = a[keep], b[keep]
+    return below, a, b
+
+
+def _upper_bits(tree: _Tree, base: int, width: int):
+    """(below, bits) items over the pairs i < j of the tree's rows: `bits`
+    holds clamped squared distances as int64 bit patterns, in one buffer of at
+    most `_BAND_ENTRIES` entries that the next item overwrites, and `below`
+    counts pairs whose distances lie under `base` and get no float. Every pair
+    whose distance may lie in the bit interval [base, base + width) is in some
+    `bits`, so an interval of every bit pattern prunes nothing.
+
+    Each pair of leaves that `_walk` keeps is one product of the same (w, w)
+    shape, w the largest leaf's rows, so that each pair of rows gets the same
+    float in every pass, whatever the interval. A product holds +inf where a
+    padding row is, and in a leaf's product with itself, for its pairs j <= i:
     they sort above every finite distance, and no rank counted from the bottom
     moves."""
-    n = rows.shape[0]
-    twice = 2.0 * rows
-    bands = _bands(n, n - 1)
-    space = np.empty((bands[0][1] - bands[0][0]) * n)
-    lower = np.tri(bands[0][1] - bands[0][0], dtype=bool)
-    for lo, hi in bands:
-        d2 = _sq_dists(rows, twice, sq, lo, hi, lo,
-                       out=space[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo))
-        np.maximum(d2, 0.0, out=d2)
-        d2[:, :hi - lo][lower[:hi - lo, :hi - lo]] = np.inf
-        yield d2.view(np.int64).ravel()
+    blocks, twice, sq = tree.blocks, tree.twice, tree.sq
+    leaves, w = sq.shape
+    space = np.empty(_BAND_ENTRIES)
+    lower = np.tri(w, dtype=bool)
+    step, group = _BAND_ENTRIES // (w * w), max(1, _WALK_PAIRS // leaves)
+    for first in range(0, leaves, group):
+        below, a, b = _walk(tree, np.arange(first, min(first + group, leaves)), base, base + width)
+        yield below, space[:0].view(np.int64)
+        for p in range(0, a.size, step):
+            left, right = a[p:p + step], b[p:p + step]
+            d2 = _sq_dists(twice[left], sq[left], blocks[right], sq[right],
+                           out=space[:left.size * w * w].reshape(left.size, w, w))
+            own = left == right
+            if own.any():
+                d2[own] = np.where(lower, np.inf, d2[own])
+            yield 0, np.maximum(d2, 0.0, out=d2).view(np.int64).ravel()
 
 
 def _shift(width: int) -> int:
@@ -252,10 +368,11 @@ def _sample_bracket(rows, sq):
     return base, top - base, expected
 
 
-def _straddle(rows, sq, split):
-    """(the largest entry below `split`, the smallest at or above it), in one pass."""
+def _straddle(tree, split, base, width):
+    """(the largest entry below `split`, the smallest at or above it), in one
+    pass over the pairs that may lie in [base, base + width), which holds both."""
     lower, upper = -1, _ALL_BITS - 1
-    for bits in _upper_bits(rows, sq):
+    for _, bits in _upper_bits(tree, base, width):
         under = bits < split
         lower = max(lower, int(bits.max(where=under, initial=-1)))
         upper = min(upper, int(bits.min(where=~under, initial=_ALL_BITS - 1)))
@@ -265,8 +382,10 @@ def _straddle(rows, sq, split):
 def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the feature rows.
 
-    Each pair's squared distance is the float `_sq_dists` gives it, clamped
-    at 0, computed in row bands that are never kept. The two middle order
+    Each pair's squared distance is the float `_sq_dists` gives it in its
+    two k-d tree leaves' product, clamped at 0, computed in each pass only if
+    it may lie in the pass's interval, and never kept (`_upper_bits`). The
+    two middle order
     statistics (one rank twice for an odd pair count) are selected on the
     distances' bit patterns, from one interval [base, base + width) that
     holds both. Each distance pass counts it in at most 2^16 aligned
@@ -284,8 +403,9 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     its top 16 bits, so unless the sample misses, no input takes more passes
     than counting from every pattern would.
     Only the selected values are square-rooted; sqrt is monotone, so this is
-    exactly the median of the distances. Beyond the n row norms, memory is
-    a band's temporaries and at most `_COLLECT_CAP` entries, whatever n.
+    exactly the median of the distances. Beyond the n rows' k-d tree, memory
+    is a product's and a walk's temporaries and at most `_COLLECT_CAP`
+    entries, whatever n.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
@@ -295,8 +415,10 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
     if not np.isfinite(4.0 * sq).all():  # then every squared distance is finite too
         raise DataError("median heuristic needs finite feature rows whose squared "
                         "distances are finite")
+    tree = _kd_tree(rows, sq)
     pairs = n * (n - 1) // 2
-    entries = sum((hi - lo) * (n - lo) for lo, hi in _bands(n, n - 1))
+    leaves, w = tree.sq.shape
+    entries = leaves * (leaves + 1) // 2 * w * w  # what a pass over every bit pattern yields
     middle = (pairs - 1) // 2  # the lower middle rank; the upper is the next, or it again
     # the interval holds `count` entries, and the lower middle rank is `lo`
     # among them; for the bracket, `lo` is None and `count` the sample's
@@ -309,11 +431,11 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
         hist = np.zeros(1 << _DIGIT, np.int64) if counting or count > _COLLECT_CAP else None
         kept = np.empty(count, np.int64) if count <= _COLLECT_CAP else None
         under = inside = 0
-        for bits in _upper_bits(rows, sq):
+        for below, bits in _upper_bits(tree, base, width):
             low = bits < base
             chosen = np.compress(low ^ (bits < base + width), bits)
             if counting:
-                under += np.count_nonzero(low)
+                under += below + np.count_nonzero(low)
             if hist is not None:
                 part = np.bincount((chosen - base) >> shift)
                 hist[:part.size] += part
@@ -325,7 +447,7 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
         hi = lo + 1 - pairs % 2
         if lo < 0 or hi >= count:  # the sample's bracket missed a middle rank
             if lo < hi and hi in (0, count):  # its boundary parts them
-                values = _straddle(rows, sq, base if hi == 0 else base + width)
+                values = _straddle(tree, base if hi == 0 else base + width, 0, _ALL_BITS)
                 break
             base, width, count, lo = 0, _ALL_BITS, entries, middle
             continue
@@ -341,7 +463,8 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
             values = base + digit, base + top
             break
         if digit != top:  # the higher rank's sub-interval starts above the lower rank
-            values = _straddle(rows, sq, base + (top << shift))
+            values = _straddle(tree, base + (top << shift), base + (digit << shift),
+                               top - digit + 1 << shift)
             break
         lo -= int(cumulative[digit - 1]) if digit else 0
         base, width, count = base + (digit << shift), 1 << shift, int(hist[digit])
@@ -354,7 +477,8 @@ def median_heuristic_bandwidth(rows: np.ndarray) -> float:
 
 def _rbf(rows, twice, sq, lo, hi, bw: float) -> np.ndarray:
     """Rows lo:hi of the RBF kernel over `rows`, from the clamped `_sq_dists`."""
-    return np.exp(-np.maximum(_sq_dists(rows, twice, sq, lo, hi), 0.0) / (2.0 * bw * bw))
+    return np.exp(-np.maximum(_sq_dists(twice[lo:hi], sq[lo:hi], rows, sq), 0.0)
+                  / (2.0 * bw * bw))
 
 
 def rbf_kernel_matrix(rows: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -414,7 +538,7 @@ def nmmr_risk(y, h_vals, features: np.ndarray, bandwidth: float, variant: str) -
     sq, twice = (rows * rows).sum(axis=1), 2.0 * rows
     r_col = (np.asarray(y, dtype=np.float64) - np.asarray(h_vals, dtype=np.float64)).reshape(n, 1)
     k_r = np.empty((n, 1))
-    for lo, hi in _bands(n, n):
+    for lo, hi in _bands(n):
         kernel = _rbf(rows, twice, sq, lo, hi, bandwidth)
         if variant == "U":
             kernel[np.arange(hi - lo), np.arange(lo, hi)] = 0.0

@@ -371,6 +371,110 @@ def test_median_heuristic_failed_bracket_equals_dense_reference(monkeypatch, bra
     assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows)
 
 
+@pytest.mark.parametrize("n", [300, 3000])
+def test_median_heuristic_far_from_the_origin_equals_dense_reference(n):
+    # squared norms near 1e8 d against distances near 1: the cancellation in
+    # sq_i + sq_j - 2 x_i . x_j is worst here, and so is the rounding bound the
+    # tree's pruning widens its box bounds by
+    for d in (1, 2, 3):
+        rows = 1e4 + rng.stream(49, "median-far", n, d).standard_normal((n, d))
+        assert median_heuristic_bandwidth(rows) == _dense_median_heuristic(rows), d
+
+
+def _demand_features(n):
+    from dagformer.data import simulate_demand
+    sample = simulate_demand(n, seed=11)
+    rows = np.stack([sample.z, sample.a], axis=1)
+    return (rows - rows.mean(axis=0)) / rows.std(axis=0)
+
+
+@pytest.mark.parametrize("n, want", [(10_000, "0x1.735542c465b2fp+0"),
+                                     (20_000, "0x1.72c3aba547778p+0")])
+def test_median_heuristic_keeps_its_float_on_the_demand_features(n, want):
+    # measured before the k-d tree pruned the distance passes, with one BLAS thread
+    assert median_heuristic_bandwidth(_demand_features(n)).hex() == want
+
+
+def test_median_heuristic_computes_a_quarter_of_the_pairs_at_most(monkeypatch):
+    rows = _demand_features(5000)
+    computed, sq_dists = [], objectives._sq_dists
+
+    def counted(twice, sq, right, sq_right, out=None):
+        # entries between two real rows: padding rows have an infinite squared norm
+        computed.append(np.isfinite(sq)[..., :, None] & np.isfinite(sq_right)[..., None, :])
+        return sq_dists(twice, sq, right, sq_right, out)
+    monkeypatch.setattr(objectives, "_sq_dists", counted)
+    median_heuristic_bandwidth(rows)
+    pairs = 5000 * 4999 // 2
+    assert sum(int(c.sum()) for c in computed) <= pairs / 4
+
+
+def test_median_heuristic_whole_range_computes_every_pair_once(monkeypatch):
+    n = 1000  # leaves of 31 and 32 rows, so some products have a padding row
+    rows = _demand_features(n)
+    tree = objectives._kd_tree(rows, (rows * rows).sum(axis=1))
+    keys = rows.view(np.complex128).ravel()  # one key per row: the rows are distinct
+    order = np.argsort(keys)
+    products, sq_dists = [], objectives._sq_dists
+
+    def recorded(twice, sq, right, sq_right, out=None):
+        ids = [order[np.searchsorted(keys[order], (x / f).view(np.complex128)[..., 0])]
+               for x, f in ((twice, 2.0), (right, 1.0))]
+        real = [np.isfinite(sq), np.isfinite(sq_right)]
+        for i, j, ri, rj in zip(*ids, *real):
+            i, j = np.meshgrid(i[ri], j[rj], indexing="ij")
+            pair = np.minimum(i, j) * n + np.maximum(i, j)
+            products.append(np.unique(pair[i != j]))
+        return sq_dists(twice, sq, right, sq_right, out)
+    monkeypatch.setattr(objectives, "_sq_dists", recorded)
+    below = sum(b for b, _ in objectives._upper_bits(tree, 0, objectives._ALL_BITS))
+    pairs, counts = np.unique(np.concatenate(products), return_counts=True)
+    assert below == 0 and pairs.size == n * (n - 1) // 2 and (counts == 1).all()
+
+
+@pytest.mark.parametrize("rows", [
+    _tied_rows("rounded", 700, np.random.default_rng(7)),
+    1e4 + np.random.default_rng(8).standard_normal((700, 3)),
+    np.random.default_rng(9).standard_normal((700, 5)) * 1e-160,
+], ids=["rounded", "far", "tiny"])
+def test_median_heuristic_pruned_pass_keeps_every_float_it_may_need(rows):
+    # a pass over an interval gives each pair inside it the float of the pass
+    # over every bit pattern, and counts the pairs under it exactly
+    tree = objectives._kd_tree(rows, (rows * rows).sum(axis=1))
+    every = np.concatenate([bits.copy() for _, bits in
+                            objectives._upper_bits(tree, 0, objectives._ALL_BITS)])
+    every = np.sort(every[every < np.float64(np.inf).view(np.int64)])
+    for lo, hi in [(0.2, 0.21), (0.5, 0.5), (0.49, 0.53), (0.0, 0.01), (0.97, 1.0)]:
+        base = int(every[int(lo * (every.size - 1))])
+        top = int(every[int(hi * (every.size - 1))]) + 1
+        under, inside = 0, []
+        for below, bits in objectives._upper_bits(tree, base, top - base):
+            under += below + np.count_nonzero(bits < base)
+            inside.append(bits[(bits >= base) & (bits < top)])
+        assert under == np.count_nonzero(every < base), (lo, hi)
+        assert np.array_equal(np.sort(np.concatenate(inside)),
+                              every[(every >= base) & (every < top)]), (lo, hi)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_median_heuristic_one_float_intervals_far_from_the_origin(d):
+    # one interval per float: a pair of leaf corners has box bounds as tight as
+    # its distance, and its float is off that distance by the rounding of
+    # sq_i + sq_j - 2 x_i . x_j, which the bounds must be widened by
+    rows = 1e4 + rng.stream(50, "median-far-corners", d).standard_normal((64, d))
+    tree = objectives._kd_tree(rows, (rows * rows).sum(axis=1))
+    every = np.concatenate([bits.copy() for _, bits in
+                            objectives._upper_bits(tree, 0, objectives._ALL_BITS)])
+    every = np.sort(every[every < np.float64(np.inf).view(np.int64)])
+    for value in np.unique(every):
+        under = inside = 0
+        for below, bits in objectives._upper_bits(tree, int(value), 1):
+            under += below + np.count_nonzero(bits < value)
+            inside += np.count_nonzero(bits == value)
+        assert (under, inside) == (np.searchsorted(every, value),
+                                   np.count_nonzero(every == value)), value
+
+
 def test_nmmr_zero_residuals_zero_loss():
     y = np.array([1.0, 2.0, 3.0])
     k = rbf_kernel_matrix(y[:, None], 1.0)
