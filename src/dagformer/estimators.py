@@ -15,6 +15,7 @@ import numpy as np
 from .data import csv_text
 from .errors import ConfigError, ContractError, DataError
 from .graph import NodeRole
+from .model import treatment_values
 
 PROPENSITY_CLAMP = 0.01  # propensities are clipped to [c, 1 - c]
 POSITIVITY_BOUNDS = (0.01, 0.99)
@@ -137,7 +138,7 @@ def aipw_from_nuisances(a: np.ndarray, y: np.ndarray, mu1: np.ndarray, mu0: np.n
 # -- model-facing wrappers -----------------------------------------------------
 
 def estimate_gformula(model, dataset) -> EstimateReport:
-    return gformula_from_mu(model.mu_hat(dataset, 1.0), model.mu_hat(dataset, 0.0))
+    return gformula_from_mu(*model.mu_hat(dataset, [1.0, 0.0]))
 
 
 def estimate_iptw(model, dataset) -> EstimateReport:
@@ -150,24 +151,22 @@ def estimate_aipw(outcome_model, propensity_model, dataset) -> EstimateReport:
     """Doubly robust estimate; pass the same model twice for joint training."""
     a = dataset.node_column(outcome_model.treatment_node).values
     y = dataset.node_column(outcome_model.outcome_node).values
-    return aipw_from_nuisances(
-        a, y,
-        outcome_model.mu_hat(dataset, 1.0), outcome_model.mu_hat(dataset, 0.0),
-        propensity_model.pi_hat(dataset))
+    mu1, mu0 = outcome_model.mu_hat(dataset, [1.0, 0.0])
+    return aipw_from_nuisances(a, y, mu1, mu0, propensity_model.pi_hat(dataset))
 
 
 def estimate_proximal(model, heldout_draws: dict, a_grid) -> EstimateReport:
-    """Average the bridge function over held-out proxy draws per grid value.
+    """Average the bridge function over held-out proxy draws per grid value,
+    all of them from one `h_hat` call, which checks the grid.
 
     For the binary grid (0, 1) an ATE is reported; otherwise the result is
     the potential-outcome curve over the grid.
     """
-    a_grid = [float(a) for a in np.atleast_1d(np.asarray(a_grid, dtype=np.float64))]
-    if not a_grid:
-        raise ContractError("a_grid must be nonempty")
     if not heldout_draws or any(np.asarray(v).size == 0 for v in heldout_draws.values()):
         raise ContractError("heldout draws must be nonempty")
-    curve = {a: float(model.h_hat(a, heldout_draws).mean()) for a in a_grid}
+    a_grid = [float(a) for a in np.atleast_1d(np.asarray(a_grid, dtype=np.float64))]
+    h = model.h_hat(a_grid, heldout_draws)
+    curve = {a: float(values.mean()) for a, values in zip(a_grid, h)}
     ate = curve[1.0] - curve[0.0] if set(a_grid) == {0.0, 1.0} else None
     m = int(np.asarray(next(iter(heldout_draws.values()))).size)
     return EstimateReport(
@@ -193,7 +192,10 @@ class TableNuisance:
     """Lookup-table nuisances exposing the same surface as a fitted model.
 
     Used to drive the estimators with externally supplied mu/pi values, e.g.
-    hand-built oracles in tests.
+    hand-built oracles in tests. `mu_hat` and `h_hat` take a treatment value
+    or a sequence of them, checked as the model checks them, and shape their
+    result as `DagTransformer.counterfactual_predict` does; `h` is called
+    with one value at a time.
     """
     treatment_node: str
     dag: object
@@ -206,18 +208,25 @@ class TableNuisance:
     def outcome_node(self) -> str:
         return self.dag.single_node(NodeRole.OUTCOME)
 
-    def mu_hat(self, dataset, a: float) -> np.ndarray:
-        table = self.mu1 if a == 1.0 else self.mu0
-        if table is None:
+    def mu_hat(self, dataset, a) -> np.ndarray:
+        tables = [self.mu1 if value == 1.0 else self.mu0 for value in treatment_values(a)]
+        if any(table is None for table in tables):
             raise ConfigError("lookup nuisance has no outcome table")
-        return np.asarray(table, dtype=np.float64)
+        return _by_value(a, tables)
 
     def pi_hat(self, dataset) -> np.ndarray:
         if self.pi is None:
             raise ConfigError("lookup nuisance has no propensity table")
         return np.asarray(self.pi, dtype=np.float64)
 
-    def h_hat(self, a: float, draws: dict) -> np.ndarray:
+    def h_hat(self, a, draws: dict) -> np.ndarray:
         if self.h is None:
             raise ConfigError("lookup nuisance has no bridge function")
-        return np.asarray(self.h(a, draws), dtype=np.float64)
+        return _by_value(a, [self.h(float(value), draws) for value in treatment_values(a)])
+
+
+def _by_value(a, arrays: list) -> np.ndarray:
+    """One array per treatment value of `a`, stacked as `counterfactual_predict`
+    shapes them: (n,) for a scalar `a`, else (values, n)."""
+    stacked = np.stack([np.asarray(v, dtype=np.float64) for v in arrays])
+    return stacked.reshape(np.shape(a) + stacked.shape[1:])

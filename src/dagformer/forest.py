@@ -15,7 +15,8 @@ its feature), so every split, leaf mean and prediction is the same float as
 growing one node at a time.
 
 Fit and predict route (row, tree) pairs to their leaves a depth at a time
-through a flat child table, in which a leaf points at itself.
+through a flat child table, built once per call, in which a leaf points at
+itself.
 """
 
 from dataclasses import dataclass
@@ -221,22 +222,28 @@ def _grow(x, y, structure, min_leaf, max_depth):
     return feature, np.concatenate(thresholds), left, right, parent, depth
 
 
-def _route(x, rows, nodes, feature, threshold, left, right):
-    """The leaf that each (row of x, start node) pair reaches, a depth at a time.
-
-    A pair is held as its node's slot 2 * node in a flat child table, built
-    once per call: slot 2 * node + goes_right holds the child's slot, and a
-    leaf's two slots hold its own, with a threshold of +inf so that no finite x
-    leaves it. x (finite) is read through one C-order ravel at row * d +
-    feature, and x <= threshold goes left. The pairs still at an inner node are
-    carried on, compacted once a quarter of those carried has reached a leaf."""
-    flat = np.ravel(x)
+def _child_table(feature, threshold, left, right):
+    """`_route`'s flat child table of a forest's nodes. A node is held as its
+    slot 2 * node: slot 2 * node + goes_right holds the child's slot, and a
+    leaf's two slots hold its own, with a threshold of +inf so that no finite
+    x leaves it. Returns (child, inner, column, limit) per slot."""
     leaf = feature < 0
     node = np.arange(feature.size)
     child = 2 * np.stack([np.where(leaf, node, left), np.where(leaf, node, right)], axis=1).ravel()
     inner = np.repeat(~leaf, 2)
     column = np.repeat(np.where(leaf, 0, feature), 2)
     limit = np.repeat(np.where(leaf, np.inf, threshold), 2)
+    return child, inner, column, limit
+
+
+def _route(x, rows, nodes, table):
+    """The leaf that each (row of x, start node) pair reaches, a depth at a
+    time, through `_child_table`'s `table`. x (finite) is read through one
+    C-order ravel at row * d + feature, and x <= threshold goes left. The
+    pairs still at an inner node are carried on, compacted once a quarter of
+    those carried has reached a leaf."""
+    child, inner, column, limit = table
+    flat = np.ravel(x)
     out = np.empty_like(nodes)
     for lo in range(0, rows.size, _PASS_ROWS):
         at = np.arange(lo, min(lo + _PASS_ROWS, rows.size))
@@ -322,7 +329,7 @@ class HonestForestRegressor:
             x, y, structure, cfg.min_leaf, cfg.max_depth)
         rows = estimate.ravel()
         leaf = _route(x, rows, np.repeat(np.arange(cfg.n_trees), estimate.shape[1]),
-                      feature, threshold, left, right)
+                      _child_table(feature, threshold, left, right))
         self.nodes = ForestNodes(feature, threshold, left, right,
                                  *_leaf_means(y, rows, leaf, parent, depth))
         self.trees = [HonestTree(self.nodes, t, structure[t], estimate[t])
@@ -343,10 +350,11 @@ class HonestForestRegressor:
         n_trees = len(self.trees)
         total = np.zeros(x.shape[0])
         block = max(1, _PASS_ROWS // n_trees)
+        table = _child_table(f.feature, f.threshold, f.left, f.right)
         for lo in range(0, x.shape[0], block):
             rows = np.arange(lo, min(lo + block, x.shape[0]))
             leaf = _route(x, np.tile(rows, n_trees), np.repeat(np.arange(n_trees), rows.size),
-                          f.feature, f.threshold, f.left, f.right)
+                          table)
             # summed tree by tree, in tree order
             for tree_values in f.value[leaf].reshape(n_trees, rows.size):
                 total[lo:lo + rows.size] += tree_values

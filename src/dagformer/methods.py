@@ -334,8 +334,9 @@ class Run:
         for key, least in (("epochs", 0), ("batch_size", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key!r} must be >= {least}, got {getattr(self, key)}")
-        if self.a_grid is not None and not (self.a_grid and np.isfinite(self.a_grid).all()):
-            raise ConfigError(f"'a_grid' must be a nonempty list of finite numbers, "
+        if self.a_grid is not None and not (self.a_grid and np.isfinite(self.a_grid).all()
+                                            and len(set(self.a_grid)) == len(self.a_grid)):
+            raise ConfigError(f"'a_grid' must be a nonempty list of distinct finite numbers, "
                               f"got {self.a_grid}")
         if self.method is not None:  # a batch below its objective's minimum never trains
             least = max(spec.objective(self).min_rows for spec in self.row.models)

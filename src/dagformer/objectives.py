@@ -122,7 +122,7 @@ class Nmmr(Objective):
         penalty: `bind`'s loss over every row, with the bridge's values computed
         in `predict`'s row blocks and the kernel in row bands by `nmmr_risk`."""
         y, features, bandwidth = self._targets(model, model._standardize(batch))
-        h_vals = model._forward_blocks(batch)[model.outcome_node]
+        h_vals = model._forward_blocks(batch)[model.outcome_node][0]
         return nmmr_risk(y, h_vals, features, bandwidth, self.variant)
 
 

@@ -181,7 +181,7 @@ def config_hash(point: dict) -> str:
 def _evaluate_grid_point(payload: tuple) -> tuple[dict, DagTransformer | None]:
     """Train and score one grid point: (its ranking entry, the trained model, or
     None if it diverged); module-level so workers can pickle it."""
-    index, point, run, train, validation, dag, plugin_tau = payload
+    index, point, run, train, validation, dag, plugin_tau, bandwidths = payload
     entry = {"grid_index": index, "config_hash": config_hash(point), "config": point,
              "diverged": False, "train_loss": None, "score": None, "param_count": None}
     row, seed = run.row, run.seed
@@ -189,10 +189,10 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, DagTransformer | None]:
     entry["param_count"] = model.param_count  # a diverged candidate still ranks by size
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            (log,) = row.train([model], run, train, seed).values()
+            (log,) = row.train([model], _kernel_run(run, bandwidths[0]), train, seed).values()
             entry["train_loss"] = log[-1]["loss"] if log else None
             if row.proxy:  # the risk of a fresh objective: training mutates none
-                entry["score"] = row.models[0].objective(run).risk(
+                entry["score"] = row.models[0].objective(_kernel_run(run, bandwidths[1])).risk(
                     model, validation.matrix(model.input_nodes))
             else:
                 report = (row.tune_estimate or row.estimate)(model, validation)
@@ -206,6 +206,26 @@ def _evaluate_grid_point(payload: tuple) -> tuple[dict, DagTransformer | None]:
         entry["score"] = None
         return entry, None
     return entry, model
+
+
+def _heuristic_bandwidths(run: Run, train, validation, dag: CausalDag) -> tuple:
+    """The median-heuristic kernel bandwidths of the training and validation
+    rows, which every candidate of a proxy `tune` would compute alike: each
+    standardizes the same training rows and reads the same kernel columns."""
+    (model,) = run.row.build(run, dag, train, run.seed)
+    batch = train.matrix(model.input_nodes)
+    model.fit_standardizer(batch)
+    heuristic = run.row.models[0].objective(run)  # a run that sets no bandwidth
+    return tuple(heuristic._targets(model, model._standardize(rows))[2]
+                 for rows in (batch, validation.matrix(model.input_nodes)))
+
+
+def _kernel_run(run: Run, bandwidth: float | None) -> Run:
+    """`run` with its NMMR kernel bandwidth set to the median heuristic's
+    `bandwidth`, computed once for the grid, unless it sets its own."""
+    if bandwidth is None or run.nmmr.kernel_bandwidth is not None:
+        return run
+    return replace(run, nmmr=replace(run.nmmr, kernel_bandwidth=bandwidth))
 
 
 def check_reference(tau: np.ndarray):
@@ -231,20 +251,24 @@ def grid_search(run: Run, runs: list, train, validation, dag: CausalDag, jobs: i
     (per-unit in "cate" mode, its ATE broadcast in "ate" mode) against the
     per-unit effects of the run's plug-in fit on the validation split; in
     "ate" mode that ranks by the ATE difference. Proxy methods score by
-    validation risk. Ties break toward fewer parameters, then earlier grid
-    order. Candidates are independent and run concurrently when jobs > 1.
+    validation risk, with the median-heuristic bandwidths computed once for
+    the grid (`_heuristic_bandwidths`). Ties break toward fewer parameters,
+    then earlier grid order. Candidates are independent and run concurrently
+    when jobs > 1.
     Returns (ranked table, best fitted model).
     """
-    plugin_tau = None
+    plugin_tau, bandwidths = None, (None, None)
     if not run.row.proxy:
         plugin_tau = fit_plugin(validation, dag, seeded(run.plugin, run.seed)).cate(validation)
         check_reference(plugin_tau)
     elif min(train.n, validation.n) < 2:  # for the U-statistic and the median heuristic
         raise DataError(f"tune of a proxy method needs at least two training and two "
                         f"validation rows, got {train.n} and {validation.n}")
+    elif any(candidate.nmmr.kernel_bandwidth is None for _, candidate in runs):
+        bandwidths = _heuristic_bandwidths(runs[0][1], train, validation, dag)
 
     results = map_jobs(_evaluate_grid_point, [
-        (index, point, candidate, train, validation, dag, plugin_tau)
+        (index, point, candidate, train, validation, dag, plugin_tau, bandwidths)
         for index, (point, candidate) in enumerate(runs)], jobs)
 
     rows = [entry for entry, _ in results]

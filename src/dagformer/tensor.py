@@ -16,7 +16,8 @@ __all__ = [
     "matmul", "add", "sub", "mul", "neg", "log",
     "relu", "sigmoid", "clip", "transpose", "swap_last2", "reshape",
     "concat_lastdim", "take_node", "take_nodes", "linear", "sum_all", "mean_all",
-    "sum_squares", "softmax_lastdim", "layer_norm", "attention", "dropout", "embed_nodes",
+    "sum_squares", "softmax_lastdim", "layer_norm", "attention", "attention_projections",
+    "attend", "dropout", "embed_nodes",
 ]
 
 
@@ -292,21 +293,17 @@ def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
     axis. `keep`, a boolean mask over the D nodes of an (N, D, K) operand,
     returns only the kept nodes, (N, kept, M); `a` may then hold all D nodes
     or only the kept ones. Only the kept rows are multiplied, a one-row
-    operand padded to two rows: each row of a GEMM of two or more rows has
-    the float of its row in the full product, and only one row takes gemv,
-    which rounds otherwise. The backward builds the full (N*D, ...) operand
-    and output gradient, with each kept node in its own rows and zero rows
-    for the others, so that every gradient keeps the floats of the uncut
-    layer. The bias is added in place.
+    operand padded to two rows (`_matmul_rows`). The backward builds the full
+    (N*D, ...) operand and output gradient, with each kept node in its own
+    rows and zero rows for the others, so that every gradient keeps the
+    floats of the uncut layer. The bias is added in place.
     """
     kept = a.data
     if keep is not None and kept.shape[1] == keep.size:
         kept = np.compress(keep, kept, axis=1)
-    a2 = kept.reshape(-1, kept.shape[-1])
-    rows = a2.shape[0]
-    if rows == 1 and keep is not None and keep.size > 1:  # the full product has two rows or more
-        a2 = np.concatenate((a2, a2))
-    out_data = (a2 @ w.data)[:rows].reshape(kept.shape[:-1] + w.data.shape[-1:])
+    out_data = _matmul_rows(kept.reshape(-1, kept.shape[-1]), w.data,
+                            keep is not None and keep.size > 1)  # the full product's rows
+    out_data = out_data.reshape(kept.shape[:-1] + w.data.shape[-1:])
     out_data += b.data
 
     def bwd(g):
@@ -325,6 +322,17 @@ def linear(a: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
         _weight_grads(w, b, a_rows, g2, g)
 
     return _make(out_data, (a, w, b), bwd)
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, pad: bool) -> np.ndarray:
+    """np.matmul(a, b), where a left operand of one row (axis -2) is padded to
+    two rows when `pad`: each row of a product of two rows or more has the
+    float of its row in any taller product, and one row alone takes BLAS's
+    gemv, which rounds otherwise. A caller pads where the uncut product has
+    two rows or more."""
+    if pad and a.shape[-2] == 1:
+        return np.matmul(np.concatenate((a, a), axis=-2), b)[..., :1, :]
+    return np.matmul(a, b)
 
 
 def _weight_grads(w: Tensor, b: Tensor, a2: np.ndarray, g2: np.ndarray, g: np.ndarray):
@@ -392,8 +400,9 @@ def take_nodes(a: Tensor, keep: np.ndarray | None) -> Tensor:
     nodes marks, as (N, kept, E) in node order; `None` keeps every node.
 
     The result is C-contiguous, unlike `a[:, keep]`: a reduction over a
-    strided copy would add in another order, and round differently."""
-    if keep is None:
+    strided copy would add in another order, and round differently. As in
+    `linear`, `a` may hold only the kept nodes already; it is then returned."""
+    if keep is None or a.data.shape[1] != keep.size:
         return a
 
     def bwd(g):
@@ -553,6 +562,36 @@ def _layer_norm_grads(g: np.ndarray, x: Tensor, gain: Tensor, bias: Tensor,
         _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
 
+def _project(xn: np.ndarray, w: Tensor, b: Tensor, heads: int, pad: bool = False) -> np.ndarray:
+    """xn @ w + b over the last axis of a normed (N, D, E) input, split into
+    `heads` heads as (N, heads, D, E / heads); the bias is added in place, and
+    a one-row product is padded when `pad` (`_matmul_rows`)."""
+    n, d, e = xn.shape
+    p = _matmul_rows(xn.reshape(-1, e), w.data, pad).reshape(n, d, -1)
+    p += b.data
+    return p.reshape(n, d, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _score_scale(q: np.ndarray) -> np.ndarray:
+    return np.asarray(1.0 / np.sqrt(q.shape[-1]))
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, additive_mask: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(E / heads) + additive_mask) of split heads. q may
+    hold the query rows of fewer nodes than k, with the mask's rows of those
+    nodes; a one-row q is then padded to two (`_matmul_rows`)."""
+    scores = _matmul_rows(q, np.swapaxes(k, -1, -2), q.shape[-2] < k.shape[-2])
+    return _softmax(scores * _score_scale(q) + additive_mask)
+
+
+def _attention_context(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """attn @ v with the heads merged back, (N, D', E) for attention rows of
+    D' nodes; a one-row attn is padded to two when D' is less than D."""
+    n, _, rows, d = attn.shape
+    ctx = _matmul_rows(attn, v, rows < d)
+    return ctx.transpose(0, 2, 1, 3).reshape(n, rows, -1)
+
+
 def attention(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, bq: Tensor,
               wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, additive_mask: np.ndarray,
               heads: int, collect: list | None = None) -> Tensor:
@@ -567,43 +606,33 @@ def attention(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, bq: Tenso
     the gradient into the normalized input is summed as (q + k) + v, and each
     Q/K/V gradient is C-contiguous where the chain copies it.
 
-    The forward runs the norm, Q and K, the softmax, then V and `attn @ v`;
-    each bias is added in place. With no graph recorded, each array is
-    dropped once nothing later reads it, before the next is made: the
-    normalized x and 1 / std after the norm, Q and K after the softmax, the
-    norm's output once V exists, and the maps and V after `attn @ v`.
+    The forward runs the norm, Q and K, the softmax, then V and `attn @ v`,
+    through the helpers that `layer_norm`, `attention_projections` and
+    `attend` run with no graph; each bias is added in place. With no graph
+    recorded, each array is dropped once nothing later reads it, before the
+    next is made: the normalized x and 1 / std after the norm, Q and K after
+    the softmax, the norm's output once V exists.
     """
     n, d, e = x.data.shape
-    dh = e // heads
     parents = (x, ln_gain, ln_bias, wq, bq, wk, bk, wv, bv)
     record = _recording and any(p.needs_grad for p in parents)
     xn, xhat, inv = _layer_norm(x.data, ln_gain.data, ln_bias.data)
     if not record:  # free what only the backward reads before the next allocation
         xhat = inv = None
-    rows = xn.reshape(-1, e)
-
-    def project(w, b):
-        p = (rows @ w.data).reshape(n, d, e)
-        p += b.data
-        return p.reshape(n, d, heads, dh).transpose(0, 2, 1, 3)
-
-    q, k = project(wq, bq), project(wk, bk)
-    scale = np.asarray(1.0 / np.sqrt(dh))
-    attn = _softmax(np.matmul(q, np.swapaxes(k, -1, -2)) * scale + additive_mask)
+    q, k = _project(xn, wq, bq, heads), _project(xn, wk, bk, heads)
+    attn = _attention_weights(q, k, additive_mask)
     if not record:
         q = k = None
-    v = project(wv, bv)
+    v = _project(xn, wv, bv, heads)
     if not record:
-        xn = rows = None
+        xn = None
     if collect is not None:
         collect.append(attn.copy())
-    ctx = np.matmul(attn, v)
-    if not record:
-        v = attn = None
-    out_data = ctx.transpose(0, 2, 1, 3).reshape(n, d, e)
+    out_data = _attention_context(attn, v)
 
     def bwd(g):
-        g_ctx = np.ascontiguousarray(g.reshape(n, d, heads, dh).transpose(0, 2, 1, 3))
+        scale, rows = _score_scale(q), xn.reshape(-1, e)
+        g_ctx = np.ascontiguousarray(g.reshape(n, d, heads, -1).transpose(0, 2, 1, 3))
         g_scores = _softmax_grad(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), attn) * scale
         g_v = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
         g_q = np.matmul(g_scores, k)
@@ -619,6 +648,24 @@ def attention(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, bq: Tenso
         _layer_norm_grads(g_rows.reshape(n, d, e), x, ln_gain, ln_bias, xhat, inv)
 
     return _make(out_data, parents, bwd)
+
+
+def attention_projections(xn: np.ndarray, projections, heads: int) -> list[np.ndarray]:
+    """`attention`'s Q, K or V projections of a normed (N, D, E) input, with
+    no graph: for each (w, b, keep) of `projections`, the split heads of
+    xn @ w + b over the nodes that the boolean mask `keep` marks (every node
+    when None), (N, heads, kept, E / heads). Each row has the float of its
+    row in `attention`'s full projection: a one-row cut is padded."""
+    return [_project(xn, w, b, heads) if keep is None
+            else _project(np.compress(keep, xn, axis=1), w, b, heads, keep.size > 1)
+            for w, b, keep in projections]
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, additive_mask: np.ndarray) -> np.ndarray:
+    """`attention`'s scores, softmax and `attn @ v`, with no graph, for the
+    query rows of q: (N, D', E) from (N, heads, D', E / heads) queries, keys and
+    values of all D nodes, and the mask's (D', D) rows of the queried nodes."""
+    return _attention_context(_attention_weights(q, k, additive_mask), v)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,

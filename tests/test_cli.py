@@ -840,6 +840,8 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     ("estimate", "proximal-u", "a_grid=[]", 2),
     ("estimate", "proximal-u", "a_grid=[NaN,1]", 2),
     ("estimate", "proximal-u", "a_grid=[Infinity]", 2),
+    ("estimate", "proximal-u", "a_grid=[1,1,0]", 2),
+    ("evaluate", "proximal-u", "data.simulator.name=linear-scm a_grid=[0,1,0]", 2),
     ("estimate", "proximal-u",
      'data={"csv":"no/such/data.csv","schema":"no/such/schema.json"} a_grid=[]', 2),
     # a snapshot serves a model key only with the same input roles and at least its heads
@@ -976,6 +978,7 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, files, command, name,
     ("train", "gformula", "nmmr.lamda=1", "'nmmr.lamda'"),
     ("train", "gformula", "heldout.drawz=5", "'heldout.drawz'"),
     ("train", "gformula", "a_grid=abc", "'a_grid'"),
+    ("estimate", "proximal-u", "a_grid=[1,1,0]", "'a_grid' must be a nonempty list of distinct"),
     ("train", "gformula", "experimnt=cate", "'experimnt'"),
     ("train", "gformula", "nmmr.lambda=NaN", "nmmr.lambda must be"),
     ("train", "gformula", "plugin.n_trees=0", "plugin.n_trees must be"),

@@ -11,7 +11,7 @@ from dagformer.estimators import (
     estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal,
     gformula_from_mu, iptw_from_pi,
 )
-from dagformer.graph import NodeRole
+from dagformer.graph import NodeRole, demand_dag
 from dagformer.model import DagTransformer, ModelConfig
 
 
@@ -116,6 +116,38 @@ def test_proximal_grid_size_and_errors():
         estimate_proximal(nuisance, {"W": np.zeros(10)}, [])
     with pytest.raises(ContractError):
         estimate_proximal(nuisance, {"W": np.array([])}, [1.0])
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([1.0, 1.0, 0.0], "distinct"), ([np.nan, 1.0], "finite"), ([np.inf], "finite"),
+    ([], "nonempty"),
+])
+def test_a_proximal_grid_is_checked_once_with_a_contract_error(grid, match):
+    model = DagTransformer(ModelConfig(embedding_dim=8), demand_dag(), "proximal",
+                           {n: "continuous" for n in "ZWAY"})
+    calls = []
+    nuisance = TableNuisance("A", None, h=lambda a, draws: calls.append(a) or np.zeros(3))
+    for bridge in (model, nuisance):
+        with pytest.raises(ContractError, match=match):
+            estimate_proximal(bridge, {"W": np.array([1.0, 2.0, 3.0])}, grid)
+    assert calls == []
+
+
+def test_a_non_finite_held_out_draw_is_a_data_error():
+    model = DagTransformer(ModelConfig(embedding_dim=8), demand_dag(), "proximal",
+                           {n: "continuous" for n in "ZWAY"})
+    with pytest.raises(DataError, match="'W'"):
+        estimate_proximal(model, {"W": np.array([1.0, np.nan])}, [10.0, 20.0])
+
+
+def test_lookup_tables_take_a_value_or_a_sequence_of_them():
+    nuisance = TableNuisance("A", None, mu1=np.ones(3), mu0=np.zeros(3),
+                             h=lambda a, draws: a + np.asarray(draws["W"]))
+    assert nuisance.mu_hat(None, 1.0).shape == (3,)
+    assert np.array_equal(nuisance.mu_hat(None, [1.0, 0.0]), [np.ones(3), np.zeros(3)])
+    assert np.array_equal(nuisance.h_hat([2.0, 5.0], {"W": np.arange(2.0)}), [[2, 3], [5, 6]])
+    with pytest.raises(ContractError, match="distinct"):
+        nuisance.mu_hat(None, [1.0, 1.0])
 
 
 def test_cate_by_group():

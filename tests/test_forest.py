@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagformer import rng
+from dagformer import forest as forest_module, rng
 from dagformer.errors import ConfigError, ContractError, DataError, ShapeError
 from dagformer.forest import ForestConfig, HonestForestRegressor, _split, _with_sentinel
 
@@ -243,6 +243,19 @@ def test_split_leaves_tied_rows_in_their_stable_order():
         node = before[start:start + count]
         assert np.array_equal(rows[start:start + count],
                               node[np.argsort(x[node, f], kind="stable")])
+
+
+def test_predict_builds_its_child_table_once_per_call(monkeypatch):
+    x, y = _data(300, 3, "normal")
+    forest = HonestForestRegressor(ForestConfig(n_trees=50)).fit(x, y)
+    query = np.random.default_rng(2).standard_normal((2000, 3))  # four blocks of pairs
+    built, child_table = [], forest_module._child_table
+    monkeypatch.setattr(forest_module, "_child_table",
+                        lambda *nodes: built.append(1) or child_table(*nodes))
+    together = forest.predict(query)
+    assert len(built) == 1
+    halves = np.concatenate([forest.predict(query[:700]), forest.predict(query[700:])])
+    assert np.array_equal(together, halves)
 
 
 def test_forest_predict_rejects_bad_input():

@@ -11,7 +11,11 @@ import pytest
 from dagformer import rng, tensor
 from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
 from dagformer.errors import (
-    ConfigError, DataError, DegenerateInputError, ShapeError, TrainingDivergedError,
+    ConfigError, ContractError, DataError, DegenerateInputError, ShapeError,
+    TrainingDivergedError,
+)
+from dagformer.estimators import (
+    aipw_from_nuisances, estimate_aipw, estimate_gformula, estimate_proximal, gformula_from_mu,
 )
 from dagformer.graph import CausalDag, NodeRole, demand_dag
 from dagformer.model import _PREDICT_ROWS, DagTransformer, ModelConfig, train_model
@@ -878,18 +882,22 @@ def test_a_bad_row_in_the_last_block_is_named_by_its_row_in_the_batch():
 
 def test_a_raise_in_a_later_block_leaves_training_recording(monkeypatch):
     model, batch = _generic_model("criterion-6", 3 * B)
-    calls, forward = [], model._forward
+    for name, call in (("_forward", model.predict),
+                       ("_counterfactual_forward",
+                        lambda rows: model.counterfactual_predict(rows, [1.0, 0.0]))):
+        calls, forward = [], getattr(model, name)
 
-    def fail_on_the_last_block(block, *args):
-        calls.append(len(block))
-        if len(calls) == 3:
-            raise DegenerateInputError("the last block failed")
-        return forward(block, *args)
-    monkeypatch.setattr(model, "_forward", fail_on_the_last_block)
-    with pytest.raises(DegenerateInputError):
-        model.counterfactual_predict(batch, 1.0)
-    assert calls == [B, B, B]
-    _assert_records(model, batch[:8])
+        def fail_on_the_last_block(block, *args):
+            calls.append(len(block))
+            if len(calls) == 3:
+                raise DegenerateInputError("the last block failed")
+            return forward(block, *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, name, fail_on_the_last_block)
+            with pytest.raises(DegenerateInputError):
+                call(batch)
+        assert calls == [B, B, B], name
+        _assert_records(model, batch[:8])
 
 
 @pytest.mark.parametrize("shape", ["criterion-6", "nmmr-u"])
@@ -915,6 +923,127 @@ def test_a_no_grad_forward_holds_few_per_op_arrays_at_once():
     per_op = n * len(model.input_nodes) * model.config.embedding_dim * 8
     peak = _peak(lambda: model.predict(batch))
     assert peak <= 5 * per_op, peak / per_op
+
+
+def test_a_counterfactual_pass_over_ten_values_holds_few_per_op_arrays_at_once():
+    # the block's shared K and V, its head rows and one value's arrays at a time
+    n = 1000
+    model, batch = _generic_model("nmmr-u", n)
+    model.fit_standardizer(batch)
+    per_op = n * len(model.input_nodes) * model.config.embedding_dim * 8
+    peak = _peak(lambda: model.counterfactual_predict(batch, np.linspace(-1.0, 1.0, 10)))
+    assert peak <= 5 * per_op, peak / per_op
+
+
+# -- counterfactual predictions take every treatment value in one pass per block --
+
+COUNTERFACTUAL_SHAPES = {
+    **CUT_SHAPES,
+    "alpha 0": (dict(CRITERION_6, alpha=0.0), SCM_DAG, "gformula", SCM_KINDS),
+    # a valued treatment whose row the second layer reads: Q and x take it too
+    "bridge 2 layers": BLOCK_SHAPES["bridge 2L2H"],
+}
+
+
+def _value_grids(model) -> list:
+    if model.node_kinds[model.treatment_node] == "binary":
+        return [[1.0], [1.0, 0.0]]
+    return [[0.7], [0.7, -1.3], list(np.linspace(-2.0, 2.5, 10))]
+
+
+def _one_predict_per_value(model, batch, grid) -> dict:
+    """Per head, (values, n): `predict` of the batch with its treatment column
+    set to each value, one whole forward pass per value."""
+    column = model.input_nodes.index(model.treatment_node)
+    rows = {head: [] for head in model.head_nodes}
+    for value in grid:
+        batch = batch.copy()
+        batch[:, column] = value
+        for head, values in model.predict(batch).items():
+            rows[head].append(values)
+    return {head: np.stack(values) for head, values in rows.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, B - 1, B + 1, 2 * B - 1, 2 * B + 1])
+@pytest.mark.parametrize("shape", list(COUNTERFACTUAL_SHAPES))
+def test_one_pass_over_the_values_equals_one_pass_per_value_bit_for_bit(shape, n):
+    model, batch = _random_model(*COUNTERFACTUAL_SHAPES[shape],
+                                 rng.stream(14, "counterfactual", shape, n), n)
+    model.fit_standardizer(batch)
+    for grid in _value_grids(model):
+        together = model.counterfactual_predict(batch, grid)
+        alone = [model.counterfactual_predict(batch, value) for value in grid]
+        reference = _one_predict_per_value(model, batch, grid)
+        for head in model.head_nodes:
+            assert together[head].shape == (len(grid), n)
+            assert np.array_equal(together[head], reference[head]), (head, grid)
+            assert np.array_equal(together[head], np.stack([a[head] for a in alone])), (head, grid)
+
+
+def test_the_estimators_equal_one_predict_per_value():
+    g = rng.stream(15, "estimators")
+    model, _ = _random_model(*CUT_SHAPES["criterion-6"], g, 1)
+    dataset = simulate_linear_scm(1100, LinearScm(x_dim=1), seed=4)
+    model.fit_standardizer(dataset.matrix(model.input_nodes))
+    mu = _one_predict_per_value(model, dataset.matrix(model.input_nodes), [1.0, 0.0])["Y"]
+    assert estimate_gformula(model, dataset).to_dict() == gformula_from_mu(*mu).to_dict()
+
+    model, _ = _random_model(*CUT_SHAPES["aipw-joint"], g, 1)
+    scm = LinearScm(x_dim=5, propensity_weights=(0.5,) * 5, outcome_weights=(1.0,) * 5)
+    dataset = simulate_linear_scm(600, scm, seed=5)
+    batch = dataset.matrix(model.input_nodes)
+    model.fit_standardizer(batch)
+    mu = _one_predict_per_value(model, batch, [1.0, 0.0])["Y"]
+    want = aipw_from_nuisances(dataset.node_column("A").values, dataset.node_column("Y").values,
+                               *mu, model.predict(batch)["A"])
+    assert estimate_aipw(model, model, dataset).to_dict() == want.to_dict()
+
+    model, batch = _random_model(*CUT_SHAPES["nmmr-u"], g, 50)
+    model.fit_standardizer(10.0 * batch)
+    draws = {"W": g.normal(5.0, 2.0, 1000)}
+    grid = list(np.linspace(10.0, 30.0, 10))
+    heldout = np.tile(model.col_mean, (1000, 1))
+    heldout[:, model.input_nodes.index("W")] = draws["W"]
+    h = _one_predict_per_value(model, heldout, grid)["Y"]
+    curve = {a: float(values.mean()) for a, values in zip(grid, h)}
+    assert estimate_proximal(model, draws, grid).potential_outcomes == curve
+
+
+def test_the_observed_treatment_column_is_not_read_by_a_counterfactual():
+    model, batch = _generic_model("criterion-6", 7)
+    column = model.input_nodes.index("A")
+    want = model.counterfactual_predict(batch, [0.0, 1.0])
+    batch[:, column] = np.nan  # not a 0/1 value, and no number at all
+    got = model.counterfactual_predict(batch, [0.0, 1.0])
+    assert all(np.array_equal(got[head], want[head]) for head in model.head_nodes)
+
+
+@pytest.mark.parametrize("values, error, match", [
+    ([1.0, 1.0, 0.0], ContractError, "distinct"),
+    ([np.nan, 1.0], ContractError, "finite"),
+    ([np.inf], ContractError, "finite"),
+    (np.nan, ContractError, "finite"),
+    ([], ContractError, "nonempty"),
+    ([[1.0, 2.0]], ContractError, "nonempty"),
+])
+def test_counterfactual_values_are_checked_once_with_a_contract_error(values, error, match):
+    model, batch = _generic_model("nmmr-u", 5)
+    with pytest.raises(error, match=match):
+        model.counterfactual_predict(batch, values)
+
+
+def test_a_binary_treatment_takes_only_0_or_1():
+    model, batch = _generic_model("criterion-6", 5)
+    with pytest.raises(DataError, match="node 'A': bad treatment value 0.5"):
+        model.counterfactual_predict(batch, [1.0, 0.5])
+
+
+def test_a_non_finite_held_out_draw_is_a_data_error_naming_its_node():
+    model, batch = _generic_model("nmmr-u", 5)
+    model.fit_standardizer(batch)
+    draws = np.array([0.5, 1.0, np.nan, 2.0])
+    with pytest.raises(DataError, match="node 'W': non-finite value at row 2"):
+        model.h_hat([10.0, 20.0], {"W": draws})
 
 
 # -- each parameter is bound once, to what reads it --

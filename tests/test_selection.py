@@ -1,14 +1,16 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
-from dagformer import rng, selection
-from dagformer.data import LinearScm, linear_scm_dag, simulate_linear_scm
+from dagformer import objectives, rng, selection
+from dagformer.data import LinearScm, linear_scm_dag, simulate_demand, simulate_linear_scm
 from dagformer.errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
 )
 from dagformer.forest import ForestConfig, HonestForestRegressor
+from dagformer.graph import demand_dag
 from dagformer.methods import resolve
 from dagformer.selection import (
     c_mse, candidates, config_hash, expand_grid, fit_plugin, grid_search, map_jobs, nrmse,
@@ -248,6 +250,40 @@ def test_ranking_csv_format():
 def test_config_hash_stable():
     point = {"alpha": 0.1, "epochs": 10}
     assert config_hash(point) == config_hash(dict(reversed(list(point.items()))))
+
+
+def _proxy_search(grid, jobs):
+    config = {"method": "proximal-u", "model": {"embedding_dim": 8, "num_heads": 1,
+                                                "feedforward_dim": 8, "mlp_width": 8,
+                                                "mlp_depth": 1, "alpha": 0.1},
+              "epochs": 1, "batch_size": 32, "seed": 3}
+    train, validation = simulate_demand(200, seed=3).to_dataset().split(0.7, seed=1)
+    return grid_search(resolve(config), candidates(config, grid), train, validation,
+                       demand_dag(), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_proxy_tune_computes_the_heuristic_bandwidths_once_for_the_grid(tmp_path, monkeypatch,
+                                                                          jobs):
+    calls, heuristic = tmp_path / "calls", objectives.median_heuristic_bandwidth
+
+    def counted(rows):  # a pool worker appends to the same file
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return heuristic(rows)
+    monkeypatch.setattr(objectives, "median_heuristic_bandwidth", counted)
+    grid = {"nmmr.lambda": [0.0, 1e-4], "optimizer.learning_rate": [1e-3, 3e-3]}
+    rows, _ = _proxy_search(grid, jobs)
+    # the training and the validation rows' bandwidths, here, before any candidate trains
+    assert calls.read_text().split() == [str(os.getpid())] * 2
+    # a point that sets its own bandwidth keeps it, and computes none
+    _proxy_search({"nmmr.kernel_bandwidth": [0.5, 2.0]}, jobs)
+    assert len(calls.read_text().split()) == 2
+    # each of the four points computing its own two gives the same table
+    monkeypatch.setattr(selection, "_heuristic_bandwidths", lambda *args: (None, None))
+    alone, _ = _proxy_search(grid, 1)
+    assert len(calls.read_text().split()) == 2 + 4 * 2
+    assert rows == alone
 
 
 def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch):
