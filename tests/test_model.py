@@ -935,6 +935,19 @@ def test_a_counterfactual_pass_over_ten_values_holds_few_per_op_arrays_at_once()
     assert peak <= 5 * per_op, peak / per_op
 
 
+@pytest.mark.parametrize("shape, grid", [("criterion-6", [1.0, 0.0]),
+                                         ("nmmr-u", list(np.linspace(-1.0, 1.0, 10)))])
+def test_counterfactual_memory_grows_with_rows_by_its_outputs_only(shape, grid):
+    peaks, sizes = [], (4 * B, 16 * B)
+    for n in sizes:
+        model, batch = _generic_model(shape, n)
+        model.fit_standardizer(batch)
+        peaks.append(_peak(lambda: model.counterfactual_predict(batch, grid)))
+    # each head's (values, n) result, on the model scale and on the raw one
+    outputs = 2 * len(grid) * len(model.head_nodes) * 8 * (sizes[1] - sizes[0])
+    assert peaks[1] <= 1.25 * peaks[0] + outputs, peaks
+
+
 # -- counterfactual predictions take every treatment value in one pass per block --
 
 COUNTERFACTUAL_SHAPES = {
