@@ -17,6 +17,11 @@ growing one node at a time.
 Fit and predict route (row, tree) pairs to their leaves a depth at a time
 through a flat child table, built once per call, in which a leaf points at
 itself.
+
+A fitted forest holds only what `predict` reads: five flat node arrays
+(`ForestNodes`), its config and x's width. It keeps no subsample and no
+leaf's estimate rows: which rows reach a leaf depends on x, which it does not
+keep either.
 """
 
 from dataclasses import dataclass
@@ -41,6 +46,10 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_trees", "max_depth", "min_leaf"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         for key, ok, rule in (("n_trees", self.n_trees >= 1, ">= 1"),
                               ("max_depth", self.max_depth >= 0, ">= 0"),
                               ("min_leaf", self.min_leaf >= 1, ">= 1"),
@@ -53,7 +62,6 @@ class ForestConfig:
 class Leaf(NamedTuple):
     node: int  # its index in the forest's node arrays
     value: float
-    estimate_rows: np.ndarray
 
 
 class ForestNodes(NamedTuple):
@@ -63,21 +71,14 @@ class ForestNodes(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray  # a leaf's honest mean
-    leaf_rows: np.ndarray  # the estimate rows, grouped by leaf
-    leaf_start: np.ndarray  # where a leaf's rows start in `leaf_rows`
-    leaf_count: np.ndarray
 
 
 class HonestTree:
-    """One tree of a fitted forest: its two halves of the subsample, and its
-    root in the forest's node arrays."""
+    """One tree of a fitted forest: its root in the forest's node arrays."""
 
-    def __init__(self, nodes: ForestNodes, root: int,
-                 structure_rows: np.ndarray, estimate_rows: np.ndarray):
+    def __init__(self, nodes: ForestNodes, root: int):
         self.nodes = nodes
         self.root = root
-        self.structure_rows = structure_rows
-        self.estimate_rows = estimate_rows
 
     def leaves(self) -> list[Leaf]:
         f = self.nodes
@@ -87,10 +88,8 @@ class HonestTree:
             node = stack.pop()
             if f.feature[node] >= 0:
                 stack.extend([f.left[node], f.right[node]])
-                continue
-            start = f.leaf_start[node]
-            found.append(Leaf(int(node), float(f.value[node]),
-                              f.leaf_rows[start:start + f.leaf_count[node]]))
+            else:
+                found.append(Leaf(int(node), float(f.value[node])))
         return found
 
 
@@ -258,9 +257,8 @@ def _route(x, rows, nodes, table):
 
 
 def _group_means(y, rows, labels, n_labels):
-    """(mean, grouped, start, count): per label, the mean of y over its rows,
-    summed in their order as `y[rows].mean()` sums them; the rows grouped by
-    label in that order, and each label's start and count in `grouped`."""
+    """Per label, the mean of y over its rows, summed in their order as
+    `y[rows].mean()` sums them."""
     # label * size + position is unique, so any sort gives the stable order
     order = np.argsort(labels * labels.size + np.arange(labels.size))
     grouped = rows[order]
@@ -272,20 +270,20 @@ def _group_means(y, rows, labels, n_labels):
         if c := count[at[0]]:
             # a row-wise mean of a C-contiguous matrix sums each row as a 1-D mean does
             mean[at] = y[grouped[start[at, None] + np.arange(c)]].mean(axis=1)
-    return mean, grouped, start, count
+    return mean
 
 
 def _leaf_means(y, rows, leaf, parent, depth):
     """`_group_means` of the estimate rows by the leaf each reaches; a node that
     none reaches takes the mean of its nearest ancestor that some row passes."""
-    value, grouped, start, count = _group_means(y, rows, leaf, parent.size)
+    value = _group_means(y, rows, leaf, parent.size)
     # up[d, v]: v's ancestor at depth d, or v itself from its own depth on
     up = np.empty((depth[-1] + 1, parent.size), dtype=np.int64)
     up[-1] = np.arange(parent.size)
     for d in range(depth[-1], 0, -1):
         up[d - 1] = np.where(depth >= d, parent.take(up[d]), up[d])
     reached = np.zeros(parent.size, dtype=bool)
-    reached[up[:, count > 0]] = True
+    reached[up[:, np.bincount(leaf, minlength=parent.size) > 0]] = True
     empty = np.flatnonzero(~reached)  # empty leaves, and splits with only those below
     passed = reached[up[:, empty]]  # which of each one's ancestors some row passes
     source = up[passed.shape[0] - 1 - np.argmax(passed[::-1], axis=0), empty]
@@ -295,9 +293,9 @@ def _leaf_means(y, rows, leaf, parent, depth):
     below = is_source[up]
     d, r = np.nonzero(below[:, leaf])
     targets = np.unique(source)
-    value[targets] = _group_means(y, rows[r], up[d, leaf[r]], parent.size)[0][targets]
+    value[targets] = _group_means(y, rows[r], up[d, leaf[r]], parent.size)[targets]
     value[empty] = value[source]
-    return value, grouped, start, count
+    return value
 
 
 class HonestForestRegressor:
@@ -331,9 +329,8 @@ class HonestForestRegressor:
         leaf = _route(x, rows, np.repeat(np.arange(cfg.n_trees), estimate.shape[1]),
                       _child_table(feature, threshold, left, right))
         self.nodes = ForestNodes(feature, threshold, left, right,
-                                 *_leaf_means(y, rows, leaf, parent, depth))
-        self.trees = [HonestTree(self.nodes, t, structure[t], estimate[t])
-                      for t in range(cfg.n_trees)]
+                                 _leaf_means(y, rows, leaf, parent, depth))
+        self.trees = [HonestTree(self.nodes, t) for t in range(cfg.n_trees)]
         self.n_features = x.shape[1]
         return self
 

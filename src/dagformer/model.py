@@ -627,42 +627,45 @@ def train_model(model: DagTransformer, dataset, objective, optimizer: AdamState,
     params = model.parameters()
     dropout_rng = rng.stream(seed, "dropout")
     log: list[dict] = []
-    # overflow/invalid produce a non-finite loss, which is detected below and
-    # escalated to TrainingDivergedError; the interim FP warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            perm = rng.stream(seed, "shuffle", epoch).permutation(n)
-            losses = []
-            mses = []
-            for start in range(0, n, batch_size):
-                rows = perm[start:start + batch_size]
-                if rows.size < objective.min_rows:
-                    continue
-                try:
-                    preds = model.forward(std_all[rows], dropout_rng, standardized=True)
-                except DegenerateInputError as exc:
-                    # scores overflowing to -inf across a whole row means the
-                    # parameters blew up, not that the mask is malformed
-                    raise TrainingDivergedError(
-                        f"attention scores overflowed at epoch {epoch}, "
-                        f"batch {start // batch_size}: {exc}",
-                        epoch=epoch, batch=start // batch_size) from exc
-                loss, mse = batch_loss(preds, rows)
-                value = float(loss.data)
-                if mse is not None:
-                    mses.append(float(mse.data))
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"non-finite loss {value} at epoch {epoch}, "
-                        f"batch {start // batch_size}",
-                        epoch=epoch, batch=start // batch_size)
-                zero_grads(params)
-                T.backward(loss)
-                adam_step(params, optimizer)
-                losses.append(value)
-            entry = {"epoch": epoch, "loss": float(np.mean(losses))}
-            if mses:
-                outcome_sd = float(model.col_sd[model._node_index(model.outcome_node)])
-                entry["mse_raw"] = float(np.mean(mses)) * outcome_sd ** 2
-            log.append(entry)
+    try:
+        # overflow/invalid produce a non-finite loss, which is detected below and
+        # escalated to TrainingDivergedError; the interim FP warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(epochs):
+                perm = rng.stream(seed, "shuffle", epoch).permutation(n)
+                losses = []
+                mses = []
+                for start in range(0, n, batch_size):
+                    rows = perm[start:start + batch_size]
+                    if rows.size < objective.min_rows:
+                        continue
+                    try:
+                        preds = model.forward(std_all[rows], dropout_rng, standardized=True)
+                    except DegenerateInputError as exc:
+                        # scores overflowing to -inf across a whole row means the
+                        # parameters blew up, not that the mask is malformed
+                        raise TrainingDivergedError(
+                            f"attention scores overflowed at epoch {epoch}, "
+                            f"batch {start // batch_size}: {exc}",
+                            epoch=epoch, batch=start // batch_size) from exc
+                    loss, mse = batch_loss(preds, rows)
+                    value = float(loss.data)
+                    if mse is not None:
+                        mses.append(float(mse.data))
+                    if not np.isfinite(value):
+                        raise TrainingDivergedError(
+                            f"non-finite loss {value} at epoch {epoch}, "
+                            f"batch {start // batch_size}",
+                            epoch=epoch, batch=start // batch_size)
+                    zero_grads(params)
+                    T.backward(loss)
+                    adam_step(params, optimizer)
+                    losses.append(value)
+                entry = {"epoch": epoch, "loss": float(np.mean(losses))}
+                if mses:
+                    outcome_sd = float(model.col_sd[model._node_index(model.outcome_node)])
+                    entry["mse_raw"] = float(np.mean(mses)) * outcome_sd ** 2
+                log.append(entry)
+    finally:  # the model leaves with no gradient, also when training raises
+        zero_grads(params)
     return log

@@ -112,13 +112,12 @@ def fit_plugin(validation, dag: CausalDag, config: ForestConfig) -> PlugInEstima
         raise DataError("plug-in estimator requires a binary treatment")
     y = validation.node_column(outcome).values
     x = validation.matrix(covariates)
-    forests = {}
+    forests, least = {}, max(2, config.min_leaf)  # the fewest rows a forest fits
     for arm in (1.0, 0.0):
         rows = a == arm
-        if rows.sum() < config.min_leaf:
-            raise DataError(
-                f"treatment arm {int(arm)} has {int(rows.sum())} rows, fewer than "
-                f"min_leaf {config.min_leaf}")
+        if rows.sum() < least:
+            raise DataError(f"treatment arm {int(arm)} has {int(rows.sum())} rows, fewer than "
+                            f"the {least} a forest with min_leaf {config.min_leaf} needs")
         arm_cfg = replace(config, seed=config.seed + int(arm))
         forests[arm] = HonestForestRegressor(arm_cfg).fit(x[rows], y[rows])
     return PlugInEstimator(forests[1.0], forests[0.0], covariates)

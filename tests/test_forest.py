@@ -7,6 +7,7 @@ estimate rows in the same order, and bit-equal predictions.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from dagformer import forest as forest_module, rng
 from dagformer.errors import ConfigError, ContractError, DataError, ShapeError
 from dagformer.forest import ForestConfig, HonestForestRegressor, _split, _with_sentinel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class RefNode:
@@ -120,16 +123,16 @@ def reference_predict(trees, x):
 
 
 def _assert_same_nodes(ref, nodes, node, leaves):
+    """Checks the subtree at `node` against the reference's; returns how many
+    of its leaves no estimate row reaches."""
     if ref.feature is None:
         assert nodes.feature[node] == -1
-        leaf = leaves[node]
-        assert leaf.value == ref.value
-        assert np.array_equal(leaf.estimate_rows, ref.estimate_rows)
-        return
+        assert nodes.value[node] == leaves.pop(node) == ref.value
+        return int(not ref.estimate_rows.size)
     assert nodes.feature[node] == ref.feature
     assert nodes.threshold[node] == ref.threshold
-    _assert_same_nodes(ref.left, nodes, nodes.left[node], leaves)
-    _assert_same_nodes(ref.right, nodes, nodes.right[node], leaves)
+    return (_assert_same_nodes(ref.left, nodes, nodes.left[node], leaves)
+            + _assert_same_nodes(ref.right, nodes, nodes.right[node], leaves))
 
 
 def _data(n, x_dim, kind, seed=0):
@@ -149,13 +152,13 @@ def _check(x, y, cfg):
     forest = HonestForestRegressor(cfg).fit(x, y)
     ref = reference_forest(x, y, cfg)
     assert len(forest.trees) == len(ref)
-    empty_leaves = 0
-    for tree, (structure, estimate, root) in zip(forest.trees, ref):
-        assert np.array_equal(tree.structure_rows, structure)
-        assert np.array_equal(tree.estimate_rows, estimate)
-        leaves = {leaf.node: leaf for leaf in tree.leaves()}
-        empty_leaves += sum(not leaf.estimate_rows.size for leaf in leaves.values())
-        _assert_same_nodes(root, forest.nodes, tree.root, leaves)
+    empty_leaves = nodes = 0
+    for tree, (_, _, root) in zip(forest.trees, ref):
+        leaves = dict(tree.leaves())
+        nodes += 2 * len(leaves) - 1
+        empty_leaves += _assert_same_nodes(root, forest.nodes, tree.root, leaves)
+        assert not leaves  # the tree has no leaf the reference lacks
+    assert all(a.size == nodes for a in forest.nodes)  # and the arrays no other node
     g = np.random.default_rng(1)
     x_new = g.standard_normal((57, x.shape[1]))
     wide = g.standard_normal((57, 2 * x.shape[1] + 1))
@@ -228,6 +231,35 @@ def test_forest_with_leaves_at_every_depth_matches_reference():
     assert depths.size == 9 and (depths[1:] > 0).all()
 
 
+def _reach(nodes, root, x):
+    """The leaf of the tree at `root` that each row of x reaches."""
+    at = np.full(x.shape[0], root)
+    while (inner := np.flatnonzero(nodes.feature[at] >= 0)).size:
+        node = at[inner]
+        goes_left = x[inner, nodes.feature[node]] <= nodes.threshold[node]
+        at[inner] = np.where(goes_left, nodes.left[node], nodes.right[node])
+    return at
+
+
+def test_forest_is_honest():
+    # the rows that choose a tree's splits never enter its leaf means: each
+    # leaf holds the mean of the estimate rows that its own splits send to it
+    g = rng.stream(53, "honest")
+    x = g.standard_normal((400, 2))
+    y = x[:, 0] * 2.0 + g.standard_normal(400)
+    cfg = ForestConfig(n_trees=10, seed=2)
+    forest = HonestForestRegressor(cfg).fit(x, y)
+    reached = 0
+    for tree, (structure, estimate, _) in zip(forest.trees, reference_forest(x, y, cfg)):
+        assert not np.intersect1d(structure, estimate).size
+        leaf = _reach(forest.nodes, tree.root, x[estimate])
+        for node, value in tree.leaves():
+            if (rows := estimate[leaf == node]).size:
+                assert value == y[rows].mean()
+                reached += 1
+    assert reached > 10 * 8, reached
+
+
 def test_split_leaves_tied_rows_in_their_stable_order():
     # ties in x, and y whose sums depend on their order: each node's rows must
     # come out as a stable sort of its feature would leave them
@@ -286,9 +318,13 @@ def test_forest_fit_rejects_rows_that_do_not_pair_up():
 def test_forest_rejects_bad_config_and_non_finite_rows():
     for bad in ({"n_trees": 0}, {"max_depth": -1}, {"min_leaf": 0},
                 {"subsample_fraction": 0.0}, {"subsample_fraction": 1.5},
-                {"subsample_fraction": float("nan")}, {"subsample_fraction": float("inf")}):
+                {"subsample_fraction": float("nan")}, {"subsample_fraction": float("inf")},
+                # a float raised TypeError in fit or trained, and True trained one tree
+                {"n_trees": 2.5}, {"max_depth": 2.5}, {"min_leaf": 2.5}, {"n_trees": True},
+                {"max_depth": False}, {"min_leaf": np.float64(3.0)}, {"n_trees": "4"}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ForestConfig(**bad)
+    assert ForestConfig(n_trees=np.int64(3), max_depth=np.int32(2), min_leaf=np.uint8(1))
     x, y = _data(50, 2, "normal")
     x[3, 1] = np.nan
     with pytest.raises(DataError, match="finite"):
@@ -306,3 +342,43 @@ def test_forest_fit_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_a_fitted_forest_keeps_only_its_node_arrays_as_rows_grow():
+    # at 200 trees, a forest that kept each tree's subsample and each leaf's
+    # estimate rows held 1.67 MB beyond `forest.nodes` at 2,000 rows and 6.47 MB
+    # at 8,000; one that keeps neither holds about 25 kB at both
+    x, y = _data(300, 5, "normal")
+    HonestForestRegressor(ForestConfig(n_trees=200)).fit(x, y)  # first-call allocations
+    kept = []
+    for n in (2000, 8000):
+        x, y = _data(n, 5, "normal")
+        tracemalloc.start()
+        try:
+            forest = HonestForestRegressor(ForestConfig(n_trees=200)).fit(x, y)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept.append(held - sum(a.nbytes for a in forest.nodes))
+    assert kept[1] < kept[0] + 64 * 1024, kept
+
+
+def test_the_benchmark_forest_spans_read_a_fitted_forest(monkeypatch):
+    # `perfbench/run.py --trace 1` counts a forest's nodes through its trees'
+    # leaves and its predicted rows through `predict`: a rename must fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import metrics
+    import tracing
+    tracer, fit = tracing.Tracer(), HonestForestRegressor.fit
+    metrics.install_layer_spans(tracer)
+    try:
+        x, y = _data(150, 3, "normal")
+        forest = HonestForestRegressor(ForestConfig(n_trees=5)).fit(x, y)
+        forest.predict(x[:40])
+    finally:
+        tracer.uninstall()
+    assert HonestForestRegressor.fit is fit  # uninstalled
+    assert tracer.counts["tree_nodes"] == [(None, forest.nodes.feature.size)]
+    assert tracer.counts["forest_rows"] == [(None, 40)]
+    figures = metrics.layer_metrics(tracer, fits=1, jobs=1, untraced_wall_s=1.0)
+    assert figures["forest.tree_nodes_per_forest"] == forest.nodes.feature.size

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import pickle
@@ -18,6 +19,7 @@ from dagformer.estimators import (
     aipw_from_nuisances, estimate_aipw, estimate_gformula, estimate_proximal, gformula_from_mu,
 )
 from dagformer.graph import CausalDag, NodeRole, demand_dag
+from dagformer.methods import resolve
 from dagformer.model import _PREDICT_ROWS, DagTransformer, ModelConfig, train_model
 from dagformer.objectives import AipwJoint, GFormula, Iptw, Nmmr, nmmr_risk
 from dagformer.optim import AdamState
@@ -507,6 +509,42 @@ def test_train_reports_overflowed_attention_scores_as_divergence():
         train_model(model, _toy_dataset(n=64, seed=9), GFormula(), AdamState(), epochs=2,
                     batch_size=16)
     assert (info.value.epoch, info.value.batch) == (0, 0)
+
+
+def _digest(models) -> str:
+    """SHA-256 of every parameter of `models`, by name, in registration order."""
+    h = hashlib.sha256()
+    for model in models:
+        for name, p in model.params.items():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+# `_digest` of the three models below as trained before gradients were cleared
+PARAMS_SHA256 = "1401e695f6814d132aa71358a07ca858bc1f7eb6dcd63849d4d1c52fb7566370"
+
+
+def test_a_trained_model_keeps_no_gradient():
+    # each parameter used to keep its last step's gradient, as large as itself
+    ds = _toy_dataset(n=64, seed=5)
+    joint = DagTransformer(small_config(seed=4), SCM_DAG, "aipw", SCM_KINDS)
+    train_model(joint, ds, AipwJoint(), AdamState(learning_rate=3e-3), epochs=2, batch_size=16)
+    sizes = {"embedding_dim": 8, "num_heads": 2, "feedforward_dim": 16, "mlp_width": 8,
+             "mlp_depth": 1}
+    run = resolve({"method": "aipw-separate", "epochs": 2, "batch_size": 16,
+                   "model_outcome": sizes, "model_propensity": sizes})
+    separate = run.row.build(run, SCM_DAG, ds, 7)
+    run.row.train(separate, run, ds, 7)
+    for model in (joint, *separate):
+        assert all(p.grad is None for p in model.parameters())
+    # and the same parameters as when the gradients stayed
+    assert _digest((joint, *separate)) == PARAMS_SHA256
+    diverged = DagTransformer(small_config(), SCM_DAG, "gformula", SCM_KINDS)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+        train_model(diverged, ds, GFormula(), AdamState(learning_rate=1e150), epochs=50,
+                    batch_size=16)
+    assert all(p.grad is None for p in diverged.parameters())
 
 
 def test_snapshot_roundtrip_bit_exact(tmp_path):

@@ -9,7 +9,7 @@ from dagformer.data import LinearScm, linear_scm_dag, simulate_demand, simulate_
 from dagformer.errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
 )
-from dagformer.forest import ForestConfig, HonestForestRegressor
+from dagformer.forest import ForestConfig
 from dagformer.graph import demand_dag
 from dagformer.methods import resolve
 from dagformer.selection import (
@@ -101,22 +101,6 @@ def test_forest_deterministic_per_seed():
     assert np.array_equal(t1, t2)
 
 
-def test_forest_honesty_structural():
-    g = rng.stream(53, "honest")
-    x = g.standard_normal((400, 2))
-    y = x[:, 0] * 2.0 + g.standard_normal(400)
-    forest = HonestForestRegressor(ForestConfig(n_trees=10, seed=2)).fit(x, y)
-    for tree in forest.trees:
-        structure = set(tree.structure_rows.tolist())
-        estimate = set(tree.estimate_rows.tolist())
-        assert not structure & estimate
-        for leaf in tree.leaves():
-            leaf_rows = set(leaf.estimate_rows.tolist())
-            assert not leaf_rows & structure
-            if leaf_rows:
-                assert abs(leaf.value - y[sorted(leaf_rows)].mean()) < 1e-12
-
-
 def test_fit_plugin_insufficient_arm_rows():
     ds = _plugin_dataset(40, 1.0, seed=6)
     a = ds.column("A")
@@ -124,6 +108,9 @@ def test_fit_plugin_insufficient_arm_rows():
     a.values[0] = 1.0
     with pytest.raises(DataError, match="arm 1"):
         fit_plugin(ds, linear_scm_dag(1), ForestConfig(min_leaf=5))
+    # one row is enough for min_leaf 1 but not for a forest, which splits it in two
+    with pytest.raises(DataError, match="arm 1 has 1 rows, fewer than the 2 a forest"):
+        fit_plugin(ds, linear_scm_dag(1), ForestConfig(min_leaf=1))
 
 
 def _grid(**overrides):
