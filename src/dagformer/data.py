@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, is_number
 from .graph import CausalDag, NodeRole, backdoor_dag
 
 COLUMN_KINDS = ("continuous", "binary")
@@ -168,8 +168,9 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
     """Read an RFC-4180-style CSV (header required) under a column schema.
 
     Schema format: {"columns": [{"name", "kind", "node"}, ...]}; columns in
-    the file but not in the schema are ignored. Unparseable and non-finite
-    cells are rejected with their file row number (header is row 1).
+    the file but not in the schema are ignored, and a header that names a
+    schema column twice is rejected. Unparseable and non-finite cells are
+    rejected with their file row number (header is row 1).
     """
     spec_cols = _schema_columns(schema)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -182,6 +183,9 @@ def load_csv(path: str, schema: dict) -> TabularDataset:
         missing = [c["name"] for c in spec_cols if c["name"] not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}; header has {header}")
+        for c in spec_cols:
+            if header.count(c["name"]) > 1:
+                raise DataError(f"{path}: the header names column {c['name']!r} twice")
         positions = {c["name"]: header.index(c["name"]) for c in spec_cols}
         raw: dict[str, list[float]] = {c["name"]: [] for c in spec_cols}
         for line_no, row in enumerate(reader, start=2):
@@ -251,6 +255,9 @@ class LinearEffect:
     slope_x1: float = 1.0
 
     def __post_init__(self):
+        for key in ("base", "slope_x1"):
+            if not is_number(getattr(self, key)):
+                raise ContractError(f"{key} must be a number, got {getattr(self, key)!r}")
         if not np.all(np.isfinite([self.base, self.slope_x1])):
             raise ContractError("linear effect coefficients must be finite")
 
@@ -269,11 +276,19 @@ class LinearScm:
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        values = list(self.propensity_weights) + list(self.outcome_weights)
-        values += [self.propensity_intercept, self.noise_sd]
+        if not is_number(self.x_dim, int):
+            raise ContractError(f"x_dim must be an integer, got {self.x_dim!r}")
+        coefficients = [(key, value) for key in ("propensity_weights", "outcome_weights")
+                        for value in getattr(self, key)]
+        coefficients += [("propensity_intercept", self.propensity_intercept),
+                         ("noise_sd", self.noise_sd)]
         if not callable(self.treatment_effect):
-            values.append(float(self.treatment_effect))
-        if not np.all(np.isfinite(values)):
+            coefficients.append(("treatment_effect", self.treatment_effect))
+        for key, value in coefficients:
+            if not is_number(value):
+                what = "numbers" if key.endswith("weights") else "a number"
+                raise ContractError(f"{key} must be {what}, got {value!r}")
+        if not np.all(np.isfinite([value for _, value in coefficients])):
             raise ContractError("linear SCM coefficients must be finite")
         if len(self.propensity_weights) != self.x_dim or len(self.outcome_weights) != self.x_dim:
             raise ContractError("weight vectors must have length x_dim")

@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so estimator/model code should
 raise the most specific class that applies.
 """
 
+import numpy as np
+
 
 class DagformerError(Exception):
     """Base class for all package errors."""
@@ -44,3 +46,14 @@ class SelectionFailedError(DagformerError):
 
 class DegenerateInputError(ContractError):
     """An input is degenerate (all-masked softmax row, zero-variance reference)."""
+
+
+def is_number(value, kind=float) -> bool:
+    """The one rule for a number that comes from outside, a config value or an
+    API argument: an `int` is a Python or NumPy integer; a `float` is such an
+    integer or a Python or NumPy float; a bool, a string or a list is neither.
+    Each caller raises its own error, naming its field, before any comparison."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, np.integer) if kind is int
+                      else (int, np.integer, float, np.floating))

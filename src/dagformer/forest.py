@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError, is_number
 
 # rows (node rows, padding included, or row-tree pairs) one pass handles;
 # bounds a pass's temporaries at any sample size
@@ -47,14 +47,15 @@ class ForestConfig:
 
     def __post_init__(self):
         for key in ("n_trees", "max_depth", "min_leaf"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if not is_number(getattr(self, key), int):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if not (self.seed is None or is_number(self.seed, int)):
+            raise ConfigError(f"seed must be an integer or None, got {self.seed!r}")
         for key, ok, rule in (("n_trees", self.n_trees >= 1, ">= 1"),
                               ("max_depth", self.max_depth >= 0, ">= 0"),
                               ("min_leaf", self.min_leaf >= 1, ">= 1"),
-                              ("subsample_fraction", 0.0 < self.subsample_fraction <= 1.0,
-                               "in (0, 1]")):
+                              ("subsample_fraction", is_number(self.subsample_fraction)
+                               and 0.0 < self.subsample_fraction <= 1.0, "a number in (0, 1]")):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import DEMAND_HELDOUT_DRAWS, LinearEffect, LinearScm
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, is_number
 from .estimators import estimate_aipw, estimate_gformula, estimate_iptw, estimate_proximal
 from .forest import ForestConfig
 from .graph import CausalDag, NodeRole, demand_dag
@@ -455,8 +455,8 @@ def _as(kind, value, key: str):
         if isinstance(value, list):
             return [_as(kind[0], item, key) for item in value]
         kind = list
-    elif kind in (int, float):  # an int is also a float, a bool neither
-        if isinstance(value, (int, np.integer, kind)) and not isinstance(value, bool):
+    elif kind in (int, float):
+        if is_number(value, kind):
             try:
                 return kind(value)
             except OverflowError:  # an integer beyond the largest float

@@ -69,7 +69,7 @@ import numpy as np
 from . import rng, tensor as T
 from .errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, ShapeError,
-    TrainingDivergedError,
+    TrainingDivergedError, is_number,
 )
 from .graph import (
     METHOD_ROLES, CausalDag, NodeRole, build_adjacency, build_mask, input_nodes_for,
@@ -91,12 +91,13 @@ _PREDICT_ROWS = 512
 
 
 def treatment_values(values) -> np.ndarray:
-    """Counterfactual treatment values as a 1-D float array: a scalar, or a
-    nonempty sequence of distinct finite values (a ContractError otherwise)."""
-    treatment = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    if treatment.ndim != 1 or treatment.size == 0:
-        raise ContractError(f"treatment values must be a number or a nonempty sequence, "
-                            f"got shape {np.shape(values)}")
+    """Counterfactual treatment values as a 1-D float array: a number, or a
+    nonempty sequence of distinct finite numbers (a ContractError otherwise)."""
+    items = np.asarray(values, dtype=object)  # not converted yet: "1" stays a string
+    if items.ndim > 1 or items.size == 0 or not all(map(is_number, items.flat)):
+        raise ContractError(f"treatment values must be a number or a nonempty sequence of "
+                            f"numbers, got {values!r}")
+    treatment = np.atleast_1d(items.astype(np.float64))
     if not np.isfinite(treatment).all():
         raise ContractError(f"treatment values must be finite, got {treatment.tolist()}")
     if (np.diff(np.sort(treatment)) == 0).any():
@@ -117,20 +118,20 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = {"embedding_dim": self.embedding_dim, "num_heads": self.num_heads,
-                "num_encoder_layers": self.num_encoder_layers,
-                "feedforward_dim": self.feedforward_dim, "mlp_width": self.mlp_width,
-                "mlp_depth": self.mlp_depth}
-        for name, value in dims.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value}")
+        for name in ("embedding_dim", "num_heads", "num_encoder_layers", "feedforward_dim",
+                     "mlp_width", "mlp_depth"):
+            value = getattr(self, name)
+            if not is_number(value, int) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not (self.seed is None or is_number(self.seed, int)):
+            raise ConfigError(f"seed must be an integer or None, got {self.seed!r}")
         if self.embedding_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embedding_dim {self.embedding_dim} not divisible by num_heads {self.num_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not is_number(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be a number in [0, 1), got {self.dropout_rate!r}")
+        if not is_number(self.alpha) or not 0.0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
 class DagTransformer:
@@ -282,9 +283,9 @@ class DagTransformer:
             raise ConfigError(f"node {node!r} is not a model input") from None
 
     def _check_batch(self, batch: np.ndarray, counterfactual: bool = False):
-        """Checks the batch's shape and each binary column's values, but not
-        the treatment column of a `counterfactual` batch, which the pass
-        overwrites before it reads it."""
+        """Checks the batch's shape, that each column is finite and each binary
+        one 0 or 1, but not the treatment column of a `counterfactual` batch,
+        which the pass overwrites before it reads it."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != len(self.input_nodes):
             raise ShapeError(
@@ -293,6 +294,9 @@ class DagTransformer:
         for i, node in enumerate(self.input_nodes):
             if counterfactual and node == self.treatment_node:
                 continue
+            bad = np.flatnonzero(~np.isfinite(batch[:, i]))
+            if bad.size:
+                raise DataError(f"column for node {node!r}: non-finite value at row {bad[0]}")
             if self.node_kinds[node] == "binary" and not np.isin(batch[:, i], (0.0, 1.0)).all():
                 bad = int(np.nonzero(~np.isin(batch[:, i], (0.0, 1.0)))[0][0])
                 raise DataError(f"binary column for node {node!r}: bad value at row {bad}")
@@ -502,14 +506,12 @@ class DagTransformer:
         """Counterfactual outcome predictions on a dataset's rows, per
         treatment value of `a` as `counterfactual_predict` shapes them."""
         self._require_head(self.outcome_node, "outcome")
-        batch = dataset.matrix(self.input_nodes)
-        return self.counterfactual_predict(batch, a)[self.outcome_node]
+        return self.counterfactual_predict(dataset.matrix(self.input_nodes), a)[self.outcome_node]
 
     def pi_hat(self, dataset) -> np.ndarray:
         """Propensity predictions on a dataset's rows."""
         self._require_head(self.treatment_node, "treatment")
-        batch = dataset.matrix(self.input_nodes)
-        return self.predict(batch)[self.treatment_node]
+        return self.predict(dataset.matrix(self.input_nodes))[self.treatment_node]
 
     def h_hat(self, a, draws: dict[str, np.ndarray]) -> np.ndarray:
         """Bridge-function values h(a, draws), averaged over by the caller, per
@@ -517,7 +519,7 @@ class DagTransformer:
 
         Input columns absent from `draws` (other than the treatment) are
         filled with their training means. A non-finite draw is a DataError
-        naming its node.
+        naming its node (`_check_batch`).
         """
         self._require_head(self.outcome_node, "outcome")
         sizes = {np.asarray(v).size for v in draws.values()}
@@ -526,12 +528,7 @@ class DagTransformer:
         (m,) = sizes
         batch = np.tile(self.col_mean, (m, 1))
         for node, values in draws.items():
-            column = np.asarray(values, dtype=np.float64)
-            if not np.isfinite(column).all():
-                bad = int(np.flatnonzero(~np.isfinite(column))[0])
-                raise DataError(f"held-out draws for node {node!r}: non-finite value at "
-                                f"row {bad}")
-            batch[:, self._node_index(node)] = column
+            batch[:, self._node_index(node)] = values
         return self.counterfactual_predict(batch, a)[self.outcome_node]
 
     # -- snapshots -----------------------------------------------------------

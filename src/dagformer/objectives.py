@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng, tensor as T
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, is_number
 from .graph import NodeRole
 from .tensor import Tensor
 
@@ -88,10 +88,10 @@ class Nmmr(Objective):
     def __post_init__(self):
         if self.variant not in ("U", "V"):
             raise ContractError(f"NMMR variant must be 'U' or 'V', got {self.variant!r}")
-        if not self.lam >= 0 or math.isinf(self.lam):
-            raise ContractError(f"lambda must be a finite number >= 0, got {self.lam}")
+        if not is_number(self.lam) or not self.lam >= 0 or math.isinf(self.lam):
+            raise ContractError(f"lambda must be a finite number >= 0, got {self.lam!r}")
         bandwidth = self.kernel_bandwidth
-        if bandwidth is not None and (isinstance(bandwidth, bool) or not bandwidth > 0
+        if bandwidth is not None and (not is_number(bandwidth) or not bandwidth > 0
                                       or math.isinf(bandwidth)):
             raise ContractError(f"kernel_bandwidth must be a finite number > 0, got {bandwidth!r}")
         # a singleton batch has no off-diagonal pairs for the U-statistic

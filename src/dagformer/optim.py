@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, is_number
 from .tensor import Tensor
 
 
@@ -33,6 +33,9 @@ class AdamState:
     sizes: tuple = field(default=(), init=False)
 
     def __post_init__(self):
+        for key in ("learning_rate", "beta1", "beta2", "epsilon", "l2_penalty"):
+            if not is_number(getattr(self, key)):
+                raise ConfigError(f"{key} must be a number, got {getattr(self, key)!r}")
         for key, ok, rule in (
                 ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),

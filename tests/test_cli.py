@@ -540,8 +540,9 @@ def files(tmp_path_factory):
     """Paths of the files that table rows name: untrained snapshots by base method,
     a G-formula model of the one-covariate graph and a proximal bridge of the
     demand graph; the `SNAPSHOT` fixture with one row cut from a head weight, and
-    with its input nodes reordered; a graph file with the edge Y -> Y; and a grid
-    file that holds a list."""
+    with its input nodes reordered; a graph file with the edge Y -> Y; a grid
+    file that holds a list; the one-covariate graph; and a CSV whose header names
+    column A twice, with its schema."""
     out = tmp_path_factory.mktemp("files")
     paths = {}
     for base, dag, kinds in (
@@ -556,9 +557,19 @@ def files(tmp_path_factory):
     reordered = dict(snapshot, input_nodes=snapshot["input_nodes"][::-1])
     self_loop = dict(linear_scm_dag(1).to_dict(), edges=[["X1", "A"], ["A", "Y"], ["Y", "Y"]])
     for name, value in (("short_head", short), ("reordered", reordered),
-                        ("self_loop", self_loop), ("grid_list", [1, 2])):
+                        ("self_loop", self_loop), ("grid_list", [1, 2]),
+                        ("scm_dag", linear_scm_dag(1).to_dict()),
+                        ("twice_schema", {"columns": [
+                            {"name": "X1", "kind": "continuous", "node": "X1"},
+                            {"name": "A", "kind": "binary", "node": "A"},
+                            {"name": "Y", "kind": "continuous", "node": "Y"}]})):
         paths[name] = str(out / f"{name}.json")
         (out / f"{name}.json").write_text(json.dumps(value))
+    paths["twice_csv"] = str(out / "twice.csv")
+    # rows enough for every command to run past the header: the plug-in splits them
+    rows = [(i * 37 % 101 / 50 - 1, i // 3 % 2, i * 13 % 7 / 10) for i in range(600)]
+    (out / "twice.csv").write_text("X1,A,Y,A\n" + "".join(
+        f"{x},{a},{x * (1 + 2 * a) + noise},{1 - a}\n" for x, a, noise in rows))
     return paths
 
 
@@ -887,6 +898,9 @@ def test_estimate_of_a_version_1_snapshot_of_a_two_layer_bridge_is_a_config_erro
     # an outcome whose spread (1e300) or mean (1e308) overflows float64
     ("train", "gformula", "data.simulator.treatment_effect=1e300", 3),
     ("train", "gformula", "data.simulator.treatment_effect=1e308", 3),
+    # a CSV header that names column A twice: which A to load would be a silent choice
+    *[(command, "gformula", 'data={"csv":@twice_csv,"schema":@twice_schema} dag=@scm_dag', 3)
+      for command in ("train", "estimate", "tune", "evaluate")],
 ])
 def test_malformed_config_exit_code(tmp_path, monkeypatch, files, command, name, override,
                                     code):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ def test_csv_errors_name_rows(tmp_path):
     p.write_text("wrong\n0\n")
     with pytest.raises(DataError, match="missing columns"):
         load_csv(str(p), schema)
+    # the first of the two loaded; a column that the schema leaves out may repeat
+    p.write_text("t,y,t,z,z\n0,2.5,1,0,0\n")
+    twice = f"^{re.escape(str(p))}: the header names column 't' twice"
+    with pytest.raises(DataError, match=twice):
+        load_csv(str(p), schema)
+    p.write_text("t,y,z,z\n0,2.5,1,1\n")
+    assert load_csv(str(p), schema).column("t").values.tolist() == [0.0]
     p.write_text("")
     with pytest.raises(DataError, match="empty"):
         load_csv(str(p), schema)

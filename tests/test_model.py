@@ -1097,6 +1097,34 @@ def test_a_non_finite_held_out_draw_is_a_data_error_naming_its_node():
         model.h_hat([10.0, 20.0], {"W": draws})
 
 
+def test_h_hat_rejects_draws_of_unequal_lengths():
+    model, batch = _generic_model("nmmr-u", 5)
+    model.fit_standardizer(batch)
+    with pytest.raises(ShapeError, match=r"unequal lengths: \[3, 4\]"):
+        model.h_hat([10.0], {"W": np.zeros(4), "Z": np.zeros(3)})
+
+
+def test_a_non_finite_entry_is_a_data_error_naming_its_node_and_row_at_prediction():
+    # these returned NaN for both heads, with only a RuntimeWarning
+    model, batch = _generic_model("aipw-joint", 3)
+    x1 = model.input_nodes.index("X1")
+    calls = (model.predict, model.forward, model.attention_maps,
+             lambda rows: model.counterfactual_predict(rows, [1.0, 0.0]))
+    for bad, row in (((np.nan, np.inf), 1), ((0.0, -np.inf), 2)):
+        rows = batch.copy()
+        rows[1:, x1] = bad
+        for call in calls:
+            with pytest.raises(DataError, match=f"node 'X1': non-finite value at row {row}$"):
+                call(rows)
+    # a counterfactual batch's treatment column is overwritten before it is read
+    rows = batch.copy()
+    rows[:, model.input_nodes.index("A")] = np.nan
+    with pytest.raises(DataError, match="node 'A'"):
+        model.predict(rows)
+    out = model.counterfactual_predict(rows, [1.0, 0.0])
+    assert all(np.isfinite(values).all() for values in out.values())
+
+
 # -- each parameter is bound once, to what reads it --
 
 def _bound_tensors(model):

@@ -597,6 +597,14 @@ def test_nmmr_risk_is_the_unpenalized_loss(variant):
             assert abs(risk - dense) <= 1e-12 * abs(dense), n
 
 
+def test_nmmr_losses_reject_a_kernel_or_features_of_the_wrong_size():
+    y, h = np.zeros(3), np.ones(3)
+    with pytest.raises(ContractError, match=r"kernel must be 3x3, got \(3, 2\)"):
+        loss_nmmr(y, h, np.zeros((3, 2)), "U", 0.0)
+    with pytest.raises(ContractError, match="need 3 feature rows, got 2"):
+        nmmr_risk(y, h, np.zeros((2, 2)), 1.0, "U")
+
+
 def test_nmmr_risk_memory_grows_with_n_not_n_squared():
     n = 6000  # the dense kernel and its U-statistic copy would take 576 MB
     g = rng.stream(47, "nmmr-risk-mem")

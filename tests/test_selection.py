@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dagformer import objectives, rng, selection
+from dagformer import methods, objectives, rng, selection
 from dagformer.data import LinearScm, linear_scm_dag, simulate_demand, simulate_linear_scm
 from dagformer.errors import (
     ConfigError, ContractError, DataError, DegenerateInputError, SelectionFailedError,
@@ -113,6 +113,13 @@ def test_fit_plugin_insufficient_arm_rows():
         fit_plugin(ds, linear_scm_dag(1), ForestConfig(min_leaf=1))
 
 
+def test_fit_plugin_rejects_a_treatment_that_is_not_binary():
+    ds = _plugin_dataset(40, 1.0, seed=6)
+    ds.column("A").values = np.linspace(0.0, 1.0, 40)
+    with pytest.raises(DataError, match="requires a binary treatment"):
+        fit_plugin(ds, linear_scm_dag(1), ForestConfig(n_trees=2))
+
+
 def _grid(**overrides):
     base = {"epochs": [15], "batch_size": [32], "optimizer.learning_rate": [3e-3],
             "optimizer.l2_penalty": [0.0], "model.mlp_width": [8], "model.mlp_depth": [1],
@@ -192,6 +199,25 @@ def test_grid_search_all_diverged_raises():
         _search(_grid(**{"optimizer.learning_rate": [1e150]}), train, validation,
                 method="gformula", seed=5, plugin={"n_trees": 10, "seed": 0})
     assert info.value.table is not None
+
+
+def test_a_candidate_that_trains_but_scores_non_finite_ranks_as_diverged(monkeypatch):
+    estimate = methods.estimate_gformula  # the method table looks it up when called
+
+    def nan_at_width_16(model, data):
+        report = estimate(model, data)
+        if model.config.mlp_width == 16:
+            report.cate = np.full_like(report.cate, np.nan)
+        return report
+    monkeypatch.setattr(methods, "estimate_gformula", nan_at_width_16)
+    ds = _plugin_dataset(300, 2.0, seed=11)
+    train, validation = ds.split(0.7, seed=5)
+    rows, best = _search(_grid(epochs=[3], **{"model.mlp_width": [16, 8]}), train, validation,
+                         method="gformula", seed=6, plugin={"n_trees": 10, "seed": 0})
+    assert [(e["config"]["model.mlp_width"], e["diverged"]) for e in rows] == [(8, False),
+                                                                              (16, True)]
+    assert rows[1]["score"] is None and np.isfinite(rows[1]["train_loss"])
+    assert np.isfinite(rows[0]["score"]) and best.config.mlp_width == 8
 
 
 def test_an_all_diverged_table_ranks_by_size_then_grid_order():

@@ -16,6 +16,15 @@ def test_every_export_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+def test_add_sums_the_gradient_of_a_size_one_axis():
+    # a (1, 3) operand broadcast over two rows takes the column sums
+    p, x = T.parameter(np.zeros((1, 3))), T.parameter(np.zeros((2, 3)))
+    g = np.arange(6.0).reshape(2, 3)
+    T.add(p, x)._backward(g)
+    assert p.grad.shape == (1, 3) and np.array_equal(p.grad, [[3.0, 5.0, 7.0]])
+    assert np.array_equal(x.grad, g)
+
+
 def test_matmul_identity():
     a = T.tensor([[1.0, 0.0], [0.0, 1.0]])
     b = T.tensor([[3.0, 4.0], [5.0, 6.0]])
